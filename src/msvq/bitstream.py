@@ -7,6 +7,13 @@ digest into the model file, and every payload carries the digest of the model
 file it was encoded with, so a decoder can never silently pair the wrong
 artifacts. In plan-derived mode the payload carries only the bit budget and
 both sides re-derive the same stage plan from the shared table.
+
+MSVP vector data goes through the packing kernels of the entropy module, a
+row chunk at a time. Under a plain model every vector's block is
+ceil(exact_bits / 8) bytes, so the reader checks the exact body length before
+decoding; under an EC model every vector with at least one field takes at
+least one byte, which bounds the header's vector count. Either check runs
+before anything sized by that count is allocated.
 """
 
 from __future__ import annotations
@@ -21,12 +28,21 @@ import numpy as np
 
 from . import rate
 from .codebook import Codebook, MsvqModel, validate_codebook
-from .entropy import BitReader, BitWriter, canonical_code, decode_symbol, decode_table
+from .entropy import (
+    canonical_code,
+    decode_table,
+    pack_fixed,
+    pack_prefix,
+    unpack_fixed,
+    unpack_prefix,
+)
 from .errors import ConfigError, CorruptionError, DataError, MsvqError, StateError
 from .layout import assemble_layout
 from .quantizer import (
+    _ROW_CHUNK,
     SelectionPlan,
     _check_features,
+    cumulative_bits,
     decode_batch,
     encode_batch,
     exact_bit_total,
@@ -257,6 +273,15 @@ def stamp_table_digest(model_path: str, table_digest: int) -> None:
 # --- MSVP payload files -------------------------------------------------------
 
 @dataclass(frozen=True)
+class PayloadHeader:
+    version: int
+    mode: int
+    model_digest: int
+    b_cap: int
+    count: int
+
+
+@dataclass(frozen=True)
 class PayloadInfo:
     version: int
     mode: int
@@ -267,12 +292,33 @@ class PayloadInfo:
     bits_per_vector: np.ndarray  # realized code bits, excluding byte padding
 
 
+def parse_payload_header(blob: bytes, name: str = "payload") -> PayloadHeader:
+    """Check and decode the fixed MSVP header at the start of blob."""
+    if len(blob) < PAYLOAD_HEADER_SIZE:
+        raise CorruptionError(f"{name}: too short for an MSVP header")
+    magic, version, mode, reserved, digest, b_cap, count = _PAYLOAD_HEAD.unpack_from(blob, 0)
+    if magic != PAYLOAD_MAGIC:
+        raise CorruptionError(f"{name}: bad magic {magic!r}, expected {PAYLOAD_MAGIC!r}")
+    (crc,) = _PAYLOAD_CRC.unpack_from(blob, _PAYLOAD_HEAD.size)
+    if crc != zlib.crc32(blob[:_PAYLOAD_HEAD.size]):
+        raise CorruptionError(f"{name}: header checksum mismatch; the header is corrupted")
+    if version != PAYLOAD_VERSION:
+        raise CorruptionError(f"{name}: unsupported payload version {version}")
+    if mode not in (MODE_DERIVED, MODE_EXPLICIT):
+        raise CorruptionError(f"{name}: unknown plan mode {mode}")
+    if reserved != 0:
+        raise CorruptionError(f"{name}: reserved header byte is {reserved}, expected 0")
+    return PayloadHeader(version=version, mode=mode, model_digest=digest, b_cap=b_cap,
+                         count=count)
+
+
 def _plan_field_bits(t_max: int) -> int:
     return max(1, int(np.ceil(np.log2(t_max + 1))))
 
 
-def _finalize_plan(model: MsvqModel, table: rate.MarginalLossTable,
-                   stages: np.ndarray) -> SelectionPlan:
+def finalize_plan(model: MsvqModel, table: rate.MarginalLossTable,
+                  stages: np.ndarray) -> SelectionPlan:
+    """Freeze a stage-count vector into a plan carrying its bit accounting."""
     stages = np.asarray(stages, dtype=np.int64)
     stages.flags.writeable = False
     avg = rate.plan_step_bits(table, stages) if table.mode == rate.MODE_AVERAGE else None
@@ -280,7 +326,8 @@ def _finalize_plan(model: MsvqModel, table: rate.MarginalLossTable,
                          avg_bits=avg)
 
 
-def _check_table(model: MsvqModel, table: rate.MarginalLossTable) -> None:
+def check_table(model: MsvqModel, table: rate.MarginalLossTable) -> None:
+    """Raise unless the table matches the model's shape and coding mode."""
     lay = model.layout
     if table.n_sub != lay.n_sub or table.t_max != lay.t_max:
         raise ConfigError(f"table is {table.n_sub}x{table.t_max}, model expects "
@@ -289,20 +336,49 @@ def _check_table(model: MsvqModel, table: rate.MarginalLossTable) -> None:
         raise StateError("average-bits table requires entropy codes on the model")
 
 
-def _code_length_columns(model: MsvqModel, indices: list[np.ndarray]) -> list[np.ndarray]:
-    """Per sub-vector: (rows, t_max) realized code lengths of the full-depth indices."""
+def cumulative_code_bits(model: MsvqModel, indices: list[np.ndarray]) -> np.ndarray:
+    """(rows, N, t_max + 1): realized code bits of each sub-vector's first t stages.
+
+    indices are full-depth per-sub-vector index arrays, as encode_batch returns
+    under the full plan. Without entropy codes every row is the same, and the
+    result is a read-only broadcast of the layout's cumulative widths.
+    """
     lay = model.layout
-    cols = []
+    rows = indices[0].shape[0]
+    if not model.has_codes:
+        return np.broadcast_to(cumulative_bits(lay.bits), (rows, lay.n_sub, lay.t_max + 1))
+    cum = np.zeros((rows, lay.n_sub, lay.t_max + 1), dtype=np.int32)
     for i in range(lay.n_sub):
-        g = int(lay.group_of[i])
-        if model.has_codes:
-            lens = np.stack([model.codebooks[g][t].code_lengths[indices[i][:, t]]
-                             for t in range(lay.t_max)], axis=1)
-        else:
-            lens = np.broadcast_to(lay.bits[i].astype(np.int64),
-                                   (indices[i].shape[0], lay.t_max)).copy()
-        cols.append(lens)
-    return cols
+        books = model.codebooks[int(lay.group_of[i])]
+        for t in range(lay.t_max):
+            cum[:, i, t + 1] = cum[:, i, t] + books[t].code_lengths[indices[i][:, t]]
+    return cum
+
+
+def plan_row_bits(cum_bits: np.ndarray, stages: np.ndarray) -> np.ndarray:
+    """Realized code bits of every row under a plan, from cumulative_code_bits."""
+    stages = np.asarray(stages, dtype=np.int64)
+    return cum_bits[:, np.arange(stages.size), stages].sum(axis=1, dtype=np.int64)
+
+
+def _field_coding(model: MsvqModel, stages: np.ndarray):
+    """Bit width (plain) or canonical code (EC) of each transmitted field.
+
+    Fields run sub-vector-major, then stage order, as in the payload.
+    """
+    lay = model.layout
+    sub = np.repeat(np.arange(lay.n_sub), stages)
+    stage = np.arange(sub.size) - np.repeat(np.cumsum(stages) - stages, stages)
+    if not model.ec_enabled:
+        return lay.bits[sub, stage]
+    codes = [[canonical_code(model.codebooks[g][t].code_lengths)
+              for t in range(lay.t_max)] for g in range(model.n_groups)]
+    return [codes[g][t] for g, t in zip(lay.group_of[sub].tolist(), stage.tolist())]
+
+
+def _field_symbols(indices: list[np.ndarray], stages: np.ndarray, rows: slice) -> np.ndarray:
+    """(rows, F) matrix of the transmitted indices, in payload field order."""
+    return np.concatenate([idx[rows, :t] for idx, t in zip(indices, stages.tolist())], axis=1)
 
 
 def write_payload(
@@ -322,7 +398,7 @@ def write_payload(
     then carried explicitly in the header.
     """
     Z = _check_features(model, data)
-    _check_table(model, table)
+    check_table(model, table)
     b_cap = int(b_cap)
     if not 0 <= b_cap < 2 ** 32:
         raise ConfigError(f"b_cap must fit an unsigned 32-bit field, got {b_cap}")
@@ -332,12 +408,8 @@ def write_payload(
     # sub-vector's earlier stages, so one full-depth pass serves every plan.
     indices, _ = encode_batch(model, Z, full_plan(lay), threads=threads)
     stages, _, order = rate.greedy_order(table, float(b_cap))
-    lens = _code_length_columns(model, indices)
-
-    bits_rows = np.zeros(Z.shape[0], dtype=np.int64)
-    for i in range(lay.n_sub):
-        for t in range(int(stages[i])):
-            bits_rows += lens[i][:, t]
+    cum_bits = cumulative_code_bits(model, indices)
+    bits_rows = plan_row_bits(cum_bits, stages)
 
     mode = MODE_DERIVED
     if strict and bits_rows.max(initial=0) > b_cap:
@@ -345,10 +417,11 @@ def write_payload(
             if bits_rows.max(initial=0) <= b_cap:
                 break
             t_removed = int(stages[i_undo]) - 1
-            bits_rows -= lens[i_undo][:, t_removed]
+            bits_rows -= cum_bits[:, i_undo, t_removed + 1] - cum_bits[:, i_undo, t_removed]
             stages[i_undo] = t_removed
         mode = MODE_EXPLICIT
-    plan = _finalize_plan(model, table, stages)
+    plan = finalize_plan(model, table, stages)
+    coding = _field_coding(model, plan.stages)
 
     with open(path, "wb") as fh:
         head = _PAYLOAD_HEAD.pack(PAYLOAD_MAGIC, PAYLOAD_VERSION, mode, 0,
@@ -356,28 +429,14 @@ def write_payload(
         fh.write(head)
         fh.write(_PAYLOAD_CRC.pack(zlib.crc32(head)))
         if mode == MODE_EXPLICIT:
-            writer = BitWriter()
-            field = _plan_field_bits(lay.t_max)
-            for t_i in plan.stages:
-                writer.write(int(t_i), field)
-            fh.write(writer.getvalue())
-        use_huffman = model.ec_enabled
-        codes = None
-        if use_huffman:
-            codes = [[canonical_code(model.codebooks[g][t].code_lengths)
-                      for t in range(lay.t_max)] for g in range(model.n_groups)]
-        for r in range(Z.shape[0]):
-            writer = BitWriter()
-            for i in range(lay.n_sub):
-                g = int(lay.group_of[i])
-                for t in range(int(plan.stages[i])):
-                    sym = int(indices[i][r, t])
-                    if use_huffman:
-                        code = codes[g][t]
-                        writer.write(int(code.codes[sym]), int(code.lengths[sym]))
-                    else:
-                        writer.write(sym, int(lay.bits[i, t]))
-            fh.write(writer.getvalue())
+            field = np.full(lay.n_sub, _plan_field_bits(lay.t_max))
+            fh.write(pack_fixed(plan.stages[None, :], field).tobytes())
+        for a in range(0, Z.shape[0], _ROW_CHUNK):
+            symbols = _field_symbols(indices, plan.stages, slice(a, a + _ROW_CHUNK))
+            if model.ec_enabled:
+                fh.write(pack_prefix(symbols, coding).tobytes())
+            else:
+                fh.write(pack_fixed(symbols, coding).tobytes())
 
     return PayloadInfo(version=PAYLOAD_VERSION, mode=mode, b_cap=b_cap,
                        count=Z.shape[0], model_digest=model_digest, plan=plan,
@@ -393,69 +452,62 @@ def read_payload(
     """Read an MSVP file and reconstruct the feature matrix.
 
     The caller passes the digest of the model file it loaded; a mismatch with
-    the payload header is a hard error, never a silent wrong decode.
+    the payload header is a hard error, never a silent wrong decode. The
+    vector data's length is checked against the header's count before
+    anything sized by that count is allocated.
     """
-    _check_table(model, table)
+    check_table(model, table)
     lay = model.layout
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < PAYLOAD_HEADER_SIZE:
-        raise CorruptionError(f"{path}: too short for an MSVP header")
-    magic, version, mode, reserved, digest, b_cap, count = _PAYLOAD_HEAD.unpack_from(blob, 0)
-    if magic != PAYLOAD_MAGIC:
-        raise CorruptionError(f"{path}: bad magic {magic!r}, expected {PAYLOAD_MAGIC!r}")
-    (crc,) = _PAYLOAD_CRC.unpack_from(blob, _PAYLOAD_HEAD.size)
-    if crc != zlib.crc32(blob[:_PAYLOAD_HEAD.size]):
-        raise CorruptionError(f"{path}: header checksum mismatch; the header is corrupted")
-    if version != PAYLOAD_VERSION:
-        raise CorruptionError(f"{path}: unsupported payload version {version}")
-    if mode not in (MODE_DERIVED, MODE_EXPLICIT):
-        raise CorruptionError(f"{path}: unknown plan mode {mode}")
-    if reserved != 0:
-        raise CorruptionError(f"{path}: reserved header byte is {reserved}, expected 0")
-    if digest != model_digest:
+    head = parse_payload_header(blob, path)
+    if head.model_digest != model_digest:
         raise CorruptionError(f"{path}: payload was encoded with model digest "
-                              f"{digest:#018x}, loaded model is {model_digest:#018x}")
+                              f"{head.model_digest:#018x}, loaded model is "
+                              f"{model_digest:#018x}")
 
-    reader = BitReader(blob)
-    reader.bit_offset = 8 * PAYLOAD_HEADER_SIZE
-    if mode == MODE_EXPLICIT:
-        field = _plan_field_bits(lay.t_max)
-        stages = np.array([reader.read(field) for _ in range(lay.n_sub)], dtype=np.int64)
-        reader.align()
+    pos = PAYLOAD_HEADER_SIZE
+    if head.mode == MODE_EXPLICIT:
+        field = np.full(lay.n_sub, _plan_field_bits(lay.t_max))
+        size = (int(field.sum()) + 7) // 8
+        if len(blob) < pos + size:
+            raise CorruptionError(f"{path}: truncated inside the explicit plan")
+        raw = np.frombuffer(blob, dtype=np.uint8, count=size, offset=pos)
+        stages = unpack_fixed(raw.reshape(1, size), field)[0].astype(np.int64)
+        pos += size
         if stages.max(initial=0) > lay.t_max:
             raise CorruptionError(f"{path}: explicit plan holds a stage count above "
                                   f"{lay.t_max}")
     else:
-        stages = rate.select_stages(table, float(b_cap)).stages
-    plan = _finalize_plan(model, table, stages)
+        stages = rate.select_stages(table, float(head.b_cap)).stages
+    plan = finalize_plan(model, table, stages)
+    coding = _field_coding(model, plan.stages)
 
-    use_huffman = model.ec_enabled
-    codes = tables = None
-    if use_huffman:
-        codes = [[canonical_code(model.codebooks[g][t].code_lengths)
-                  for t in range(lay.t_max)] for g in range(model.n_groups)]
-        tables = [[decode_table(code) for code in row] for row in codes]
+    count, body = head.count, len(blob) - pos
+    if model.ec_enabled:
+        # every vector with at least one field takes at least one byte
+        if len(coding) and count > body:
+            raise CorruptionError(f"{path}: header claims {count} vectors, only {body} "
+                                  f"bytes of vector data follow")
+        tables = [decode_table(code) for code in coding]
+        symbols, bits_rows, end = unpack_prefix(blob, count, tables, pos)
+        if end != len(blob):
+            raise CorruptionError(f"{path}: {len(blob) - end} trailing bytes after the "
+                                  f"last vector")
+    else:
+        block = (plan.exact_bits + 7) // 8
+        if body != count * block:
+            raise CorruptionError(f"{path}: {body} bytes of vector data, {count} vectors "
+                                  f"of {block} bytes need {count * block}")
+        blocks = np.frombuffer(blob, dtype=np.uint8)[pos:].reshape(count, block)
+        symbols = np.empty((count, len(coding)), dtype=np.uint8)
+        for a in range(0, count, _ROW_CHUNK):
+            symbols[a:a + _ROW_CHUNK] = unpack_fixed(blocks[a:a + _ROW_CHUNK], coding)
+        bits_rows = np.full(count, plan.exact_bits, dtype=np.int64)
 
-    indices = [np.empty((count, int(plan.stages[i])), dtype=np.int64)
-               for i in range(lay.n_sub)]
-    bits_rows = np.empty(count, dtype=np.int64)
-    for r in range(count):
-        start = reader.bit_offset
-        for i in range(lay.n_sub):
-            g = int(lay.group_of[i])
-            for t in range(int(plan.stages[i])):
-                if use_huffman:
-                    indices[i][r, t] = decode_symbol(reader, codes[g][t], tables[g][t])
-                else:
-                    indices[i][r, t] = reader.read(int(lay.bits[i, t]))
-        bits_rows[r] = reader.bit_offset - start
-        reader.align()
-    if reader.bit_offset != 8 * len(blob):
-        raise CorruptionError(f"{path}: {8 * len(blob) - reader.bit_offset} trailing bits "
-                              f"after the last vector")
-
+    ends = np.cumsum(plan.stages).tolist()
+    indices = [symbols[:, end - t:end] for end, t in zip(ends, plan.stages.tolist())]
     z_hat = decode_batch(model, indices, plan, rows=count)
-    info = PayloadInfo(version=version, mode=mode, b_cap=b_cap, count=count,
-                       model_digest=digest, plan=plan, bits_per_vector=bits_rows)
+    info = PayloadInfo(version=head.version, mode=head.mode, b_cap=head.b_cap, count=count,
+                       model_digest=head.model_digest, plan=plan, bits_per_vector=bits_rows)
     return z_hat, info

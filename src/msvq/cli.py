@@ -146,7 +146,7 @@ def _cmd_table(args) -> int:
     model, _ = bitstream.read_model(args.model)
     if args.bind:
         table = bitstream.read_table(args.bind)
-        bitstream._check_table(model, table)
+        bitstream.check_table(model, table)
         bitstream.stamp_table_digest(args.model, bitstream.file_digest(args.bind))
         print(f"bound {args.model} to externally supplied table {args.bind}")
         return 0
@@ -201,20 +201,17 @@ def _cmd_sweep(args) -> int:
 
     Z = np.asarray(data, dtype=np.float64)
     indices, _ = encode_batch(model, Z, full_plan(lay), threads=threads)
-    lens = bitstream._code_length_columns(model, indices)
+    cum_bits = bitstream.cumulative_code_bits(model, indices)
 
     rows = []
     for b_cap in budgets:
         start = time.perf_counter()
         plan = rate.select_stages(table, float(b_cap))
         sliced = [indices[i][:, :int(plan.stages[i])] for i in range(lay.n_sub)]
-        final = bitstream._finalize_plan(model, table, plan.stages)
+        final = bitstream.finalize_plan(model, table, plan.stages)
         z_hat = decode_batch(model, sliced, final, rows=Z.shape[0])
         mse = reconstruction_mse(Z, z_hat)
-        bits = np.zeros(Z.shape[0], dtype=np.int64)
-        for i in range(lay.n_sub):
-            for t in range(int(plan.stages[i])):
-                bits += lens[i][:, t]
+        bits = bitstream.plan_row_bits(cum_bits, plan.stages)
         elapsed = time.perf_counter() - start
         rows.append({
             "b_cap": b_cap,
@@ -333,12 +330,13 @@ def _cmd_info(args) -> int:
             print(f"  file_digest={info.file_digest:#018x}")
         elif head == bitstream.PAYLOAD_MAGIC:
             with open(path, "rb") as fh:
-                blob = fh.read(bitstream._PAYLOAD_HEAD.size)
-            magic, version, mode, _, digest, b_cap, count = \
-                bitstream._PAYLOAD_HEAD.unpack(blob)
-            mode_name = "explicit-plan" if mode == bitstream.MODE_EXPLICIT else "plan-derived"
-            print(f"  payload v{version}: {count} vectors, b_cap={b_cap}, {mode_name}")
-            print(f"  model_digest={digest:#018x}")
+                head = bitstream.parse_payload_header(fh.read(bitstream.PAYLOAD_HEADER_SIZE),
+                                                      path)
+            mode_name = ("explicit-plan" if head.mode == bitstream.MODE_EXPLICIT
+                         else "plan-derived")
+            print(f"  payload v{head.version}: {head.count} vectors, b_cap={head.b_cap}, "
+                  f"{mode_name}")
+            print(f"  model_digest={head.model_digest:#018x}")
         elif head == bitstream.FMAT_MAGIC:
             data = bitstream.read_features(path)
             print(f"  features v1: {data.shape[0]} rows x {data.shape[1]} cols (f32)")

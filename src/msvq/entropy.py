@@ -1,15 +1,32 @@
-"""Codeword PMF estimation, canonical Huffman codes, and bit-level index IO.
+"""Codeword PMFs, canonical Huffman codes, and the index packing kernels.
 
 Codes are canonical: transmitter and receiver rebuild identical codebooks from
 the length arrays alone, which is what the model file stores. All bit packing
 is MSB-first; index streams are emitted sub-vector-major, then stage order,
 then zero-padded to a byte boundary.
+
+The kernels pack and unpack a (rows, F) matrix of symbols, one row per vector
+and one column per transmitted (sub-vector, stage) field; every row becomes its
+own byte-aligned block. They are the only packing code: MSVP payloads and
+encode_indices/decode_indices both go through them.
+
+* Fixed-length fields (pack_fixed/unpack_fixed) give every row the same block
+  length, so both directions are whole-matrix numpy operations.
+* Prefix-coded fields (pack_prefix) take their bit offsets from cumulative
+  code lengths; each codeword's byte contributions are summed into the output
+  in at most five vectorized passes.
+* unpack_prefix decodes one symbol per step, table-driven (Moffat & Turpin
+  1997, "On the implementation of minimum redundancy prefix codes"): the next
+  LOOKUP_BITS bits index a table giving the symbol and its length, and a
+  canonical per-length search handles longer codewords.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -18,64 +35,8 @@ from .codebook import PRIOR_FLOOR, MsvqModel
 from .errors import CorruptionError, DataError
 
 MAX_CODE_LENGTH = 32
-
-
-class BitWriter:
-    """MSB-first bit accumulator emitting bytes greedily."""
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-        self._acc = 0
-        self._nacc = 0
-        self.bit_count = 0
-
-    def write(self, value: int, nbits: int) -> None:
-        if nbits == 0:
-            return
-        self._acc = (self._acc << nbits) | (value & ((1 << nbits) - 1))
-        self._nacc += nbits
-        self.bit_count += nbits
-        while self._nacc >= 8:
-            self._nacc -= 8
-            self._buf.append((self._acc >> self._nacc) & 0xFF)
-        self._acc &= (1 << self._nacc) - 1
-
-    def align(self) -> None:
-        """Zero-pad to the next byte boundary."""
-        if self._nacc:
-            self.write(0, 8 - self._nacc)
-
-    def getvalue(self) -> bytes:
-        self.align()
-        return bytes(self._buf)
-
-
-class BitReader:
-    """MSB-first bit reader over a bytes buffer."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self.bit_offset = 0
-
-    def read(self, nbits: int) -> int:
-        end = self.bit_offset + nbits
-        if end > 8 * len(self._data):
-            raise CorruptionError(
-                f"bitstream truncated: need {nbits} bits at bit offset {self.bit_offset}")
-        value = 0
-        pos = self.bit_offset
-        while nbits > 0:
-            byte = self._data[pos >> 3]
-            avail = 8 - (pos & 7)
-            take = min(avail, nbits)
-            value = (value << take) | ((byte >> (avail - take)) & ((1 << take) - 1))
-            pos += take
-            nbits -= take
-        self.bit_offset = pos
-        return value
-
-    def align(self) -> None:
-        self.bit_offset = (self.bit_offset + 7) & ~7
+LOOKUP_BITS = 12  # decode-table width; longer codewords take the per-length search
+_WORD_WINDOW = 4096  # bytes of payload held as 64-bit words while decoding
 
 
 @dataclass(frozen=True)
@@ -89,6 +50,69 @@ class HuffmanCode:
     @property
     def size(self) -> int:
         return self.lengths.shape[0]
+
+    @cached_property
+    def decoder(self) -> DecodeTable:
+        """Table-driven decoder; built on first use, then kept with the code."""
+        return DecodeTable.build(self)
+
+
+@dataclass(frozen=True)
+class DecodeTable:
+    """Lookup decoder for a canonical code.
+
+    symbol[w] and length[w] give the codeword that starts the `bits`-bit
+    window w; length is 0 when that codeword is longer than the window or the
+    window starts no codeword. Then decode_long runs the canonical per-length
+    search: the codewords of length L are consecutive integers from first[L],
+    and belong to symbols ordered[start[L]:start[L] + count[L]].
+    """
+
+    bits: int
+    symbol: array
+    length: bytes
+    max_length: int
+    first: tuple[int, ...]
+    count: tuple[int, ...]
+    start: tuple[int, ...]
+    ordered: tuple[int, ...]
+
+    @classmethod
+    def build(cls, code: HuffmanCode) -> DecodeTable:
+        k = min(LOOKUP_BITS, code.max_length)
+        lengths, codes = code.lengths, code.codes
+        # codewords of at most k bits that fit their length (all of them when
+        # the lengths obey Kraft's inequality) fill disjoint runs of windows
+        short = np.flatnonzero((lengths <= k) & (codes < (1 << lengths)))
+        span = 1 << (k - lengths[short])
+        slot = (np.repeat((codes[short] << (k - lengths[short])) - (np.cumsum(span) - span),
+                          span) + np.arange(int(span.sum())))
+        symbol = np.zeros(1 << k, dtype=np.uint32)
+        length = np.zeros(1 << k, dtype=np.uint8)
+        symbol[slot] = np.repeat(short, span)
+        length[slot] = np.repeat(lengths[short], span)
+
+        ordered = np.lexsort((np.arange(code.size), lengths))
+        count = np.bincount(lengths, minlength=code.max_length + 1)
+        start = np.cumsum(count) - count
+        first = np.zeros_like(count)
+        used = count > 0
+        first[used] = codes[ordered[start[used]]]
+        return cls(bits=k, symbol=array("I", symbol.tobytes()), length=length.tobytes(),
+                   max_length=code.max_length, first=tuple(first.tolist()),
+                   count=tuple(count.tolist()), start=tuple(start.tolist()),
+                   ordered=tuple(ordered.tolist()))
+
+    def decode_long(self, word: int, pos: int) -> tuple[int, int]:
+        """(symbol, length) of the codeword at bit `pos`, which is bit pos % 8
+        of the big-endian 64-bit `word`; raises on a window that starts none."""
+        n = self.max_length
+        window = (word >> (64 - n - (pos & 7))) & ((1 << n) - 1)
+        for length in range(1, n + 1):
+            rank = (window >> (n - length)) - self.first[length]
+            if 0 <= rank < self.count[length]:
+                return self.ordered[self.start[length] + rank], length
+        raise CorruptionError(f"invalid prefix code at bit offset {pos}")
 
 
 def kraft_sum(lengths: np.ndarray) -> float:
@@ -231,6 +255,137 @@ def estimate_pmf(model: MsvqModel, data: np.ndarray, sub_index: int, stage: int)
     return measure_group_pmfs(model, data)[g][stage]
 
 
+def decode_table(code: HuffmanCode) -> DecodeTable:
+    """The code's table-driven decoder (built once per code object)."""
+    return code.decoder
+
+
+# --- packing kernels ---------------------------------------------------------
+
+def _fixed_layout(widths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Field index and right shift of each bit of a fixed-length block, plus
+    the first bit of each field."""
+    widths = np.asarray(widths, dtype=np.int64)
+    field_of_bit = np.repeat(np.arange(widths.size), widths)
+    starts = np.cumsum(widths) - widths
+    shift = (starts + widths)[field_of_bit] - 1 - np.arange(field_of_bit.size)
+    return field_of_bit, shift, starts
+
+
+def _field_dtype(widths) -> np.dtype:
+    """Narrowest unsigned integer type that holds every field."""
+    return np.min_scalar_type((1 << int(np.max(widths, initial=1))) - 1)
+
+
+def pack_fixed(symbols: np.ndarray, widths) -> np.ndarray:
+    """Pack (rows, F) symbols at fixed bit widths (each >= 1), MSB-first.
+
+    Returns (rows, ceil(sum(widths) / 8)) bytes; padding bits are zero. Bits
+    of a symbol above its field width are dropped.
+    """
+    dtype = _field_dtype(widths)
+    field_of_bit, shift, _ = _fixed_layout(widths)
+    symbols = np.asarray(symbols).astype(dtype, copy=False)
+    return np.packbits((symbols[:, field_of_bit] >> shift.astype(dtype)) & 1, axis=1)
+
+
+def unpack_fixed(blocks: np.ndarray, widths) -> np.ndarray:
+    """Inverse of pack_fixed: (rows, ceil(sum(widths) / 8)) bytes -> (rows, F).
+
+    Padding bits are ignored.
+    """
+    dtype = _field_dtype(widths)
+    field_of_bit, shift, starts = _fixed_layout(widths)
+    if starts.size == 0:
+        return np.zeros((blocks.shape[0], 0), dtype=dtype)
+    bits = np.unpackbits(blocks, axis=1, count=field_of_bit.size).astype(dtype, copy=False)
+    return np.add.reduceat(bits << shift.astype(dtype), starts, axis=1, dtype=dtype)
+
+
+def pack_prefix(symbols: np.ndarray, codes: Sequence[HuffmanCode]) -> np.ndarray:
+    """Prefix-code (rows, F) symbols, column f with codes[f], MSB-first.
+
+    Each row is zero-padded to a byte boundary; returns the packed bytes.
+    """
+    symbols = np.asarray(symbols)
+    values = np.empty(symbols.shape, dtype=np.int64)
+    lengths = np.empty(symbols.shape, dtype=np.int64)
+    for f, code in enumerate(codes):
+        values[:, f] = code.codes[symbols[:, f]]
+        lengths[:, f] = code.lengths[symbols[:, f]]
+    row_bytes = (lengths.sum(axis=1) + 7) >> 3
+    row_start = 8 * (np.cumsum(row_bytes) - row_bytes)
+    starts = (row_start[:, None] + np.cumsum(lengths, axis=1) - lengths).ravel()
+    # Left-align each codeword in the 40 bits from its first byte (lengths are
+    # capped at 32, so it ends within 5 bytes). Different codewords never
+    # share a bit, so summing their byte contributions equals OR-ing them.
+    aligned = values.ravel() << (40 - lengths.ravel() - (starts & 7))
+    first = starts >> 3
+    total = int(row_bytes.sum())
+    out = np.zeros(total + 5, dtype=np.float64)
+    for j in range((int(lengths.max(initial=0)) + 14) // 8):
+        out += np.bincount(first + j, weights=(aligned >> (32 - 8 * j)) & 0xFF,
+                           minlength=total + 5)
+    return out[:total].astype(np.uint8)
+
+
+def _be_words(data: bytes, start: int, n: int) -> list[int]:
+    """Big-endian 64-bit words of data[start + j: start + j + 8], j < n,
+    reading zeros past the end of data."""
+    raw = data[start:start + n + 7].ljust(n + 7, b"\0")
+    windows = np.ndarray((n, 8), dtype=np.uint8, buffer=raw, strides=(1, 1))
+    return windows.copy().view(">u8").ravel().tolist()
+
+
+def unpack_prefix(
+    data: bytes,
+    rows: int,
+    tables: Sequence[DecodeTable],
+    offset: int = 0,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Decode `rows` byte-aligned blocks from data[offset:], field f with tables[f].
+
+    Returns (symbols (rows, F), realized bits per row, byte offset after the
+    last block). Raises CorruptionError on an invalid codeword or a block
+    that runs past the end of data.
+    """
+    n_fields = len(tables)
+    out = array("I", [0]) * (rows * n_fields)
+    row_bits = array("q", [0]) * rows
+    steps = [(64 - t.bits, (1 << t.bits) - 1, t.length, t.symbol, t) for t in tables]
+    reach = (sum(t.max_length for t in tables) + 7) // 8 + 1  # bytes one block can touch
+    limit = 8 * (len(data) - offset)
+    base, words, p, k = offset, [], 0, 0  # p: bit position relative to byte `base`
+    for r in range(rows):
+        if (p >> 3) + reach > len(words):
+            base += p >> 3
+            limit -= p
+            p = 0
+            words = _be_words(data, base, max(reach, min(_WORD_WINDOW, len(data) - base)))
+        start = p
+        for shift, mask, length, symbol, table in steps:
+            word = words[p >> 3]
+            peek = (word >> (shift - (p & 7))) & mask
+            n = length[peek]
+            if n:
+                out[k] = symbol[peek]
+            else:
+                out[k], n = table.decode_long(word, 8 * base + p)
+            k += 1
+            p += n
+        if p > limit:
+            raise CorruptionError(f"bitstream truncated: block {r} ends at bit offset "
+                                  f"{8 * base + p}, past the end at {8 * len(data)}")
+        row_bits[r] = p - start
+        p = (p + 7) & ~7
+    symbols = np.frombuffer(out, dtype=np.uint32).reshape(rows, n_fields)
+    return symbols, np.frombuffer(row_bits, dtype=np.int64), base + (p >> 3)
+
+
+def _flat_codes(lengths: Sequence[int], codes: Sequence[Sequence[HuffmanCode]]) -> list:
+    return [codes[i][t] for i, n in enumerate(lengths) for t in range(n)]
+
+
 def encode_indices(
     streams: Sequence[Sequence[int]],
     codes: Sequence[Sequence[HuffmanCode]],
@@ -240,34 +395,9 @@ def encode_indices(
     streams[i] holds the active-stage indices of sub-vector i; codes[i][t] is
     the code for its stage t. Output is zero-padded to a byte boundary.
     """
-    writer = BitWriter()
-    for i, stream in enumerate(streams):
-        for t, sym in enumerate(stream):
-            code = codes[i][t]
-            writer.write(int(code.codes[sym]), int(code.lengths[sym]))
-    return writer.getvalue()
-
-
-def decode_symbol(reader: BitReader, code: HuffmanCode, table: dict[int, dict[int, int]]) -> int:
-    value = 0
-    length = 0
-    start = reader.bit_offset
-    while length < code.max_length:
-        value = (value << 1) | reader.read(1)
-        length += 1
-        row = table.get(length)
-        if row is not None:
-            sym = row.get(value)
-            if sym is not None:
-                return sym
-    raise CorruptionError(f"invalid prefix code at bit offset {start}")
-
-
-def decode_table(code: HuffmanCode) -> dict[int, dict[int, int]]:
-    table: dict[int, dict[int, int]] = {}
-    for sym in range(code.size):
-        table.setdefault(int(code.lengths[sym]), {})[int(code.codes[sym])] = sym
-    return table
+    symbols = np.array([s for stream in streams for s in stream], dtype=np.int64)
+    flat = _flat_codes([len(s) for s in streams], codes)
+    return pack_prefix(symbols.reshape(1, -1), flat).tobytes()
 
 
 def decode_indices(
@@ -276,10 +406,7 @@ def decode_indices(
     codes: Sequence[Sequence[HuffmanCode]],
 ) -> list[list[int]]:
     """Invert encode_indices given the stage counts and the same codes."""
-    reader = BitReader(buffer)
-    tables = [[decode_table(code) for code in row] for row in codes]
-    streams: list[list[int]] = []
-    for i, t_i in enumerate(plan_stages):
-        stream = [decode_symbol(reader, codes[i][t], tables[i][t]) for t in range(t_i)]
-        streams.append(stream)
-    return streams
+    tables = [decode_table(code) for code in _flat_codes(plan_stages, codes)]
+    flat = unpack_prefix(buffer, 1, tables)[0][0].tolist()
+    ends = np.cumsum(plan_stages, dtype=np.int64).tolist()
+    return [flat[end - n:end] for end, n in zip(ends, plan_stages)]

@@ -44,12 +44,17 @@ class EncodedFeature:
     plan: SelectionPlan
 
 
+def cumulative_bits(bits: np.ndarray) -> np.ndarray:
+    """(N, t_max) per-stage bits -> (N, t_max + 1) bits of each row's first t stages."""
+    bits = np.asarray(bits)
+    return np.concatenate([np.zeros((bits.shape[0], 1), dtype=bits.dtype),
+                           np.cumsum(bits, axis=1)], axis=1)
+
+
 def exact_bit_total(layout, stages) -> int:
     """Fixed-length bit cost of a stage-count vector under a layout."""
-    total = 0
-    for i, t_i in enumerate(stages):
-        total += int(layout.bits[i, :int(t_i)].sum())
-    return total
+    stages = np.asarray(stages, dtype=np.int64)
+    return int(cumulative_bits(layout.bits)[np.arange(stages.size), stages].sum())
 
 
 def plan_from_stages(layout, stages, avg_bits: float | None = None) -> SelectionPlan:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .codebook import MsvqModel, nearest_batch, nearest_rate_penalized_batch
 from .errors import ConfigError, DataError, StateError
-from .quantizer import SelectionPlan, _check_features
+from .quantizer import SelectionPlan, _check_features, cumulative_bits
 
 _ROW_CHUNK = 4096  # fixed row chunking keeps results identical for any worker count
 
@@ -172,11 +172,14 @@ def plan_predicted_loss(table: MarginalLossTable, stages: np.ndarray) -> float:
 
 
 def plan_step_bits(table: MarginalLossTable, stages: np.ndarray) -> float:
-    """Cumulative step-bit cost of a stage-count vector under the table."""
-    total = 0.0
-    for i, t_i in enumerate(np.asarray(stages, dtype=np.int64)):
-        total += float(table.step_bits[i, :t_i].sum())
-    return total
+    """Cumulative step-bit cost of a stage-count vector under the table.
+
+    Rows and then their totals are added left to right (cumsum), the order a
+    scalar loop would use.
+    """
+    stages = np.asarray(stages, dtype=np.int64)
+    per_row = cumulative_bits(table.step_bits)[np.arange(stages.size), stages]
+    return float(np.cumsum(per_row)[-1]) if per_row.size else 0.0
 
 
 def validate_convexity(table: MarginalLossTable) -> list[dict[str, bool]]:

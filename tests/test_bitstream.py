@@ -1,4 +1,5 @@
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -165,6 +166,19 @@ class TestPayloadFiles:
         (tmp_path / "trunc.msvp").write_bytes(blob[:-1])
         with pytest.raises(CorruptionError):
             bitstream.read_payload(str(tmp_path / "trunc.msvp"), model, 7, table)
+
+    @pytest.mark.parametrize("which", ["plain", "ec"])
+    def test_crafted_count_fails_before_allocating(self, tmp_path, model, table, ec_model,
+                                                   ec_table, corr_data, which):
+        m, tab = (model, table) if which == "plain" else (ec_model, ec_table)
+        path = tmp_path / "p.msvp"
+        bitstream.write_payload(str(path), m, 7, tab, corr_data[:5], b_cap=30)
+        blob = bytearray(path.read_bytes())
+        blob[20:24] = (0xFFFFFFFF).to_bytes(4, "little")
+        blob[24:28] = zlib.crc32(bytes(blob[:24])).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptionError, match="4294967295 vectors"):
+            bitstream.read_payload(str(path), m, 7, tab)
 
     def test_ec_payload_round_trip(self, tmp_path, ec_model, ec_table, corr_data):
         path = str(tmp_path / "p.msvp")

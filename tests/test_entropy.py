@@ -122,23 +122,61 @@ class TestBuildCode:
             entropy.build_code(np.array([0.9, 0.3]))
 
 
-class TestBitIO:
-    def test_writer_reader_round_trip(self):
-        rng = np.random.default_rng(2)
-        writer = entropy.BitWriter()
-        fields = [(int(rng.integers(0, 1 << n)), n) for n in rng.integers(1, 17, 50)]
-        for value, nbits in fields:
-            writer.write(value, int(nbits))
-        buf = writer.getvalue()
-        reader = entropy.BitReader(buf)
-        for value, nbits in fields:
-            assert reader.read(int(nbits)) == value
+def _reference_pack(rows):
+    """Scalar MSB-first packer: rows of (value, nbits) fields, each row byte-padded."""
+    out = bytearray()
+    for fields in rows:
+        bits = "".join(format(value, f"0{nbits}b")[-nbits:] for value, nbits in fields)
+        bits += "0" * (-len(bits) % 8)
+        out += bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
+    return bytes(out)
 
-    def test_reader_truncation_reports_offset(self):
-        reader = entropy.BitReader(b"\xff")
-        reader.read(6)
-        with pytest.raises(CorruptionError, match="bit offset 6"):
-            reader.read(4)
+
+class TestPackingKernels:
+    def test_fixed_fields_round_trip(self):
+        rng = np.random.default_rng(2)
+        widths = rng.integers(1, 17, 50)
+        symbols = rng.integers(0, 1 << widths, size=(7, 50))
+        blocks = entropy.pack_fixed(symbols, widths)
+        assert blocks.shape == (7, (int(widths.sum()) + 7) // 8)
+        rows = [list(zip(row.tolist(), widths.tolist())) for row in symbols]
+        assert blocks.tobytes() == _reference_pack(rows)
+        assert np.array_equal(entropy.unpack_fixed(blocks, widths), symbols)
+
+    def test_fixed_unpack_ignores_padding(self):
+        widths = [3, 2]
+        blocks = np.array([[0b10101111]], dtype=np.uint8)
+        assert entropy.unpack_fixed(blocks, widths).tolist() == [[5, 1]]
+
+    def test_prefix_rows_match_reference(self):
+        rng = np.random.default_rng(4)
+        codes = [entropy.build_code(rng.dirichlet(np.full(k, 0.3))) for k in (2, 9, 40)]
+        symbols = np.stack([rng.integers(c.size, size=30) for c in codes], axis=1)
+        rows = [[(int(c.codes[s]), int(c.lengths[s])) for c, s in zip(codes, row)]
+                for row in symbols]
+        packed = entropy.pack_prefix(symbols, codes).tobytes()
+        assert packed == _reference_pack(rows)
+        tables = [entropy.decode_table(c) for c in codes]
+        got, bits, end = entropy.unpack_prefix(b"\x00" + packed, 30, tables, offset=1)
+        assert np.array_equal(got, symbols)
+        assert bits.tolist() == [sum(n for _, n in row) for row in rows]
+        assert end == 1 + len(packed)
+
+    def test_codes_longer_than_the_lookup(self):
+        lengths = np.r_[np.arange(1, 21), 20]  # Kraft sum exactly 1
+        code = entropy.canonical_code(lengths)
+        assert code.max_length > entropy.LOOKUP_BITS
+        table = entropy.decode_table(code)
+        assert table is entropy.decode_table(code)  # built once per code
+        stream = np.random.default_rng(6).integers(lengths.size, size=200)
+        payload = entropy.encode_indices([stream.tolist()], [[code] * stream.size])
+        assert entropy.decode_indices(payload, [stream.size],
+                                      [[code] * stream.size]) == [stream.tolist()]
+
+    def test_prefix_truncation_reports_offset(self):
+        table = entropy.decode_table(entropy.canonical_code(np.array([1, 2, 2])))
+        with pytest.raises(CorruptionError, match="bit offset 9"):
+            entropy.unpack_prefix(b"\xff", 1, [table] * 5)  # 4 codewords fill the byte
 
 
 class TestIndexStreams:
