@@ -330,13 +330,13 @@ def _cmd_info(args) -> int:
             print(f"  file_digest={info.file_digest:#018x}")
         elif head == bitstream.PAYLOAD_MAGIC:
             with open(path, "rb") as fh:
-                head = bitstream.parse_payload_header(fh.read(bitstream.PAYLOAD_HEADER_SIZE),
-                                                      path)
-            mode_name = ("explicit-plan" if head.mode == bitstream.MODE_EXPLICIT
+                header = bitstream.parse_payload_header(
+                    fh.read(bitstream.PAYLOAD_HEADER_SIZE), path)
+            mode_name = ("explicit-plan" if header.mode == bitstream.MODE_EXPLICIT
                          else "plan-derived")
-            print(f"  payload v{head.version}: {head.count} vectors, b_cap={head.b_cap}, "
-                  f"{mode_name}")
-            print(f"  model_digest={head.model_digest:#018x}")
+            print(f"  payload v{header.version}: {header.count} vectors, "
+                  f"b_cap={header.b_cap}, {mode_name}")
+            print(f"  model_digest={header.model_digest:#018x}")
         elif head == bitstream.FMAT_MAGIC:
             data = bitstream.read_features(path)
             print(f"  features v1: {data.shape[0]} rows x {data.shape[1]} cols (f32)")
