@@ -3,9 +3,11 @@
 tests/golden/ holds a model, table and feature matrix, plus plain, EC and
 EC-strict (explicit-plan) payloads with their float64 reconstructions, all
 written by tests/golden/make_golden.py before the packing kernels were
-vectorized. Re-encoding must give the same bytes and decoding the same values.
+vectorized. Re-encoding must give the same bytes and decoding the same values,
+and retraining with the same recipe must give the same model and table bytes.
 """
 
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +24,26 @@ CASES = {
 }
 
 
+def _recipe():
+    spec = importlib.util.spec_from_file_location("make_golden", GOLDEN / "make_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _pair(kind):
     model, info = bitstream.read_model(str(GOLDEN / f"model_{kind}.msvq"))
     table = bitstream.read_table(str(GOLDEN / f"table_{kind}.json"))
     return model, info.file_digest, table
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind", ["plain", "ec"])
+def test_retraining_gives_identical_model_and_table(tmp_path, kind, threads):
+    data = bitstream.read_features(str(GOLDEN / "features.fmat"))
+    _recipe().build_pair(kind, data, out_dir=tmp_path, threads=threads)
+    for name in (f"model_{kind}.msvq", f"table_{kind}.json"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
