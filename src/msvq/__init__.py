@@ -15,7 +15,7 @@ from .codebook import (
     nearest_rate_penalized,
     resolve,
 )
-from .entropy import HuffmanCode, avg_bits, build_code, estimate_pmf
+from .entropy import HuffmanCode, avg_bits, build_code
 from .errors import ConfigError, CorruptionError, DataError, MsvqError, StateError
 from .layout import (
     FeatureStats,
@@ -71,7 +71,6 @@ __all__ = [
     "direct_marginal_loss",
     "encode",
     "encode_batch",
-    "estimate_pmf",
     "exhaustive_select",
     "full_plan",
     "lloyd_step",

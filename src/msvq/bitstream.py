@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rate
-from .codebook import Codebook, MsvqModel, validate_codebook
+from .codebook import ROW_CHUNK, Codebook, MsvqModel, validate_codebook
 from .entropy import (
     canonical_code,
     decode_table,
@@ -39,14 +39,13 @@ from .entropy import (
 from .errors import ConfigError, CorruptionError, DataError, MsvqError, StateError
 from .layout import assemble_layout
 from .quantizer import (
-    _ROW_CHUNK,
     SelectionPlan,
     _check_features,
     cumulative_bits,
     decode_batch,
     encode_batch,
-    exact_bit_total,
     full_plan,
+    plan_from_stages,
 )
 
 MODEL_MAGIC = b"MSVQ"
@@ -57,7 +56,6 @@ PAYLOAD_VERSION = 1
 FMAT_VERSION = 1
 
 FLAG_EC = 0x1
-FLAG_STRICT = 0x2
 FLAG_CODES = 0x4
 
 MODE_DERIVED = 0
@@ -208,6 +206,8 @@ def model_from_bytes(blob: bytes, name: str = "model") -> tuple[MsvqModel, Model
         raise CorruptionError(f"{name}: bad magic {magic!r}, expected {MODEL_MAGIC!r}")
     if version != MODEL_VERSION:
         raise CorruptionError(f"{name}: unsupported model version {version}")
+    if flags & ~(FLAG_EC | FLAG_CODES):
+        raise CorruptionError(f"{name}: reserved model flag bits set ({flags:#06x})")
     cur = _Cursor(blob, name)
     cur.pos = _MODEL_HEADER.size
     try:
@@ -319,11 +319,8 @@ def _plan_field_bits(t_max: int) -> int:
 def finalize_plan(model: MsvqModel, table: rate.MarginalLossTable,
                   stages: np.ndarray) -> SelectionPlan:
     """Freeze a stage-count vector into a plan carrying its bit accounting."""
-    stages = np.asarray(stages, dtype=np.int64)
-    stages.flags.writeable = False
     avg = rate.plan_step_bits(table, stages) if table.mode == rate.MODE_AVERAGE else None
-    return SelectionPlan(stages=stages, exact_bits=exact_bit_total(model.layout, stages),
-                         avg_bits=avg)
+    return plan_from_stages(model.layout, stages, avg_bits=avg)
 
 
 def check_table(model: MsvqModel, table: rate.MarginalLossTable) -> None:
@@ -431,8 +428,8 @@ def write_payload(
         if mode == MODE_EXPLICIT:
             field = np.full(lay.n_sub, _plan_field_bits(lay.t_max))
             fh.write(pack_fixed(plan.stages[None, :], field).tobytes())
-        for a in range(0, Z.shape[0], _ROW_CHUNK):
-            symbols = _field_symbols(indices, plan.stages, slice(a, a + _ROW_CHUNK))
+        for a in range(0, Z.shape[0], ROW_CHUNK):
+            symbols = _field_symbols(indices, plan.stages, slice(a, a + ROW_CHUNK))
             if model.ec_enabled:
                 fh.write(pack_prefix(symbols, coding).tobytes())
             else:
@@ -501,8 +498,8 @@ def read_payload(
                                   f"of {block} bytes need {count * block}")
         blocks = np.frombuffer(blob, dtype=np.uint8)[pos:].reshape(count, block)
         symbols = np.empty((count, len(coding)), dtype=np.uint8)
-        for a in range(0, count, _ROW_CHUNK):
-            symbols[a:a + _ROW_CHUNK] = unpack_fixed(blocks[a:a + _ROW_CHUNK], coding)
+        for a in range(0, count, ROW_CHUNK):
+            symbols[a:a + ROW_CHUNK] = unpack_fixed(blocks[a:a + ROW_CHUNK], coding)
         bits_rows = np.full(count, plan.exact_bits, dtype=np.int64)
 
     ends = np.cumsum(plan.stages).tolist()

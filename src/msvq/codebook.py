@@ -1,10 +1,12 @@
 """Codebook storage, shared-group resolution, and nearest-codeword search.
 
-Search is an exhaustive scan: codebooks hold at most 2^8 codewords, and exact
-argmin with a fixed tie rule (lowest index) is required for deterministic,
-bit-exact encoding. Batch kernels drop the query-norm term, which is constant
-per query and cannot change the argmin; reported distortions are recomputed
-from the actual difference so an exact match yields exactly 0.
+Search is an exhaustive scan with a fixed tie rule (lowest index). Batch
+kernels score by the expanded norm (||c||^2 - 2 x.c) and drop the query-norm
+term, which is constant per query: exact in exact arithmetic, but near-ties
+within the rounding of ||x||^2 + ||c||^2 may resolve differently from a
+direct-difference argmin. Decoding is unaffected, because receivers never
+search. Reported distortions are recomputed from the actual difference so an
+exact match yields exactly 0.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .errors import ConfigError, CorruptionError, DataError
 from .layout import SubVectorLayout
 
 PRIOR_FLOOR = 2.0 ** -32  # keeps -log2(p) finite for every codeword
-_CHUNK = 4096
+ROW_CHUNK = 4096  # search block; callers chunk rows by it too, so results ignore threads
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,10 @@ class Codebook:
         return self.vectors.shape[1]
 
 
+def kraft_sum(lengths: np.ndarray) -> float:
+    return float(np.sum(2.0 ** -np.asarray(lengths, dtype=np.float64)))
+
+
 def validate_codebook(cb: Codebook) -> None:
     k = cb.size
     if k < 1 or (k & (k - 1)) != 0:
@@ -58,7 +64,7 @@ def validate_codebook(cb: Codebook) -> None:
     if cb.code_lengths is not None:
         if cb.code_lengths.shape != (k,) or cb.code_lengths.min() < 1:
             raise ConfigError("code lengths must be positive and one per codeword")
-        if float(np.sum(2.0 ** -cb.code_lengths.astype(np.float64))) > 1.0 + 1e-12:
+        if kraft_sum(cb.code_lengths) > 1.0 + 1e-12:
             raise CorruptionError("code lengths violate the Kraft inequality")
 
 
@@ -115,12 +121,12 @@ def nearest_batch(points: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, 
     vec = np.ascontiguousarray(vectors, dtype=np.float64)
     v2 = np.einsum("kd,kd->k", vec, vec)
     idx = np.empty(pts.shape[0], dtype=np.int64)
-    for start in range(0, pts.shape[0], _CHUNK):
-        chunk = pts[start:start + _CHUNK]
+    for start in range(0, pts.shape[0], ROW_CHUNK):
+        chunk = pts[start:start + ROW_CHUNK]
         scores = chunk @ vec.T
         scores *= -2.0
         scores += v2
-        idx[start:start + _CHUNK] = np.argmin(scores, axis=1)
+        idx[start:start + ROW_CHUNK] = np.argmin(scores, axis=1)
     diff = pts - vec[idx]
     dist = np.einsum("pd,pd->p", diff, diff)
     return idx, dist
@@ -147,12 +153,12 @@ def nearest_rate_penalized_batch(
     vec = np.ascontiguousarray(vectors, dtype=np.float64)
     penalty = -np.log2(prior) + rd_lambda * np.einsum("kd,kd->k", vec, vec)
     idx = np.empty(pts.shape[0], dtype=np.int64)
-    for start in range(0, pts.shape[0], _CHUNK):
-        chunk = pts[start:start + _CHUNK]
+    for start in range(0, pts.shape[0], ROW_CHUNK):
+        chunk = pts[start:start + ROW_CHUNK]
         scores = chunk @ vec.T
         scores *= -2.0 * rd_lambda
         scores += penalty
-        idx[start:start + _CHUNK] = np.argmin(scores, axis=1)
+        idx[start:start + ROW_CHUNK] = np.argmin(scores, axis=1)
     diff = pts - vec[idx]
     dist = np.einsum("pd,pd->p", diff, diff)
     return idx, dist, -np.log2(prior[idx])

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codebook import PRIOR_FLOOR, MsvqModel
+from .codebook import PRIOR_FLOOR, MsvqModel, kraft_sum  # kraft_sum: re-exported
 from .errors import CorruptionError, DataError
 
 MAX_CODE_LENGTH = 32
@@ -113,10 +113,6 @@ class DecodeTable:
             if 0 <= rank < self.count[length]:
                 return self.ordered[self.start[length] + rank], length
         raise CorruptionError(f"invalid prefix code at bit offset {pos}")
-
-
-def kraft_sum(lengths: np.ndarray) -> float:
-    return float(np.sum(2.0 ** -np.asarray(lengths, dtype=np.float64)))
 
 
 def canonical_code(lengths: Sequence[int]) -> HuffmanCode:
@@ -243,16 +239,6 @@ def measure_group_pmfs(model: MsvqModel, data: np.ndarray) -> list[list[np.ndarr
             row.append(smoothed_pmf(counts))
         pmfs.append(row)
     return pmfs
-
-
-def estimate_pmf(model: MsvqModel, data: np.ndarray, sub_index: int, stage: int) -> np.ndarray:
-    """Empirical codeword PMF for one sub-vector's stage (0-based).
-
-    Runs full-depth encoding over the data and counts index selections at the
-    given stage, pooled across the sub-vector's codebook-sharing group.
-    """
-    g = int(model.layout.group_of[sub_index])
-    return measure_group_pmfs(model, data)[g][stage]
 
 
 def decode_table(code: HuffmanCode) -> DecodeTable:

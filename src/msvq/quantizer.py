@@ -1,11 +1,11 @@
 """Encode/decode core: residual quantization under a per-sub-vector stage plan.
 
-Encoding walks each sub-vector through its active stages, picking the nearest
-codeword (rate-penalized when the model is entropy-constrained) and updating
-the residual. The reconstruction sums the chosen codewords in ascending stage
-order in float64; decode repeats the identical summation, so both sides agree
-bit for bit. Sub-vectors with zero active stages reconstruct to the stored
-training mean at a cost of zero transmitted bits.
+walk_stages, the codec's one stage walk, picks the nearest codeword
+(rate-penalized when the model is entropy-constrained) and subtracts it from
+the residual; encoding, the table pass and training all use it. Encoder and
+decoder share one float64 codeword sum in ascending stage order, so both sides
+agree bit for bit. Sub-vectors with zero active stages reconstruct to the
+stored training mean at a cost of zero transmitted bits.
 """
 
 from __future__ import annotations
@@ -15,11 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import MsvqModel, nearest_batch, nearest_rate_penalized_batch
+from .codebook import ROW_CHUNK, MsvqModel, nearest_batch, nearest_rate_penalized_batch
 from .errors import ConfigError, CorruptionError, DataError
-
-_ROW_CHUNK = 4096  # matches the search kernels' internal chunking, so the
-                   # per-row arithmetic is identical for any worker count
 
 
 @dataclass(frozen=True)
@@ -57,12 +54,17 @@ def exact_bit_total(layout, stages) -> int:
     return int(cumulative_bits(layout.bits)[np.arange(stages.size), stages].sum())
 
 
-def plan_from_stages(layout, stages, avg_bits: float | None = None) -> SelectionPlan:
+def _checked_stages(layout, stages) -> np.ndarray:
     stages = np.asarray(stages, dtype=np.int64)
     if stages.shape != (layout.n_sub,):
         raise ConfigError(f"plan has {stages.shape} stage counts, layout expects {layout.n_sub}")
     if stages.min() < 0 or stages.max() > layout.t_max:
         raise ConfigError(f"stage counts must lie in [0, {layout.t_max}]")
+    return stages
+
+
+def plan_from_stages(layout, stages, avg_bits: float | None = None) -> SelectionPlan:
+    stages = _checked_stages(layout, stages)
     stages.flags.writeable = False
     return SelectionPlan(stages=stages, exact_bits=exact_bit_total(layout, stages),
                          avg_bits=avg_bits)
@@ -76,17 +78,14 @@ def zero_plan(layout) -> SelectionPlan:
     return plan_from_stages(layout, np.zeros(layout.n_sub, dtype=np.int64))
 
 
-def validate_plan(model: MsvqModel, plan: SelectionPlan) -> None:
-    lay = model.layout
-    stages = np.asarray(plan.stages)
-    if stages.shape != (lay.n_sub,):
-        raise ConfigError(f"plan covers {stages.shape[0]} sub-vectors, model has {lay.n_sub}")
-    if stages.min() < 0 or stages.max() > lay.t_max:
-        raise ConfigError(f"plan stage counts must lie in [0, {lay.t_max}]")
-    if plan.exact_bits is not None and plan.exact_bits != exact_bit_total(lay, stages):
-        raise CorruptionError(
-            f"plan claims {plan.exact_bits} bits but layout accounting gives "
-            f"{exact_bit_total(lay, stages)}")
+def validate_plan(model: MsvqModel, plan: SelectionPlan) -> np.ndarray:
+    """Check a plan against the model; returns its stage counts as int64."""
+    stages = _checked_stages(model.layout, plan.stages)
+    bits = exact_bit_total(model.layout, stages)
+    if plan.exact_bits is not None and plan.exact_bits != bits:
+        raise CorruptionError(f"plan claims {plan.exact_bits} bits but layout accounting "
+                              f"gives {bits}")
+    return stages
 
 
 def split_subvectors(layout, Z: np.ndarray) -> np.ndarray:
@@ -110,35 +109,56 @@ def _check_features(model: MsvqModel, Z: np.ndarray) -> np.ndarray:
     return Z
 
 
-def _encode_rows(model: MsvqModel, sub: np.ndarray, stages: np.ndarray):
+def walk_stages(books, lambdas, r: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Walk one sub-vector's residual through stages [start, stop), in place.
+
+    r is a float64 (rows, D) array and books[t] the stage-t codebook. With
+    lambdas None each stage picks the nearest codeword; otherwise it minimizes
+    lambdas[t] * distortion - log2 prior. Returns the (rows, stop - start)
+    chosen indices.
+    """
+    idx = np.empty((r.shape[0], stop - start), dtype=np.int64)
+    for t in range(start, stop):
+        cb = books[t]
+        if lambdas is None:
+            col, _ = nearest_batch(r, cb.vectors)
+        else:
+            col, _, _ = nearest_rate_penalized_batch(r, cb.vectors, cb.prior,
+                                                     float(lambdas[t]))
+        r -= cb.vectors.astype(np.float64)[col]
+        idx[:, t - start] = col
+    return idx
+
+
+def map_row_chunks(fn, rows: np.ndarray, threads: int = 1) -> list:
+    """[fn(chunk) for every ROW_CHUNK-row slice of rows], in row order.
+
+    Zero rows still make one (empty) chunk. With threads > 1 and more than one
+    chunk the calls run on a worker pool; the chunks, and therefore the
+    results, do not depend on the worker count.
+    """
+    chunks = [rows[a:a + ROW_CHUNK] for a in range(0, max(len(rows), 1), ROW_CHUNK)]
+    if threads > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, chunks))
+    return [fn(c) for c in chunks]
+
+
+def _codeword_sum(model: MsvqModel, indices, stages: np.ndarray, rows: int) -> np.ndarray:
+    """(rows, N, D) float64 codeword sums in stage order; fallback means for 0 stages."""
     lay = model.layout
-    rows = sub.shape[0]
-    zhat = np.empty_like(sub)
-    indices: list[np.ndarray] = []
+    zhat = np.empty((rows, lay.n_sub, lay.sub_dim), dtype=np.float64)
     for i in range(lay.n_sub):
         t_i = int(stages[i])
-        idx_i = np.empty((rows, t_i), dtype=np.int64)
         if t_i == 0:
             zhat[:, i, :] = model.fallback_means[i].astype(np.float64)
-            indices.append(idx_i)
             continue
-        g = int(lay.group_of[i])
-        r = sub[:, i, :].copy()
+        books = model.codebooks[int(lay.group_of[i])]
         acc = np.zeros((rows, lay.sub_dim), dtype=np.float64)
         for t in range(t_i):
-            cb = model.codebooks[g][t]
-            if model.ec_enabled:
-                idx, _, _ = nearest_rate_penalized_batch(
-                    r, cb.vectors, cb.prior, float(model.lambdas[t]))
-            else:
-                idx, _ = nearest_batch(r, cb.vectors)
-            cw = cb.vectors[idx].astype(np.float64)
-            acc += cw
-            r -= cw
-            idx_i[:, t] = idx
+            acc += books[t].vectors.astype(np.float64)[indices[i][:, t]]
         zhat[:, i, :] = acc
-        indices.append(idx_i)
-    return indices, zhat
+    return zhat
 
 
 def encode_batch(
@@ -154,19 +174,20 @@ def encode_batch(
     worker count.
     """
     Z = _check_features(model, Z)
-    validate_plan(model, plan)
-    sub = split_subvectors(model.layout, Z)
-    stages = np.asarray(plan.stages, dtype=np.int64)
-    if threads > 1 and Z.shape[0] > _ROW_CHUNK:
-        chunks = [sub[a:a + _ROW_CHUNK] for a in range(0, sub.shape[0], _ROW_CHUNK)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: _encode_rows(model, c, stages), chunks))
-        indices = [np.concatenate([r[0][i] for r in results], axis=0)
-                   for i in range(model.layout.n_sub)]
-        zhat = np.concatenate([r[1] for r in results], axis=0)
-    else:
-        indices, zhat = _encode_rows(model, sub, stages)
-    return indices, merge_subvectors(model.layout, zhat)
+    stages = validate_plan(model, plan)
+    lay = model.layout
+    sub = split_subvectors(lay, Z)
+    lambdas = model.lambdas if model.ec_enabled else None
+
+    def walk(rows):
+        return [walk_stages(model.codebooks[int(lay.group_of[i])], lambdas,
+                            rows[:, i, :].copy(), 0, int(stages[i]))
+                for i in range(lay.n_sub)]
+
+    parts = map_row_chunks(walk, sub, threads) if threads > 1 else [walk(sub)]
+    indices = [np.concatenate(chunks, axis=0) for chunks in zip(*parts)]
+    zhat = _codeword_sum(model, indices, stages, Z.shape[0])
+    return indices, merge_subvectors(lay, zhat)
 
 
 def decode_batch(
@@ -176,35 +197,28 @@ def decode_batch(
     rows: int | None = None,
 ) -> np.ndarray:
     """Rebuild Z_hat from index arrays; bit-exact vs. the encoder's output."""
-    validate_plan(model, plan)
+    stages = validate_plan(model, plan)
     lay = model.layout
-    stages = np.asarray(plan.stages, dtype=np.int64)
     if len(indices) != lay.n_sub:
         raise CorruptionError(f"got index streams for {len(indices)} sub-vectors, "
                               f"model has {lay.n_sub}")
     if rows is None:
         rows = max((idx.shape[0] for idx in indices if idx.ndim == 2), default=0)
-    zhat = np.empty((rows, lay.n_sub, lay.sub_dim), dtype=np.float64)
+    checked = []
     for i in range(lay.n_sub):
         t_i = int(stages[i])
         idx_i = np.asarray(indices[i], dtype=np.int64)
         if idx_i.shape != (rows, t_i):
             raise CorruptionError(f"sub-vector {i}: index array shape {idx_i.shape} "
                                   f"does not match ({rows}, {t_i})")
-        if t_i == 0:
-            zhat[:, i, :] = model.fallback_means[i].astype(np.float64)
-            continue
-        g = int(lay.group_of[i])
-        acc = np.zeros((rows, lay.sub_dim), dtype=np.float64)
+        books = model.codebooks[int(lay.group_of[i])]
         for t in range(t_i):
-            cb = model.codebooks[g][t]
             col = idx_i[:, t]
-            if rows and (col.min() < 0 or col.max() >= cb.size):
+            if rows and (col.min() < 0 or col.max() >= books[t].size):
                 raise CorruptionError(f"sub-vector {i} stage {t}: codeword index out of "
-                                      f"range [0, {cb.size})")
-            acc += cb.vectors[col].astype(np.float64)
-        zhat[:, i, :] = acc
-    return merge_subvectors(lay, zhat)
+                                      f"range [0, {books[t].size})")
+        checked.append(idx_i)
+    return merge_subvectors(lay, _codeword_sum(model, checked, stages, rows))
 
 
 def encode(model: MsvqModel, z: np.ndarray, plan: SelectionPlan):

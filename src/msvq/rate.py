@@ -14,16 +14,21 @@ sub-vector index.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+# perfbench/spans.py wraps these two names on this module; they are not called here.
 from .codebook import MsvqModel, nearest_batch, nearest_rate_penalized_batch
 from .errors import ConfigError, DataError, StateError
-from .quantizer import SelectionPlan, _check_features, cumulative_bits
-
-_ROW_CHUNK = 4096  # fixed row chunking keeps results identical for any worker count
+from .quantizer import (
+    SelectionPlan,
+    _check_features,
+    cumulative_bits,
+    map_row_chunks,
+    split_subvectors,
+    walk_stages,
+)
 
 MODE_EXACT = "exact"
 MODE_AVERAGE = "average"
@@ -58,22 +63,18 @@ def _table_pass(model: MsvqModel, sub: np.ndarray, want_lengths: bool):
     dist_sums = np.empty((n, t_max + 1), dtype=np.float64)
     len_sums = np.zeros((n, t_max), dtype=np.float64) if want_lengths else None
     fallback = model.fallback_means.astype(np.float64)
+    lambdas = model.lambdas if model.ec_enabled else None
     for i in range(n):
-        g = int(lay.group_of[i])
+        books = model.codebooks[int(lay.group_of[i])]
         diff = sub[:, i, :] - fallback[i]
         dist_sums[i, 0] = np.einsum("rd,rd->", diff, diff)
+        # a contiguous copy: einsum's reduction order follows the memory layout
         r = sub[:, i, :].copy()
         for t in range(t_max):
-            cb = model.codebooks[g][t]
-            if model.ec_enabled:
-                idx, _, _ = nearest_rate_penalized_batch(
-                    r, cb.vectors, cb.prior, float(model.lambdas[t]))
-            else:
-                idx, _ = nearest_batch(r, cb.vectors)
-            r -= cb.vectors[idx].astype(np.float64)
+            idx = walk_stages(books, lambdas, r, t, t + 1)[:, 0]
             dist_sums[i, t + 1] = np.einsum("rd,rd->", r, r)
             if want_lengths:
-                len_sums[i, t] = float(cb.code_lengths[idx].sum())
+                len_sums[i, t] = float(books[t].code_lengths[idx].sum())
     return dist_sums, len_sums
 
 
@@ -99,15 +100,9 @@ def build_table(
     if Z.shape[0] < 1:
         raise DataError("cannot build a marginal-loss table from an empty feature matrix")
     lay = model.layout
-    sub = Z[:, lay.perm].reshape(Z.shape[0], lay.n_sub, lay.sub_dim)
+    sub = split_subvectors(lay, Z)
     want_lengths = mode == MODE_AVERAGE
-
-    chunks = [sub[a:a + _ROW_CHUNK] for a in range(0, sub.shape[0], _ROW_CHUNK)]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: _table_pass(model, c, want_lengths), chunks))
-    else:
-        parts = [_table_pass(model, c, want_lengths) for c in chunks]
+    parts = map_row_chunks(lambda c: _table_pass(model, c, want_lengths), sub, threads)
 
     rows = sub.shape[0]
     dist = sum(p[0] for p in parts) / rows

@@ -8,10 +8,12 @@ residuals and the differences feed stage t+1. In entropy-constrained mode the
 assignment rule penalizes improbable codewords (lambda * distortion -
 log2 prior) and the prior tracks smoothed empirical selection frequencies.
 
-Every iteration's objective is evaluated at assignment time under the
-parameters that produced the assignment. A round that fails to improve the
-objective is rejected and the previous parameters are kept, so the recorded
-trace is non-increasing and the returned codebook is the best iterate.
+Each Lloyd round (lloyd_step) assesses the current parameters and proposes
+their update. A round that worsens the objective is rejected and the last
+accepted parameters are returned; on convergence the parameters just assessed
+are. The trace is non-increasing. When max_iters runs out first, the fit
+returns the last round's update, which is never assessed and whose objective
+is not in the trace.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .codebook import (
 )
 from .errors import ConfigError, DataError
 from .layout import SubVectorLayout
+from .quantizer import split_subvectors, walk_stages
 
 _ACCEPT_SLACK = 1e-12  # relative; rejects rounds that worsen the objective
 
@@ -175,25 +178,20 @@ def lloyd_step(
 
 
 def _fit_codebook(points, k, rng, ec, rd_lambda, max_iters, rel_tol):
-    centers = _kmeanspp(points, k, rng)
-    prior = np.full(k, 1.0 / k) if ec else None
-    best = (centers, prior)
+    book = Codebook(vectors=_kmeanspp(points, k, rng),
+                    prior=np.full(k, 1.0 / k) if ec else None)
+    accepted = book
     trace: list[float] = []
-    prev = None
     for _ in range(max_iters):
-        idx, dist, _, objective = _assign(points, centers, prior, rd_lambda, ec)
-        if prev is not None and objective > prev * (1.0 + _ACCEPT_SLACK):
-            centers, prior = best
+        updated, stats = lloyd_step(points, book, ec, rd_lambda)
+        if trace and stats.objective > trace[-1] * (1.0 + _ACCEPT_SLACK):
+            book = accepted
             break
-        trace.append(objective)
-        best = (centers, prior)
-        if prev is not None and (prev - objective) <= rel_tol * abs(prev):
+        trace.append(stats.objective)
+        if len(trace) > 1 and (trace[-2] - trace[-1]) <= rel_tol * abs(trace[-2]):
             break
-        prev = objective
-        centers, counts = _update_centers(points, idx, dist, centers)
-        if ec:
-            prior = entropy.smoothed_pmf(counts)
-    return centers, prior, trace
+        accepted, book = book, updated
+    return book.vectors, book.prior, trace
 
 
 def _resolve_lambdas(config: TrainConfig, t_max: int, data_variance: float) -> np.ndarray | None:
@@ -239,7 +237,7 @@ def train(
     lambdas = _resolve_lambdas(config, t_max, float(data.var(axis=0).mean()))
     seed = int(config.seed) & 0xFFFFFFFFFFFFFFFF
 
-    sub = data[:, layout.perm].reshape(data.shape[0], layout.n_sub, layout.sub_dim)
+    sub = split_subvectors(layout, data)
     fallback = sub.mean(axis=0)
     residuals = sub.copy()
 
@@ -269,14 +267,9 @@ def train(
 
         for i in range(layout.n_sub):
             g = int(layout.group_of[i])
-            cb = stage_books[g][t]
-            if config.ec:
-                idx, _, _ = nearest_rate_penalized_batch(
-                    residuals[:, i, :], cb.vectors, cb.prior, float(lambdas[t]))
-            else:
-                idx, _ = nearest_batch(residuals[:, i, :], cb.vectors)
-            report.codeword_usage[(g, t)] += np.bincount(idx, minlength=cb.size)
-            residuals[:, i, :] -= cb.vectors[idx].astype(np.float64)
+            books = stage_books[g]
+            idx = walk_stages(books, lambdas, residuals[:, i, :], t, t + 1)[:, 0]
+            report.codeword_usage[(g, t)] += np.bincount(idx, minlength=books[t].size)
             if not np.all(np.isfinite(residuals[:, i, :])):
                 raise DataError(f"non-finite residuals after stage {t + 1} "
                                 f"(sub-vector {i}, group {g})")

@@ -81,6 +81,16 @@ class TestModelFiles:
         with pytest.raises(CorruptionError):
             bitstream.read_model(str(tmp_path / "v.msvq"))
 
+    @pytest.mark.parametrize("bit", [1, 3])
+    def test_rejects_reserved_flag_bits(self, tmp_path, ec_model, bit):
+        path = tmp_path / "m.msvq"
+        bitstream.write_model(str(path), ec_model)
+        blob = bytearray(path.read_bytes())
+        blob[6] |= 1 << bit  # low byte of the u16 flags field
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptionError, match="reserved model flag"):
+            bitstream.read_model(str(path))
+
     def test_rejects_truncated_and_trailing(self, tmp_path, model):
         path = str(tmp_path / "m.msvq")
         bitstream.write_model(path, model)

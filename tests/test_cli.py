@@ -198,6 +198,15 @@ class TestVerifyAndInfo:
         assert "features v1" in out
         assert "table (MLT1)" in out
 
+    @pytest.mark.parametrize("bit", [1, 3])
+    def test_info_rejects_reserved_model_flag(self, workdir, tmp_path, capsys, bit):
+        blob = bytearray(workdir["model"].read_bytes())
+        blob[6] |= 1 << bit
+        bad = tmp_path / "bad.msvq"
+        bad.write_bytes(bytes(blob))
+        assert run("info", bad) == 4
+        assert "reserved model flag" in capsys.readouterr().err
+
     def test_verify_fails_on_inconsistent_table(self, workdir, tmp_path, capsys):
         doc = json.loads(workdir["table"].read_text())
         doc["loss"][0][0] += 1.0  # no longer matches direct re-evaluation

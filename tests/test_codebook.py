@@ -93,6 +93,43 @@ class TestNearestRatePenalized:
             codebook.nearest_rate_penalized(cb, np.array([0.0]), 1.0)
 
 
+class TestSearchRounding:
+    """Both kernels score by the expanded norm. Near-ties may then resolve
+    differently from a direct-difference argmin, but only within the rounding
+    of ||x||^2 + ||c||^2."""
+
+    D = 4
+
+    def _case(self, seed):
+        # far from the origin, so that rounding is large next to the distance gaps
+        rng = np.random.default_rng(seed)
+        offset = rng.normal(size=self.D) * 1e3
+        vectors = (offset + rng.normal(size=(64, self.D)) * 1e-3).astype(np.float32)
+        points = offset + rng.normal(size=(2000, self.D)) * 1e-3
+        vec = vectors.astype(np.float64)
+        direct = ((points[:, None, :] - vec[None, :, :]) ** 2).sum(axis=2)
+        scale = np.einsum("pd,pd->p", points, points) + np.einsum("kd,kd->k", vec, vec).max()
+        return rng, vectors, points, direct, 4 * self.D * np.finfo(np.float64).eps * scale
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_plain_choice_within_rounding_of_direct_minimum(self, seed):
+        _, vectors, points, direct, tol = self._case(seed)
+        idx, _ = codebook.nearest_batch(points, vectors)
+        chosen = direct[np.arange(len(points)), idx]
+        assert np.all(chosen - direct.min(axis=1) <= tol)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rate_penalized_choice_within_rounding_of_direct_minimum(self, seed):
+        rng, vectors, points, direct, tol = self._case(seed)
+        prior = rng.dirichlet(np.ones(len(vectors)))
+        lam = 1e6  # rate and distortion terms of similar size
+        objective = lam * direct - np.log2(prior)
+        idx, _, _ = codebook.nearest_rate_penalized_batch(points, vectors, prior, lam)
+        chosen = objective[np.arange(len(points)), idx]
+        rate_tol = lam * tol + 4 * self.D * np.finfo(np.float64).eps * -np.log2(prior).max()
+        assert np.all(chosen - objective.min(axis=1) <= rate_tol)
+
+
 class TestResolve:
     def test_own_codebook_per_subvector(self):
         lay = make_layout(4, 2, [3, 3], groups=4)

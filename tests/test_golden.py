@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msvq import bitstream, datagen, quantizer, rate
+from msvq import bitstream, codebook, datagen, quantizer, rate
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = {
@@ -72,7 +72,7 @@ def test_decoding_gives_stored_reconstruction(name):
 def test_round_trip_across_row_chunks(tmp_path, kind):
     # a row count that is not a multiple of the packing chunk
     model, digest, table = _pair(kind)
-    rows = 2 * quantizer._ROW_CHUNK + 37
+    rows = 2 * codebook.ROW_CHUNK + 37
     data = datagen.gauss_corr(rows, model.layout.m_dim, 0.9, seed=3)
     b_cap = 41 if kind == "plain" else 30
     path = str(tmp_path / "p.msvp")

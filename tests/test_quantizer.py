@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import make_layout, make_toy_model
-from msvq import layout, quantizer
+from msvq import datagen, layout, quantizer
+from msvq.codebook import ROW_CHUNK
 from msvq.errors import ConfigError, CorruptionError
 from msvq.quantizer import EncodedFeature, SelectionPlan
 
@@ -91,12 +92,36 @@ class TestEncodeDecode:
         for i in range(4):
             assert np.array_equal(z_hat[lay.perm[2 * i:2 * i + 2]], marks[i])
 
-    def test_threaded_encode_matches_serial(self, corr_data, model):
+    def test_threaded_encode_matches_serial(self, model):
+        # more rows than two row chunks, so the pool really splits the work
+        data = datagen.gauss_corr(2 * ROW_CHUNK + 37, model.layout.m_dim, 0.9, seed=5)
         plan = quantizer.full_plan(model.layout)
-        i1, z1 = quantizer.encode_batch(model, corr_data, plan, threads=1)
-        i4, z4 = quantizer.encode_batch(model, corr_data, plan, threads=4)
+        i1, z1 = quantizer.encode_batch(model, data, plan, threads=1)
+        i4, z4 = quantizer.encode_batch(model, data, plan, threads=4)
         assert np.array_equal(z1, z4)
         assert all(np.array_equal(a, b) for a, b in zip(i1, i4))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_zero_rows_give_empty_index_arrays(self, model, threads):
+        plan = quantizer.full_plan(model.layout)
+        Z = np.empty((0, model.layout.m_dim))
+        indices, z_hat = quantizer.encode_batch(model, Z, plan, threads=threads)
+        assert [idx.shape for idx in indices] == [(0, model.t_max)] * model.layout.n_sub
+        assert z_hat.shape == (0, model.layout.m_dim)
+
+    @pytest.mark.parametrize("ec", [False, True])
+    def test_walk_in_steps_equals_walk_at_once(self, corr_data, model, ec_model, ec):
+        m = ec_model if ec else model
+        books, lambdas = m.codebooks[0], m.lambdas if ec else None
+        x = quantizer.split_subvectors(m.layout, corr_data.astype(np.float64))[:, 0, :]
+        whole = x.copy()
+        idx = quantizer.walk_stages(books, lambdas, whole, 0, m.t_max)
+        steps = x.copy()
+        cols = [quantizer.walk_stages(books, lambdas, steps, t, t + 1) for t in range(m.t_max)]
+        assert np.array_equal(np.concatenate(cols, axis=1), idx)
+        assert np.array_equal(steps, whole)
+        recon = sum(books[t].vectors[idx[:, t]].astype(np.float64) for t in range(m.t_max))
+        np.testing.assert_allclose(x - whole, recon, rtol=0, atol=1e-12)
 
     def test_decode_rejects_out_of_range_index(self, model):
         plan = quantizer.plan_from_stages(model.layout, [1, 0, 0, 0])

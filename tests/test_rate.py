@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import make_layout
-from msvq import oracle, quantizer, rate, trainer
+from msvq import datagen, oracle, quantizer, rate, trainer
+from msvq.codebook import ROW_CHUNK
 from msvq.errors import ConfigError, CorruptionError, StateError
 
 
@@ -33,6 +34,16 @@ class TestBuildTable:
         _, z_hat = quantizer.encode_batch(model, corr_data, quantizer.full_plan(model.layout))
         full = quantizer.reconstruction_mse(corr_data, z_hat)
         np.testing.assert_allclose(table.loss[:, -1], full, rtol=1e-9)
+
+    @pytest.mark.parametrize("ec", [False, True])
+    def test_identical_for_any_thread_count(self, model, ec_model, ec):
+        # more rows than two row chunks, so the pool really splits the work
+        m = ec_model if ec else model
+        data = datagen.gauss_corr(2 * ROW_CHUNK + 37, m.layout.m_dim, 0.9, seed=5)
+        one = rate.build_table(m, data, threads=1)
+        two = rate.build_table(m, data, threads=2)
+        assert np.array_equal(one.loss, two.loss)
+        assert np.array_equal(one.step_bits, two.step_bits)
 
     def test_single_subvector_matches_train_report(self):
         rng = np.random.default_rng(21)

@@ -54,6 +54,26 @@ class TestLloydStep:
             trainer.lloyd_step(np.empty((0, 1)), cb)
 
 
+class TestFitCodebook:
+    @pytest.mark.parametrize("ec", [False, True])
+    def test_exhausted_iterations_return_unassessed_update(self, ec):
+        # with max_iters=1 the fit returns the first round's update, whose own
+        # objective was never evaluated and is not in the trace
+        rng = np.random.default_rng(6)
+        points = rng.normal(size=(300, 2))
+        lam = 2.0 if ec else None
+        vectors, prior, trace = trainer._fit_codebook(
+            points, 8, np.random.default_rng(1), ec, lam, max_iters=1, rel_tol=1e-5)
+        start = Codebook(vectors=trainer._kmeanspp(points, 8, np.random.default_rng(1)),
+                         prior=np.full(8, 1.0 / 8) if ec else None)
+        updated, stats = trainer.lloyd_step(points, start, ec, lam)
+        assert trace == [stats.objective]
+        assert np.array_equal(vectors, updated.vectors)
+        assert (prior is None) if not ec else np.array_equal(prior, updated.prior)
+        _, own = trainer.lloyd_step(points, updated, ec, lam)
+        assert own.objective < trace[0]
+
+
 class TestTrain:
     def test_interpolation_regime_zero_distortion(self):
         lay = make_layout(1, 1, [3], groups=1)
