@@ -3,8 +3,8 @@
 walk_stages, the codec's one stage walk, picks the nearest codeword
 (rate-penalized when the model is entropy-constrained) and subtracts it from
 the residual; encoding, the table pass and training all use it. Encoder and
-decoder share one float64 codeword sum in ascending stage order, so both sides
-agree bit for bit. Sub-vectors with zero active stages reconstruct to the
+decoder both add the codewords in float64 in ascending stage order, so both
+sides agree bit for bit. Sub-vectors with zero active stages reconstruct to the
 stored training mean at a cost of zero transmitted bits.
 """
 
@@ -109,13 +109,14 @@ def _check_features(model: MsvqModel, Z: np.ndarray) -> np.ndarray:
     return Z
 
 
-def walk_stages(books, lambdas, r: np.ndarray, start: int, stop: int) -> np.ndarray:
+def walk_stages(books, lambdas, r: np.ndarray, start: int, stop: int,
+                acc: np.ndarray | None = None) -> np.ndarray:
     """Walk one sub-vector's residual through stages [start, stop), in place.
 
     r is a float64 (rows, D) array and books[t] the stage-t codebook. With
     lambdas None each stage picks the nearest codeword; otherwise it minimizes
-    lambdas[t] * distortion - log2 prior. Returns the (rows, stop - start)
-    chosen indices.
+    lambdas[t] * distortion - log2 prior. Each chosen codeword is also added to
+    acc when it is given. Returns the (rows, stop - start) chosen indices.
     """
     idx = np.empty((r.shape[0], stop - start), dtype=np.int64)
     for t in range(start, stop):
@@ -125,40 +126,26 @@ def walk_stages(books, lambdas, r: np.ndarray, start: int, stop: int) -> np.ndar
         else:
             col, _, _ = nearest_rate_penalized_batch(r, cb.vectors, cb.prior,
                                                      float(lambdas[t]))
-        r -= cb.vectors.astype(np.float64)[col]
+        cw = cb.vectors.astype(np.float64)[col]
+        r -= cw
+        if acc is not None:
+            acc += cw
         idx[:, t - start] = col
     return idx
 
 
-def map_row_chunks(fn, rows: np.ndarray, threads: int = 1) -> list:
-    """[fn(chunk) for every ROW_CHUNK-row slice of rows], in row order.
+def map_row_chunks(fn, rows: int, threads: int = 1) -> list:
+    """[fn(s) for every ROW_CHUNK-row slice s of range(rows)], in row order.
 
-    Zero rows still make one (empty) chunk. With threads > 1 and more than one
+    Zero rows still make one (empty) slice. With threads > 1 and more than one
     chunk the calls run on a worker pool; the chunks, and therefore the
     results, do not depend on the worker count.
     """
-    chunks = [rows[a:a + ROW_CHUNK] for a in range(0, max(len(rows), 1), ROW_CHUNK)]
+    chunks = [slice(a, a + ROW_CHUNK) for a in range(0, max(rows, 1), ROW_CHUNK)]
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, chunks))
     return [fn(c) for c in chunks]
-
-
-def _codeword_sum(model: MsvqModel, indices, stages: np.ndarray, rows: int) -> np.ndarray:
-    """(rows, N, D) float64 codeword sums in stage order; fallback means for 0 stages."""
-    lay = model.layout
-    zhat = np.empty((rows, lay.n_sub, lay.sub_dim), dtype=np.float64)
-    for i in range(lay.n_sub):
-        t_i = int(stages[i])
-        if t_i == 0:
-            zhat[:, i, :] = model.fallback_means[i].astype(np.float64)
-            continue
-        books = model.codebooks[int(lay.group_of[i])]
-        acc = np.zeros((rows, lay.sub_dim), dtype=np.float64)
-        for t in range(t_i):
-            acc += books[t].vectors.astype(np.float64)[indices[i][:, t]]
-        zhat[:, i, :] = acc
-    return zhat
 
 
 def encode_batch(
@@ -169,8 +156,8 @@ def encode_batch(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Encode a feature matrix; returns per-sub-vector index arrays and Z_hat.
 
-    With threads > 1 the rows are processed in fixed chunks on a worker pool
-    and stitched back in chunk order, so the result does not depend on the
+    The rows are processed in fixed chunks, on a worker pool when threads > 1;
+    each chunk writes only its own rows, so the result does not depend on the
     worker count.
     """
     Z = _check_features(model, Z)
@@ -179,15 +166,22 @@ def encode_batch(
     sub = split_subvectors(lay, Z)
     lambdas = model.lambdas if model.ec_enabled else None
 
-    def walk(rows):
-        return [walk_stages(model.codebooks[int(lay.group_of[i])], lambdas,
-                            rows[:, i, :].copy(), 0, int(stages[i]))
-                for i in range(lay.n_sub)]
+    indices = [np.empty((Z.shape[0], int(t)), dtype=np.int64) for t in stages]
 
-    parts = map_row_chunks(walk, sub, threads) if threads > 1 else [walk(sub)]
-    indices = [np.concatenate(chunks, axis=0) for chunks in zip(*parts)]
-    zhat = _codeword_sum(model, indices, stages, Z.shape[0])
-    return indices, merge_subvectors(lay, zhat)
+    # sub is a private copy: each chunk of a sub-vector is overwritten with its
+    # reconstruction once its residual has been copied out.
+    def walk(rows: slice):
+        for i in range(lay.n_sub):
+            r = sub[rows, i, :].copy()
+            acc = np.zeros_like(r)
+            if stages[i] == 0:
+                acc[:] = model.fallback_means[i]
+            indices[i][rows] = walk_stages(model.codebooks[int(lay.group_of[i])], lambdas,
+                                           r, 0, int(stages[i]), acc)
+            sub[rows, i, :] = acc
+
+    map_row_chunks(walk, Z.shape[0], threads)
+    return indices, merge_subvectors(lay, sub)
 
 
 def decode_batch(
@@ -204,21 +198,26 @@ def decode_batch(
                               f"model has {lay.n_sub}")
     if rows is None:
         rows = max((idx.shape[0] for idx in indices if idx.ndim == 2), default=0)
-    checked = []
+    zhat = np.empty((rows, lay.n_sub, lay.sub_dim), dtype=np.float64)
     for i in range(lay.n_sub):
         t_i = int(stages[i])
         idx_i = np.asarray(indices[i], dtype=np.int64)
         if idx_i.shape != (rows, t_i):
             raise CorruptionError(f"sub-vector {i}: index array shape {idx_i.shape} "
                                   f"does not match ({rows}, {t_i})")
+        if t_i == 0:
+            zhat[:, i, :] = model.fallback_means[i]
+            continue
         books = model.codebooks[int(lay.group_of[i])]
+        acc = np.zeros((rows, lay.sub_dim), dtype=np.float64)
         for t in range(t_i):
             col = idx_i[:, t]
             if rows and (col.min() < 0 or col.max() >= books[t].size):
                 raise CorruptionError(f"sub-vector {i} stage {t}: codeword index out of "
                                       f"range [0, {books[t].size})")
-        checked.append(idx_i)
-    return merge_subvectors(lay, _codeword_sum(model, checked, stages, rows))
+            acc += books[t].vectors.astype(np.float64)[col]
+        zhat[:, i, :] = acc
+    return merge_subvectors(lay, zhat)
 
 
 def encode(model: MsvqModel, z: np.ndarray, plan: SelectionPlan):

@@ -102,7 +102,7 @@ def build_table(
     lay = model.layout
     sub = split_subvectors(lay, Z)
     want_lengths = mode == MODE_AVERAGE
-    parts = map_row_chunks(lambda c: _table_pass(model, c, want_lengths), sub, threads)
+    parts = map_row_chunks(lambda s: _table_pass(model, sub[s], want_lengths), len(sub), threads)
 
     rows = sub.shape[0]
     dist = sum(p[0] for p in parts) / rows

@@ -31,7 +31,7 @@ PAYLOADS = {
 }
 
 
-def build_pair(kind: str, data: np.ndarray, out_dir: Path = HERE, threads: int = 1) -> None:
+def build_pair(kind: str, data: np.ndarray, out_dir: Path = HERE) -> None:
     lay = layout.build_layout(layout.compute_stats(data), SUB_DIM, BITS.shape[1], GROUPS,
                               BITS)
     config = trainer.TrainConfig(max_iters=8, seed=5, ec=kind == "ec",
@@ -39,7 +39,7 @@ def build_pair(kind: str, data: np.ndarray, out_dir: Path = HERE, threads: int =
     model, _ = trainer.train(data, lay, config)
     model_path, table_path = out_dir / f"model_{kind}.msvq", out_dir / f"table_{kind}.json"
     bitstream.write_model(str(model_path), model)
-    bitstream.write_table(str(table_path), rate.build_table(model, data, threads=threads))
+    bitstream.write_table(str(table_path), rate.build_table(model, data))
     bitstream.stamp_table_digest(str(model_path), bitstream.file_digest(str(table_path)))
 
 

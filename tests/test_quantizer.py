@@ -114,13 +114,14 @@ class TestEncodeDecode:
         m = ec_model if ec else model
         books, lambdas = m.codebooks[0], m.lambdas if ec else None
         x = quantizer.split_subvectors(m.layout, corr_data.astype(np.float64))[:, 0, :]
-        whole = x.copy()
-        idx = quantizer.walk_stages(books, lambdas, whole, 0, m.t_max)
+        whole, acc = x.copy(), np.zeros_like(x)
+        idx = quantizer.walk_stages(books, lambdas, whole, 0, m.t_max, acc)
         steps = x.copy()
         cols = [quantizer.walk_stages(books, lambdas, steps, t, t + 1) for t in range(m.t_max)]
         assert np.array_equal(np.concatenate(cols, axis=1), idx)
         assert np.array_equal(steps, whole)
         recon = sum(books[t].vectors[idx[:, t]].astype(np.float64) for t in range(m.t_max))
+        assert np.array_equal(acc, recon)
         np.testing.assert_allclose(x - whole, recon, rtol=0, atol=1e-12)
 
     def test_decode_rejects_out_of_range_index(self, model):
