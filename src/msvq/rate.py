@@ -8,12 +8,15 @@ the oracle module for cross-checking.
 
 Selection starts from all-zero stage counts and repeatedly grants one more
 stage to the sub-vector with the best loss drop per bit among those whose next
-step still fits the budget, stopping when nothing fits. Ties go to the lowest
-sub-vector index.
+step still fits the budget, stopping when nothing fits (Fox 1966, marginal
+analysis). Ties go to the lowest sub-vector index. Each sub-vector's next step
+waits in a heap keyed by (-ratio, index); a step that does not fit is dropped
+for good, because the bits used only grow. A plan costs O(picks log N).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,34 +125,39 @@ def greedy_order(table: MarginalLossTable, b_cap: float) -> tuple[np.ndarray, fl
     """Greedy increments under the budget; returns (stages, used_bits, order).
 
     order lists the sub-vector index granted a stage at each pick, in pick
-    order, which is also descending priority.
+    order, which is also descending priority; used_bits adds the granted step
+    bits in that order.
+
+    Each sub-vector's next step waits in a heap keyed by (-ratio, index), so
+    the top is the best loss drop per bit and ties go to the lowest index.
+    A popped step that does not fit is dropped for good: used_bits only grows
+    and float addition is monotone, so it would not fit later either. A step
+    whose ratio is not above -inf (an overflowed drop) is never pushed, as a
+    scan that must beat -inf would never pick it. Each pick costs O(log N).
     """
-    if b_cap < 0:
+    if not b_cap >= 0:
         raise ConfigError(f"bit budget must be non-negative, got {b_cap}")
-    loss, step_bits = table.loss, table.step_bits
+    step_bits = table.step_bits
     n, t_max = step_bits.shape
-    stages = np.zeros(n, dtype=np.int64)
+    ratios = ((table.loss[:, :-1] - table.loss[:, 1:]) / step_bits).tolist()
+    steps = step_bits.tolist()
+    stages = [0] * n
     used = 0.0
     order: list[int] = []
-    while True:
-        best_i = -1
-        best_ratio = -np.inf
-        for i in range(n):
-            t = stages[i]
-            if t >= t_max:
-                continue
-            step = step_bits[i, t]
-            if used + step > b_cap:
-                continue
-            ratio = (loss[i, t] - loss[i, t + 1]) / step
-            if ratio > best_ratio:
-                best_ratio = ratio
-                best_i = i
-        if best_i < 0:
-            return stages, used, order
-        used += step_bits[best_i, stages[best_i]]
-        stages[best_i] += 1
-        order.append(best_i)
+    heap = [(-row[0], i) for i, row in enumerate(ratios) if t_max and row[0] > -np.inf]
+    heapq.heapify(heap)
+    while heap:
+        _, i = heapq.heappop(heap)
+        t = stages[i]
+        step = steps[i][t]
+        if used + step > b_cap:
+            continue
+        used += step
+        stages[i] = t = t + 1
+        order.append(i)
+        if t < t_max and ratios[i][t] > -np.inf:
+            heapq.heappush(heap, (-ratios[i][t], i))
+    return np.array(stages, dtype=np.int64), used, order
 
 
 def select_stages(table: MarginalLossTable, b_cap: float) -> SelectionPlan:

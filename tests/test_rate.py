@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_layout
 from msvq import datagen, oracle, quantizer, rate, trainer
@@ -19,6 +23,52 @@ def table_from_drops(drops, step_bits, full_loss=0.0):
     if step.ndim == 0:
         step = np.full((n, t), float(step))
     return rate.MarginalLossTable(loss=loss, step_bits=step, mode=rate.MODE_EXACT)
+
+
+def greedy_scan_reference(table, b_cap):
+    """Independent greedy: rescan every sub-vector for the best fitting step at each pick."""
+    loss, step_bits = table.loss, table.step_bits
+    n, t_max = step_bits.shape
+    stages = np.zeros(n, dtype=np.int64)
+    used = 0.0
+    order = []
+    while True:
+        best_i = -1
+        best_ratio = -np.inf
+        for i in range(n):
+            t = stages[i]
+            if t >= t_max:
+                continue
+            step = step_bits[i, t]
+            if used + step > b_cap:
+                continue
+            ratio = (loss[i, t] - loss[i, t + 1]) / step
+            if ratio > best_ratio:
+                best_ratio = ratio
+                best_i = i
+        if best_i < 0:
+            return stages, used, order
+        used += step_bits[best_i, stages[best_i]]
+        stages[best_i] += 1
+        order.append(best_i)
+
+
+# few distinct values, so ratios tie; 0.0 and -0.0 give zero drops of both signs
+_LOSSES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, -1.0]),
+                    st.floats(-10.0, 10.0))
+_STEPS = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 4.0]), st.floats(0.125, 8.0))
+
+
+@st.composite
+def greedy_cases(draw):
+    n, t_max = draw(st.integers(1, 64)), draw(st.integers(1, 4))
+    loss = np.array(draw(st.lists(_LOSSES, min_size=n * (t_max + 1), max_size=n * (t_max + 1))))
+    step = np.array(draw(st.lists(_STEPS, min_size=n * t_max, max_size=n * t_max)))
+    table = rate.MarginalLossTable(loss=loss.reshape(n, t_max + 1),
+                                   step_bits=step.reshape(n, t_max), mode=rate.MODE_AVERAGE)
+    total = float(step.sum())
+    b_cap = draw(st.one_of(st.just(0.0), st.floats(0.0, total), st.just(total), st.just(math.inf)))
+    return table, b_cap
 
 
 WORKED = table_from_drops([[10.0, 1.0], [6.0, 5.0], [3.0, 2.0]], 2.0)
@@ -117,9 +167,58 @@ class TestSelectStages:
         _, _, order = rate.greedy_order(tab, 4.0)
         assert order == [0, 1]
 
+    @pytest.mark.parametrize("drops, order", [
+        # row 1's second step ties row 0's first step
+        ([[2.0, 0.0], [5.0, 2.0]], [1, 0, 1]),
+        # row 0's second step, pushed after row 1's first, ties it
+        ([[5.0, 2.0], [2.0, 0.0]], [0, 0, 1]),
+    ])
+    def test_tie_across_stages_breaks_to_lowest_row(self, drops, order):
+        assert rate.greedy_order(table_from_drops(drops, 1.0), 3.0)[2] == order
+
+    def test_skips_best_step_that_does_not_fit(self):
+        # row 0's step has the best ratio (2.5) but needs 4 bits; row 1's fits
+        tab = rate.MarginalLossTable(loss=table_from_drops([[10.0], [1.0]], 1.0).loss,
+                                     step_bits=np.array([[4.0], [1.0]]), mode=rate.MODE_AVERAGE)
+        stages, used, order = rate.greedy_order(tab, 2.0)
+        assert stages.tolist() == [0, 1]
+        assert used == 1.0
+        assert order == [1]
+
     def test_negative_budget_rejected(self):
         with pytest.raises(ConfigError):
             rate.select_stages(WORKED, -1.0)
+
+    def test_nan_budget_rejected(self):
+        with pytest.raises(ConfigError):
+            oracle.exhaustive_select(WORKED, math.nan)
+        with pytest.raises(ConfigError):
+            rate.select_stages(WORKED, math.nan)
+
+    def test_infinite_budget_selects_everything(self):
+        assert rate.select_stages(WORKED, math.inf).stages.tolist() == [2, 2, 2]
+
+    @settings(max_examples=150, deadline=None)
+    @given(greedy_cases())
+    def test_matches_scan_reference(self, case):
+        table, b_cap = case
+        stages, used, order = rate.greedy_order(table, b_cap)
+        ref_stages, ref_used, ref_order = greedy_scan_reference(table, b_cap)
+        assert stages.tolist() == ref_stages.tolist()
+        assert used == ref_used
+        assert order == ref_order
+
+    def test_overflowed_drop_is_never_granted(self):
+        # row 0's drop overflows to -inf, row 2's to +inf
+        loss = np.array([[-1e308, 1e308], [2.0, 1.0], [1e308, -1e308]])
+        tab = rate.MarginalLossTable(loss=loss, step_bits=np.ones((3, 1)), mode=rate.MODE_EXACT)
+        with np.errstate(over="ignore"):
+            stages, used, order = rate.greedy_order(tab, math.inf)
+            ref_stages, ref_used, ref_order = greedy_scan_reference(tab, math.inf)
+        assert stages.tolist() == [0, 1, 1]
+        assert used == 2.0
+        assert order == [2, 1]
+        assert (ref_stages.tolist(), ref_used, ref_order) == ([0, 1, 1], 2.0, [2, 1])
 
     @pytest.mark.parametrize("seed", range(25))
     def test_budget_feasibility_random_tables(self, seed):
