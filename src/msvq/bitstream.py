@@ -44,7 +44,6 @@ from .quantizer import (
     cumulative_bits,
     decode_batch,
     encode_batch,
-    full_plan,
     plan_from_stages,
 )
 
@@ -336,9 +335,11 @@ def check_table(model: MsvqModel, table: rate.MarginalLossTable) -> None:
 def cumulative_code_bits(model: MsvqModel, indices: list[np.ndarray]) -> np.ndarray:
     """(rows, N, t_max + 1): realized code bits of each sub-vector's first t stages.
 
-    indices are full-depth per-sub-vector index arrays, as encode_batch returns
-    under the full plan. Without entropy codes every row is the same, and the
-    result is a read-only broadcast of the layout's cumulative widths.
+    indices are per-sub-vector index arrays as encode_batch returns them; each
+    is walked to its own depth, and the entries past that depth are zero, so
+    only plans no deeper than the encoded one read valid totals. Without
+    entropy codes every row is the same, and the result is a read-only
+    broadcast of the layout's cumulative widths.
     """
     lay = model.layout
     rows = indices[0].shape[0]
@@ -347,7 +348,7 @@ def cumulative_code_bits(model: MsvqModel, indices: list[np.ndarray]) -> np.ndar
     cum = np.zeros((rows, lay.n_sub, lay.t_max + 1), dtype=np.int32)
     for i in range(lay.n_sub):
         books = model.codebooks[int(lay.group_of[i])]
-        for t in range(lay.t_max):
+        for t in range(indices[i].shape[1]):
             cum[:, i, t + 1] = cum[:, i, t] + books[t].code_lengths[indices[i][:, t]]
     return cum
 
@@ -402,9 +403,10 @@ def write_payload(
     lay = model.layout
 
     # Stage choices are prefix-stable: stage t's index depends only on the
-    # sub-vector's earlier stages, so one full-depth pass serves every plan.
-    indices, _ = encode_batch(model, Z, full_plan(lay), threads=threads)
+    # sub-vector's earlier stages. The strict undo below only lowers stages,
+    # so encoding to the greedy plan's depths serves every plan it can send.
     stages, _, order = rate.greedy_order(table, float(b_cap))
+    indices, _ = encode_batch(model, Z, plan_from_stages(lay, stages), threads=threads)
     cum_bits = cumulative_code_bits(model, indices)
     bits_rows = plan_row_bits(cum_bits, stages)
 

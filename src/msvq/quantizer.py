@@ -2,10 +2,15 @@
 
 walk_stages, the codec's one stage walk, picks the nearest codeword
 (rate-penalized when the model is entropy-constrained) and subtracts it from
-the residual; encoding, the table pass and training all use it. Encoder and
-decoder both add the codewords in float64 in ascending stage order, so both
-sides agree bit for bit. Sub-vectors with zero active stages reconstruct to the
-stored training mean at a cost of zero transmitted bits.
+the residual; encoding, the table pass and training all use it. It walks a
+block of sub-vectors that share one group's codebooks, so each stage is one
+search over the whole block, and a sub-vector takes part only up to its own
+depth. group_blocks cuts every group into blocks of at most
+max(1, ROW_CHUNK // rows) sub-vectors, so a block's search never scores more
+than ROW_CHUNK rows at once. Encoder and decoder both add the codewords in
+float64 in ascending stage order, so both sides agree bit for bit. Sub-vectors
+with zero active stages reconstruct to the stored training mean at a cost of
+zero transmitted bits.
 """
 
 from __future__ import annotations
@@ -64,7 +69,8 @@ def _checked_stages(layout, stages) -> np.ndarray:
 
 
 def plan_from_stages(layout, stages, avg_bits: float | None = None) -> SelectionPlan:
-    stages = _checked_stages(layout, stages)
+    """Freeze a copy of a stage-count vector into a plan; the caller's array stays writeable."""
+    stages = _checked_stages(layout, stages).copy()
     stages.flags.writeable = False
     return SelectionPlan(stages=stages, exact_bits=exact_bit_total(layout, stages),
                          avg_bits=avg_bits)
@@ -109,28 +115,71 @@ def _check_features(model: MsvqModel, Z: np.ndarray) -> np.ndarray:
     return Z
 
 
-def walk_stages(books, lambdas, r: np.ndarray, start: int, stop: int,
-                acc: np.ndarray | None = None) -> np.ndarray:
-    """Walk one sub-vector's residual through stages [start, stop), in place.
+def group_blocks(layout, rows: int):
+    """Yield (group, slice of sub-vector indices) blocks covering every sub-vector.
 
-    r is a float64 (rows, D) array and books[t] the stage-t codebook. With
-    lambdas None each stage picks the nearest codeword; otherwise it minimizes
-    lambdas[t] * distortion - log2 prior. Each chosen codeword is also added to
-    acc when it is given. Returns the (rows, stop - start) chosen indices.
+    A block holds members of one group only (groups are contiguous runs of
+    equal size), at most max(1, ROW_CHUNK // rows) of them, so a search over
+    the block's (n * rows, D) residuals scores no more rows than one ROW_CHUNK.
     """
-    idx = np.empty((r.shape[0], stop - start), dtype=np.int64)
-    for t in range(start, stop):
+    per = max(1, ROW_CHUNK // max(rows, 1))
+    size = layout.n_sub // layout.n_groups
+    for g in range(layout.n_groups):
+        end = (g + 1) * size
+        for a in range(g * size, end, per):
+            yield g, slice(a, min(a + per, end))
+
+
+def _active(depth: list[int], t: int):
+    """Positions of the block members deeper than stage t, and an index selecting them.
+
+    The index is a slice, so it selects a view, when every member is deeper.
+    """
+    live = [j for j, d in enumerate(depth) if d > t]
+    return live, (live if len(live) < len(depth) else slice(None))
+
+
+def _start_sums(model: MsvqModel, blk: slice, depth: list[int], rows: int) -> np.ndarray:
+    """A block's (n, rows, D) codeword sums before any stage: the stored mean when depth is 0."""
+    acc = np.zeros((len(depth), rows, model.layout.sub_dim), dtype=np.float64)
+    for j, d in enumerate(depth):
+        if d == 0:
+            acc[j] = model.fallback_means[blk.start + j]
+    return acc
+
+
+def walk_stages(books, lambdas, r: np.ndarray, start: int, stop,
+                acc: np.ndarray | None = None) -> np.ndarray:
+    """Walk a block of sub-vector residuals through their stages, in place.
+
+    r is a float64 (n, rows, D) array holding the residuals of n sub-vectors
+    that share one group's codebooks; books[t] is the stage-t codebook. stop
+    is each sub-vector's end stage, one int for all or a sequence of n. Stage t
+    searches, as one (n' * rows, D) batch, the n' sub-vectors whose stop
+    exceeds t. With lambdas None each stage picks the nearest codeword;
+    otherwise it minimizes lambdas[t] * distortion - log2 prior. Each chosen
+    codeword is also added to acc, an array shaped like r, when it is given.
+    Returns the (n, rows, max(stop) - start) chosen indices; the columns at
+    and past a sub-vector's own stop are zero.
+    """
+    n, rows, dim = r.shape
+    stop = np.broadcast_to(np.asarray(stop, dtype=np.int64), (n,)).tolist()
+    idx = np.zeros((n, rows, max(max(stop) - start, 0)), dtype=np.int64)
+    for t in range(start, start + idx.shape[2]):
+        _, sel = _active(stop, t)
+        x = r[sel]
         cb = books[t]
         if lambdas is None:
-            col, _ = nearest_batch(r, cb.vectors)
+            col, _ = nearest_batch(x.reshape(-1, dim), cb.vectors)
         else:
-            col, _, _ = nearest_rate_penalized_batch(r, cb.vectors, cb.prior,
-                                                     float(lambdas[t]))
-        cw = cb.vectors.astype(np.float64)[col]
-        r -= cw
+            col, _, _ = nearest_rate_penalized_batch(x.reshape(-1, dim), cb.vectors,
+                                                     cb.prior, float(lambdas[t]))
+        cw = cb.vectors.astype(np.float64)[col].reshape(x.shape)
+        x -= cw
+        r[sel] = x  # numpy skips this copy when x is a view of r
         if acc is not None:
-            acc += cw
-        idx[:, t - start] = col
+            acc[sel] += cw
+        idx[sel, :, t - start] = col.reshape(x.shape[:2])
     return idx
 
 
@@ -158,7 +207,8 @@ def encode_batch(
 
     The rows are processed in fixed chunks, on a worker pool when threads > 1;
     each chunk writes only its own rows, so the result does not depend on the
-    worker count.
+    worker count. Within a chunk, each group block is walked as one batch to
+    every member's planned depth.
     """
     Z = _check_features(model, Z)
     stages = validate_plan(model, plan)
@@ -168,17 +218,18 @@ def encode_batch(
 
     indices = [np.empty((Z.shape[0], int(t)), dtype=np.int64) for t in stages]
 
-    # sub is a private copy: each chunk of a sub-vector is overwritten with its
-    # reconstruction once its residual has been copied out.
+    # sub is a private copy: each chunk of a block is overwritten with its
+    # reconstruction once its residuals have been copied out.
     def walk(rows: slice):
-        for i in range(lay.n_sub):
-            r = sub[rows, i, :].copy()
-            acc = np.zeros_like(r)
-            if stages[i] == 0:
-                acc[:] = model.fallback_means[i]
-            indices[i][rows] = walk_stages(model.codebooks[int(lay.group_of[i])], lambdas,
-                                           r, 0, int(stages[i]), acc)
-            sub[rows, i, :] = acc
+        chunk = sub[rows]
+        for g, blk in group_blocks(lay, chunk.shape[0]):
+            r = chunk[:, blk].transpose(1, 0, 2).copy()
+            depth = stages[blk].tolist()
+            acc = _start_sums(model, blk, depth, chunk.shape[0])
+            idx = walk_stages(model.codebooks[g], lambdas, r, 0, depth, acc)
+            for j, t in enumerate(depth):
+                indices[blk.start + j][rows] = idx[j, :, :t]
+            chunk[:, blk] = acc.transpose(1, 0, 2)
 
     map_row_chunks(walk, Z.shape[0], threads)
     return indices, merge_subvectors(lay, sub)
@@ -190,7 +241,10 @@ def decode_batch(
     plan: SelectionPlan,
     rows: int | None = None,
 ) -> np.ndarray:
-    """Rebuild Z_hat from index arrays; bit-exact vs. the encoder's output."""
+    """Rebuild Z_hat from index arrays; bit-exact vs. the encoder's output.
+
+    Each group block adds one gather of its members' codewords per stage.
+    """
     stages = validate_plan(model, plan)
     lay = model.layout
     if len(indices) != lay.n_sub:
@@ -198,25 +252,30 @@ def decode_batch(
                               f"model has {lay.n_sub}")
     if rows is None:
         rows = max((idx.shape[0] for idx in indices if idx.ndim == 2), default=0)
-    zhat = np.empty((rows, lay.n_sub, lay.sub_dim), dtype=np.float64)
-    for i in range(lay.n_sub):
-        t_i = int(stages[i])
-        idx_i = np.asarray(indices[i], dtype=np.int64)
-        if idx_i.shape != (rows, t_i):
-            raise CorruptionError(f"sub-vector {i}: index array shape {idx_i.shape} "
+    for i, (idx_i, t_i) in enumerate(zip(indices, stages.tolist())):
+        if np.shape(idx_i) != (rows, t_i):
+            raise CorruptionError(f"sub-vector {i}: index array shape {np.shape(idx_i)} "
                                   f"does not match ({rows}, {t_i})")
-        if t_i == 0:
-            zhat[:, i, :] = model.fallback_means[i]
-            continue
-        books = model.codebooks[int(lay.group_of[i])]
-        acc = np.zeros((rows, lay.sub_dim), dtype=np.float64)
-        for t in range(t_i):
-            col = idx_i[:, t]
-            if rows and (col.min() < 0 or col.max() >= books[t].size):
-                raise CorruptionError(f"sub-vector {i} stage {t}: codeword index out of "
-                                      f"range [0, {books[t].size})")
-            acc += books[t].vectors.astype(np.float64)[col]
-        zhat[:, i, :] = acc
+    zhat = np.empty((rows, lay.n_sub, lay.sub_dim), dtype=np.float64)
+    for g, blk in group_blocks(lay, rows):
+        books = model.codebooks[g]
+        depth = stages[blk].tolist()
+        acc = _start_sums(model, blk, depth, rows)
+        # converted a block at a time, so only one block's int64 copies are alive
+        idx = [np.asarray(indices[i], dtype=np.int64) for i in range(blk.start, blk.stop)]
+        for t in range(max(depth)):
+            live, sel = _active(depth, t)
+            # a lone member's column is gathered through a view: copying it costs
+            # more than the gather saves
+            cols = (idx[live[0]][None, :, t] if len(live) == 1
+                    else np.array([idx[j][:, t] for j in live]))
+            if rows and (cols.min() < 0 or cols.max() >= books[t].size):
+                bad = ((cols < 0) | (cols >= books[t].size)).any(axis=1)
+                raise CorruptionError(f"sub-vector {blk.start + live[int(bad.argmax())]} "
+                                      f"stage {t}: codeword index out of range "
+                                      f"[0, {books[t].size})")
+            acc[sel] += books[t].vectors.astype(np.float64)[cols]
+        zhat[:, blk] = acc.transpose(1, 0, 2)
     return merge_subvectors(lay, zhat)
 
 

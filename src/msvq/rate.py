@@ -28,6 +28,7 @@ from .quantizer import (
     SelectionPlan,
     _check_features,
     cumulative_bits,
+    group_blocks,
     map_row_chunks,
     split_subvectors,
     walk_stages,
@@ -68,16 +69,18 @@ def _table_pass(model: MsvqModel, sub: np.ndarray, want_lengths: bool):
     fallback = model.fallback_means.astype(np.float64)
     lambdas = model.lambdas if model.ec_enabled else None
     for i in range(n):
-        books = model.codebooks[int(lay.group_of[i])]
         diff = sub[:, i, :] - fallback[i]
         dist_sums[i, 0] = np.einsum("rd,rd->", diff, diff)
-        # a contiguous copy: einsum's reduction order follows the memory layout
-        r = sub[:, i, :].copy()
+    for g, blk in group_blocks(lay, sub.shape[0]):
+        books = model.codebooks[g]
+        # contiguous per-sub-vector slices: einsum's reduction order follows the memory layout
+        r = sub[:, blk].transpose(1, 0, 2).copy()
         for t in range(t_max):
-            idx = walk_stages(books, lambdas, r, t, t + 1)[:, 0]
-            dist_sums[i, t + 1] = np.einsum("rd,rd->", r, r)
-            if want_lengths:
-                len_sums[i, t] = float(books[t].code_lengths[idx].sum())
+            idx = walk_stages(books, lambdas, r, t, t + 1)[:, :, 0]
+            for j in range(r.shape[0]):
+                dist_sums[blk.start + j, t + 1] = np.einsum("rd,rd->", r[j], r[j])
+                if want_lengths:
+                    len_sums[blk.start + j, t] = float(books[t].code_lengths[idx[j]].sum())
     return dist_sums, len_sums
 
 

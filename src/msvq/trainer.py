@@ -33,7 +33,7 @@ from .codebook import (
 )
 from .errors import ConfigError, DataError
 from .layout import SubVectorLayout
-from .quantizer import split_subvectors, walk_stages
+from .quantizer import group_blocks, split_subvectors, walk_stages
 
 _ACCEPT_SLACK = 1e-12  # relative; rejects rounds that worsen the objective
 
@@ -265,14 +265,16 @@ def train(
             report.iterations[(g, t)] = len(trace)
             report.codeword_usage[(g, t)] = np.zeros(k, dtype=np.int64)
 
-        for i in range(layout.n_sub):
-            g = int(layout.group_of[i])
+        for g, blk in group_blocks(layout, data.shape[0]):
             books = stage_books[g]
-            idx = walk_stages(books, lambdas, residuals[:, i, :], t, t + 1)[:, 0]
-            report.codeword_usage[(g, t)] += np.bincount(idx, minlength=books[t].size)
-            if not np.all(np.isfinite(residuals[:, i, :])):
+            r = residuals[:, blk].transpose(1, 0, 2).copy()
+            idx = walk_stages(books, lambdas, r, t, t + 1)
+            residuals[:, blk] = r.transpose(1, 0, 2)
+            report.codeword_usage[(g, t)] += np.bincount(idx.ravel(), minlength=books[t].size)
+            finite = np.isfinite(r).all(axis=(1, 2))
+            if not finite.all():
                 raise DataError(f"non-finite residuals after stage {t + 1} "
-                                f"(sub-vector {i}, group {g})")
+                                f"(sub-vector {blk.start + int(finite.argmin())}, group {g})")
         report.per_stage_distortion.append(
             float(np.einsum("rnd,rnd->", residuals, residuals) / data.shape[0]))
 

@@ -222,3 +222,40 @@ class TestPayloadFiles:
         assert np.array_equal(rx.plan.stages, sinfo.plan.stages)
         _, z_hat_tx = quantizer.encode_batch(ec_model, data, rx.plan)
         assert np.array_equal(z_hat_rx, z_hat_tx)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("which", ["plain", "ec"])
+    def test_encodes_only_the_planned_stages(self, tmp_path, monkeypatch, model, table,
+                                             ec_model, ec_table, corr_data, which, strict):
+        m, tab, b_cap = (model, table, 40) if which == "plain" else (ec_model, ec_table, 20)
+        data = corr_data[:200]
+
+        def full_depth(model_, Z, plan, threads=1):
+            return quantizer.encode_batch(model_, Z, quantizer.full_plan(model_.layout), threads)
+
+        reference = tmp_path / "full.msvp"
+        with monkeypatch.context() as mp:
+            mp.setattr(bitstream, "encode_batch", full_depth)
+            want = bitstream.write_payload(str(reference), m, 3, tab, data, b_cap, strict)
+
+        searched = []
+
+        def counting(kernel):
+            def search(points, *args):
+                searched.append(len(points))
+                return kernel(points, *args)
+            return search
+
+        for name in ("nearest_batch", "nearest_rate_penalized_batch"):
+            monkeypatch.setattr(quantizer, name, counting(getattr(quantizer, name)))
+        path = tmp_path / "p.msvp"
+        got = bitstream.write_payload(str(path), m, 3, tab, data, b_cap, strict)
+        stages, _, _ = rate.greedy_order(tab, float(b_cap))
+        assert 0 < stages.sum() < m.layout.n_sub * m.t_max
+        assert sum(searched) == len(data) * int(stages.sum())
+        assert path.read_bytes() == reference.read_bytes()
+        assert np.array_equal(got.plan.stages, want.plan.stages)
+        assert np.array_equal(got.bits_per_vector, want.bits_per_vector)
+        if strict and which == "ec":  # the undo lowered the greedy plan
+            assert got.mode == bitstream.MODE_EXPLICIT
+            assert got.plan.stages.sum() < stages.sum()

@@ -3,9 +3,76 @@ import pytest
 
 from conftest import make_layout, make_toy_model
 from msvq import datagen, layout, quantizer
-from msvq.codebook import ROW_CHUNK
+from msvq.codebook import (
+    ROW_CHUNK,
+    Codebook,
+    MsvqModel,
+    nearest_batch,
+    nearest_rate_penalized_batch,
+)
 from msvq.errors import ConfigError, CorruptionError
 from msvq.quantizer import EncodedFeature, SelectionPlan
+
+
+def encode_batch_reference(model, Z, plan):
+    """The per-sub-vector encode loop that the grouped stage walk replaced."""
+    stages = quantizer.validate_plan(model, plan)
+    lay = model.layout
+    Z = np.asarray(Z, dtype=np.float64)
+    sub = quantizer.split_subvectors(lay, Z)
+    lambdas = model.lambdas if model.ec_enabled else None
+    indices = [np.empty((Z.shape[0], int(t)), dtype=np.int64) for t in stages]
+    for a in range(0, max(Z.shape[0], 1), ROW_CHUNK):
+        rows = slice(a, a + ROW_CHUNK)
+        for i in range(lay.n_sub):
+            books = model.codebooks[int(lay.group_of[i])]
+            r = sub[rows, i, :].copy()
+            acc = np.zeros_like(r)
+            if stages[i] == 0:
+                acc[:] = model.fallback_means[i]
+            for t in range(int(stages[i])):
+                cb = books[t]
+                if lambdas is None:
+                    col, _ = nearest_batch(r, cb.vectors)
+                else:
+                    col, _, _ = nearest_rate_penalized_batch(r, cb.vectors, cb.prior,
+                                                             float(lambdas[t]))
+                cw = cb.vectors.astype(np.float64)[col]
+                r -= cw
+                acc += cw
+                indices[i][rows, t] = col
+            sub[rows, i, :] = acc
+    return indices, quantizer.merge_subvectors(lay, sub)
+
+
+def decode_batch_reference(model, indices, plan, rows):
+    """The per-sub-vector decode loop that the grouped codeword sum replaced."""
+    stages = quantizer.validate_plan(model, plan)
+    lay = model.layout
+    zhat = np.empty((rows, lay.n_sub, lay.sub_dim), dtype=np.float64)
+    for i in range(lay.n_sub):
+        if stages[i] == 0:
+            zhat[:, i, :] = model.fallback_means[i]
+            continue
+        books = model.codebooks[int(lay.group_of[i])]
+        acc = np.zeros((rows, lay.sub_dim), dtype=np.float64)
+        for t in range(int(stages[i])):
+            acc += books[t].vectors.astype(np.float64)[indices[i][:, t]]
+        zhat[:, i, :] = acc
+    return quantizer.merge_subvectors(lay, zhat)
+
+
+def grouped_toy_model(ec, seed=0):
+    """8 sub-vectors in 2 groups of 4; EC priors are skewed so the rate term decides picks."""
+    lay = make_layout(8, 3, [5, 4, 3], groups=2)
+    rng = np.random.default_rng(seed)
+    m = make_toy_model(lay, rng, ec=ec)
+    if not ec:
+        return m
+    books = tuple(tuple(Codebook(vectors=cb.vectors, prior=rng.dirichlet(np.full(cb.size, 0.5)))
+                        for cb in group) for group in m.codebooks)
+    return MsvqModel(layout=lay, codebooks=books, fallback_means=m.fallback_means,
+                     ec_enabled=True, lambdas=rng.uniform(0.5, 2.0, lay.t_max))
 
 
 class TestPlans:
@@ -26,6 +93,14 @@ class TestPlans:
             quantizer.plan_from_stages(model.layout, [1, 1, 1])
         with pytest.raises(ConfigError):
             quantizer.plan_from_stages(model.layout, [4, 0, 0, 0])
+
+    def test_plan_leaves_callers_stage_array_writeable(self, model):
+        stages = np.array([3, 2, 1, 0], dtype=np.int64)
+        plan = quantizer.plan_from_stages(model.layout, stages)
+        assert stages.flags.writeable
+        stages[0] = 1
+        assert plan.stages.tolist() == [3, 2, 1, 0]
+        assert not plan.stages.flags.writeable
 
     def test_inconsistent_exact_bits_is_corruption(self, model):
         stages = np.array([1, 1, 1, 1])
@@ -113,22 +188,59 @@ class TestEncodeDecode:
     def test_walk_in_steps_equals_walk_at_once(self, corr_data, model, ec_model, ec):
         m = ec_model if ec else model
         books, lambdas = m.codebooks[0], m.lambdas if ec else None
-        x = quantizer.split_subvectors(m.layout, corr_data.astype(np.float64))[:, 0, :]
+        members = m.layout.group_members(0)
+        assert members.size > 1
+        x = quantizer.split_subvectors(m.layout, corr_data.astype(np.float64))[:, members, :]
+        x = x.transpose(1, 0, 2).copy()
         whole, acc = x.copy(), np.zeros_like(x)
         idx = quantizer.walk_stages(books, lambdas, whole, 0, m.t_max, acc)
+        assert idx.shape == (members.size, x.shape[1], m.t_max)
         steps = x.copy()
         cols = [quantizer.walk_stages(books, lambdas, steps, t, t + 1) for t in range(m.t_max)]
-        assert np.array_equal(np.concatenate(cols, axis=1), idx)
+        assert np.array_equal(np.concatenate(cols, axis=2), idx)
         assert np.array_equal(steps, whole)
-        recon = sum(books[t].vectors[idx[:, t]].astype(np.float64) for t in range(m.t_max))
+        for j in range(members.size):  # a member walked alone matches its block row
+            alone = x[j:j + 1].copy()
+            assert np.array_equal(quantizer.walk_stages(books, lambdas, alone, 0, m.t_max),
+                                  idx[j:j + 1])
+            assert np.array_equal(alone, whole[j:j + 1])
+        recon = sum(books[t].vectors[idx[:, :, t]].astype(np.float64) for t in range(m.t_max))
         assert np.array_equal(acc, recon)
         np.testing.assert_allclose(x - whole, recon, rtol=0, atol=1e-12)
+
+    def test_walk_stops_each_member_at_its_depth(self, corr_data, model):
+        books = model.codebooks[0]
+        x = quantizer.split_subvectors(model.layout, corr_data)[:, :2, :]
+        x = x.transpose(1, 0, 2).copy()
+        full, acc_full = x.copy(), np.zeros_like(x)
+        idx_full = quantizer.walk_stages(books, None, full, 0, model.t_max, acc_full)
+        once = x[1:].copy()
+        quantizer.walk_stages(books, None, once, 0, 1)
+        mixed, acc = x.copy(), np.zeros_like(x)
+        idx = quantizer.walk_stages(books, None, mixed, 0, np.array([model.t_max, 1]), acc)
+        assert np.array_equal(idx[0], idx_full[0])
+        assert np.array_equal(idx[1, :, :1], idx_full[1, :, :1])
+        assert not idx[1, :, 1:].any()
+        assert np.array_equal(mixed[0], full[0]) and np.array_equal(acc[0], acc_full[0])
+        assert np.array_equal(mixed[1], once[0])
+        assert np.array_equal(acc[1], books[0].vectors[idx[1, :, 0]].astype(np.float64))
 
     def test_decode_rejects_out_of_range_index(self, model):
         plan = quantizer.plan_from_stages(model.layout, [1, 0, 0, 0])
         bad = [np.array([[99]]), np.empty((1, 0)), np.empty((1, 0)), np.empty((1, 0))]
         with pytest.raises(CorruptionError):
             quantizer.decode_batch(model, bad, plan, rows=1)
+
+    @pytest.mark.parametrize("stage, value", [(0, 99), (1, 32), (1, -1)])
+    def test_decode_names_second_group_member_and_stage(self, model, stage, value):
+        lay = model.layout
+        assert lay.group_of[0] == lay.group_of[1]
+        plan = quantizer.plan_from_stages(lay, [2, 2, 0, 0])
+        bad = np.zeros((3, 2), dtype=np.int64)
+        bad[1, stage] = value
+        indices = [np.zeros((3, 2), dtype=np.int64), bad, np.empty((3, 0)), np.empty((3, 0))]
+        with pytest.raises(CorruptionError, match=rf"^sub-vector 1 stage {stage}: "):
+            quantizer.decode_batch(model, indices, plan, rows=3)
 
     def test_decode_rejects_shape_mismatch(self, model):
         plan = quantizer.plan_from_stages(model.layout, [1, 0, 0, 0])
@@ -146,3 +258,30 @@ class TestEncodeDecode:
         idx_plain, _ = quantizer.encode_batch(plain, corr_data[:256], plan)
         diffs = sum(int((a != b).sum()) for a, b in zip(idx_ec, idx_plain))
         assert diffs > 0
+
+
+class TestGroupedWalkMatchesReference:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("rows", [0, 37, 1500, ROW_CHUNK + 37])
+    @pytest.mark.parametrize("ec", [False, True])
+    def test_indices_and_reconstruction_identical(self, ec, rows, threads):
+        m = grouped_toy_model(ec)
+        lay = m.layout
+        if rows == 1500:  # 4 members x 1500 rows exceed one ROW_CHUNK: groups split
+            assert len(list(quantizer.group_blocks(lay, rows))) == 2 * lay.n_groups
+        Z = np.random.default_rng(rows).normal(size=(rows, lay.m_dim)) * 1.5
+        rng = np.random.default_rng(1)
+        plans = [quantizer.full_plan(lay), quantizer.zero_plan(lay),
+                 quantizer.plan_from_stages(lay, [3, 0, 1, 2, 0, 0, 3, 1])]
+        plans += [quantizer.plan_from_stages(lay, rng.integers(0, lay.t_max + 1, lay.n_sub))
+                  for _ in range(3)]
+        for plan in plans:
+            want_idx, want_z = encode_batch_reference(m, Z, plan)
+            got_idx, got_z = quantizer.encode_batch(m, Z, plan, threads=threads)
+            assert len(got_idx) == lay.n_sub
+            assert all(np.array_equal(a, b) and a.shape == b.shape
+                       for a, b in zip(got_idx, want_idx))
+            assert got_z.tobytes() == want_z.tobytes()
+            decoded = quantizer.decode_batch(m, got_idx, plan, rows=rows)
+            assert decoded.tobytes() == decode_batch_reference(m, want_idx, plan, rows).tobytes()
+            assert decoded.tobytes() == got_z.tobytes()
