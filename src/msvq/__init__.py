@@ -7,14 +7,7 @@ coding of the codeword indices, and everything serializes to documented
 container formats.
 """
 
-from .codebook import (
-    Codebook,
-    MsvqModel,
-    codeword_param_count,
-    nearest,
-    nearest_rate_penalized,
-    resolve,
-)
+from .codebook import Codebook, MsvqModel, codeword_param_count
 from .entropy import HuffmanCode, avg_bits, build_code
 from .errors import ConfigError, CorruptionError, DataError, MsvqError, StateError
 from .layout import (
@@ -26,16 +19,12 @@ from .layout import (
 )
 from .oracle import OracleResult, direct_marginal_loss, exhaustive_select
 from .quantizer import (
-    EncodedFeature,
     SelectionPlan,
-    decode,
     decode_batch,
-    encode,
     encode_batch,
     full_plan,
     plan_from_stages,
     reconstruction_mse,
-    zero_plan,
 )
 from .rate import MarginalLossTable, build_table, select_stages, validate_convexity
 from .trainer import TrainConfig, TrainReport, lloyd_step, train
@@ -47,7 +36,6 @@ __all__ = [
     "ConfigError",
     "CorruptionError",
     "DataError",
-    "EncodedFeature",
     "FeatureStats",
     "HuffmanCode",
     "MarginalLossTable",
@@ -66,21 +54,15 @@ __all__ = [
     "build_table",
     "codeword_param_count",
     "compute_stats",
-    "decode",
     "decode_batch",
     "direct_marginal_loss",
-    "encode",
     "encode_batch",
     "exhaustive_select",
     "full_plan",
     "lloyd_step",
-    "nearest",
-    "nearest_rate_penalized",
     "plan_from_stages",
     "reconstruction_mse",
-    "resolve",
     "select_stages",
     "train",
     "validate_convexity",
-    "zero_plan",
 ]

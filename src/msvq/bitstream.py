@@ -44,6 +44,7 @@ from .quantizer import (
     cumulative_bits,
     decode_batch,
     encode_batch,
+    exact_bit_total,
     plan_from_stages,
 )
 
@@ -118,11 +119,12 @@ def write_table(path: str, table: rate.MarginalLossTable) -> None:
 
 
 def read_table(path: str) -> rate.MarginalLossTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CorruptionError(f"{path}: not valid JSON: {exc}") from exc
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        doc = json.loads(blob.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON; nesting too deep
+        raise CorruptionError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CorruptionError(f"{path}: table document must be a JSON object")
     return rate.table_from_dict(doc)
@@ -315,13 +317,6 @@ def _plan_field_bits(t_max: int) -> int:
     return max(1, int(np.ceil(np.log2(t_max + 1))))
 
 
-def finalize_plan(model: MsvqModel, table: rate.MarginalLossTable,
-                  stages: np.ndarray) -> SelectionPlan:
-    """Freeze a stage-count vector into a plan carrying its bit accounting."""
-    avg = rate.plan_step_bits(table, stages) if table.mode == rate.MODE_AVERAGE else None
-    return plan_from_stages(model.layout, stages, avg_bits=avg)
-
-
 def check_table(model: MsvqModel, table: rate.MarginalLossTable) -> None:
     """Raise unless the table matches the model's shape and coding mode."""
     lay = model.layout
@@ -419,7 +414,7 @@ def write_payload(
             bits_rows -= cum_bits[:, i_undo, t_removed + 1] - cum_bits[:, i_undo, t_removed]
             stages[i_undo] = t_removed
         mode = MODE_EXPLICIT
-    plan = finalize_plan(model, table, stages)
+    plan = plan_from_stages(lay, stages)
     coding = _field_coding(model, plan.stages)
 
     with open(path, "wb") as fh:
@@ -477,9 +472,9 @@ def read_payload(
         if stages.max(initial=0) > lay.t_max:
             raise CorruptionError(f"{path}: explicit plan holds a stage count above "
                                   f"{lay.t_max}")
+        plan = plan_from_stages(lay, stages)
     else:
-        stages = rate.select_stages(table, float(head.b_cap)).stages
-    plan = finalize_plan(model, table, stages)
+        plan = rate.select_stages(table, float(head.b_cap))
     coding = _field_coding(model, plan.stages)
 
     count, body = head.count, len(blob) - pos
@@ -494,7 +489,8 @@ def read_payload(
             raise CorruptionError(f"{path}: {len(blob) - end} trailing bytes after the "
                                   f"last vector")
     else:
-        block = (plan.exact_bits + 7) // 8
+        exact_bits = exact_bit_total(lay, plan.stages)
+        block = (exact_bits + 7) // 8
         if body != count * block:
             raise CorruptionError(f"{path}: {body} bytes of vector data, {count} vectors "
                                   f"of {block} bytes need {count * block}")
@@ -502,7 +498,7 @@ def read_payload(
         symbols = np.empty((count, len(coding)), dtype=np.uint8)
         for a in range(0, count, ROW_CHUNK):
             symbols[a:a + ROW_CHUNK] = unpack_fixed(blocks[a:a + ROW_CHUNK], coding)
-        bits_rows = np.full(count, plan.exact_bits, dtype=np.int64)
+        bits_rows = np.full(count, exact_bits, dtype=np.int64)
 
     ends = np.cumsum(plan.stages).tolist()
     indices = [symbols[:, end - t:end] for end, t in zip(ends, plan.stages.tolist())]

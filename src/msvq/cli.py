@@ -18,7 +18,13 @@ import numpy as np
 from . import bitstream, datagen, oracle, rate
 from .errors import ConfigError, MsvqError, StateError
 from .layout import build_layout, compute_stats, validate_bits
-from .quantizer import decode_batch, encode_batch, full_plan, reconstruction_mse
+from .quantizer import (
+    decode_batch,
+    encode_batch,
+    exact_bit_total,
+    full_plan,
+    reconstruction_mse,
+)
 from .trainer import TrainConfig, train
 
 
@@ -176,9 +182,10 @@ def _cmd_encode(args) -> int:
         strict=args.strict, threads=_resolve_threads(args.threads))
     mode = "explicit-plan" if result.mode == bitstream.MODE_EXPLICIT else "plan-derived"
     print(f"encoded {result.count} vectors at b_cap={args.b_cap} ({mode})")
-    print(f"plan exact bits: {result.plan.exact_bits}"
-          + (f", avg bits: {result.plan.avg_bits:.4f}" if result.plan.avg_bits is not None
-             else ""))
+    stages = result.plan.stages
+    print(f"plan exact bits: {exact_bit_total(model.layout, stages)}"
+          + (f", avg bits: {rate.plan_step_bits(table, stages):.4f}"
+             if table.mode == rate.MODE_AVERAGE else ""))
     print(f"mean payload bits/vector: {result.bits_per_vector.mean():.4f} "
           f"(max {int(result.bits_per_vector.max(initial=0))})")
     return 0
@@ -208,17 +215,17 @@ def _cmd_sweep(args) -> int:
         start = time.perf_counter()
         plan = rate.select_stages(table, float(b_cap))
         sliced = [indices[i][:, :int(plan.stages[i])] for i in range(lay.n_sub)]
-        final = bitstream.finalize_plan(model, table, plan.stages)
-        z_hat = decode_batch(model, sliced, final, rows=Z.shape[0])
+        z_hat = decode_batch(model, sliced, plan, rows=Z.shape[0])
         mse = reconstruction_mse(Z, z_hat)
         bits = bitstream.plan_row_bits(cum_bits, plan.stages)
         elapsed = time.perf_counter() - start
         rows.append({
             "b_cap": b_cap,
-            "exact_bits": final.exact_bits,
-            "avg_bits": final.avg_bits if final.avg_bits is not None else "",
-            "stage_hist": _stage_hist(final.stages, lay.t_max),
-            "predicted_loss": rate.plan_predicted_loss(table, final.stages),
+            "exact_bits": exact_bit_total(lay, plan.stages),
+            "avg_bits": (rate.plan_step_bits(table, plan.stages)
+                         if table.mode == rate.MODE_AVERAGE else ""),
+            "stage_hist": _stage_hist(plan.stages, lay.t_max),
+            "predicted_loss": rate.plan_predicted_loss(table, plan.stages),
             "measured_mse": mse,
             "mean_payload_bits": float(bits.mean()),
             "wall_time_s": round(elapsed, 6),
@@ -274,11 +281,12 @@ def _cmd_verify(args) -> int:
     deterministic = True
     plans = []
     for b in budgets:
-        plan = rate.select_stages(table, b)
-        again = rate.select_stages(table, b)
-        deterministic &= np.array_equal(plan.stages, again.stages)
-        feasible &= rate.plan_step_bits(table, plan.stages) <= b
-        plans.append(plan.stages)
+        # used is the pick-order sum greedy compared against b; the row-order
+        # plan_step_bits may exceed b by rounding on a plan that fits
+        stages, used, _ = rate.greedy_order(table, b)
+        deterministic &= np.array_equal(stages, rate.greedy_order(table, b)[0])
+        feasible &= used <= b
+        plans.append(stages)
     emit(feasible, "budget_feasibility", f"{len(budgets)} budgets within cap")
     emit(deterministic, "determinism", "repeated selection yields identical plans")
 

@@ -1,6 +1,6 @@
-"""Codebook storage, shared-group resolution, and nearest-codeword search.
+"""Codebook storage and nearest-codeword search.
 
-Search is an exhaustive scan with a fixed tie rule (lowest index). Batch
+Search is an exhaustive scan with a fixed tie rule (lowest index). Both
 kernels score by the expanded norm (||c||^2 - 2 x.c) and drop the query-norm
 term, which is constant per query: exact in exact arithmetic, but near-ties
 within the rounding of ||x||^2 + ||c||^2 may resolve differently from a
@@ -98,15 +98,6 @@ class MsvqModel:
         return self.codebooks[0][0].code_lengths is not None
 
 
-def resolve(model: MsvqModel, sub_index: int, stage: int) -> Codebook:
-    """Codebook used by sub-vector sub_index at 0-based stage index."""
-    if not 0 <= sub_index < model.layout.n_sub:
-        raise IndexError(f"sub-vector index {sub_index} out of range [0, {model.layout.n_sub})")
-    if not 0 <= stage < model.t_max:
-        raise IndexError(f"stage index {stage} out of range [0, {model.t_max})")
-    return model.codebooks[int(model.layout.group_of[sub_index])][stage]
-
-
 def codeword_param_count(model: MsvqModel) -> int:
     """Total number of stored codeword parameters (sum of K*D over codebooks)."""
     return sum(cb.size * cb.dim for group in model.codebooks for cb in group)
@@ -162,34 +153,3 @@ def nearest_rate_penalized_batch(
     diff = pts - vec[idx]
     dist = np.einsum("pd,pd->p", diff, diff)
     return idx, dist, -np.log2(prior[idx])
-
-
-def _check_query(cb: Codebook, r: np.ndarray) -> np.ndarray:
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape != (cb.dim,):
-        raise DataError(f"query shape {r.shape} does not match codebook dim {cb.dim}")
-    if not np.all(np.isfinite(r)):
-        raise DataError("query vector contains non-finite values")
-    return r
-
-
-def nearest(codebook: Codebook, r: np.ndarray) -> tuple[int, float]:
-    """Index and squared Euclidean distortion of the closest codeword."""
-    r = _check_query(codebook, r)
-    idx, dist = nearest_batch(r[None, :], codebook.vectors)
-    return int(idx[0]), float(dist[0])
-
-
-def nearest_rate_penalized(
-    codebook: Codebook, r: np.ndarray, rd_lambda: float
-) -> tuple[int, float, float]:
-    """Closest codeword under the distortion-plus-rate objective.
-
-    Returns (index, squared distortion, rate in bits = -log2 prior[index]).
-    """
-    r = _check_query(codebook, r)
-    if codebook.prior is None:
-        raise CorruptionError("codebook has no prior; train in entropy-constrained mode")
-    idx, dist, rate = nearest_rate_penalized_batch(
-        r[None, :], codebook.vectors, codebook.prior, rd_lambda)
-    return int(idx[0]), float(dist[0]), float(rate[0])

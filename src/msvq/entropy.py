@@ -7,8 +7,8 @@ then zero-padded to a byte boundary.
 
 The kernels pack and unpack a (rows, F) matrix of symbols, one row per vector
 and one column per transmitted (sub-vector, stage) field; every row becomes its
-own byte-aligned block. They are the only packing code: MSVP payloads and
-encode_indices/decode_indices both go through them.
+own byte-aligned block. They are the only packing code: MSVP payloads go
+through them a row chunk at a time.
 
 * Fixed-length fields (pack_fixed/unpack_fixed) give every row the same block
   length, so both directions are whole-matrix numpy operations.
@@ -366,33 +366,3 @@ def unpack_prefix(
         p = (p + 7) & ~7
     symbols = np.frombuffer(out, dtype=np.uint32).reshape(rows, n_fields)
     return symbols, np.frombuffer(row_bits, dtype=np.int64), base + (p >> 3)
-
-
-def _flat_codes(lengths: Sequence[int], codes: Sequence[Sequence[HuffmanCode]]) -> list:
-    return [codes[i][t] for i, n in enumerate(lengths) for t in range(n)]
-
-
-def encode_indices(
-    streams: Sequence[Sequence[int]],
-    codes: Sequence[Sequence[HuffmanCode]],
-) -> bytes:
-    """Concatenate prefix codes for one vector's index streams.
-
-    streams[i] holds the active-stage indices of sub-vector i; codes[i][t] is
-    the code for its stage t. Output is zero-padded to a byte boundary.
-    """
-    symbols = np.array([s for stream in streams for s in stream], dtype=np.int64)
-    flat = _flat_codes([len(s) for s in streams], codes)
-    return pack_prefix(symbols.reshape(1, -1), flat).tobytes()
-
-
-def decode_indices(
-    buffer: bytes,
-    plan_stages: Sequence[int],
-    codes: Sequence[Sequence[HuffmanCode]],
-) -> list[list[int]]:
-    """Invert encode_indices given the stage counts and the same codes."""
-    tables = [decode_table(code) for code in _flat_codes(plan_stages, codes)]
-    flat = unpack_prefix(buffer, 1, tables)[0][0].tolist()
-    ends = np.cumsum(plan_stages, dtype=np.int64).tolist()
-    return [flat[end - n:end] for end, n in zip(ends, plan_stages)]

@@ -1,5 +1,8 @@
 """Encode/decode core: residual quantization under a per-sub-vector stage plan.
 
+A plan is its stage-count vector. encode_batch and decode_batch work on row
+batches; a single vector is a one-row batch.
+
 walk_stages, the codec's one stage walk, picks the nearest codeword
 (rate-penalized when the model is entropy-constrained) and subtracts it from
 the residual; encoding, the table pass and training all use it. It walks a
@@ -26,24 +29,13 @@ from .errors import ConfigError, CorruptionError, DataError
 
 @dataclass(frozen=True)
 class SelectionPlan:
-    """Active stage counts per sub-vector plus the plan's bit accounting.
+    """Active stage counts per sub-vector, a read-only int64 vector.
 
-    exact_bits is the fixed-length payload cost; avg_bits is the expected
-    entropy-coded cost and is set only for plans derived from an average-bits
-    table. Either may be None when the deriving context could not compute it.
+    A plan carries no bit totals: exact_bit_total gives its fixed-length cost
+    under a layout, and rate.plan_step_bits its cost under a table.
     """
 
     stages: np.ndarray
-    exact_bits: int | None = None
-    avg_bits: float | None = None
-
-
-@dataclass(frozen=True)
-class EncodedFeature:
-    """Codeword indices for one vector: indices[i] has plan.stages[i] entries."""
-
-    indices: tuple[np.ndarray, ...]
-    plan: SelectionPlan
 
 
 def cumulative_bits(bits: np.ndarray) -> np.ndarray:
@@ -60,6 +52,7 @@ def exact_bit_total(layout, stages) -> int:
 
 
 def _checked_stages(layout, stages) -> np.ndarray:
+    """A stage-count vector as int64, checked against the layout's shape and depth."""
     stages = np.asarray(stages, dtype=np.int64)
     if stages.shape != (layout.n_sub,):
         raise ConfigError(f"plan has {stages.shape} stage counts, layout expects {layout.n_sub}")
@@ -68,30 +61,15 @@ def _checked_stages(layout, stages) -> np.ndarray:
     return stages
 
 
-def plan_from_stages(layout, stages, avg_bits: float | None = None) -> SelectionPlan:
+def plan_from_stages(layout, stages) -> SelectionPlan:
     """Freeze a copy of a stage-count vector into a plan; the caller's array stays writeable."""
     stages = _checked_stages(layout, stages).copy()
     stages.flags.writeable = False
-    return SelectionPlan(stages=stages, exact_bits=exact_bit_total(layout, stages),
-                         avg_bits=avg_bits)
+    return SelectionPlan(stages=stages)
 
 
 def full_plan(layout) -> SelectionPlan:
     return plan_from_stages(layout, np.full(layout.n_sub, layout.t_max, dtype=np.int64))
-
-
-def zero_plan(layout) -> SelectionPlan:
-    return plan_from_stages(layout, np.zeros(layout.n_sub, dtype=np.int64))
-
-
-def validate_plan(model: MsvqModel, plan: SelectionPlan) -> np.ndarray:
-    """Check a plan against the model; returns its stage counts as int64."""
-    stages = _checked_stages(model.layout, plan.stages)
-    bits = exact_bit_total(model.layout, stages)
-    if plan.exact_bits is not None and plan.exact_bits != bits:
-        raise CorruptionError(f"plan claims {plan.exact_bits} bits but layout accounting "
-                              f"gives {bits}")
-    return stages
 
 
 def split_subvectors(layout, Z: np.ndarray) -> np.ndarray:
@@ -211,7 +189,7 @@ def encode_batch(
     every member's planned depth.
     """
     Z = _check_features(model, Z)
-    stages = validate_plan(model, plan)
+    stages = _checked_stages(model.layout, plan.stages)
     lay = model.layout
     sub = split_subvectors(lay, Z)
     lambdas = model.lambdas if model.ec_enabled else None
@@ -245,7 +223,7 @@ def decode_batch(
 
     Each group block adds one gather of its members' codewords per stage.
     """
-    stages = validate_plan(model, plan)
+    stages = _checked_stages(model.layout, plan.stages)
     lay = model.layout
     if len(indices) != lay.n_sub:
         raise CorruptionError(f"got index streams for {len(indices)} sub-vectors, "
@@ -277,22 +255,6 @@ def decode_batch(
             acc[sel] += books[t].vectors.astype(np.float64)[cols]
         zhat[:, blk] = acc.transpose(1, 0, 2)
     return merge_subvectors(lay, zhat)
-
-
-def encode(model: MsvqModel, z: np.ndarray, plan: SelectionPlan):
-    """Encode a single M-vector; returns (EncodedFeature, z_hat)."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise DataError(f"expected a 1-D feature vector, got shape {z.shape}")
-    indices, zhat = encode_batch(model, z[None, :], plan)
-    enc = EncodedFeature(indices=tuple(idx[0] for idx in indices), plan=plan)
-    return enc, zhat[0]
-
-
-def decode(model: MsvqModel, enc: EncodedFeature) -> np.ndarray:
-    """Reconstruct a single M-vector from its encoded indices."""
-    indices = [np.asarray(idx, dtype=np.int64)[None, :] for idx in enc.indices]
-    return decode_batch(model, indices, enc.plan, rows=1)[0]
 
 
 def reconstruction_mse(Z: np.ndarray, Z_hat: np.ndarray) -> float:

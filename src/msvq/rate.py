@@ -129,7 +129,10 @@ def greedy_order(table: MarginalLossTable, b_cap: float) -> tuple[np.ndarray, fl
 
     order lists the sub-vector index granted a stage at each pick, in pick
     order, which is also descending priority; used_bits adds the granted step
-    bits in that order.
+    bits in that order. used_bits is the sum greedy compared against b_cap,
+    so it is the witness that the plan fits: used_bits <= b_cap always holds.
+    plan_step_bits adds the same steps in row order and may differ from it by
+    rounding.
 
     Each sub-vector's next step waits in a heap keyed by (-ratio, index), so
     the top is the best loss drop per bit and ties go to the lowest index.
@@ -165,11 +168,9 @@ def greedy_order(table: MarginalLossTable, b_cap: float) -> tuple[np.ndarray, fl
 
 def select_stages(table: MarginalLossTable, b_cap: float) -> SelectionPlan:
     """Derive the stage-count plan for a bit budget."""
-    stages, used, _ = greedy_order(table, b_cap)
+    stages = greedy_order(table, b_cap)[0]
     stages.flags.writeable = False
-    if table.mode == MODE_EXACT:
-        return SelectionPlan(stages=stages, exact_bits=int(round(used)), avg_bits=None)
-    return SelectionPlan(stages=stages, exact_bits=None, avg_bits=used)
+    return SelectionPlan(stages=stages)
 
 
 def plan_predicted_loss(table: MarginalLossTable, stages: np.ndarray) -> float:
@@ -181,7 +182,10 @@ def plan_step_bits(table: MarginalLossTable, stages: np.ndarray) -> float:
     """Cumulative step-bit cost of a stage-count vector under the table.
 
     Rows and then their totals are added left to right (cumsum), the order a
-    scalar loop would use.
+    scalar loop would use. This row-order sum is the reported total (the
+    encode printout and the sweep's avg_bits column). It is not the
+    feasibility test: greedy_order's pick-order sum is, and for a plan that
+    fits b_cap this sum can exceed b_cap by rounding.
     """
     stages = np.asarray(stages, dtype=np.int64)
     per_row = cumulative_bits(table.step_bits)[np.arange(stages.size), stages]
@@ -222,7 +226,7 @@ def table_from_dict(doc: dict) -> MarginalLossTable:
         n, t_max, mode = int(doc["n"]), int(doc["t_max"]), str(doc["mode"])
         loss = np.asarray(doc["loss"], dtype=np.float64)
         step_bits = np.asarray(doc["step_bits"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptionError(f"malformed table document: {exc}") from exc
     if mode not in (MODE_EXACT, MODE_AVERAGE):
         raise CorruptionError(f"table mode {mode!r} is not exact/average")

@@ -227,7 +227,7 @@ def test_criterion_6_bit_exact_interop(tmp_path):
     assert z_hat_rx.shape == (10000, M)
     assert np.array_equal(z_hat_rx, z_hat_tx)
 
-    exact_bits = pinfo.plan.exact_bits
+    exact_bits = quantizer.exact_bit_total(model.layout, pinfo.plan.stages)
     assert np.all(pinfo.bits_per_vector == exact_bits)
     expected_size = bitstream.PAYLOAD_HEADER_SIZE + 10000 * ((exact_bits + 7) // 8)
     assert payload_path.stat().st_size == expected_size
@@ -247,14 +247,13 @@ def test_criterion_7_entropy_round_trip_property_suite():
         pmf /= pmf.sum()
         code = entropy.build_code(pmf)
         assert entropy.kraft_sum(code.lengths) == 1.0
-        codes = [[code]]
+        table = entropy.decode_table(code)
         for _ in range(100):
-            stream = rng.integers(k, size=int(rng.integers(0, 17))).tolist()
-            plan = [len(stream)] if stream else [0]
-            payload = entropy.encode_indices([stream], [[code] * max(1, len(stream))])
-            decoded = entropy.decode_indices(payload, plan,
-                                             [[code] * max(1, len(stream))])
-            assert decoded == [stream]
+            stream = rng.integers(k, size=int(rng.integers(0, 17)))
+            payload = entropy.pack_prefix(stream[None, :], [code] * stream.size).tobytes()
+            decoded, _, end = entropy.unpack_prefix(payload, 1, [table] * stream.size)
+            assert decoded[0].tolist() == stream.tolist()
+            assert end == len(payload)
             cases += 1
     print(f"{cases} randomized round-trip cases, 0 failures")
     assert cases >= 100_000

@@ -129,8 +129,7 @@ class TestPayloadFiles:
         assert len(open(path, "rb").read()) == bitstream.PAYLOAD_HEADER_SIZE
         z_hat, back = bitstream.read_payload(path, model, 7, table)
         assert back.count == 10
-        assert np.array_equal(z_hat, quantizer.encode_batch(
-            model, corr_data[:10], quantizer.zero_plan(model.layout))[1])
+        assert np.array_equal(z_hat, quantizer.encode_batch(model, corr_data[:10], info.plan)[1])
 
     def test_end_to_end_bit_exact(self, tmp_path, model, table, corr_data):
         path = str(tmp_path / "p.msvp")
@@ -145,8 +144,9 @@ class TestPayloadFiles:
         path = str(tmp_path / "p.msvp")
         data = corr_data[:50]
         info = bitstream.write_payload(path, model, 7, table, data, b_cap=37)
-        assert np.all(info.bits_per_vector == info.plan.exact_bits)
-        per_vector = (info.plan.exact_bits + 7) // 8
+        exact_bits = quantizer.exact_bit_total(model.layout, info.plan.stages)
+        assert np.all(info.bits_per_vector == exact_bits)
+        per_vector = (exact_bits + 7) // 8
         expected = bitstream.PAYLOAD_HEADER_SIZE + 50 * per_vector
         assert len(open(path, "rb").read()) == expected
 
@@ -204,9 +204,10 @@ class TestPayloadFiles:
         # over the table's own training set, realized mean bits sit within 2%
         path = str(tmp_path / "p.msvp")
         info = bitstream.write_payload(path, ec_model, 3, ec_table, corr_data, b_cap=40)
-        assert info.plan.avg_bits is not None and info.plan.avg_bits > 0
+        avg_bits = rate.plan_step_bits(ec_table, info.plan.stages)
+        assert avg_bits > 0
         mean_bits = float(info.bits_per_vector.mean())
-        assert abs(mean_bits - info.plan.avg_bits) <= 0.02 * info.plan.avg_bits
+        assert abs(mean_bits - avg_bits) <= 0.02 * avg_bits
 
     def test_strict_mode_caps_every_vector(self, tmp_path, ec_model, ec_table, corr_data):
         data = corr_data[:200]

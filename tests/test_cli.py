@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from msvq import bitstream, cli
+from msvq import bitstream, cli, rate
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(*args):
@@ -190,6 +193,39 @@ class TestVerifyAndInfo:
         assert run("verify", "--model", model, "--table", table,
                    "--data", workdir["data"], "--max-n", 4) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_verify_feasibility_uses_greedys_own_sum(self, tmp_path, capsys):
+        # average-mode step bits for which the row-order total of the full plan
+        # exceeds the step-bit sum by one ulp, while greedy's pick-order sum fits
+        doc = json.loads((GOLDEN / "table_ec.json").read_text())
+        doc["step_bits"] = np.random.default_rng(1).uniform(0.5, 8.0, (6, 3)).tolist()
+        table = tmp_path / "crafted.json"
+        table.write_text(json.dumps(doc))
+        crafted = bitstream.read_table(str(table))
+        total = float(crafted.step_bits.sum())
+        stages, used, _ = rate.greedy_order(crafted, total)
+        assert used <= total < rate.plan_step_bits(crafted, stages)
+        model = tmp_path / "m.msvq"
+        model.write_bytes((GOLDEN / "model_ec.msvq").read_bytes())
+        assert run("table", "--model", model, "--bind", table) == 0
+        assert run("verify", "--model", model, "--table", table,
+                   "--data", GOLDEN / "features.fmat") == 0
+        assert "PASS budget_feasibility" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["invalid_utf8", "deep_nesting"])
+    def test_unreadable_table_is_corruption(self, workdir, tmp_path, capsys, kind):
+        if kind == "invalid_utf8":
+            blob = bytearray((GOLDEN / "table_plain.json").read_bytes())
+            blob[len(blob) // 2] = 0xFF
+        else:
+            blob = b"[" * 200000
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(bytes(blob))
+        model = tmp_path / "m.msvq"
+        model.write_bytes(workdir["model"].read_bytes())
+        assert run("table", "--model", model, "--bind", bad) == 4
+        assert run("info", bad) == 0
+        assert "unrecognized format" in capsys.readouterr().out
 
     def test_info_reports_headers(self, workdir, capsys):
         assert run("info", workdir["model"], workdir["data"], workdir["table"]) == 0

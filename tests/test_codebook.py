@@ -22,31 +22,31 @@ def scan_oracle(vectors, r):
 class TestNearest:
     def test_two_point_geometry(self):
         cb = Codebook(vectors=np.array([[0.0, 0.0], [1.0, 1.0]], dtype=np.float32))
-        idx, dist = codebook.nearest(cb, np.array([0.9, 0.9]))
-        assert idx == 1
-        assert dist == pytest.approx(0.02, abs=1e-12)
+        idx, dist = codebook.nearest_batch(np.array([[0.9, 0.9]]), cb.vectors)
+        assert idx.tolist() == [1]
+        assert dist[0] == pytest.approx(0.02, abs=1e-12)
 
     def test_exact_match_is_zero(self):
         rng = np.random.default_rng(1)
         cb = Codebook(vectors=rng.normal(size=(8, 3)).astype(np.float32))
-        idx, dist = codebook.nearest(cb, cb.vectors[5].astype(np.float64))
-        assert idx == 5
-        assert dist == 0.0
+        idx, dist = codebook.nearest_batch(cb.vectors[5:6].astype(np.float64), cb.vectors)
+        assert idx.tolist() == [5]
+        assert dist[0] == 0.0
 
     def test_matches_independent_scan(self):
         rng = np.random.default_rng(11)
         cb = Codebook(vectors=rng.normal(size=(16, 4)).astype(np.float32))
         for _ in range(100):
-            r = rng.normal(size=4)
-            idx, dist = codebook.nearest(cb, r)
-            oidx, odist = scan_oracle(cb.vectors, r)
-            assert idx == oidx
-            assert dist == pytest.approx(odist, rel=1e-12)
+            r = rng.normal(size=(1, 4))
+            idx, dist = codebook.nearest_batch(r, cb.vectors)
+            oidx, odist = scan_oracle(cb.vectors, r[0])
+            assert idx[0] == oidx
+            assert dist[0] == pytest.approx(odist, rel=1e-12)
 
     def test_tie_breaks_to_lowest_index(self):
         cb = Codebook(vectors=np.array([[1.0], [-1.0]], dtype=np.float32))
-        idx, _ = codebook.nearest(cb, np.array([0.0]))
-        assert idx == 0
+        idx, _ = codebook.nearest_batch(np.array([[0.0]]), cb.vectors)
+        assert idx.tolist() == [0]
 
 
 class TestNearestRatePenalized:
@@ -56,19 +56,21 @@ class TestNearestRatePenalized:
                       prior=np.full(16, 1.0 / 16))
         for lam in (0.1, 1.0, 10.0):
             for _ in range(25):
-                r = rng.normal(size=4)
-                plain_idx, _ = codebook.nearest(cb, r)
-                pen_idx, _, _ = codebook.nearest_rate_penalized(cb, r, lam)
-                assert pen_idx == plain_idx
+                r = rng.normal(size=(1, 4))
+                plain_idx, _ = codebook.nearest_batch(r, cb.vectors)
+                pen_idx, _, _ = codebook.nearest_rate_penalized_batch(r, cb.vectors,
+                                                                      cb.prior, lam)
+                assert pen_idx[0] == plain_idx[0]
 
     def test_worked_example(self):
         cb = Codebook(vectors=np.array([[0.0], [1.0]], dtype=np.float32),
                       prior=np.array([0.9, 0.1]))
-        idx, dist, rate = codebook.nearest_rate_penalized(cb, np.array([0.45]), 1.0)
+        idx, dist, rate = codebook.nearest_rate_penalized_batch(np.array([[0.45]]), cb.vectors,
+                                                                cb.prior, 1.0)
         # objective: 1*0.2025 - log2(0.9) = 0.3545 beats 1*0.3025 - log2(0.1) = 3.624
-        assert idx == 0
-        assert dist == pytest.approx(0.2025, abs=1e-12)
-        assert rate == pytest.approx(-math.log2(0.9), abs=1e-12)
+        assert idx.tolist() == [0]
+        assert dist[0] == pytest.approx(0.2025, abs=1e-12)
+        assert rate[0] == pytest.approx(-math.log2(0.9), abs=1e-12)
         assert 1.0 * 0.2025 - math.log2(0.9) < 1.0 * 0.3025 - math.log2(0.1)
 
     def test_distortion_dominant_limit(self):
@@ -76,21 +78,21 @@ class TestNearestRatePenalized:
         cb = Codebook(vectors=rng.normal(size=(8, 2)).astype(np.float32),
                       prior=np.array([0.6, 0.2, 0.05, 0.05, 0.04, 0.03, 0.02, 0.01]))
         for _ in range(50):
-            r = rng.normal(size=2)
-            plain_idx, _ = codebook.nearest(cb, r)
-            pen_idx, _, _ = codebook.nearest_rate_penalized(cb, r, 1e9)
-            assert pen_idx == plain_idx
+            r = rng.normal(size=(1, 2))
+            plain_idx, _ = codebook.nearest_batch(r, cb.vectors)
+            pen_idx, _, _ = codebook.nearest_rate_penalized_batch(r, cb.vectors, cb.prior, 1e9)
+            assert pen_idx[0] == plain_idx[0]
 
     def test_corrupted_prior_raises(self):
         cb = Codebook(vectors=np.zeros((2, 1), dtype=np.float32),
                       prior=np.array([1.0, 0.0]))
         with pytest.raises(CorruptionError):
-            codebook.nearest_rate_penalized(cb, np.array([0.0]), 1.0)
+            codebook.nearest_rate_penalized_batch(np.array([[0.0]]), cb.vectors, cb.prior, 1.0)
 
     def test_missing_prior_raises(self):
         cb = Codebook(vectors=np.zeros((2, 1), dtype=np.float32))
         with pytest.raises(CorruptionError):
-            codebook.nearest_rate_penalized(cb, np.array([0.0]), 1.0)
+            codebook.nearest_rate_penalized_batch(np.array([[0.0]]), cb.vectors, cb.prior, 1.0)
 
 
 class TestSearchRounding:
@@ -130,33 +132,29 @@ class TestSearchRounding:
         assert np.all(chosen - objective.min(axis=1) <= rate_tol)
 
 
-class TestResolve:
+class TestSharing:
+    @staticmethod
+    def book(m, i, t):
+        return m.codebooks[m.layout.group_of[i]][t]
+
     def test_own_codebook_per_subvector(self):
         lay = make_layout(4, 2, [3, 3], groups=4)
         m = make_toy_model(lay, np.random.default_rng(0))
-        seen = {id(codebook.resolve(m, i, 0)) for i in range(4)}
+        seen = {id(self.book(m, i, 0)) for i in range(4)}
         assert len(seen) == 4
 
     def test_full_sharing(self):
         lay = make_layout(4, 2, [3, 3], groups=1)
         m = make_toy_model(lay, np.random.default_rng(0))
         for t in range(2):
-            assert len({id(codebook.resolve(m, i, t)) for i in range(4)}) == 1
+            assert len({id(self.book(m, i, t)) for i in range(4)}) == 1
 
     def test_contiguous_sharing_blocks(self):
         lay = make_layout(128, 4, [6, 6, 6], groups=16)
         m = make_toy_model(lay, np.random.default_rng(0))
-        first_block = {id(codebook.resolve(m, i, 0)) for i in range(8)}
+        first_block = {id(self.book(m, i, 0)) for i in range(8)}
         assert len(first_block) == 1
-        assert codebook.resolve(m, 8, 0) is not codebook.resolve(m, 7, 0)
-
-    def test_out_of_range(self):
-        lay = make_layout(4, 2, [3], groups=2)
-        m = make_toy_model(lay, np.random.default_rng(0))
-        with pytest.raises(IndexError):
-            codebook.resolve(m, 4, 0)
-        with pytest.raises(IndexError):
-            codebook.resolve(m, 0, 1)
+        assert self.book(m, 8, 0) is not self.book(m, 7, 0)
 
 
 class TestAccounting:

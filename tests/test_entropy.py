@@ -169,9 +169,10 @@ class TestPackingKernels:
         table = entropy.decode_table(code)
         assert table is entropy.decode_table(code)  # built once per code
         stream = np.random.default_rng(6).integers(lengths.size, size=200)
-        payload = entropy.encode_indices([stream.tolist()], [[code] * stream.size])
-        assert entropy.decode_indices(payload, [stream.size],
-                                      [[code] * stream.size]) == [stream.tolist()]
+        payload = entropy.pack_prefix(stream[None, :], [code] * stream.size).tobytes()
+        got, _, end = entropy.unpack_prefix(payload, 1, [table] * stream.size)
+        assert got[0].tolist() == stream.tolist()
+        assert end == len(payload)
 
     def test_prefix_truncation_reports_offset(self):
         table = entropy.decode_table(entropy.canonical_code(np.array([1, 2, 2])))
@@ -180,39 +181,39 @@ class TestPackingKernels:
 
 
 class TestIndexStreams:
-    def _codes(self, lengths_rows):
-        return [[entropy.canonical_code(np.asarray(lengths))
-                 for lengths in row] for row in lengths_rows]
+    """One vector's index streams: a one-row field matrix, sub-vector-major."""
+
+    @staticmethod
+    def _round_trip(symbols, codes):
+        payload = entropy.pack_prefix(np.array([symbols], dtype=np.int64).reshape(1, -1),
+                                      codes).tobytes()
+        got, _, end = entropy.unpack_prefix(payload, 1, [entropy.decode_table(c) for c in codes])
+        assert end == len(payload)
+        return payload, got[0].tolist()
 
     def test_empty_plan_is_empty_payload(self):
-        assert entropy.encode_indices([[], []], self._codes([[], []])) == b""
+        assert self._round_trip([], []) == (b"", [])
 
     def test_single_symbol_pads_to_one_byte(self):
-        codes = self._codes([[[3, 3, 3, 3, 2, 2]]])
-        payload = entropy.encode_indices([[0]], codes)
+        code = entropy.canonical_code(np.array([3, 3, 3, 3, 2, 2]))
+        payload, decoded = self._round_trip([0], [code])
         assert len(payload) == 1
-        assert entropy.decode_indices(payload, [1], codes) == [[0]]
+        assert decoded == [0]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_streams_round_trip(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 5))
-        codes, streams, plan = [], [], []
+        codes, symbols = [], []
         for _ in range(n):
-            t_i = int(rng.integers(0, 4))
-            row_codes, row_syms = [], []
-            for _ in range(t_i):
+            for _ in range(int(rng.integers(0, 4))):
                 k = int(rng.integers(2, 33))
                 pmf = rng.dirichlet(np.ones(k))
-                row_codes.append(entropy.build_code(pmf))
-                row_syms.append(int(rng.integers(k)))
-            codes.append(row_codes)
-            streams.append(row_syms)
-            plan.append(t_i)
-        payload = entropy.encode_indices(streams, codes)
-        assert entropy.decode_indices(payload, plan, codes) == streams
+                codes.append(entropy.build_code(pmf))
+                symbols.append(int(rng.integers(k)))
+        assert self._round_trip(symbols, codes)[1] == symbols
 
     def test_invalid_prefix_raises_with_offset(self):
         incomplete = entropy.canonical_code(np.array([2, 2, 2]))  # Kraft sum 3/4
         with pytest.raises(CorruptionError, match="bit offset"):
-            entropy.decode_indices(b"\xff", [1], [[incomplete]])
+            entropy.unpack_prefix(b"\xff", 1, [entropy.decode_table(incomplete)])

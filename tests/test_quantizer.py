@@ -11,12 +11,11 @@ from msvq.codebook import (
     nearest_rate_penalized_batch,
 )
 from msvq.errors import ConfigError, CorruptionError
-from msvq.quantizer import EncodedFeature, SelectionPlan
 
 
 def encode_batch_reference(model, Z, plan):
     """The per-sub-vector encode loop that the grouped stage walk replaced."""
-    stages = quantizer.validate_plan(model, plan)
+    stages = plan.stages
     lay = model.layout
     Z = np.asarray(Z, dtype=np.float64)
     sub = quantizer.split_subvectors(lay, Z)
@@ -47,7 +46,7 @@ def encode_batch_reference(model, Z, plan):
 
 def decode_batch_reference(model, indices, plan, rows):
     """The per-sub-vector decode loop that the grouped codeword sum replaced."""
-    stages = quantizer.validate_plan(model, plan)
+    stages = plan.stages
     lay = model.layout
     zhat = np.empty((rows, lay.n_sub, lay.sub_dim), dtype=np.float64)
     for i in range(lay.n_sub):
@@ -60,6 +59,10 @@ def decode_batch_reference(model, indices, plan, rows):
             acc += books[t].vectors.astype(np.float64)[indices[i][:, t]]
         zhat[:, i, :] = acc
     return quantizer.merge_subvectors(lay, zhat)
+
+
+def zero_plan(lay):
+    return quantizer.plan_from_stages(lay, np.zeros(lay.n_sub, dtype=np.int64))
 
 
 def grouped_toy_model(ec, seed=0):
@@ -81,12 +84,13 @@ class TestPlans:
                                      group_of=np.array([0, 1]),
                                      bits=np.array([[3, 3], [2, 2]]))
         plan = quantizer.plan_from_stages(lay, [2, 1])
-        assert plan.exact_bits == 3 + 3 + 2
+        assert quantizer.exact_bit_total(lay, plan.stages) == 3 + 3 + 2
 
     def test_zero_and_full_plans(self, model):
         lay = model.layout
-        assert quantizer.zero_plan(lay).exact_bits == 0
-        assert quantizer.full_plan(lay).exact_bits == int(lay.bits.sum())
+        assert quantizer.exact_bit_total(lay, zero_plan(lay).stages) == 0
+        assert quantizer.exact_bit_total(lay, quantizer.full_plan(lay).stages) == \
+            int(lay.bits.sum())
 
     def test_bad_stage_counts_rejected(self, model):
         with pytest.raises(ConfigError):
@@ -102,31 +106,26 @@ class TestPlans:
         assert plan.stages.tolist() == [3, 2, 1, 0]
         assert not plan.stages.flags.writeable
 
-    def test_inconsistent_exact_bits_is_corruption(self, model):
-        stages = np.array([1, 1, 1, 1])
-        plan = SelectionPlan(stages=stages, exact_bits=1)
-        with pytest.raises(CorruptionError):
-            quantizer.validate_plan(model, plan)
-
 
 class TestEncodeDecode:
     def test_zero_plan_reconstructs_stored_means(self, model):
         rng = np.random.default_rng(0)
-        z = rng.normal(size=model.layout.m_dim)
-        enc, z_hat = quantizer.encode(model, z, quantizer.zero_plan(model.layout))
+        z = rng.normal(size=(1, model.layout.m_dim))
+        plan = zero_plan(model.layout)
+        indices, z_hat = quantizer.encode_batch(model, z, plan)
         expected = quantizer.merge_subvectors(
             model.layout, model.fallback_means.astype(np.float64)[None, :, :])
-        assert np.array_equal(z_hat, expected[0])
-        assert all(idx.size == 0 for idx in enc.indices)
-        assert enc.plan.exact_bits == 0
+        assert np.array_equal(z_hat, expected)
+        assert all(idx.size == 0 for idx in indices)
+        assert quantizer.exact_bit_total(model.layout, plan.stages) == 0
 
     def test_round_trip_is_bit_exact(self, corr_data, model):
         plan = quantizer.full_plan(model.layout)
         rng = np.random.default_rng(1)
         for _ in range(20):
-            z = rng.normal(size=model.layout.m_dim)
-            enc, z_hat = quantizer.encode(model, z, plan)
-            assert np.array_equal(quantizer.decode(model, enc), z_hat)
+            z = rng.normal(size=(1, model.layout.m_dim))
+            idx, z_hat = quantizer.encode_batch(model, z, plan)
+            assert np.array_equal(quantizer.decode_batch(model, idx, plan, rows=1), z_hat)
         idx, z_hat = quantizer.encode_batch(model, corr_data[:128], plan)
         decoded = quantizer.decode_batch(model, idx, plan, rows=128)
         assert np.array_equal(decoded, z_hat)
@@ -135,9 +134,8 @@ class TestEncodeDecode:
         lay = make_layout(2, 3, [4], groups=1)
         m = make_toy_model(lay, np.random.default_rng(7))
         plan = quantizer.full_plan(lay)
-        enc = EncodedFeature(indices=(np.array([5]), np.array([11])), plan=plan)
-        z_hat = quantizer.decode(m, enc)
-        sub = z_hat[lay.perm].reshape(2, 3)
+        z_hat = quantizer.decode_batch(m, [np.array([[5]]), np.array([[11]])], plan, rows=1)
+        sub = z_hat[0, lay.perm].reshape(2, 3)
         assert np.array_equal(sub[0], m.codebooks[0][0].vectors[5].astype(np.float64))
         assert np.array_equal(sub[1], m.codebooks[0][0].vectors[11].astype(np.float64))
 
@@ -162,7 +160,7 @@ class TestEncodeDecode:
         marks = np.arange(8, dtype=np.float32).reshape(4, 2)
         m = type(m)(layout=lay, codebooks=m.codebooks, fallback_means=marks,
                     ec_enabled=False, lambdas=None)
-        _, z_hat = quantizer.encode(m, np.zeros(8), quantizer.zero_plan(lay))
+        z_hat = quantizer.encode_batch(m, np.zeros((1, 8)), zero_plan(lay))[1][0]
         assert sorted(z_hat.tolist()) == list(range(8))
         for i in range(4):
             assert np.array_equal(z_hat[lay.perm[2 * i:2 * i + 2]], marks[i])
@@ -271,7 +269,7 @@ class TestGroupedWalkMatchesReference:
             assert len(list(quantizer.group_blocks(lay, rows))) == 2 * lay.n_groups
         Z = np.random.default_rng(rows).normal(size=(rows, lay.m_dim)) * 1.5
         rng = np.random.default_rng(1)
-        plans = [quantizer.full_plan(lay), quantizer.zero_plan(lay),
+        plans = [quantizer.full_plan(lay), zero_plan(lay),
                  quantizer.plan_from_stages(lay, [3, 0, 1, 2, 0, 0, 3, 1])]
         plans += [quantizer.plan_from_stages(lay, rng.integers(0, lay.t_max + 1, lay.n_sub))
                   for _ in range(3)]

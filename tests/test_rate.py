@@ -146,7 +146,7 @@ class TestSelectStages:
     def test_worked_instance(self):
         plan = rate.select_stages(WORKED, 6.0)
         assert plan.stages.tolist() == [1, 2, 0]
-        assert plan.exact_bits == 6
+        assert rate.plan_step_bits(WORKED, plan.stages) == 6
         drop = rate.plan_predicted_loss(WORKED, [0, 0, 0]) - \
             rate.plan_predicted_loss(WORKED, plan.stages)
         assert drop == pytest.approx(21.0)
@@ -156,7 +156,7 @@ class TestSelectStages:
     def test_zero_budget(self):
         plan = rate.select_stages(WORKED, 0.0)
         assert plan.stages.tolist() == [0, 0, 0]
-        assert plan.exact_bits == 0
+        assert rate.plan_step_bits(WORKED, plan.stages) == 0
 
     def test_unconstrained_budget_selects_everything(self):
         plan = rate.select_stages(WORKED, float(WORKED.step_bits.sum()))
@@ -285,6 +285,13 @@ class TestTableSerialization:
     def test_rejects_missing_fields(self):
         with pytest.raises(CorruptionError):
             rate.table_from_dict({"n": 1})
+
+    @pytest.mark.parametrize("field", ["n", "t_max"])
+    def test_rejects_infinite_size(self, field):
+        doc = rate.table_to_dict(WORKED)
+        doc[field] = math.inf  # JSON's Infinity; int() overflows on it
+        with pytest.raises(CorruptionError):
+            rate.table_from_dict(doc)
 
     def test_rejects_bad_mode(self):
         doc = rate.table_to_dict(WORKED)
