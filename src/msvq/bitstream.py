@@ -8,12 +8,14 @@ file it was encoded with, so a decoder can never silently pair the wrong
 artifacts. In plan-derived mode the payload carries only the bit budget and
 both sides re-derive the same stage plan from the shared table.
 
-MSVP vector data goes through the packing kernels of the entropy module, a
-row chunk at a time. Under a plain model every vector's block is
-ceil(exact_bits / 8) bytes, so the reader checks the exact body length before
-decoding; under an EC model every vector with at least one field takes at
-least one byte, which bounds the header's vector count. Either check runs
-before anything sized by that count is allocated.
+MSVP vector data is the (rows, F) field matrix that encode_batch returns and
+decode_batch reads, its columns in quantizer.field_order's order; it goes
+through the packing kernels of the entropy module a row chunk at a time.
+Under a plain model every vector's block is ceil(exact_bits / 8) bytes, so the
+reader checks the exact body length before decoding; under an EC model every
+vector with at least one field takes at least one byte, which bounds the
+header's vector count. Either check runs before anything sized by that count
+is allocated.
 """
 
 from __future__ import annotations
@@ -37,14 +39,14 @@ from .entropy import (
     unpack_prefix,
 )
 from .errors import ConfigError, CorruptionError, DataError, MsvqError, StateError
-from .layout import assemble_layout
+from .layout import MAX_BITS, assemble_layout
 from .quantizer import (
     SelectionPlan,
     _check_features,
-    cumulative_bits,
     decode_batch,
     encode_batch,
     exact_bit_total,
+    field_order,
     plan_from_stages,
 )
 
@@ -209,6 +211,8 @@ def model_from_bytes(blob: bytes, name: str = "model") -> tuple[MsvqModel, Model
         raise CorruptionError(f"{name}: unsupported model version {version}")
     if flags & ~(FLAG_EC | FLAG_CODES):
         raise CorruptionError(f"{name}: reserved model flag bits set ({flags:#06x})")
+    if bool(flags & FLAG_EC) != bool(flags & FLAG_CODES):  # EC fields are Huffman-coded
+        raise CorruptionError(f"{name}: EC and code-length flags differ ({flags:#06x})")
     cur = _Cursor(blob, name)
     cur.pos = _MODEL_HEADER.size
     try:
@@ -221,14 +225,15 @@ def model_from_bytes(blob: bytes, name: str = "model") -> tuple[MsvqModel, Model
             raise CorruptionError(f"{name}: header says {g} groups, group map has "
                                   f"{lay.n_groups}")
         ec = bool(flags & FLAG_EC)
-        has_codes = bool(flags & FLAG_CODES)
         lambdas = cur.array("<f8", t_max) if ec else None
+        if ec and not np.all(np.isfinite(lambdas) & (lambdas > 0)):
+            raise CorruptionError(f"{name}: lambdas must be positive and finite")
         vectors = [[cur.array("<f4", (1 << int(lay.group_bits(gi)[t])) * d).reshape(-1, d)
                     for t in range(t_max)] for gi in range(g)]
         priors = [[cur.array("<f8", vectors[gi][t].shape[0])
                    for t in range(t_max)] for gi in range(g)] if ec else None
         lengths = [[cur.array("u1", vectors[gi][t].shape[0]).astype(np.int64)
-                    for t in range(t_max)] for gi in range(g)] if has_codes else None
+                    for t in range(t_max)] for gi in range(g)] if ec else None
         cur.done()
     except (ConfigError, DataError) as exc:
         raise CorruptionError(f"{name}: {exc}") from exc
@@ -240,7 +245,7 @@ def model_from_bytes(blob: bytes, name: str = "model") -> tuple[MsvqModel, Model
             cb = Codebook(
                 vectors=vectors[gi][t],
                 prior=priors[gi][t] if ec else None,
-                code_lengths=lengths[gi][t] if has_codes else None,
+                code_lengths=lengths[gi][t] if ec else None,
             )
             try:
                 validate_codebook(cb)
@@ -327,51 +332,30 @@ def check_table(model: MsvqModel, table: rate.MarginalLossTable) -> None:
         raise StateError("average-bits table requires entropy codes on the model")
 
 
-def cumulative_code_bits(model: MsvqModel, indices: list[np.ndarray]) -> np.ndarray:
-    """(rows, N, t_max + 1): realized code bits of each sub-vector's first t stages.
+def field_code_bits(model: MsvqModel, stages: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """(rows, F) transmitted bits of each field of a stage vector's field matrix.
 
-    indices are per-sub-vector index arrays as encode_batch returns them; each
-    is walked to its own depth, and the entries past that depth are zero, so
-    only plans no deeper than the encoded one read valid totals. Without
-    entropy codes every row is the same, and the result is a read-only
-    broadcast of the layout's cumulative widths.
+    Fixed widths under a plain model (a read-only broadcast), the symbols' code
+    lengths under an EC one; a row sums to its vector's bits before padding.
     """
     lay = model.layout
-    rows = indices[0].shape[0]
-    if not model.has_codes:
-        return np.broadcast_to(cumulative_bits(lay.bits), (rows, lay.n_sub, lay.t_max + 1))
-    cum = np.zeros((rows, lay.n_sub, lay.t_max + 1), dtype=np.int32)
-    for i in range(lay.n_sub):
-        books = model.codebooks[int(lay.group_of[i])]
-        for t in range(indices[i].shape[1]):
-            cum[:, i, t + 1] = cum[:, i, t] + books[t].code_lengths[indices[i][:, t]]
-    return cum
-
-
-def plan_row_bits(cum_bits: np.ndarray, stages: np.ndarray) -> np.ndarray:
-    """Realized code bits of every row under a plan, from cumulative_code_bits."""
-    stages = np.asarray(stages, dtype=np.int64)
-    return cum_bits[:, np.arange(stages.size), stages].sum(axis=1, dtype=np.int64)
+    sub, stage, _ = field_order(stages)
+    if not model.ec_enabled:
+        return np.broadcast_to(lay.bits[sub, stage], symbols.shape)
+    lengths = np.array([[np.pad(cb.code_lengths, (0, (1 << MAX_BITS) - cb.size))
+                         for cb in books] for books in model.codebooks])
+    return lengths[lay.group_of[sub], stage][np.arange(sub.size), symbols]
 
 
 def _field_coding(model: MsvqModel, stages: np.ndarray):
-    """Bit width (plain) or canonical code (EC) of each transmitted field.
-
-    Fields run sub-vector-major, then stage order, as in the payload.
-    """
+    """Bit width (plain) or canonical code (EC) of each transmitted field."""
     lay = model.layout
-    sub = np.repeat(np.arange(lay.n_sub), stages)
-    stage = np.arange(sub.size) - np.repeat(np.cumsum(stages) - stages, stages)
+    sub, stage, _ = field_order(stages)
     if not model.ec_enabled:
         return lay.bits[sub, stage]
     codes = [[canonical_code(model.codebooks[g][t].code_lengths)
               for t in range(lay.t_max)] for g in range(model.n_groups)]
     return [codes[g][t] for g, t in zip(lay.group_of[sub].tolist(), stage.tolist())]
-
-
-def _field_symbols(indices: list[np.ndarray], stages: np.ndarray, rows: slice) -> np.ndarray:
-    """(rows, F) matrix of the transmitted indices, in payload field order."""
-    return np.concatenate([idx[rows, :t] for idx, t in zip(indices, stages.tolist())], axis=1)
 
 
 def write_payload(
@@ -401,18 +385,21 @@ def write_payload(
     # sub-vector's earlier stages. The strict undo below only lowers stages,
     # so encoding to the greedy plan's depths serves every plan it can send.
     stages, _, order = rate.greedy_order(table, float(b_cap))
-    indices, _ = encode_batch(model, Z, plan_from_stages(lay, stages), threads=threads)
-    cum_bits = cumulative_code_bits(model, indices)
-    bits_rows = plan_row_bits(cum_bits, stages)
+    symbols, _ = encode_batch(model, Z, plan_from_stages(lay, stages), threads=threads)
+    bits = field_code_bits(model, stages, symbols)
+    bits_rows = bits.sum(axis=1)
 
     mode = MODE_DERIVED
     if strict and bits_rows.max(initial=0) > b_cap:
+        greedy = stages.copy()
+        column = np.zeros((lay.n_sub, lay.t_max), dtype=np.int64)
+        column[field_order(greedy)[:2]] = np.arange(int(greedy.sum()))
         for i_undo in reversed(order):
             if bits_rows.max(initial=0) <= b_cap:
                 break
-            t_removed = int(stages[i_undo]) - 1
-            bits_rows -= cum_bits[:, i_undo, t_removed + 1] - cum_bits[:, i_undo, t_removed]
-            stages[i_undo] = t_removed
+            stages[i_undo] -= 1
+            bits_rows -= bits[:, column[i_undo, stages[i_undo]]]
+        symbols = symbols[:, field_order(stages, greedy)[2]]
         mode = MODE_EXPLICIT
     plan = plan_from_stages(lay, stages)
     coding = _field_coding(model, plan.stages)
@@ -426,11 +413,11 @@ def write_payload(
             field = np.full(lay.n_sub, _plan_field_bits(lay.t_max))
             fh.write(pack_fixed(plan.stages[None, :], field).tobytes())
         for a in range(0, Z.shape[0], ROW_CHUNK):
-            symbols = _field_symbols(indices, plan.stages, slice(a, a + ROW_CHUNK))
+            chunk = symbols[a:a + ROW_CHUNK]
             if model.ec_enabled:
-                fh.write(pack_prefix(symbols, coding).tobytes())
+                fh.write(pack_prefix(chunk, coding).tobytes())
             else:
-                fh.write(pack_fixed(symbols, coding).tobytes())
+                fh.write(pack_fixed(chunk, coding).tobytes())
 
     return PayloadInfo(version=PAYLOAD_VERSION, mode=mode, b_cap=b_cap,
                        count=Z.shape[0], model_digest=model_digest, plan=plan,
@@ -500,9 +487,7 @@ def read_payload(
             symbols[a:a + ROW_CHUNK] = unpack_fixed(blocks[a:a + ROW_CHUNK], coding)
         bits_rows = np.full(count, exact_bits, dtype=np.int64)
 
-    ends = np.cumsum(plan.stages).tolist()
-    indices = [symbols[:, end - t:end] for end, t in zip(ends, plan.stages.tolist())]
-    z_hat = decode_batch(model, indices, plan, rows=count)
+    z_hat = decode_batch(model, symbols, plan)
     info = PayloadInfo(version=head.version, mode=head.mode, b_cap=head.b_cap, count=count,
                        model_digest=head.model_digest, plan=plan, bits_per_vector=bits_rows)
     return z_hat, info

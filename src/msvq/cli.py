@@ -22,6 +22,7 @@ from .quantizer import (
     decode_batch,
     encode_batch,
     exact_bit_total,
+    field_order,
     full_plan,
     reconstruction_mse,
 )
@@ -33,14 +34,20 @@ def _resolve_threads(value: int | None) -> int:
         return max(1, value)
     env = os.environ.get("MSVQ_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError as exc:
+            raise ConfigError(f"MSVQ_THREADS must be an integer, got {env!r}") from exc
     return os.cpu_count() or 1
 
 
 def _parse_lambdas(text: str | None, t_max: int) -> list[float] | None:
     if text is None:
         return None
-    values = [float(v) for v in text.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--lambda must be comma-separated numbers, got {text!r}") from exc
     if len(values) == 1:
         values = values * t_max
     return values
@@ -207,17 +214,17 @@ def _cmd_sweep(args) -> int:
     lay = model.layout
 
     Z = np.asarray(data, dtype=np.float64)
-    indices, _ = encode_batch(model, Z, full_plan(lay), threads=threads)
-    cum_bits = bitstream.cumulative_code_bits(model, indices)
+    full = full_plan(lay)
+    symbols, _ = encode_batch(model, Z, full, threads=threads)
 
     rows = []
     for b_cap in budgets:
         start = time.perf_counter()
         plan = rate.select_stages(table, float(b_cap))
-        sliced = [indices[i][:, :int(plan.stages[i])] for i in range(lay.n_sub)]
-        z_hat = decode_batch(model, sliced, plan, rows=Z.shape[0])
+        planned = symbols[:, field_order(plan.stages, full.stages)[2]]
+        z_hat = decode_batch(model, planned, plan)
         mse = reconstruction_mse(Z, z_hat)
-        bits = bitstream.plan_row_bits(cum_bits, plan.stages)
+        bits = bitstream.field_code_bits(model, plan.stages, planned).sum(axis=1)
         elapsed = time.perf_counter() - start
         rows.append({
             "b_cap": b_cap,
@@ -260,9 +267,8 @@ def _cmd_verify(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
 
     sample = Z[:min(256, Z.shape[0])]
-    indices, z_hat = encode_batch(model, sample, full_plan(lay))
-    round_trip = np.array_equal(
-        decode_batch(model, indices, full_plan(lay), rows=sample.shape[0]), z_hat)
+    symbols, z_hat = encode_batch(model, sample, full_plan(lay))
+    round_trip = np.array_equal(decode_batch(model, symbols, full_plan(lay)), z_hat)
     emit(round_trip, "round_trip", f"{sample.shape[0]} vectors, bit-exact decode")
 
     pairs = sorted({(i, t) for i in {0, lay.n_sub // 2, lay.n_sub - 1}

@@ -2,13 +2,13 @@
 
 Codes are canonical: transmitter and receiver rebuild identical codebooks from
 the length arrays alone, which is what the model file stores. All bit packing
-is MSB-first; index streams are emitted sub-vector-major, then stage order,
-then zero-padded to a byte boundary.
+is MSB-first, and each vector's fields are zero-padded to a byte boundary.
 
-The kernels pack and unpack a (rows, F) matrix of symbols, one row per vector
-and one column per transmitted (sub-vector, stage) field; every row becomes its
-own byte-aligned block. They are the only packing code: MSVP payloads go
-through them a row chunk at a time.
+The kernels pack and unpack the codec's field matrix: (rows, F) symbols, one
+row per vector and one column per transmitted (sub-vector, stage) field, in
+the order quantizer.field_order gives; every row becomes its own byte-aligned
+block. They are the only packing code: MSVP payloads go through them a row
+chunk at a time.
 
 * Fixed-length fields (pack_fixed/unpack_fixed) give every row the same block
   length, so both directions are whole-matrix numpy operations.
@@ -223,22 +223,16 @@ def measure_group_pmfs(model: MsvqModel, data: np.ndarray) -> list[list[np.ndarr
     Index occurrences are pooled across all sub-vectors of a group because
     those sub-vectors share the codebook.
     """
-    from .quantizer import encode_batch, full_plan  # deferred: avoids import cycle
+    from .quantizer import encode_batch, field_order, full_plan  # deferred: import cycle
 
     lay = model.layout
-    indices, _ = encode_batch(model, data, full_plan(lay))
-    pmfs: list[list[np.ndarray]] = []
-    for g in range(model.n_groups):
-        members = lay.group_members(g)
-        row: list[np.ndarray] = []
-        for t in range(model.t_max):
-            k = model.codebooks[g][t].size
-            counts = np.zeros(k, dtype=np.int64)
-            for i in members:
-                counts += np.bincount(indices[i][:, t], minlength=k)
-            row.append(smoothed_pmf(counts))
-        pmfs.append(row)
-    return pmfs
+    plan = full_plan(lay)
+    symbols, _ = encode_batch(model, data, plan)
+    sub, stage, _ = field_order(plan.stages)
+    group = lay.group_of[sub]
+    return [[smoothed_pmf(np.bincount(symbols[:, (group == g) & (stage == t)].ravel(),
+                                      minlength=model.codebooks[g][t].size))
+             for t in range(model.t_max)] for g in range(model.n_groups)]
 
 
 def decode_table(code: HuffmanCode) -> DecodeTable:

@@ -1,7 +1,10 @@
 """Encode/decode core: residual quantization under a per-sub-vector stage plan.
 
 A plan is its stage-count vector. encode_batch and decode_batch work on row
-batches; a single vector is a one-row batch.
+batches; a single vector is a one-row batch. Indices travel as the payload's
+(rows, F) field matrix, one column per active (sub-vector, stage) module;
+field_order alone knows the column order and which columns of a deeper
+encoding a shallower plan sends.
 
 walk_stages, the codec's one stage walk, picks the nearest codeword
 (rate-penalized when the model is entropy-constrained) and subtracts it from
@@ -72,6 +75,20 @@ def full_plan(layout) -> SelectionPlan:
     return plan_from_stages(layout, np.full(layout.n_sub, layout.t_max, dtype=np.int64))
 
 
+def field_order(stages, within=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sub-vector, stage, column) of each field of a stage vector's field matrix.
+
+    Fields run sub-vector-major, then stage order. column is the field's place
+    in the field matrix of `within`, a stage vector at least as deep everywhere
+    (default: stages), so symbols[:, column] of a deeper encoding is this plan's.
+    """
+    stages = np.asarray(stages, dtype=np.int64)
+    within = stages if within is None else np.asarray(within, dtype=np.int64)
+    sub = np.repeat(np.arange(stages.size), stages)
+    stage = np.arange(sub.size) - np.repeat(np.cumsum(stages) - stages, stages)
+    return sub, stage, (np.cumsum(within) - within)[sub] + stage
+
+
 def split_subvectors(layout, Z: np.ndarray) -> np.ndarray:
     """(rows, M) -> (rows, N, D) in variance order."""
     return Z[:, layout.perm].reshape(Z.shape[0], layout.n_sub, layout.sub_dim)
@@ -109,12 +126,18 @@ def group_blocks(layout, rows: int):
 
 
 def _active(depth: list[int], t: int):
-    """Positions of the block members deeper than stage t, and an index selecting them.
+    """An index selecting the block members deeper than stage t.
 
     The index is a slice, so it selects a view, when every member is deeper.
     """
     live = [j for j, d in enumerate(depth) if d > t]
-    return live, (live if len(live) < len(depth) else slice(None))
+    return live if len(live) < len(depth) else slice(None)
+
+
+def _block_fields(sub: np.ndarray, stage: np.ndarray, blk: slice):
+    """The field-matrix columns of a block's members, and each one's (member, stage)."""
+    cols = slice(*np.searchsorted(sub, [blk.start, blk.stop]).tolist())
+    return cols, (sub[cols] - blk.start, slice(None), stage[cols])
 
 
 def _start_sums(model: MsvqModel, blk: slice, depth: list[int], rows: int) -> np.ndarray:
@@ -144,7 +167,7 @@ def walk_stages(books, lambdas, r: np.ndarray, start: int, stop,
     stop = np.broadcast_to(np.asarray(stop, dtype=np.int64), (n,)).tolist()
     idx = np.zeros((n, rows, max(max(stop) - start, 0)), dtype=np.int64)
     for t in range(start, start + idx.shape[2]):
-        _, sel = _active(stop, t)
+        sel = _active(stop, t)
         x = r[sel]
         cb = books[t]
         if lambdas is None:
@@ -180,8 +203,8 @@ def encode_batch(
     Z: np.ndarray,
     plan: SelectionPlan,
     threads: int = 1,
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Encode a feature matrix; returns per-sub-vector index arrays and Z_hat.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encode a feature matrix; returns its uint8 (rows, F) field matrix and Z_hat.
 
     The rows are processed in fixed chunks, on a worker pool when threads > 1;
     each chunk writes only its own rows, so the result does not depend on the
@@ -193,8 +216,9 @@ def encode_batch(
     lay = model.layout
     sub = split_subvectors(lay, Z)
     lambdas = model.lambdas if model.ec_enabled else None
-
-    indices = [np.empty((Z.shape[0], int(t)), dtype=np.int64) for t in stages]
+    sub_of, stage_of, _ = field_order(stages)
+    # layout.MAX_BITS = 8 caps every codebook at 256 codewords
+    symbols = np.empty((Z.shape[0], sub_of.size), dtype=np.uint8)
 
     # sub is a private copy: each chunk of a block is overwritten with its
     # reconstruction once its residuals have been copied out.
@@ -205,54 +229,44 @@ def encode_batch(
             depth = stages[blk].tolist()
             acc = _start_sums(model, blk, depth, chunk.shape[0])
             idx = walk_stages(model.codebooks[g], lambdas, r, 0, depth, acc)
-            for j, t in enumerate(depth):
-                indices[blk.start + j][rows] = idx[j, :, :t]
+            cols, at = _block_fields(sub_of, stage_of, blk)
+            symbols[rows, cols] = idx[at].T
             chunk[:, blk] = acc.transpose(1, 0, 2)
 
     map_row_chunks(walk, Z.shape[0], threads)
-    return indices, merge_subvectors(lay, sub)
+    return symbols, merge_subvectors(lay, sub)
 
 
-def decode_batch(
-    model: MsvqModel,
-    indices: list[np.ndarray],
-    plan: SelectionPlan,
-    rows: int | None = None,
-) -> np.ndarray:
-    """Rebuild Z_hat from index arrays; bit-exact vs. the encoder's output.
+def decode_batch(model: MsvqModel, symbols: np.ndarray, plan: SelectionPlan) -> np.ndarray:
+    """Rebuild Z_hat from a (rows, F) field matrix; bit-exact vs. the encoder's output.
 
     Each group block adds one gather of its members' codewords per stage.
     """
     stages = _checked_stages(model.layout, plan.stages)
     lay = model.layout
-    if len(indices) != lay.n_sub:
-        raise CorruptionError(f"got index streams for {len(indices)} sub-vectors, "
-                              f"model has {lay.n_sub}")
-    if rows is None:
-        rows = max((idx.shape[0] for idx in indices if idx.ndim == 2), default=0)
-    for i, (idx_i, t_i) in enumerate(zip(indices, stages.tolist())):
-        if np.shape(idx_i) != (rows, t_i):
-            raise CorruptionError(f"sub-vector {i}: index array shape {np.shape(idx_i)} "
-                                  f"does not match ({rows}, {t_i})")
+    sub, stage, _ = field_order(stages)
+    symbols = np.asarray(symbols)
+    if symbols.ndim != 2 or symbols.shape[1] != sub.size or symbols.dtype.kind not in "iu":
+        raise CorruptionError(f"symbol matrix must be integer (rows, {sub.size}), got "
+                              f"{symbols.dtype} {symbols.shape}")
+    sizes = np.array([[cb.size for cb in b] for b in model.codebooks])[lay.group_of[sub], stage]
+    bad = ((symbols < 0) | (symbols >= sizes)).any(axis=0)
+    if bad.any():
+        f = int(bad.argmax())
+        raise CorruptionError(f"sub-vector {sub[f]} stage {stage[f]}: codeword index "
+                              f"out of range [0, {sizes[f]})")
+    rows = symbols.shape[0]
     zhat = np.empty((rows, lay.n_sub, lay.sub_dim), dtype=np.float64)
     for g, blk in group_blocks(lay, rows):
         books = model.codebooks[g]
         depth = stages[blk].tolist()
         acc = _start_sums(model, blk, depth, rows)
-        # converted a block at a time, so only one block's int64 copies are alive
-        idx = [np.asarray(indices[i], dtype=np.int64) for i in range(blk.start, blk.stop)]
+        idx = np.zeros((len(depth), rows, max(depth)), dtype=symbols.dtype)
+        cols, at = _block_fields(sub, stage, blk)
+        idx[at] = symbols[:, cols].T
         for t in range(max(depth)):
-            live, sel = _active(depth, t)
-            # a lone member's column is gathered through a view: copying it costs
-            # more than the gather saves
-            cols = (idx[live[0]][None, :, t] if len(live) == 1
-                    else np.array([idx[j][:, t] for j in live]))
-            if rows and (cols.min() < 0 or cols.max() >= books[t].size):
-                bad = ((cols < 0) | (cols >= books[t].size)).any(axis=1)
-                raise CorruptionError(f"sub-vector {blk.start + live[int(bad.argmax())]} "
-                                      f"stage {t}: codeword index out of range "
-                                      f"[0, {books[t].size})")
-            acc[sel] += books[t].vectors.astype(np.float64)[cols]
+            sel = _active(depth, t)
+            acc[sel] += books[t].vectors.astype(np.float64)[idx[sel, :, t]]
         zhat[:, blk] = acc.transpose(1, 0, 2)
     return merge_subvectors(lay, zhat)
 

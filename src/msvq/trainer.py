@@ -202,8 +202,8 @@ def _resolve_lambdas(config: TrainConfig, t_max: int, data_variance: float) -> n
     lambdas = np.asarray(config.lambdas, dtype=np.float64)
     if lambdas.shape != (t_max,):
         raise ConfigError(f"need {t_max} lambda values (one per stage), got {lambdas.shape}")
-    if np.any(lambdas <= 0):
-        raise ConfigError("lambda values must be positive")
+    if not np.all(np.isfinite(lambdas) & (lambdas > 0)):
+        raise ConfigError("lambda values must be positive and finite")
     return lambdas
 
 

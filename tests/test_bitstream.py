@@ -4,7 +4,8 @@ import zlib
 import numpy as np
 import pytest
 
-from msvq import bitstream, quantizer, rate
+from msvq import bitstream, quantizer, rate, trainer
+from msvq.codebook import Codebook, MsvqModel
 from msvq.errors import CorruptionError
 
 
@@ -89,6 +90,36 @@ class TestModelFiles:
         blob[6] |= 1 << bit  # low byte of the u16 flags field
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptionError, match="reserved model flag"):
+            bitstream.read_model(str(path))
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
+    def test_rejects_nonpositive_or_nonfinite_lambda(self, tmp_path, ec_model, bad):
+        lay = ec_model.layout
+        at = (bitstream._MODEL_HEADER.size + 4 * lay.m_dim + 4 * lay.n_sub
+              + lay.n_sub * lay.t_max + 4 * lay.n_sub * lay.sub_dim)  # lambdas follow the means
+        blob = bytearray(bitstream.model_to_bytes(ec_model))
+        assert np.frombuffer(blob, "<f8", lay.t_max, at).tolist() == ec_model.lambdas.tolist()
+        blob[at + 8:at + 16] = np.float64(bad).tobytes()
+        path = tmp_path / "m.msvq"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptionError, match="lambdas must be positive and finite"):
+            bitstream.read_model(str(path))
+
+    @pytest.mark.parametrize("which", ["ec_without_codes", "codes_without_ec"])
+    def test_rejects_mismatched_ec_and_code_flags(self, tmp_path, model, ec_model,
+                                                  corr_data, which):
+        if which == "ec_without_codes":
+            books = tuple(tuple(Codebook(vectors=cb.vectors, prior=cb.prior) for cb in group)
+                          for group in ec_model.codebooks)
+            m = MsvqModel(layout=ec_model.layout, codebooks=books,
+                          fallback_means=ec_model.fallback_means, ec_enabled=True,
+                          lambdas=ec_model.lambdas)
+        else:
+            m = trainer.attach_entropy_codes(model, corr_data)
+        assert m.ec_enabled != m.has_codes
+        path = tmp_path / "m.msvq"
+        bitstream.write_model(str(path), m)
+        with pytest.raises(CorruptionError, match="EC and code-length flags differ"):
             bitstream.read_model(str(path))
 
     def test_rejects_truncated_and_trailing(self, tmp_path, model):
@@ -232,7 +263,9 @@ class TestPayloadFiles:
         data = corr_data[:200]
 
         def full_depth(model_, Z, plan, threads=1):
-            return quantizer.encode_batch(model_, Z, quantizer.full_plan(model_.layout), threads)
+            full = quantizer.full_plan(model_.layout)
+            symbols, z_hat = quantizer.encode_batch(model_, Z, full, threads)
+            return symbols[:, quantizer.field_order(plan.stages, full.stages)[2]], z_hat
 
         reference = tmp_path / "full.msvp"
         with monkeypatch.context() as mp:

@@ -256,6 +256,24 @@ class TestVerifyAndInfo:
         assert "FAIL table_consistency" in capsys.readouterr().out
 
 
+class TestParseErrors:
+    @pytest.mark.parametrize("value", ["abc", "1,x", "nan"])
+    def test_bad_lambda_is_config_error(self, workdir, tmp_path, capsys, value):
+        assert run("train", "--data", workdir["data"], "--sub-dim", 4, "--t-max", 2,
+                   "--groups", 4, "--alloc", "type3", "--ec", "--lambda", value,
+                   "--out", tmp_path / "m.msvq") == 2
+        assert "lambda" in capsys.readouterr().err
+        assert not (tmp_path / "m.msvq").exists()
+
+    def test_bad_thread_env_is_config_error(self, workdir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MSVQ_THREADS", "x")
+        model = tmp_path / "m.msvq"
+        model.write_bytes(workdir["model"].read_bytes())
+        assert run("table", "--model", model, "--data", workdir["data"],
+                   "--out", tmp_path / "t.json") == 2
+        assert "MSVQ_THREADS" in capsys.readouterr().err
+
+
 class TestThreads:
     def test_env_var_fallback_does_not_change_results(self, workdir, tmp_path,
                                                       monkeypatch, capsys):

@@ -14,15 +14,19 @@ from msvq.errors import ConfigError, CorruptionError
 
 
 def encode_batch_reference(model, Z, plan):
-    """The per-sub-vector encode loop that the grouped stage walk replaced."""
+    """The per-sub-vector encode loop that the grouped stage walk replaced.
+
+    Fields are numbered by a running counter: sub-vector-major, then stage order.
+    """
     stages = plan.stages
     lay = model.layout
     Z = np.asarray(Z, dtype=np.float64)
     sub = quantizer.split_subvectors(lay, Z)
     lambdas = model.lambdas if model.ec_enabled else None
-    indices = [np.empty((Z.shape[0], int(t)), dtype=np.int64) for t in stages]
+    symbols = np.empty((Z.shape[0], int(stages.sum())), dtype=np.uint8)
     for a in range(0, max(Z.shape[0], 1), ROW_CHUNK):
         rows = slice(a, a + ROW_CHUNK)
+        field = 0
         for i in range(lay.n_sub):
             books = model.codebooks[int(lay.group_of[i])]
             r = sub[rows, i, :].copy()
@@ -39,16 +43,19 @@ def encode_batch_reference(model, Z, plan):
                 cw = cb.vectors.astype(np.float64)[col]
                 r -= cw
                 acc += cw
-                indices[i][rows, t] = col
+                symbols[rows, field] = col
+                field += 1
             sub[rows, i, :] = acc
-    return indices, quantizer.merge_subvectors(lay, sub)
+    return symbols, quantizer.merge_subvectors(lay, sub)
 
 
-def decode_batch_reference(model, indices, plan, rows):
+def decode_batch_reference(model, symbols, plan):
     """The per-sub-vector decode loop that the grouped codeword sum replaced."""
     stages = plan.stages
     lay = model.layout
+    rows = symbols.shape[0]
     zhat = np.empty((rows, lay.n_sub, lay.sub_dim), dtype=np.float64)
+    field = 0
     for i in range(lay.n_sub):
         if stages[i] == 0:
             zhat[:, i, :] = model.fallback_means[i]
@@ -56,7 +63,8 @@ def decode_batch_reference(model, indices, plan, rows):
         books = model.codebooks[int(lay.group_of[i])]
         acc = np.zeros((rows, lay.sub_dim), dtype=np.float64)
         for t in range(int(stages[i])):
-            acc += books[t].vectors.astype(np.float64)[indices[i][:, t]]
+            acc += books[t].vectors.astype(np.float64)[symbols[:, field]]
+            field += 1
         zhat[:, i, :] = acc
     return quantizer.merge_subvectors(lay, zhat)
 
@@ -98,6 +106,13 @@ class TestPlans:
         with pytest.raises(ConfigError):
             quantizer.plan_from_stages(model.layout, [4, 0, 0, 0])
 
+    def test_field_order_and_columns_in_a_deeper_plan(self):
+        sub, stage, column = quantizer.field_order([2, 0, 3], within=[3, 1, 3])
+        assert sub.tolist() == [0, 0, 2, 2, 2]
+        assert stage.tolist() == [0, 1, 0, 1, 2]
+        assert column.tolist() == [0, 1, 4, 5, 6]
+        assert quantizer.field_order([2, 0, 3])[2].tolist() == [0, 1, 2, 3, 4]
+
     def test_plan_leaves_callers_stage_array_writeable(self, model):
         stages = np.array([3, 2, 1, 0], dtype=np.int64)
         plan = quantizer.plan_from_stages(model.layout, stages)
@@ -112,11 +127,11 @@ class TestEncodeDecode:
         rng = np.random.default_rng(0)
         z = rng.normal(size=(1, model.layout.m_dim))
         plan = zero_plan(model.layout)
-        indices, z_hat = quantizer.encode_batch(model, z, plan)
+        symbols, z_hat = quantizer.encode_batch(model, z, plan)
         expected = quantizer.merge_subvectors(
             model.layout, model.fallback_means.astype(np.float64)[None, :, :])
         assert np.array_equal(z_hat, expected)
-        assert all(idx.size == 0 for idx in indices)
+        assert symbols.shape == (1, 0)
         assert quantizer.exact_bit_total(model.layout, plan.stages) == 0
 
     def test_round_trip_is_bit_exact(self, corr_data, model):
@@ -125,16 +140,16 @@ class TestEncodeDecode:
         for _ in range(20):
             z = rng.normal(size=(1, model.layout.m_dim))
             idx, z_hat = quantizer.encode_batch(model, z, plan)
-            assert np.array_equal(quantizer.decode_batch(model, idx, plan, rows=1), z_hat)
+            assert np.array_equal(quantizer.decode_batch(model, idx, plan), z_hat)
         idx, z_hat = quantizer.encode_batch(model, corr_data[:128], plan)
-        decoded = quantizer.decode_batch(model, idx, plan, rows=128)
+        decoded = quantizer.decode_batch(model, idx, plan)
         assert np.array_equal(decoded, z_hat)
 
     def test_single_stage_reconstructs_codeword_exactly(self):
         lay = make_layout(2, 3, [4], groups=1)
         m = make_toy_model(lay, np.random.default_rng(7))
         plan = quantizer.full_plan(lay)
-        z_hat = quantizer.decode_batch(m, [np.array([[5]]), np.array([[11]])], plan, rows=1)
+        z_hat = quantizer.decode_batch(m, np.array([[5, 11]]), plan)
         sub = z_hat[0, lay.perm].reshape(2, 3)
         assert np.array_equal(sub[0], m.codebooks[0][0].vectors[5].astype(np.float64))
         assert np.array_equal(sub[1], m.codebooks[0][0].vectors[11].astype(np.float64))
@@ -172,14 +187,14 @@ class TestEncodeDecode:
         i1, z1 = quantizer.encode_batch(model, data, plan, threads=1)
         i4, z4 = quantizer.encode_batch(model, data, plan, threads=4)
         assert np.array_equal(z1, z4)
-        assert all(np.array_equal(a, b) for a, b in zip(i1, i4))
+        assert np.array_equal(i1, i4)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_zero_rows_give_empty_index_arrays(self, model, threads):
         plan = quantizer.full_plan(model.layout)
         Z = np.empty((0, model.layout.m_dim))
-        indices, z_hat = quantizer.encode_batch(model, Z, plan, threads=threads)
-        assert [idx.shape for idx in indices] == [(0, model.t_max)] * model.layout.n_sub
+        symbols, z_hat = quantizer.encode_batch(model, Z, plan, threads=threads)
+        assert symbols.shape == (0, model.layout.n_sub * model.t_max)
         assert z_hat.shape == (0, model.layout.m_dim)
 
     @pytest.mark.parametrize("ec", [False, True])
@@ -225,26 +240,39 @@ class TestEncodeDecode:
 
     def test_decode_rejects_out_of_range_index(self, model):
         plan = quantizer.plan_from_stages(model.layout, [1, 0, 0, 0])
-        bad = [np.array([[99]]), np.empty((1, 0)), np.empty((1, 0)), np.empty((1, 0))]
         with pytest.raises(CorruptionError):
-            quantizer.decode_batch(model, bad, plan, rows=1)
+            quantizer.decode_batch(model, np.array([[99]]), plan)
 
     @pytest.mark.parametrize("stage, value", [(0, 99), (1, 32), (1, -1)])
     def test_decode_names_second_group_member_and_stage(self, model, stage, value):
         lay = model.layout
         assert lay.group_of[0] == lay.group_of[1]
         plan = quantizer.plan_from_stages(lay, [2, 2, 0, 0])
-        bad = np.zeros((3, 2), dtype=np.int64)
-        bad[1, stage] = value
-        indices = [np.zeros((3, 2), dtype=np.int64), bad, np.empty((3, 0)), np.empty((3, 0))]
+        symbols = np.zeros((3, 4), dtype=np.int64)
+        symbols[1, 2 + stage] = value  # sub-vector 1's fields follow sub-vector 0's two
         with pytest.raises(CorruptionError, match=rf"^sub-vector 1 stage {stage}: "):
-            quantizer.decode_batch(model, indices, plan, rows=3)
+            quantizer.decode_batch(model, symbols, plan)
 
     def test_decode_rejects_shape_mismatch(self, model):
         plan = quantizer.plan_from_stages(model.layout, [1, 0, 0, 0])
-        bad = [np.array([[0, 0]]), np.empty((1, 0)), np.empty((1, 0)), np.empty((1, 0))]
         with pytest.raises(CorruptionError):
-            quantizer.decode_batch(model, bad, plan, rows=1)
+            quantizer.decode_batch(model, np.array([[0, 0]]), plan)
+
+    @pytest.mark.parametrize("shape", [(2, 5), (2, 7), (2, 0), (6,), (1, 2, 6)])
+    def test_decode_rejects_field_count_not_plan_total(self, model, shape):
+        plan = quantizer.plan_from_stages(model.layout, [3, 2, 1, 0])
+        with pytest.raises(CorruptionError, match="symbol matrix must be integer"):
+            quantizer.decode_batch(model, np.zeros(shape, dtype=np.uint8), plan)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_decode_rejects_negative_entries(self, model, dtype):
+        # a negative index would otherwise gather a codeword from the end of the book
+        plan = quantizer.full_plan(model.layout)
+        symbols = np.zeros((4, int(plan.stages.sum())), dtype=dtype)
+        symbols[2, -1] = -1
+        with pytest.raises(CorruptionError,
+                           match=rf"^sub-vector 3 stage {model.t_max - 1}: .*out of range"):
+            quantizer.decode_batch(model, symbols, plan)
 
     def test_ec_encode_uses_rate_penalty(self, corr_data, ec_model):
         # with a strongly non-uniform prior the EC rule must sometimes disagree
@@ -254,7 +282,7 @@ class TestEncodeDecode:
                                fallback_means=ec_model.fallback_means,
                                ec_enabled=False, lambdas=None)
         idx_plain, _ = quantizer.encode_batch(plain, corr_data[:256], plan)
-        diffs = sum(int((a != b).sum()) for a, b in zip(idx_ec, idx_plain))
+        diffs = int((idx_ec != idx_plain).sum())
         assert diffs > 0
 
 
@@ -276,10 +304,9 @@ class TestGroupedWalkMatchesReference:
         for plan in plans:
             want_idx, want_z = encode_batch_reference(m, Z, plan)
             got_idx, got_z = quantizer.encode_batch(m, Z, plan, threads=threads)
-            assert len(got_idx) == lay.n_sub
-            assert all(np.array_equal(a, b) and a.shape == b.shape
-                       for a, b in zip(got_idx, want_idx))
+            assert got_idx.shape == (rows, int(plan.stages.sum()))
+            assert got_idx.dtype == np.uint8 and np.array_equal(got_idx, want_idx)
             assert got_z.tobytes() == want_z.tobytes()
-            decoded = quantizer.decode_batch(m, got_idx, plan, rows=rows)
-            assert decoded.tobytes() == decode_batch_reference(m, want_idx, plan, rows).tobytes()
+            decoded = quantizer.decode_batch(m, got_idx, plan)
+            assert decoded.tobytes() == decode_batch_reference(m, want_idx, plan).tobytes()
             assert decoded.tobytes() == got_z.tobytes()

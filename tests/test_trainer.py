@@ -157,6 +157,13 @@ class TestTrain:
             trainer.train(np.random.default_rng(0).normal(size=(32, 4)), lay,
                           trainer.TrainConfig(seed=0, ec=True, lambdas=[1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_ec_lambda_must_be_positive_and_finite(self, bad):
+        lay = make_layout(2, 2, [2, 2], groups=1)
+        with pytest.raises(ConfigError, match="positive and finite"):
+            trainer.train(np.random.default_rng(0).normal(size=(32, 4)), lay,
+                          trainer.TrainConfig(seed=0, ec=True, lambdas=[1.0, bad]))
+
     def test_model_is_immutable_after_training(self, model):
         import dataclasses
 
