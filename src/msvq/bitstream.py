@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rate
-from .codebook import ROW_CHUNK, Codebook, MsvqModel, validate_codebook
+from .codebook import ROW_CHUNK, Codebook, MsvqModel
 from .entropy import (
     canonical_code,
     decode_table,
@@ -38,7 +38,7 @@ from .entropy import (
     unpack_fixed,
     unpack_prefix,
 )
-from .errors import ConfigError, CorruptionError, DataError, MsvqError, StateError
+from .errors import ConfigError, CorruptionError, DataError, StateError
 from .layout import MAX_BITS, assemble_layout
 from .quantizer import (
     SelectionPlan,
@@ -168,11 +168,7 @@ class _Cursor:
 
 def model_to_bytes(model: MsvqModel, table_digest: int = 0) -> bytes:
     lay = model.layout
-    flags = 0
-    if model.ec_enabled:
-        flags |= FLAG_EC
-    if model.has_codes:
-        flags |= FLAG_CODES
+    flags = FLAG_EC | FLAG_CODES if model.ec_enabled else 0
     parts = [_MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, flags,
                                 lay.m_dim, lay.sub_dim, lay.n_sub,
                                 lay.n_groups, lay.t_max, table_digest)]
@@ -189,7 +185,6 @@ def model_to_bytes(model: MsvqModel, table_digest: int = 0) -> bytes:
         for group in model.codebooks:
             for cb in group:
                 parts.append(np.ascontiguousarray(cb.prior, dtype="<f8").tobytes())
-    if model.has_codes:
         for group in model.codebooks:
             for cb in group:
                 parts.append(np.ascontiguousarray(cb.code_lengths, dtype="u1").tobytes())
@@ -226,37 +221,19 @@ def model_from_bytes(blob: bytes, name: str = "model") -> tuple[MsvqModel, Model
                                   f"{lay.n_groups}")
         ec = bool(flags & FLAG_EC)
         lambdas = cur.array("<f8", t_max) if ec else None
-        if ec and not np.all(np.isfinite(lambdas) & (lambdas > 0)):
-            raise CorruptionError(f"{name}: lambdas must be positive and finite")
-        vectors = [[cur.array("<f4", (1 << int(lay.group_bits(gi)[t])) * d).reshape(-1, d)
-                    for t in range(t_max)] for gi in range(g)]
-        priors = [[cur.array("<f8", vectors[gi][t].shape[0])
-                   for t in range(t_max)] for gi in range(g)] if ec else None
-        lengths = [[cur.array("u1", vectors[gi][t].shape[0]).astype(np.int64)
-                    for t in range(t_max)] for gi in range(g)] if ec else None
+        sizes = [[1 << int(b) for b in lay.group_bits(gi)] for gi in range(g)]
+        absent = [[None] * t_max] * g
+        vectors = [[cur.array("<f4", k * d).reshape(k, d) for k in row] for row in sizes]
+        priors = [[cur.array("<f8", k) for k in row] for row in sizes] if ec else absent
+        lengths = ([[cur.array("u1", k).astype(np.int64) for k in row] for row in sizes]
+                   if ec else absent)
         cur.done()
+        books = tuple(tuple(map(Codebook, *rows)) for rows in zip(vectors, priors, lengths))
+        model = MsvqModel(layout=lay, codebooks=books, fallback_means=fallback,
+                          ec_enabled=ec, lambdas=lambdas)
     except (ConfigError, DataError) as exc:
         raise CorruptionError(f"{name}: {exc}") from exc
 
-    books = []
-    for gi in range(g):
-        row = []
-        for t in range(t_max):
-            cb = Codebook(
-                vectors=vectors[gi][t],
-                prior=priors[gi][t] if ec else None,
-                code_lengths=lengths[gi][t] if ec else None,
-            )
-            try:
-                validate_codebook(cb)
-            except MsvqError as exc:
-                raise CorruptionError(f"{name}: codebook group {gi} stage {t + 1}: "
-                                      f"{exc}") from exc
-            row.append(cb)
-        books.append(tuple(row))
-
-    model = MsvqModel(layout=lay, codebooks=tuple(books), fallback_means=fallback,
-                      ec_enabled=ec, lambdas=lambdas)
     info = ModelInfo(version=version, flags=flags, table_digest=table_digest,
                      file_digest=digest64(blob))
     return model, info
@@ -318,8 +295,9 @@ def parse_payload_header(blob: bytes, name: str = "payload") -> PayloadHeader:
                          count=count)
 
 
-def _plan_field_bits(t_max: int) -> int:
-    return max(1, int(np.ceil(np.log2(t_max + 1))))
+def _plan_field_bits(lay) -> np.ndarray:
+    """Field widths of an explicit plan: one stage count per sub-vector."""
+    return np.full(lay.n_sub, max(1, int(np.ceil(np.log2(lay.t_max + 1)))))
 
 
 def check_table(model: MsvqModel, table: rate.MarginalLossTable) -> None:
@@ -328,7 +306,7 @@ def check_table(model: MsvqModel, table: rate.MarginalLossTable) -> None:
     if table.n_sub != lay.n_sub or table.t_max != lay.t_max:
         raise ConfigError(f"table is {table.n_sub}x{table.t_max}, model expects "
                           f"{lay.n_sub}x{lay.t_max}")
-    if table.mode == rate.MODE_AVERAGE and not model.has_codes:
+    if table.mode == rate.MODE_AVERAGE and not model.ec_enabled:
         raise StateError("average-bits table requires entropy codes on the model")
 
 
@@ -410,8 +388,7 @@ def write_payload(
         fh.write(head)
         fh.write(_PAYLOAD_CRC.pack(zlib.crc32(head)))
         if mode == MODE_EXPLICIT:
-            field = np.full(lay.n_sub, _plan_field_bits(lay.t_max))
-            fh.write(pack_fixed(plan.stages[None, :], field).tobytes())
+            fh.write(pack_fixed(plan.stages[None, :], _plan_field_bits(lay)).tobytes())
         for a in range(0, Z.shape[0], ROW_CHUNK):
             chunk = symbols[a:a + ROW_CHUNK]
             if model.ec_enabled:
@@ -449,7 +426,7 @@ def read_payload(
 
     pos = PAYLOAD_HEADER_SIZE
     if head.mode == MODE_EXPLICIT:
-        field = np.full(lay.n_sub, _plan_field_bits(lay.t_max))
+        field = _plan_field_bits(lay)
         size = (int(field.sum()) + 7) // 8
         if len(blob) < pos + size:
             raise CorruptionError(f"{path}: truncated inside the explicit plan")

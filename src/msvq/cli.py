@@ -137,7 +137,10 @@ def _cmd_train(args) -> int:
         if not args.alloc_file:
             raise StateError("--alloc file requires --alloc-file PATH")
         with open(args.alloc_file, "r", encoding="utf-8") as fh:
-            alloc = validate_bits(np.asarray(json.load(fh)))
+            try:
+                alloc = validate_bits(np.asarray(json.load(fh), dtype=np.float64))
+            except (ValueError, TypeError, RecursionError) as exc:
+                raise ConfigError(f"{args.alloc_file}: not a JSON bit matrix: {exc}") from exc
     else:
         alloc = args.alloc
     layout = build_layout(stats, args.sub_dim, args.t_max, args.groups, alloc)
@@ -339,7 +342,7 @@ def _cmd_info(args) -> int:
             lay = model.layout
             print(f"  model v{info.version}: M={lay.m_dim} D={lay.sub_dim} N={lay.n_sub} "
                   f"G={lay.n_groups} T_max={lay.t_max}")
-            print(f"  ec={model.ec_enabled} codes={model.has_codes}")
+            print(f"  ec={model.ec_enabled}")
             print(f"  table_digest={info.table_digest:#018x}")
             print(f"  file_digest={info.file_digest:#018x}")
         elif head == bitstream.PAYLOAD_MAGIC:

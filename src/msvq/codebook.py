@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CorruptionError, DataError
+from .errors import ConfigError, CorruptionError, DataError, MsvqError
 from .layout import SubVectorLayout
 
 PRIOR_FLOOR = 2.0 ** -32  # keeps -log2(p) finite for every codeword
+MAX_CODE_LENGTH = 32  # Huffman code length cap (entropy re-exports it)
 ROW_CHUNK = 4096  # search block; callers chunk rows by it too, so results ignore threads
 
 
@@ -27,8 +28,10 @@ class Codebook:
     """One stage codebook: K = 2^B codewords of dimension D.
 
     prior holds the codeword selection probabilities used by rate-penalized
-    search; code_lengths holds canonical Huffman lengths once entropy codes
-    have been built. Both are None until their pipeline step has run.
+    search; code_lengths holds the canonical Huffman lengths, which training
+    builds from its final pass's codeword counts. A codebook on its own is not
+    checked, as training refits them freely; validate_codebook states what a
+    model's codebooks must satisfy, and MsvqModel applies it.
     """
 
     vectors: np.ndarray
@@ -62,21 +65,28 @@ def validate_codebook(cb: Codebook) -> None:
         if abs(float(cb.prior.sum()) - 1.0) > 1e-9:
             raise CorruptionError(f"codeword prior sums to {cb.prior.sum()!r}, not 1")
     if cb.code_lengths is not None:
-        if cb.code_lengths.shape != (k,) or cb.code_lengths.min() < 1:
-            raise ConfigError("code lengths must be positive and one per codeword")
+        if (cb.code_lengths.shape != (k,) or cb.code_lengths.min() < 1
+                or cb.code_lengths.max() > MAX_CODE_LENGTH):
+            raise ConfigError(f"code lengths must lie in [1, {MAX_CODE_LENGTH}] "
+                              f"and be one per codeword")
         if kraft_sum(cb.code_lengths) > 1.0 + 1e-12:
             raise CorruptionError("code lengths violate the Kraft inequality")
 
 
 @dataclass(frozen=True)
 class MsvqModel:
-    """Immutable trained codec model.
+    """Immutable trained codec model, checked when it is built.
 
     codebooks[g][t] is the stage-(t+1) codebook shared by every sub-vector in
-    group g. fallback_means holds the per-sub-vector training means (layout
-    order) used to reconstruct sub-vectors that receive zero stages. lambdas
-    holds the per-stage distortion weights of the rate-penalized search and is
-    present only on entropy-constrained models.
+    group g: n_groups groups of t_max codebooks, codebook (g, t) holding
+    2^bits[g, t] codewords of dimension sub_dim that pass validate_codebook.
+    fallback_means is the finite (n_sub, sub_dim) array of per-sub-vector
+    training means (layout order) used to reconstruct sub-vectors that receive
+    zero stages. An entropy-constrained model (ec_enabled) has lambdas, the
+    finite positive per-stage distortion weights of the rate-penalized search,
+    and every codebook has a prior and Huffman code lengths (which training
+    builds from its final pass's codeword counts); a plain model has none of
+    the three. Any other combination raises on construction.
     """
 
     layout: SubVectorLayout
@@ -85,6 +95,39 @@ class MsvqModel:
     ec_enabled: bool = False
     lambdas: np.ndarray | None = None
 
+    def __post_init__(self):
+        lay = self.layout
+        if len(self.codebooks) != lay.n_groups or any(
+                len(books) != lay.t_max for books in self.codebooks):
+            raise ConfigError(f"model needs {lay.n_groups} groups of {lay.t_max} codebooks")
+        for g, books in enumerate(self.codebooks):
+            for t, cb in enumerate(books):
+                where = f"codebook group {g} stage {t + 1}"
+                shape = (1 << int(lay.group_bits(g)[t]), lay.sub_dim)
+                if cb.vectors.shape != shape:
+                    raise ConfigError(f"{where}: vectors are {cb.vectors.shape}, "
+                                      f"layout needs {shape}")
+                if ((cb.prior is not None) != self.ec_enabled
+                        or (cb.code_lengths is not None) != self.ec_enabled):
+                    raise ConfigError(f"{where}: priors and code lengths must be given "
+                                      f"exactly when the model is entropy-constrained")
+                try:
+                    validate_codebook(cb)
+                except MsvqError as exc:
+                    raise type(exc)(f"{where}: {exc}") from exc
+        means = np.asarray(self.fallback_means)
+        if means.shape != (lay.n_sub, lay.sub_dim) or not np.all(np.isfinite(means)):
+            raise ConfigError(f"fallback means must be a finite ({lay.n_sub}, "
+                              f"{lay.sub_dim}) array, got shape {means.shape}")
+        if not self.ec_enabled:
+            if self.lambdas is not None:
+                raise ConfigError("lambdas are given, but the model is not entropy-constrained")
+            return
+        lambdas = np.asarray(self.lambdas, dtype=np.float64)  # None becomes a 0-d NaN
+        if lambdas.shape != (lay.t_max,) or not np.all(np.isfinite(lambdas) & (lambdas > 0)):
+            raise ConfigError(f"lambdas must be positive and finite, one per stage "
+                              f"({lay.t_max})")
+
     @property
     def t_max(self) -> int:
         return self.layout.t_max
@@ -92,10 +135,6 @@ class MsvqModel:
     @property
     def n_groups(self) -> int:
         return len(self.codebooks)
-
-    @property
-    def has_codes(self) -> bool:
-        return self.codebooks[0][0].code_lengths is not None
 
 
 def codeword_param_count(model: MsvqModel) -> int:

@@ -31,10 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .codebook import PRIOR_FLOOR, MsvqModel, kraft_sum  # kraft_sum: re-exported
+from .codebook import MAX_CODE_LENGTH, PRIOR_FLOOR, kraft_sum  # kraft_sum: re-exported
 from .errors import CorruptionError, DataError
 
-MAX_CODE_LENGTH = 32
 LOOKUP_BITS = 12  # decode-table width; longer codewords take the per-length search
 _WORD_WINDOW = 4096  # bytes of payload held as 64-bit words while decoding
 
@@ -217,22 +216,13 @@ def smoothed_pmf(counts: np.ndarray) -> np.ndarray:
     return pmf / pmf.sum()
 
 
-def measure_group_pmfs(model: MsvqModel, data: np.ndarray) -> list[list[np.ndarray]]:
-    """Per-(group, stage) codeword PMFs from one full-depth encoding pass.
+def measure_group_pmfs(usage: dict) -> dict:
+    """Smoothed codeword PMF of each (group, stage) key from its codeword counts.
 
-    Index occurrences are pooled across all sub-vectors of a group because
-    those sub-vectors share the codebook.
+    Training counts each codebook's selections over all sub-vectors of its
+    group (TrainReport.codeword_usage), so the PMFs pool the whole group.
     """
-    from .quantizer import encode_batch, field_order, full_plan  # deferred: import cycle
-
-    lay = model.layout
-    plan = full_plan(lay)
-    symbols, _ = encode_batch(model, data, plan)
-    sub, stage, _ = field_order(plan.stages)
-    group = lay.group_of[sub]
-    return [[smoothed_pmf(np.bincount(symbols[:, (group == g) & (stage == t)].ravel(),
-                                      minlength=model.codebooks[g][t].size))
-             for t in range(model.t_max)] for g in range(model.n_groups)]
+    return {key: smoothed_pmf(counts) for key, counts in usage.items()}
 
 
 def decode_table(code: HuffmanCode) -> DecodeTable:

@@ -122,8 +122,8 @@ def validate_bits(bits: np.ndarray) -> np.ndarray:
     along each row (earlier stages get at least as many bits).
     """
     bits = np.asarray(bits)
-    if bits.ndim != 2:
-        raise ConfigError(f"bit matrix must be 2-D, got shape {bits.shape}")
+    if bits.ndim != 2 or bits.size == 0:
+        raise ConfigError(f"bit matrix must be 2-D and non-empty, got shape {bits.shape}")
     if not np.issubdtype(bits.dtype, np.integer):
         if not np.all(bits == np.floor(bits)):
             raise ConfigError("bit widths must be integers")
@@ -181,7 +181,8 @@ def assemble_layout(
 ) -> SubVectorLayout:
     """Assemble a layout from explicit fields, enforcing every invariant.
 
-    Used when loading a serialized model; build_layout is the normal path.
+    The one constructor of checked layouts: build_layout derives the fields
+    from statistics and a preset, model loading reads them from a file.
     """
     if m_dim != n_sub * sub_dim:
         raise ConfigError(f"M={m_dim} != N*D = {n_sub}*{sub_dim}")
@@ -201,7 +202,9 @@ def assemble_layout(
     for g in range(n_groups):
         rows = bits[group_of == g]
         if np.any(rows != rows[0]):
-            raise ConfigError(f"sub-vectors in group {g} have differing bit rows")
+            raise ConfigError(
+                f"sub-vectors in group {g} have differing bit rows; codebook "
+                f"sharing requires identical widths (use more groups or another preset)")
     return SubVectorLayout(m_dim=m_dim, sub_dim=sub_dim, n_sub=n_sub,
                            perm=_freeze(perm), group_of=_freeze(group_of),
                            bits=_freeze(bits))
@@ -246,19 +249,5 @@ def build_layout(
                           f"(n_sub={n_sub}, t_max={t_max})")
 
     group_of = np.repeat(np.arange(groups, dtype=np.int64), n_sub // groups)
-    for g in range(groups):
-        rows = bits[group_of == g]
-        if np.any(rows != rows[0]):
-            raise ConfigError(
-                f"sub-vectors in group {g} have differing bit rows; codebook "
-                f"sharing requires identical widths (use more groups or another preset)")
-
     perm = variance_order(stats.variance)
-    return SubVectorLayout(
-        m_dim=m_dim,
-        sub_dim=sub_dim,
-        n_sub=n_sub,
-        perm=_freeze(perm),
-        group_of=_freeze(group_of),
-        bits=_freeze(bits),
-    )
+    return assemble_layout(m_dim, sub_dim, n_sub, perm, group_of, bits)

@@ -23,7 +23,7 @@ import numpy as np
 
 # perfbench/spans.py wraps these two names on this module; they are not called here.
 from .codebook import MsvqModel, nearest_batch, nearest_rate_penalized_batch
-from .errors import ConfigError, DataError, StateError
+from .errors import ConfigError, CorruptionError, DataError, StateError
 from .quantizer import (
     SelectionPlan,
     _check_features,
@@ -99,7 +99,7 @@ def build_table(
         mode = MODE_AVERAGE if model.ec_enabled else MODE_EXACT
     if mode not in (MODE_EXACT, MODE_AVERAGE):
         raise ConfigError(f"unknown table mode {mode!r}")
-    if mode == MODE_AVERAGE and not model.has_codes:
+    if mode == MODE_AVERAGE and not model.ec_enabled:
         raise StateError("average-bits table requires entropy codes on the model")
 
     Z = _check_features(model, data)
@@ -220,8 +220,6 @@ def table_to_dict(table: MarginalLossTable) -> dict:
 
 
 def table_from_dict(doc: dict) -> MarginalLossTable:
-    from .errors import CorruptionError
-
     try:
         n, t_max, mode = int(doc["n"]), int(doc["t_max"]), str(doc["mode"])
         loss = np.asarray(doc["loss"], dtype=np.float64)

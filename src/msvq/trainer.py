@@ -8,6 +8,13 @@ residuals and the differences feed stage t+1. In entropy-constrained mode the
 assignment rule penalizes improbable codewords (lambda * distortion -
 log2 prior) and the prior tracks smoothed empirical selection frequencies.
 
+That final quantizing pass counts each codebook's selections
+(TrainReport.codeword_usage); they equal the counts of a full-depth encoding
+of the training data. In EC mode each codebook's Huffman code lengths are
+built from the smoothed PMF of those counts (the cell counts of the training
+partition, as in ECVQ), and the model is constructed once, complete; see
+MsvqModel for the invariants it checks.
+
 Each Lloyd round (lloyd_step) assesses the current parameters and proposes
 their update. A round that worsens the objective is rejected and the last
 accepted parameters are returned; on convergence the parameters just assessed
@@ -18,7 +25,7 @@ is not in the trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +47,7 @@ _ACCEPT_SLACK = 1e-12  # relative; rejects rounds that worsen the objective
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training knobs; lambdas (one per stage) are required only in EC mode."""
+    """Training knobs; lambdas (one per stage) are taken only in EC mode."""
 
     max_iters: int = 50
     rel_tol: float = 1e-5
@@ -53,6 +60,8 @@ class TrainConfig:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.rel_tol <= 0:
             raise ConfigError(f"rel_tol must be positive, got {self.rel_tol}")
+        if self.lambdas is not None and not self.ec:
+            raise ConfigError("lambdas apply only to entropy-constrained training (ec)")
 
 
 @dataclass(frozen=True)
@@ -278,6 +287,10 @@ def train(
         report.per_stage_distortion.append(
             float(np.einsum("rnd,rnd->", residuals, residuals) / data.shape[0]))
 
+    if config.ec:
+        pmfs = entropy.measure_group_pmfs(report.codeword_usage)
+        stage_books = [[replace(cb, code_lengths=entropy.build_code(pmfs[g, t]).lengths)
+                        for t, cb in enumerate(books)] for g, books in enumerate(stage_books)]
     model = MsvqModel(
         layout=layout,
         codebooks=tuple(tuple(books) for books in stage_books),
@@ -285,29 +298,4 @@ def train(
         ec_enabled=config.ec,
         lambdas=_freeze(lambdas) if lambdas is not None else None,
     )
-    if config.ec:
-        model = attach_entropy_codes(model, data)
     return model, report
-
-
-def attach_entropy_codes(model: MsvqModel, data: np.ndarray) -> MsvqModel:
-    """Build canonical Huffman codes from measured codeword PMFs.
-
-    The PMFs are measured by a full-depth encoding pass over the data; the
-    model's priors (which drive the rate-penalized search) are unchanged.
-    """
-    pmfs = entropy.measure_group_pmfs(model, data)
-    books = tuple(
-        tuple(
-            Codebook(
-                vectors=cb.vectors,
-                prior=cb.prior,
-                code_lengths=entropy.build_code(pmfs[g][t]).lengths,
-            )
-            for t, cb in enumerate(group)
-        )
-        for g, group in enumerate(model.codebooks)
-    )
-    return MsvqModel(layout=model.layout, codebooks=books,
-                     fallback_means=model.fallback_means,
-                     ec_enabled=model.ec_enabled, lambdas=model.lambdas)

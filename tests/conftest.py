@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from msvq import datagen, layout, trainer
+from msvq import datagen, entropy, layout, quantizer, trainer
 from msvq.codebook import Codebook, MsvqModel
 
 
@@ -56,7 +56,8 @@ def make_layout(n_sub, sub_dim, bits_row, groups=1):
 
 
 def make_toy_model(lay, rng, ec=False):
-    """Random-codebook model for structural tests; priors uniform in EC mode."""
+    """Random-codebook model for structural tests; priors uniform in EC mode,
+    with the Huffman code lengths of those priors."""
     books = []
     for g in range(lay.n_groups):
         row = []
@@ -64,12 +65,24 @@ def make_toy_model(lay, rng, ec=False):
             k = 1 << int(lay.group_bits(g)[t])
             vec = rng.normal(size=(k, lay.sub_dim)).astype(np.float32)
             prior = np.full(k, 1.0 / k) if ec else None
-            row.append(Codebook(vectors=vec, prior=prior))
+            lengths = entropy.build_code(prior).lengths if ec else None
+            row.append(Codebook(vectors=vec, prior=prior, code_lengths=lengths))
         books.append(tuple(row))
     fallback = rng.normal(size=(lay.n_sub, lay.sub_dim)).astype(np.float32)
     lambdas = np.ones(lay.t_max) if ec else None
     return MsvqModel(layout=lay, codebooks=tuple(books), fallback_means=fallback,
                      ec_enabled=ec, lambdas=lambdas)
+
+
+def encoded_usage(model, data):
+    """Per-(group, stage) codeword counts of a full-depth encoding of data."""
+    plan = quantizer.full_plan(model.layout)
+    symbols, _ = quantizer.encode_batch(model, data, plan)
+    sub, stage, _ = quantizer.field_order(plan.stages)
+    group = model.layout.group_of[sub]
+    return {(g, t): np.bincount(symbols[:, (group == g) & (stage == t)].ravel(),
+                                minlength=cb.size)
+            for g, books in enumerate(model.codebooks) for t, cb in enumerate(books)}
 
 
 def pytest_runtest_logreport(report):

@@ -167,13 +167,13 @@ def test_criterion_5_entropy_coding_efficiency(tmp_path, c1_data, c1_layout):
     for factor in (0.5, 2.0, 8.0):
         lam = factor * scale
         config = trainer.TrainConfig(seed=TRAIN_SEED, ec=True, lambdas=[lam] * T_MAX)
-        model, _ = trainer.train(c1_data, c1_layout, config)
+        model, report = trainer.train(c1_data, c1_layout, config)
 
-        pmfs = entropy.measure_group_pmfs(model, c1_data)
+        pmfs = entropy.measure_group_pmfs(report.codeword_usage)
         for g in range(model.n_groups):
             for t in range(T_MAX):
                 code = entropy.canonical_code(model.codebooks[g][t].code_lengths)
-                avg, ent = entropy.avg_bits(pmfs[g][t], code)
+                avg, ent = entropy.avg_bits(pmfs[g, t], code)
                 assert ent <= avg + 1e-12
                 assert avg < ent + 1.0
 

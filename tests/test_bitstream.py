@@ -1,12 +1,17 @@
 import json
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from msvq import bitstream, quantizer, rate, trainer
-from msvq.codebook import Codebook, MsvqModel
+from msvq import bitstream, quantizer, rate
 from msvq.errors import CorruptionError
+
+GOLDEN_MODELS = {kind: (Path(__file__).resolve().parent / "golden" / f"model_{kind}.msvq")
+                 .read_bytes() for kind in ("plain", "ec")}
 
 
 @pytest.fixture(scope="module")
@@ -106,19 +111,18 @@ class TestModelFiles:
             bitstream.read_model(str(path))
 
     @pytest.mark.parametrize("which", ["ec_without_codes", "codes_without_ec"])
-    def test_rejects_mismatched_ec_and_code_flags(self, tmp_path, model, ec_model,
-                                                  corr_data, which):
+    def test_rejects_mismatched_ec_and_code_flags(self, tmp_path, model, ec_model, which):
+        # both models share one layout, so the EC model's length block fits the plain one
+        lengths = b"".join(cb.code_lengths.astype("u1").tobytes()
+                           for group in ec_model.codebooks for cb in group)
         if which == "ec_without_codes":
-            books = tuple(tuple(Codebook(vectors=cb.vectors, prior=cb.prior) for cb in group)
-                          for group in ec_model.codebooks)
-            m = MsvqModel(layout=ec_model.layout, codebooks=books,
-                          fallback_means=ec_model.fallback_means, ec_enabled=True,
-                          lambdas=ec_model.lambdas)
+            blob = bytearray(bitstream.model_to_bytes(ec_model)[:-len(lengths)])
+            blob[6] &= ~bitstream.FLAG_CODES  # low byte of the u16 flags field
         else:
-            m = trainer.attach_entropy_codes(model, corr_data)
-        assert m.ec_enabled != m.has_codes
+            blob = bytearray(bitstream.model_to_bytes(model) + lengths)
+            blob[6] |= bitstream.FLAG_CODES
         path = tmp_path / "m.msvq"
-        bitstream.write_model(str(path), m)
+        path.write_bytes(bytes(blob))
         with pytest.raises(CorruptionError, match="EC and code-length flags differ"):
             bitstream.read_model(str(path))
 
@@ -132,6 +136,31 @@ class TestModelFiles:
         (tmp_path / "t2.msvq").write_bytes(blob + b"\x00\x00")
         with pytest.raises(CorruptionError):
             bitstream.read_model(str(tmp_path / "t2.msvq"))
+
+
+class TestModelFileFuzz:
+    """Damaged golden model files: each either fails as corruption (CLI exit 4) or
+    loads a model that serializes back to the same bytes."""
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_MODELS))
+    def test_every_truncation_is_corruption(self, kind):
+        blob = GOLDEN_MODELS[kind]
+        for end in range(len(blob)):
+            with pytest.raises(CorruptionError):
+                bitstream.model_from_bytes(blob[:end])
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_MODELS))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_byte_replacement_is_corruption_or_lossless(self, kind, data):
+        blob = bytearray(GOLDEN_MODELS[kind])
+        at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        blob[at] = data.draw(st.integers(0, 255).filter(lambda b: b != blob[at]), label="byte")
+        try:
+            model, info = bitstream.model_from_bytes(bytes(blob))
+        except CorruptionError:
+            return
+        assert bitstream.model_to_bytes(model, info.table_digest) == blob
 
 
 class TestTableFiles:

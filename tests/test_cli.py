@@ -265,6 +265,23 @@ class TestParseErrors:
         assert "lambda" in capsys.readouterr().err
         assert not (tmp_path / "m.msvq").exists()
 
+    def test_lambda_without_ec_is_config_error(self, workdir, tmp_path, capsys):
+        assert run("train", "--data", workdir["data"], "--sub-dim", 4, "--t-max", 2,
+                   "--groups", 4, "--alloc", "type3", "--lambda", "3",
+                   "--out", tmp_path / "m.msvq") == 2
+        assert "lambda" in capsys.readouterr().err
+        assert not (tmp_path / "m.msvq").exists()
+
+    @pytest.mark.parametrize("text", ["[[5,5],[5", "[[5,5],[5]]", "[[]]"])
+    def test_bad_alloc_file_is_config_error(self, workdir, tmp_path, capsys, text):
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(text)
+        assert run("train", "--data", workdir["data"], "--sub-dim", 4, "--t-max", 2,
+                   "--groups", 4, "--alloc", "file", "--alloc-file", alloc,
+                   "--out", tmp_path / "m.msvq") == 2
+        assert "bit matrix" in capsys.readouterr().err
+        assert not (tmp_path / "m.msvq").exists()
+
     def test_bad_thread_env_is_config_error(self, workdir, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MSVQ_THREADS", "x")
         model = tmp_path / "m.msvq"

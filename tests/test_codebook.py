@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from conftest import make_layout, make_toy_model
 from msvq import codebook
-from msvq.codebook import Codebook
-from msvq.errors import ConfigError, CorruptionError
+from msvq.codebook import Codebook, MsvqModel
+from msvq.errors import ConfigError, CorruptionError, MsvqError
 
 
 def scan_oracle(vectors, r):
@@ -188,3 +189,74 @@ class TestValidateCodebook:
                       code_lengths=np.array([1, 1, 1, 1]))
         with pytest.raises(CorruptionError):
             codebook.validate_codebook(cb)
+
+
+def _toy(ec):
+    return make_toy_model(make_layout(4, 2, [3, 2], groups=2), np.random.default_rng(0), ec=ec)
+
+
+def _with_books(model, fn):
+    """The model with fn applied to every codebook, rebuilt through the constructor."""
+    books = tuple(tuple(fn(cb) for cb in group) for group in model.codebooks)
+    return dataclasses.replace(model, codebooks=books)
+
+
+def _nan_first(a):
+    a = np.array(a, dtype=np.float64)
+    a.flat[0] = np.nan
+    return a
+
+
+# each case breaks one model invariant; all of them constructed unchecked before
+BROKEN_MODELS = {
+    "missing_group": ("groups of", lambda: dataclasses.replace(
+        _toy(False), codebooks=_toy(False).codebooks[:1])),
+    "missing_stage": ("groups of", lambda: dataclasses.replace(
+        _toy(False), codebooks=tuple(g[:1] for g in _toy(False).codebooks))),
+    "512_codewords_under_8_bits": ("vectors are", lambda: MsvqModel(
+        layout=make_layout(1, 1, [8]),
+        codebooks=((Codebook(vectors=np.zeros((512, 1), dtype=np.float32)),),),
+        fallback_means=np.zeros((1, 1), dtype=np.float32))),
+    "wrong_codeword_dim": ("vectors are", lambda: _with_books(
+        _toy(False), lambda cb: Codebook(vectors=np.zeros((cb.size, 3), dtype=np.float32)))),
+    "nonfinite_codeword": ("non-finite", lambda: _with_books(
+        _toy(False), lambda cb: Codebook(vectors=_nan_first(cb.vectors)))),
+    "fallback_shape": ("fallback means", lambda: dataclasses.replace(
+        _toy(False), fallback_means=np.zeros((4, 3), dtype=np.float32))),
+    "fallback_nonfinite": ("fallback means", lambda: dataclasses.replace(
+        _toy(False), fallback_means=_nan_first(_toy(False).fallback_means))),
+    "plain_with_lambdas": ("not entropy-constrained", lambda: dataclasses.replace(
+        _toy(False), lambdas=np.ones(2))),
+    "plain_with_ec_codebooks": ("priors and code lengths", lambda: dataclasses.replace(
+        _toy(True), ec_enabled=False, lambdas=None)),
+    "ec_without_lambdas": ("lambdas must be positive and finite", lambda: dataclasses.replace(
+        _toy(True), lambdas=None)),
+    "ec_lambda_count": ("lambdas must be positive and finite", lambda: dataclasses.replace(
+        _toy(True), lambdas=np.ones(3))),
+    "ec_lambda_nonpositive": ("lambdas must be positive and finite", lambda: dataclasses.replace(
+        _toy(True), lambdas=np.array([1.0, 0.0]))),
+    "ec_lambda_nan": ("lambdas must be positive and finite", lambda: dataclasses.replace(
+        _toy(True), lambdas=np.array([1.0, np.nan]))),
+    "ec_without_lengths": ("priors and code lengths", lambda: _with_books(
+        _toy(True), lambda cb: Codebook(vectors=cb.vectors, prior=cb.prior))),
+    "ec_without_priors": ("priors and code lengths", lambda: _with_books(
+        _toy(True), lambda cb: Codebook(vectors=cb.vectors, code_lengths=cb.code_lengths))),
+    "ec_bad_prior": ("prior", lambda: _with_books(
+        _toy(True), lambda cb: Codebook(vectors=cb.vectors, prior=cb.prior * 2,
+                                        code_lengths=cb.code_lengths))),
+    "ec_code_length_over_cap": ("code lengths", lambda: _with_books(
+        _toy(True), lambda cb: Codebook(vectors=cb.vectors, prior=cb.prior,
+                                        code_lengths=cb.code_lengths + 30))),
+}
+
+
+class TestModelInvariants:
+    @pytest.mark.parametrize("ec", [False, True])
+    def test_toy_models_are_valid(self, ec):
+        dataclasses.replace(_toy(ec))  # rebuilding a valid model runs the same checks
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_MODELS))
+    def test_constructor_rejects(self, case):
+        match, build = BROKEN_MODELS[case]
+        with pytest.raises(MsvqError, match=match):
+            build()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_layout
+from conftest import encoded_usage, make_layout
 from msvq import entropy
 from msvq.codebook import Codebook, MsvqModel
 from msvq.errors import CorruptionError, DataError
@@ -28,7 +28,7 @@ class TestEstimatePmf:
     def test_counts_from_encoding_pass(self):
         model = self._line_model()
         data = np.array([[0.1], [0.1], [-0.2], [0.9]])
-        pmf = entropy.measure_group_pmfs(model, data)[0][0]
+        pmf = entropy.measure_group_pmfs(encoded_usage(model, data))[0, 0]
         np.testing.assert_allclose(pmf, [4.0 / 6.0, 2.0 / 6.0], rtol=1e-12)
 
     def test_pools_across_group(self):
@@ -37,7 +37,7 @@ class TestEstimatePmf:
         model = MsvqModel(layout=lay, codebooks=((cb,),),
                           fallback_means=np.zeros((2, 1), dtype=np.float32))
         data = np.array([[0.1, 0.9], [0.1, 0.9]])
-        pmf = entropy.measure_group_pmfs(model, data)[0][0]
+        pmf = entropy.measure_group_pmfs(encoded_usage(model, data))[0, 0]
         np.testing.assert_allclose(pmf, [0.5, 0.5], rtol=1e-12)
 
     def test_uniform_assignment_within_multinomial_bounds(self):
@@ -49,7 +49,7 @@ class TestEstimatePmf:
                           fallback_means=np.zeros((1, 1), dtype=np.float32))
         n = 8000
         data = (centers[rng.integers(8, size=n)] + rng.uniform(-0.05, 0.05, n))[:, None]
-        pmf = entropy.measure_group_pmfs(model, data)[0][0]
+        pmf = entropy.measure_group_pmfs(encoded_usage(model, data))[0, 0]
         p = 1.0 / 8.0
         sigma = np.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(pmf - p) <= 3 * sigma + 2.0 / n)

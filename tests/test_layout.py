@@ -90,7 +90,7 @@ class TestBuildLayout:
 
     def test_group_needs_identical_bit_rows(self):
         # type1 gives two distinct halves, incompatible with a single shared group
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="use more groups or another preset"):
             layout.build_layout(_stats(np.ones(16)), sub_dim=4, t_max=3, groups=1,
                                 alloc="type1")
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_layout, make_toy_model
-from msvq import datagen, layout, quantizer
+from msvq import datagen, entropy, layout, quantizer
 from msvq.codebook import (
     ROW_CHUNK,
     Codebook,
@@ -80,8 +80,13 @@ def grouped_toy_model(ec, seed=0):
     m = make_toy_model(lay, rng, ec=ec)
     if not ec:
         return m
-    books = tuple(tuple(Codebook(vectors=cb.vectors, prior=rng.dirichlet(np.full(cb.size, 0.5)))
-                        for cb in group) for group in m.codebooks)
+
+    def skewed(cb):
+        prior = rng.dirichlet(np.full(cb.size, 0.5))
+        return Codebook(vectors=cb.vectors, prior=prior,
+                        code_lengths=entropy.build_code(prior).lengths)
+
+    books = tuple(tuple(skewed(cb) for cb in group) for group in m.codebooks)
     return MsvqModel(layout=lay, codebooks=books, fallback_means=m.fallback_means,
                      ec_enabled=True, lambdas=rng.uniform(0.5, 2.0, lay.t_max))
 
@@ -278,7 +283,9 @@ class TestEncodeDecode:
         # with a strongly non-uniform prior the EC rule must sometimes disagree
         plan = quantizer.full_plan(ec_model.layout)
         idx_ec, _ = quantizer.encode_batch(ec_model, corr_data[:256], plan)
-        plain = type(ec_model)(layout=ec_model.layout, codebooks=ec_model.codebooks,
+        books = tuple(tuple(Codebook(vectors=cb.vectors) for cb in group)
+                      for group in ec_model.codebooks)
+        plain = type(ec_model)(layout=ec_model.layout, codebooks=books,
                                fallback_means=ec_model.fallback_means,
                                ec_enabled=False, lambdas=None)
         idx_plain, _ = quantizer.encode_batch(plain, corr_data[:256], plan)

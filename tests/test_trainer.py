@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import make_layout
-from msvq import bitstream, entropy, quantizer, trainer
-from msvq.codebook import Codebook, nearest_batch
+from conftest import encoded_usage, make_layout
+from msvq import bitstream, datagen, entropy, layout, quantizer, trainer
+from msvq.codebook import ROW_CHUNK, Codebook, nearest_batch
 from msvq.errors import ConfigError, DataError
 
 
@@ -117,6 +117,24 @@ class TestTrain:
         for (g, t), usage in report.codeword_usage.items():
             assert usage.sum() == corr_data.shape[0] * len(lay.group_members(g))
 
+    @pytest.mark.parametrize("ec", [False, True])
+    def test_usage_equals_full_depth_encoding_counts(self, ec):
+        # encoding walks ROW_CHUNK-row chunks, training walks all rows at once;
+        # the last chunk here is partial
+        data = datagen.gauss_corr(2 * ROW_CHUNK + 37, 16, 0.9, seed=4)
+        lay = layout.build_layout(layout.compute_stats(data), sub_dim=4, t_max=3, groups=2,
+                                  alloc=np.full((4, 3), 5))
+        config = trainer.TrainConfig(max_iters=5, seed=1, ec=ec,
+                                     lambdas=[8.0] * 3 if ec else None)
+        model, report = trainer.train(data, lay, config)
+        usage = encoded_usage(model, data)
+        assert usage.keys() == report.codeword_usage.keys()
+        for (g, t), counts in usage.items():
+            assert np.array_equal(report.codeword_usage[g, t], counts)
+            if ec:  # the Huffman code is built from exactly these counts
+                lengths = entropy.build_code(entropy.smoothed_pmf(counts)).lengths
+                assert np.array_equal(model.codebooks[g][t].code_lengths, lengths)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(9)
         data = rng.normal(size=(256, 8)).astype(np.float32)
@@ -131,12 +149,12 @@ class TestTrain:
         data = rng.normal(size=(512, 8)).astype(np.float32)
         lay = make_layout(4, 2, [5, 5], groups=2)
         config = trainer.TrainConfig(seed=5, ec=True, lambdas=[0.05, 0.05])
-        model, _ = trainer.train(data, lay, config)
-        pmfs = entropy.measure_group_pmfs(model, data)
+        model, report = trainer.train(data, lay, config)
+        pmfs = entropy.measure_group_pmfs(report.codeword_usage)
         for g in range(model.n_groups):
             for t in range(lay.t_max):
                 code = entropy.canonical_code(model.codebooks[g][t].code_lengths)
-                avg, _ = entropy.avg_bits(pmfs[g][t], code)
+                avg, _ = entropy.avg_bits(pmfs[g, t], code)
                 assert avg < lay.group_bits(g)[t]
 
     def test_insufficient_rows_rejected(self):
@@ -156,6 +174,10 @@ class TestTrain:
         with pytest.raises(ConfigError):
             trainer.train(np.random.default_rng(0).normal(size=(32, 4)), lay,
                           trainer.TrainConfig(seed=0, ec=True, lambdas=[1.0]))
+
+    def test_lambdas_without_ec_rejected(self):
+        with pytest.raises(ConfigError, match="entropy-constrained"):
+            trainer.TrainConfig(seed=0, lambdas=[1.0, 1.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_ec_lambda_must_be_positive_and_finite(self, bad):
