@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -131,11 +132,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if (args.alloc == "file") != (args.alloc_file is not None):
+        raise ConfigError("--alloc-file PATH goes with --alloc file, and only with it")
     data = bitstream.read_features(args.data)
     stats = compute_stats(data)
     if args.alloc == "file":
-        if not args.alloc_file:
-            raise StateError("--alloc file requires --alloc-file PATH")
         with open(args.alloc_file, "r", encoding="utf-8") as fh:
             try:
                 alloc = validate_bits(np.asarray(json.load(fh), dtype=np.float64))
@@ -257,7 +258,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    model, _, table = _load_bound_pair(args.model, args.table)
+    model, info, table = _load_bound_pair(args.model, args.table)
     data = bitstream.read_features(args.data)
     Z = np.asarray(data, dtype=np.float64)
     lay = model.layout
@@ -270,9 +271,14 @@ def _cmd_verify(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
 
     sample = Z[:min(256, Z.shape[0])]
-    symbols, z_hat = encode_batch(model, sample, full_plan(lay))
-    round_trip = np.array_equal(decode_batch(model, symbols, full_plan(lay)), z_hat)
-    emit(round_trip, "round_trip", f"{sample.shape[0]} vectors, bit-exact decode")
+    b_cap = int(lay.bits.sum())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "round_trip.msvp")
+        bitstream.write_payload(path, model, info.file_digest, table, sample, b_cap)
+        decoded, pinfo = bitstream.read_payload(path, model, info.file_digest, table)
+    round_trip = np.array_equal(decoded, encode_batch(model, sample, pinfo.plan)[1])
+    emit(round_trip, "round_trip",
+         f"{sample.shape[0]} vectors at b_cap={b_cap}, payload decode bit-exact")
 
     pairs = sorted({(i, t) for i in {0, lay.n_sub // 2, lay.n_sub - 1}
                     for t in {0, lay.t_max // 2, lay.t_max}})

@@ -1,12 +1,13 @@
 """Codebook storage and nearest-codeword search.
 
 Search is an exhaustive scan with a fixed tie rule (lowest index). Both
-kernels score by the expanded norm (||c||^2 - 2 x.c) and drop the query-norm
-term, which is constant per query: exact in exact arithmetic, but near-ties
-within the rounding of ||x||^2 + ||c||^2 may resolve differently from a
-direct-difference argmin. Decoding is unaffected, because receivers never
-search. Reported distortions are recomputed from the actual difference so an
-exact match yields exactly 0.
+kernels run one scan that scores by the expanded norm (||c||^2 - 2 x.c) and
+drops the query-norm term, which is constant per query: exact in exact
+arithmetic, but near-ties within the rounding of ||x||^2 + ||c||^2 may resolve
+differently from a direct-difference argmin. Decoding is unaffected, because
+receivers never search. Each kernel returns the chosen indices and the
+residuals x - c they leave, the next stage's input; an exact match leaves a
+residual of exactly 0.
 """
 
 from __future__ import annotations
@@ -142,24 +143,30 @@ def codeword_param_count(model: MsvqModel) -> int:
     return sum(cb.size * cb.dim for group in model.codebooks for cb in group)
 
 
-def nearest_batch(points: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exhaustive nearest-codeword scan for a batch of queries.
+def _scan(points, vec: np.ndarray, scale: float, bias: np.ndarray):
+    """Argmin of (points @ vec.T) * scale + bias per row, lowest index on ties.
 
-    Returns (indices, distortions); ties go to the lowest index.
+    vec is a C-contiguous float64 codeword array. Rows are scored ROW_CHUNK at
+    a time. Returns (indices, residuals), a residual being points - vec[index].
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
-    vec = np.ascontiguousarray(vectors, dtype=np.float64)
-    v2 = np.einsum("kd,kd->k", vec, vec)
     idx = np.empty(pts.shape[0], dtype=np.int64)
     for start in range(0, pts.shape[0], ROW_CHUNK):
         chunk = pts[start:start + ROW_CHUNK]
         scores = chunk @ vec.T
-        scores *= -2.0
-        scores += v2
+        scores *= scale
+        scores += bias
         idx[start:start + ROW_CHUNK] = np.argmin(scores, axis=1)
-    diff = pts - vec[idx]
-    dist = np.einsum("pd,pd->p", diff, diff)
-    return idx, dist
+    return idx, pts - vec[idx]
+
+
+def nearest_batch(points: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exhaustive nearest-codeword scan for a batch of queries.
+
+    Returns (indices, residuals); ties go to the lowest index.
+    """
+    vec = np.ascontiguousarray(vectors, dtype=np.float64)
+    return _scan(points, vec, -2.0, np.einsum("kd,kd->k", vec, vec))
 
 
 def nearest_rate_penalized_batch(
@@ -167,11 +174,11 @@ def nearest_rate_penalized_batch(
     vectors: np.ndarray,
     prior: np.ndarray,
     rd_lambda: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Batch scan minimizing rd_lambda * ||r - c_k||^2 - log2(prior_k).
 
-    Returns (indices, distortions, rate_bits). The query-norm term is again
-    constant per query and omitted from the score.
+    Returns (indices, residuals). The query-norm term is again constant per
+    query and omitted from the score.
     """
     if rd_lambda <= 0.0:
         raise ConfigError(f"rd_lambda must be positive, got {rd_lambda}")
@@ -179,16 +186,6 @@ def nearest_rate_penalized_batch(
         raise CorruptionError("rate-penalized search requires codeword priors")
     if np.any(prior <= 0.0):
         raise CorruptionError("codeword prior has non-positive entries; model is corrupted")
-    pts = np.ascontiguousarray(points, dtype=np.float64)
     vec = np.ascontiguousarray(vectors, dtype=np.float64)
     penalty = -np.log2(prior) + rd_lambda * np.einsum("kd,kd->k", vec, vec)
-    idx = np.empty(pts.shape[0], dtype=np.int64)
-    for start in range(0, pts.shape[0], ROW_CHUNK):
-        chunk = pts[start:start + ROW_CHUNK]
-        scores = chunk @ vec.T
-        scores *= -2.0 * rd_lambda
-        scores += penalty
-        idx[start:start + ROW_CHUNK] = np.argmin(scores, axis=1)
-    diff = pts - vec[idx]
-    dist = np.einsum("pd,pd->p", diff, diff)
-    return idx, dist, -np.log2(prior[idx])
+    return _scan(points, vec, -2.0 * rd_lambda, penalty)

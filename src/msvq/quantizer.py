@@ -6,17 +6,19 @@ batches; a single vector is a one-row batch. Indices travel as the payload's
 field_order alone knows the column order and which columns of a deeper
 encoding a shallower plan sends.
 
-walk_stages, the codec's one stage walk, picks the nearest codeword
-(rate-penalized when the model is entropy-constrained) and subtracts it from
-the residual; encoding, the table pass and training all use it. It walks a
-block of sub-vectors that share one group's codebooks, so each stage is one
-search over the whole block, and a sub-vector takes part only up to its own
-depth. group_blocks cuts every group into blocks of at most
+walk_stages, the codec's one stage walk, only searches: each stage's kernel
+picks the nearest codeword (rate-penalized when the model is
+entropy-constrained) and hands back the residual it leaves, which the walk
+writes back in place; encoding, the table pass and training all use it. It
+walks a block of sub-vectors that share one group's codebooks, so each stage
+is one search over the whole block, and a sub-vector takes part only up to its
+own depth. group_blocks cuts every group into blocks of at most
 max(1, ROW_CHUNK // rows) sub-vectors, so a block's search never scores more
-than ROW_CHUNK rows at once. Encoder and decoder both add the codewords in
-float64 in ascending stage order, so both sides agree bit for bit. Sub-vectors
-with zero active stages reconstruct to the stored training mean at a cost of
-zero transmitted bits.
+than ROW_CHUNK rows at once. decode_batch is the codec's one codeword sum: it
+adds the codewords in float64 in ascending stage order, and encode_batch
+returns its output as Z_hat, so encoder and decoder agree bit for bit.
+Sub-vectors with zero active stages reconstruct to the stored training mean at
+a cost of zero transmitted bits.
 """
 
 from __future__ import annotations
@@ -90,15 +92,19 @@ def field_order(stages, within=None) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def split_subvectors(layout, Z: np.ndarray) -> np.ndarray:
-    """(rows, M) -> (rows, N, D) in variance order."""
+    """(rows, M) -> (rows, N, D) in variance order.
+
+    Z[:, perm] returns a Fortran-ordered array, and downstream sums (the
+    trainer's fallback means, the table's stage-0 distortions) follow that
+    memory order; a gather such as np.take(Z, perm, axis=1) is C-ordered and
+    changes their rounding, so this stays a fancy-index.
+    """
     return Z[:, layout.perm].reshape(Z.shape[0], layout.n_sub, layout.sub_dim)
 
 
 def merge_subvectors(layout, sub: np.ndarray) -> np.ndarray:
     """(rows, N, D) in variance order -> (rows, M) in original coordinate order."""
-    out = np.empty((sub.shape[0], layout.m_dim), dtype=sub.dtype)
-    out[:, layout.perm] = sub.reshape(sub.shape[0], layout.m_dim)
-    return out
+    return np.take(sub.reshape(sub.shape[0], layout.m_dim), np.argsort(layout.perm), axis=1)
 
 
 def _check_features(model: MsvqModel, Z: np.ndarray) -> np.ndarray:
@@ -140,28 +146,18 @@ def _block_fields(sub: np.ndarray, stage: np.ndarray, blk: slice):
     return cols, (sub[cols] - blk.start, slice(None), stage[cols])
 
 
-def _start_sums(model: MsvqModel, blk: slice, depth: list[int], rows: int) -> np.ndarray:
-    """A block's (n, rows, D) codeword sums before any stage: the stored mean when depth is 0."""
-    acc = np.zeros((len(depth), rows, model.layout.sub_dim), dtype=np.float64)
-    for j, d in enumerate(depth):
-        if d == 0:
-            acc[j] = model.fallback_means[blk.start + j]
-    return acc
-
-
-def walk_stages(books, lambdas, r: np.ndarray, start: int, stop,
-                acc: np.ndarray | None = None) -> np.ndarray:
+def walk_stages(books, lambdas, r: np.ndarray, start: int, stop) -> np.ndarray:
     """Walk a block of sub-vector residuals through their stages, in place.
 
     r is a float64 (n, rows, D) array holding the residuals of n sub-vectors
     that share one group's codebooks; books[t] is the stage-t codebook. stop
     is each sub-vector's end stage, one int for all or a sequence of n. Stage t
     searches, as one (n' * rows, D) batch, the n' sub-vectors whose stop
-    exceeds t. With lambdas None each stage picks the nearest codeword;
-    otherwise it minimizes lambdas[t] * distortion - log2 prior. Each chosen
-    codeword is also added to acc, an array shaped like r, when it is given.
-    Returns the (n, rows, max(stop) - start) chosen indices; the columns at
-    and past a sub-vector's own stop are zero.
+    exceeds t, and writes the residuals the search leaves back into r. With
+    lambdas None each stage picks the nearest codeword; otherwise it minimizes
+    lambdas[t] * distortion - log2 prior. Returns the (n, rows,
+    max(stop) - start) chosen indices; the columns at and past a sub-vector's
+    own stop are zero.
     """
     n, rows, dim = r.shape
     stop = np.broadcast_to(np.asarray(stop, dtype=np.int64), (n,)).tolist()
@@ -171,15 +167,11 @@ def walk_stages(books, lambdas, r: np.ndarray, start: int, stop,
         x = r[sel]
         cb = books[t]
         if lambdas is None:
-            col, _ = nearest_batch(x.reshape(-1, dim), cb.vectors)
+            col, res = nearest_batch(x.reshape(-1, dim), cb.vectors)
         else:
-            col, _, _ = nearest_rate_penalized_batch(x.reshape(-1, dim), cb.vectors,
-                                                     cb.prior, float(lambdas[t]))
-        cw = cb.vectors.astype(np.float64)[col].reshape(x.shape)
-        x -= cw
-        r[sel] = x  # numpy skips this copy when x is a view of r
-        if acc is not None:
-            acc[sel] += cw
+            col, res = nearest_rate_penalized_batch(x.reshape(-1, dim), cb.vectors,
+                                                    cb.prior, float(lambdas[t]))
+        r[sel] = res.reshape(x.shape)
         idx[sel, :, t - start] = col.reshape(x.shape[:2])
     return idx
 
@@ -209,7 +201,7 @@ def encode_batch(
     The rows are processed in fixed chunks, on a worker pool when threads > 1;
     each chunk writes only its own rows, so the result does not depend on the
     worker count. Within a chunk, each group block is walked as one batch to
-    every member's planned depth.
+    every member's planned depth. Z_hat is decode_batch of the field matrix.
     """
     Z = _check_features(model, Z)
     stages = _checked_stages(model.layout, plan.stages)
@@ -220,27 +212,23 @@ def encode_batch(
     # layout.MAX_BITS = 8 caps every codebook at 256 codewords
     symbols = np.empty((Z.shape[0], sub_of.size), dtype=np.uint8)
 
-    # sub is a private copy: each chunk of a block is overwritten with its
-    # reconstruction once its residuals have been copied out.
     def walk(rows: slice):
         chunk = sub[rows]
         for g, blk in group_blocks(lay, chunk.shape[0]):
             r = chunk[:, blk].transpose(1, 0, 2).copy()
-            depth = stages[blk].tolist()
-            acc = _start_sums(model, blk, depth, chunk.shape[0])
-            idx = walk_stages(model.codebooks[g], lambdas, r, 0, depth, acc)
+            idx = walk_stages(model.codebooks[g], lambdas, r, 0, stages[blk].tolist())
             cols, at = _block_fields(sub_of, stage_of, blk)
             symbols[rows, cols] = idx[at].T
-            chunk[:, blk] = acc.transpose(1, 0, 2)
 
     map_row_chunks(walk, Z.shape[0], threads)
-    return symbols, merge_subvectors(lay, sub)
+    return symbols, decode_batch(model, symbols, plan)
 
 
 def decode_batch(model: MsvqModel, symbols: np.ndarray, plan: SelectionPlan) -> np.ndarray:
-    """Rebuild Z_hat from a (rows, F) field matrix; bit-exact vs. the encoder's output.
+    """Rebuild Z_hat from a (rows, F) field matrix: the codec's one codeword sum.
 
-    Each group block adds one gather of its members' codewords per stage.
+    Each group block adds one gather of its members' codewords per stage, in
+    ascending stage order; a sub-vector with no stages takes its stored mean.
     """
     stages = _checked_stages(model.layout, plan.stages)
     lay = model.layout
@@ -260,7 +248,10 @@ def decode_batch(model: MsvqModel, symbols: np.ndarray, plan: SelectionPlan) -> 
     for g, blk in group_blocks(lay, rows):
         books = model.codebooks[g]
         depth = stages[blk].tolist()
-        acc = _start_sums(model, blk, depth, rows)
+        acc = np.zeros((len(depth), rows, lay.sub_dim), dtype=np.float64)
+        for j, d in enumerate(depth):
+            if d == 0:
+                acc[j] = model.fallback_means[blk.start + j]
         idx = np.zeros((len(depth), rows, max(depth)), dtype=symbols.dtype)
         cols, at = _block_fields(sub, stage, blk)
         idx[at] = symbols[:, cols].T

@@ -23,7 +23,7 @@ import numpy as np
 
 # perfbench/spans.py wraps these two names on this module; they are not called here.
 from .codebook import MsvqModel, nearest_batch, nearest_rate_penalized_batch
-from .errors import ConfigError, CorruptionError, DataError, StateError
+from .errors import ConfigError, CorruptionError, DataError
 from .quantizer import (
     SelectionPlan,
     _check_features,
@@ -60,14 +60,15 @@ class MarginalLossTable:
         return self.step_bits.shape[1]
 
 
-def _table_pass(model: MsvqModel, sub: np.ndarray, want_lengths: bool):
-    """Per-chunk sums of cumulative sub-vector distortions and code lengths."""
+def _table_pass(model: MsvqModel, sub: np.ndarray):
+    """Per-chunk sums of cumulative sub-vector distortions and (EC) code lengths."""
     lay = model.layout
     n, t_max = lay.n_sub, lay.t_max
     dist_sums = np.empty((n, t_max + 1), dtype=np.float64)
-    len_sums = np.zeros((n, t_max), dtype=np.float64) if want_lengths else None
+    ec = model.ec_enabled
+    len_sums = np.zeros((n, t_max), dtype=np.float64) if ec else None
     fallback = model.fallback_means.astype(np.float64)
-    lambdas = model.lambdas if model.ec_enabled else None
+    lambdas = model.lambdas if ec else None
     for i in range(n):
         diff = sub[:, i, :] - fallback[i]
         dist_sums[i, 0] = np.einsum("rd,rd->", diff, diff)
@@ -79,45 +80,32 @@ def _table_pass(model: MsvqModel, sub: np.ndarray, want_lengths: bool):
             idx = walk_stages(books, lambdas, r, t, t + 1)[:, :, 0]
             for j in range(r.shape[0]):
                 dist_sums[blk.start + j, t + 1] = np.einsum("rd,rd->", r[j], r[j])
-                if want_lengths:
+                if ec:
                     len_sums[blk.start + j, t] = float(books[t].code_lengths[idx[j]].sum())
     return dist_sums, len_sums
 
 
-def build_table(
-    model: MsvqModel,
-    data: np.ndarray,
-    mode: str | None = None,
-    threads: int = 1,
-) -> MarginalLossTable:
+def build_table(model: MsvqModel, data: np.ndarray, threads: int = 1) -> MarginalLossTable:
     """Build the marginal-loss table from a feature matrix.
 
-    mode defaults to "average" for entropy-constrained models and "exact"
-    otherwise. Average mode requires entropy codes on the model.
+    The table is in "average" mode (measured code lengths) for an
+    entropy-constrained model and in "exact" mode (layout bits) otherwise.
     """
-    if mode is None:
-        mode = MODE_AVERAGE if model.ec_enabled else MODE_EXACT
-    if mode not in (MODE_EXACT, MODE_AVERAGE):
-        raise ConfigError(f"unknown table mode {mode!r}")
-    if mode == MODE_AVERAGE and not model.ec_enabled:
-        raise StateError("average-bits table requires entropy codes on the model")
-
     Z = _check_features(model, data)
     if Z.shape[0] < 1:
         raise DataError("cannot build a marginal-loss table from an empty feature matrix")
     lay = model.layout
     sub = split_subvectors(lay, Z)
-    want_lengths = mode == MODE_AVERAGE
-    parts = map_row_chunks(lambda s: _table_pass(model, sub[s], want_lengths), len(sub), threads)
+    parts = map_row_chunks(lambda s: _table_pass(model, sub[s]), len(sub), threads)
 
     rows = sub.shape[0]
     dist = sum(p[0] for p in parts) / rows
     full_loss = float(dist[:, -1].sum())
     loss = full_loss - dist[:, -1:] + dist
-    if want_lengths:
-        step_bits = sum(p[1] for p in parts) / rows
+    if model.ec_enabled:
+        step_bits, mode = sum(p[1] for p in parts) / rows, MODE_AVERAGE
     else:
-        step_bits = lay.bits.astype(np.float64)
+        step_bits, mode = lay.bits.astype(np.float64), MODE_EXACT
     loss.flags.writeable = False
     step_bits = np.ascontiguousarray(step_bits)
     step_bits.flags.writeable = False

@@ -4,9 +4,11 @@ variant.
 Stages are trained strictly in order. For stage t, the residual sub-vectors of
 every codebook-sharing group are pooled and fit with Lloyd iterations seeded
 by k-means++; the finalized (float32) stage codebooks then quantize all
-residuals and the differences feed stage t+1. In entropy-constrained mode the
-assignment rule penalizes improbable codewords (lambda * distortion -
-log2 prior) and the prior tracks smoothed empirical selection frequencies.
+residuals, and the residuals the search leaves feed stage t+1. A Lloyd
+assignment measures its distortions from those same residuals. In
+entropy-constrained mode the assignment rule penalizes improbable codewords
+(lambda * distortion - log2 prior) and the prior tracks smoothed empirical
+selection frequencies.
 
 That final quantizing pass counts each codebook's selections
 (TrainReport.codeword_usage); they equal the counts of a full-depth encoding
@@ -68,10 +70,7 @@ class TrainConfig:
 class LloydStats:
     """Assignment statistics of one Lloyd step, measured before the update."""
 
-    indices: np.ndarray
     counts: np.ndarray
-    distortion: float
-    rate_bits: float | None
     objective: float
 
 
@@ -134,12 +133,16 @@ def _kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
 
 
 def _assign(points, vectors, prior, rd_lambda, ec):
+    """(indices, distortions, objective) of one assignment pass."""
     if ec:
-        idx, dist, rate = nearest_rate_penalized_batch(points, vectors, prior, rd_lambda)
-        objective = rd_lambda * float(dist.mean()) + float(rate.mean())
-        return idx, dist, float(rate.mean()), objective
-    idx, dist = nearest_batch(points, vectors)
-    return idx, dist, None, float(dist.mean())
+        idx, res = nearest_rate_penalized_batch(points, vectors, prior, rd_lambda)
+    else:
+        idx, res = nearest_batch(points, vectors)
+    dist = np.einsum("pd,pd->p", res, res)
+    objective = float(dist.mean())
+    if ec:
+        objective = rd_lambda * objective + float(np.mean(-np.log2(prior[idx])))
+    return idx, dist, objective
 
 
 def _update_centers(points, idx, dist, vectors):
@@ -175,15 +178,13 @@ def lloyd_step(
         raise DataError(f"need at least one point, got shape {points.shape}")
     if ec and rd_lambda is None:
         raise ConfigError("entropy-constrained step requires rd_lambda")
-    idx, dist, rate, objective = _assign(
+    idx, dist, objective = _assign(
         points, codebook.vectors, codebook.prior, rd_lambda if ec else 0.0, ec)
     new_vectors, counts = _update_centers(points, idx, dist, codebook.vectors)
     new_prior = entropy.smoothed_pmf(counts) if ec else codebook.prior
     updated = Codebook(vectors=new_vectors, prior=new_prior,
                        code_lengths=codebook.code_lengths)
-    stats = LloydStats(indices=idx, counts=counts, distortion=float(dist.mean()),
-                       rate_bits=rate, objective=objective)
-    return updated, stats
+    return updated, LloydStats(counts=counts, objective=objective)
 
 
 def _fit_codebook(points, k, rng, ec, rd_lambda, max_iters, rel_tol):

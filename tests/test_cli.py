@@ -282,6 +282,22 @@ class TestParseErrors:
         assert "bit matrix" in capsys.readouterr().err
         assert not (tmp_path / "m.msvq").exists()
 
+    def test_alloc_file_without_alloc_file_preset_is_config_error(self, workdir, tmp_path,
+                                                                  capsys):
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(json.dumps(np.full((4, 2), 5).tolist()))
+        assert run("train", "--data", workdir["data"], "--sub-dim", 4, "--t-max", 2,
+                   "--groups", 4, "--alloc", "type3", "--alloc-file", alloc,
+                   "--out", tmp_path / "m.msvq") == 2
+        assert "--alloc-file" in capsys.readouterr().err
+        assert not (tmp_path / "m.msvq").exists()
+
+    def test_alloc_file_preset_without_path_is_config_error(self, workdir, tmp_path, capsys):
+        assert run("train", "--data", workdir["data"], "--sub-dim", 4, "--t-max", 2,
+                   "--groups", 4, "--alloc", "file", "--out", tmp_path / "m.msvq") == 2
+        assert "--alloc-file" in capsys.readouterr().err
+        assert not (tmp_path / "m.msvq").exists()
+
     def test_bad_thread_env_is_config_error(self, workdir, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MSVQ_THREADS", "x")
         model = tmp_path / "m.msvq"

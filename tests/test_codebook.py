@@ -23,26 +23,26 @@ def scan_oracle(vectors, r):
 class TestNearest:
     def test_two_point_geometry(self):
         cb = Codebook(vectors=np.array([[0.0, 0.0], [1.0, 1.0]], dtype=np.float32))
-        idx, dist = codebook.nearest_batch(np.array([[0.9, 0.9]]), cb.vectors)
+        idx, res = codebook.nearest_batch(np.array([[0.9, 0.9]]), cb.vectors)
         assert idx.tolist() == [1]
-        assert dist[0] == pytest.approx(0.02, abs=1e-12)
+        assert res[0] == pytest.approx([-0.1, -0.1], abs=1e-12)
 
     def test_exact_match_is_zero(self):
         rng = np.random.default_rng(1)
         cb = Codebook(vectors=rng.normal(size=(8, 3)).astype(np.float32))
-        idx, dist = codebook.nearest_batch(cb.vectors[5:6].astype(np.float64), cb.vectors)
+        idx, res = codebook.nearest_batch(cb.vectors[5:6].astype(np.float64), cb.vectors)
         assert idx.tolist() == [5]
-        assert dist[0] == 0.0
+        assert not res.any()
 
     def test_matches_independent_scan(self):
         rng = np.random.default_rng(11)
         cb = Codebook(vectors=rng.normal(size=(16, 4)).astype(np.float32))
         for _ in range(100):
             r = rng.normal(size=(1, 4))
-            idx, dist = codebook.nearest_batch(r, cb.vectors)
+            idx, res = codebook.nearest_batch(r, cb.vectors)
             oidx, odist = scan_oracle(cb.vectors, r[0])
             assert idx[0] == oidx
-            assert dist[0] == pytest.approx(odist, rel=1e-12)
+            assert float(res[0] @ res[0]) == pytest.approx(odist, rel=1e-12)
 
     def test_tie_breaks_to_lowest_index(self):
         cb = Codebook(vectors=np.array([[1.0], [-1.0]], dtype=np.float32))
@@ -59,19 +59,18 @@ class TestNearestRatePenalized:
             for _ in range(25):
                 r = rng.normal(size=(1, 4))
                 plain_idx, _ = codebook.nearest_batch(r, cb.vectors)
-                pen_idx, _, _ = codebook.nearest_rate_penalized_batch(r, cb.vectors,
-                                                                      cb.prior, lam)
+                pen_idx, _ = codebook.nearest_rate_penalized_batch(r, cb.vectors,
+                                                                   cb.prior, lam)
                 assert pen_idx[0] == plain_idx[0]
 
     def test_worked_example(self):
         cb = Codebook(vectors=np.array([[0.0], [1.0]], dtype=np.float32),
                       prior=np.array([0.9, 0.1]))
-        idx, dist, rate = codebook.nearest_rate_penalized_batch(np.array([[0.45]]), cb.vectors,
-                                                                cb.prior, 1.0)
+        idx, res = codebook.nearest_rate_penalized_batch(np.array([[0.45]]), cb.vectors,
+                                                         cb.prior, 1.0)
         # objective: 1*0.2025 - log2(0.9) = 0.3545 beats 1*0.3025 - log2(0.1) = 3.624
         assert idx.tolist() == [0]
-        assert dist[0] == pytest.approx(0.2025, abs=1e-12)
-        assert rate[0] == pytest.approx(-math.log2(0.9), abs=1e-12)
+        assert res[0] == pytest.approx([0.45], abs=1e-12)
         assert 1.0 * 0.2025 - math.log2(0.9) < 1.0 * 0.3025 - math.log2(0.1)
 
     def test_distortion_dominant_limit(self):
@@ -81,7 +80,7 @@ class TestNearestRatePenalized:
         for _ in range(50):
             r = rng.normal(size=(1, 2))
             plain_idx, _ = codebook.nearest_batch(r, cb.vectors)
-            pen_idx, _, _ = codebook.nearest_rate_penalized_batch(r, cb.vectors, cb.prior, 1e9)
+            pen_idx, _ = codebook.nearest_rate_penalized_batch(r, cb.vectors, cb.prior, 1e9)
             assert pen_idx[0] == plain_idx[0]
 
     def test_corrupted_prior_raises(self):
@@ -94,6 +93,22 @@ class TestNearestRatePenalized:
         cb = Codebook(vectors=np.zeros((2, 1), dtype=np.float32))
         with pytest.raises(CorruptionError):
             codebook.nearest_rate_penalized_batch(np.array([[0.0]]), cb.vectors, cb.prior, 1.0)
+
+
+class TestResiduals:
+    """Both kernels hand back points - vectors[indices], computed in float64."""
+
+    @pytest.mark.parametrize("rows", [0, 5, codebook.ROW_CHUNK + 3])
+    def test_residual_is_exact_difference(self, rows):
+        rng = np.random.default_rng(rows)
+        vectors = rng.normal(size=(16, 3)).astype(np.float32)
+        points = rng.normal(size=(rows, 3))
+        prior = rng.dirichlet(np.ones(16))
+        for idx, res in (codebook.nearest_batch(points, vectors),
+                         codebook.nearest_rate_penalized_batch(points, vectors, prior, 2.0)):
+            assert idx.shape == (rows,) and res.shape == (rows, 3)
+            assert res.dtype == np.float64
+            assert np.array_equal(res, points - vectors.astype(np.float64)[idx])
 
 
 class TestSearchRounding:
@@ -127,7 +142,7 @@ class TestSearchRounding:
         prior = rng.dirichlet(np.ones(len(vectors)))
         lam = 1e6  # rate and distortion terms of similar size
         objective = lam * direct - np.log2(prior)
-        idx, _, _ = codebook.nearest_rate_penalized_batch(points, vectors, prior, lam)
+        idx, _ = codebook.nearest_rate_penalized_batch(points, vectors, prior, lam)
         chosen = objective[np.arange(len(points)), idx]
         rate_tol = lam * tol + 4 * self.D * np.finfo(np.float64).eps * -np.log2(prior).max()
         assert np.all(chosen - objective.min(axis=1) <= rate_tol)

@@ -49,6 +49,9 @@ def test_traced_payload_round_trip_fills_the_counters(spans, tmp_path):
         bitstream.write_payload(path, model, 7, table, data, b_cap=12)
         bitstream.read_payload(path, model, 7, table)
     metrics = spans.layer_metrics(tracer.spans, 0.0)
+    # the search count and the codec-layer times also show that the stage walk
+    # reaches the kernels through the module attributes the wrappers replace
     for name in ("rate.greedy_calls", "rate.greedy_picks", "bitstream.symbols_written",
-                 "bitstream.symbols_read"):
+                 "bitstream.symbols_read", "codebook.search_calls",
+                 "quantizer.encode_batch_s", "quantizer.decode_batch_s"):
         assert metrics[name] > 0, name

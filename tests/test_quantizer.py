@@ -38,8 +38,8 @@ def encode_batch_reference(model, Z, plan):
                 if lambdas is None:
                     col, _ = nearest_batch(r, cb.vectors)
                 else:
-                    col, _, _ = nearest_rate_penalized_batch(r, cb.vectors, cb.prior,
-                                                             float(lambdas[t]))
+                    col, _ = nearest_rate_penalized_batch(r, cb.vectors, cb.prior,
+                                                          float(lambdas[t]))
                 cw = cb.vectors.astype(np.float64)[col]
                 r -= cw
                 acc += cw
@@ -210,8 +210,8 @@ class TestEncodeDecode:
         assert members.size > 1
         x = quantizer.split_subvectors(m.layout, corr_data.astype(np.float64))[:, members, :]
         x = x.transpose(1, 0, 2).copy()
-        whole, acc = x.copy(), np.zeros_like(x)
-        idx = quantizer.walk_stages(books, lambdas, whole, 0, m.t_max, acc)
+        whole = x.copy()
+        idx = quantizer.walk_stages(books, lambdas, whole, 0, m.t_max)
         assert idx.shape == (members.size, x.shape[1], m.t_max)
         steps = x.copy()
         cols = [quantizer.walk_stages(books, lambdas, steps, t, t + 1) for t in range(m.t_max)]
@@ -223,25 +223,24 @@ class TestEncodeDecode:
                                   idx[j:j + 1])
             assert np.array_equal(alone, whole[j:j + 1])
         recon = sum(books[t].vectors[idx[:, :, t]].astype(np.float64) for t in range(m.t_max))
-        assert np.array_equal(acc, recon)
         np.testing.assert_allclose(x - whole, recon, rtol=0, atol=1e-12)
 
     def test_walk_stops_each_member_at_its_depth(self, corr_data, model):
         books = model.codebooks[0]
-        x = quantizer.split_subvectors(model.layout, corr_data)[:, :2, :]
+        x = quantizer.split_subvectors(model.layout, corr_data.astype(np.float64))[:, :2, :]
         x = x.transpose(1, 0, 2).copy()
-        full, acc_full = x.copy(), np.zeros_like(x)
-        idx_full = quantizer.walk_stages(books, None, full, 0, model.t_max, acc_full)
+        full = x.copy()
+        idx_full = quantizer.walk_stages(books, None, full, 0, model.t_max)
         once = x[1:].copy()
         quantizer.walk_stages(books, None, once, 0, 1)
-        mixed, acc = x.copy(), np.zeros_like(x)
-        idx = quantizer.walk_stages(books, None, mixed, 0, np.array([model.t_max, 1]), acc)
+        mixed = x.copy()
+        idx = quantizer.walk_stages(books, None, mixed, 0, np.array([model.t_max, 1]))
         assert np.array_equal(idx[0], idx_full[0])
         assert np.array_equal(idx[1, :, :1], idx_full[1, :, :1])
         assert not idx[1, :, 1:].any()
-        assert np.array_equal(mixed[0], full[0]) and np.array_equal(acc[0], acc_full[0])
+        assert np.array_equal(mixed[0], full[0])
         assert np.array_equal(mixed[1], once[0])
-        assert np.array_equal(acc[1], books[0].vectors[idx[1, :, 0]].astype(np.float64))
+        assert np.array_equal(mixed[1], x[1] - books[0].vectors[idx[1, :, 0]].astype(np.float64))
 
     def test_decode_rejects_out_of_range_index(self, model):
         plan = quantizer.plan_from_stages(model.layout, [1, 0, 0, 0])

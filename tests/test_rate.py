@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import make_layout
 from msvq import datagen, oracle, quantizer, rate, trainer
 from msvq.codebook import ROW_CHUNK
-from msvq.errors import ConfigError, CorruptionError, StateError
+from msvq.errors import ConfigError, CorruptionError
 
 
 def table_from_drops(drops, step_bits, full_loss=0.0):
@@ -130,10 +130,6 @@ class TestBuildTable:
 
     def test_exact_mode_step_bits_are_layout_bits(self, table, model):
         assert np.array_equal(table.step_bits, model.layout.bits.astype(np.float64))
-
-    def test_average_mode_needs_codes(self, model, corr_data):
-        with pytest.raises(StateError):
-            rate.build_table(model, corr_data, mode=rate.MODE_AVERAGE)
 
     def test_average_mode_measures_code_lengths(self, ec_model, corr_data):
         tab = rate.build_table(ec_model, corr_data)
