@@ -15,7 +15,11 @@ Under a plain model every vector's block is ceil(exact_bits / 8) bytes, so the
 reader checks the exact body length before decoding; under an EC model every
 vector with at least one field takes at least one byte, which bounds the
 header's vector count. Either check runs before anything sized by that count
-is allocated.
+is allocated. An EC body is decoded by entropy.unpack_prefix, which decodes
+a window of candidate vector starts at once and falls back to one symbol per
+step only for the vectors its lookup cannot settle. The canonical codes, their
+decode tables and the code-length lookup are built once per loaded model and
+kept with it (MsvqModel.huffman_codes, MsvqModel.padded_code_lengths).
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import numpy as np
 
 from . import rate
 from .codebook import ROW_CHUNK, Codebook, MsvqModel
+# perfbench/spans.py wraps canonical_code on this module; it is not called here.
 from .entropy import (
     canonical_code,
     decode_table,
@@ -39,7 +44,7 @@ from .entropy import (
     unpack_prefix,
 )
 from .errors import ConfigError, CorruptionError, DataError, StateError
-from .layout import MAX_BITS, assemble_layout
+from .layout import assemble_layout
 from .quantizer import (
     SelectionPlan,
     _check_features,
@@ -320,9 +325,8 @@ def field_code_bits(model: MsvqModel, stages: np.ndarray, symbols: np.ndarray) -
     sub, stage, _ = field_order(stages)
     if not model.ec_enabled:
         return np.broadcast_to(lay.bits[sub, stage], symbols.shape)
-    lengths = np.array([[np.pad(cb.code_lengths, (0, (1 << MAX_BITS) - cb.size))
-                         for cb in books] for books in model.codebooks])
-    return lengths[lay.group_of[sub], stage][np.arange(sub.size), symbols]
+    lengths = model.padded_code_lengths[lay.group_of[sub], stage]
+    return lengths[np.arange(sub.size), symbols]
 
 
 def _field_coding(model: MsvqModel, stages: np.ndarray):
@@ -331,8 +335,7 @@ def _field_coding(model: MsvqModel, stages: np.ndarray):
     sub, stage, _ = field_order(stages)
     if not model.ec_enabled:
         return lay.bits[sub, stage]
-    codes = [[canonical_code(model.codebooks[g][t].code_lengths)
-              for t in range(lay.t_max)] for g in range(model.n_groups)]
+    codes = model.huffman_codes
     return [codes[g][t] for g, t in zip(lay.group_of[sub].tolist(), stage.tolist())]
 
 

@@ -13,14 +13,14 @@ residual of exactly 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .entropy import MAX_CODE_LENGTH, HuffmanCode, canonical_code, kraft_sum
 from .errors import ConfigError, CorruptionError, DataError, MsvqError
 from .layout import SubVectorLayout
 
-PRIOR_FLOOR = 2.0 ** -32  # keeps -log2(p) finite for every codeword
-MAX_CODE_LENGTH = 32  # Huffman code length cap (entropy re-exports it)
 ROW_CHUNK = 4096  # search block; callers chunk rows by it too, so results ignore threads
 
 
@@ -46,10 +46,6 @@ class Codebook:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-
-def kraft_sum(lengths: np.ndarray) -> float:
-    return float(np.sum(2.0 ** -np.asarray(lengths, dtype=np.float64)))
 
 
 def validate_codebook(cb: Codebook) -> None:
@@ -128,6 +124,21 @@ class MsvqModel:
         if lambdas.shape != (lay.t_max,) or not np.all(np.isfinite(lambdas) & (lambdas > 0)):
             raise ConfigError(f"lambdas must be positive and finite, one per stage "
                               f"({lay.t_max})")
+
+    @cached_property
+    def huffman_codes(self) -> tuple[tuple[HuffmanCode, ...], ...]:
+        """Canonical code of codebook [g][t] (EC models only); built on first
+        use and kept with the model, as are the codes' decode tables."""
+        return tuple(tuple(canonical_code(cb.code_lengths) for cb in books)
+                     for books in self.codebooks)
+
+    @cached_property
+    def padded_code_lengths(self) -> np.ndarray:
+        """(G, T, K) code length of every codeword (EC models only), K being
+        the largest codebook's size; zero past a smaller codebook's end."""
+        k = max(cb.size for books in self.codebooks for cb in books)
+        return np.array([[np.pad(cb.code_lengths, (0, k - cb.size)) for cb in books]
+                         for books in self.codebooks])
 
     @property
     def t_max(self) -> int:

@@ -15,10 +15,18 @@ chunk at a time.
 * Prefix-coded fields (pack_prefix) take their bit offsets from cumulative
   code lengths; each codeword's byte contributions are summed into the output
   in at most five vectorized passes.
-* unpack_prefix decodes one symbol per step, table-driven (Moffat & Turpin
-  1997, "On the implementation of minimum redundancy prefix codes"): the next
-  LOOKUP_BITS bits index a table giving the symbol and its length, and a
-  canonical per-length search handles longer codewords.
+* unpack_prefix is table-driven (Moffat & Turpin 1997, "On the
+  implementation of minimum redundancy prefix codes"): the next LOOKUP_BITS
+  bits index a table giving the symbol and its length, and a canonical
+  per-length search handles longer codewords. Because every row is a
+  byte-aligned block, each byte offset of a bounded window of the data is a
+  candidate row start, and all of them are decoded at once, one vectorized
+  step per field (speculative decoding, Klein & Wiseman 2003, "Parallel
+  Huffman decoding with applications to JPEG files"). The true row starts are
+  then chained from the window's first byte and decoded again, together. A
+  row the lookup cannot settle (a codeword longer than the table, an invalid
+  code, or an end past the data) goes through the scalar loop, one symbol per
+  step, which also decodes small inputs and raises every CorruptionError.
 """
 
 from __future__ import annotations
@@ -31,11 +39,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .codebook import MAX_CODE_LENGTH, PRIOR_FLOOR, kraft_sum  # kraft_sum: re-exported
 from .errors import CorruptionError, DataError
 
+PRIOR_FLOOR = 2.0 ** -32  # keeps -log2(p) finite for every codeword
+MAX_CODE_LENGTH = 32  # Huffman code length cap
 LOOKUP_BITS = 12  # decode-table width; longer codewords take the per-length search
-_WORD_WINDOW = 4096  # bytes of payload held as 64-bit words while decoding
+_WORD_WINDOW = 4096  # bytes of payload held as 64-bit words by the scalar loop
+_SPECULATIVE_WINDOW = 8192  # candidate row starts decoded at once
+_SPECULATIVE_MIN_ROWS = 64  # fewer rows are cheaper one symbol per step
+_UNRESOLVED = 1 << 32  # bits a speculative lookup adds when it resolves no codeword
+
+
+def kraft_sum(lengths: np.ndarray) -> float:
+    return float(np.sum(2.0 ** -np.asarray(lengths, dtype=np.float64)))
 
 
 @dataclass(frozen=True)
@@ -101,6 +117,13 @@ class DecodeTable:
                    max_length=code.max_length, first=tuple(first.tolist()),
                    count=tuple(count.tolist()), start=tuple(start.tolist()),
                    ordered=tuple(ordered.tolist()))
+
+    @cached_property
+    def advance(self) -> np.ndarray:
+        """length as int64, with _UNRESOLVED where it is 0: what speculative
+        decoding adds to a candidate's bit position."""
+        length = np.frombuffer(self.length, dtype=np.uint8)
+        return np.where(length == 0, _UNRESOLVED, length.astype(np.int64))
 
     def decode_long(self, word: int, pos: int) -> tuple[int, int]:
         """(symbol, length) of the codeword at bit `pos`, which is bit pos % 8
@@ -318,20 +341,45 @@ def unpack_prefix(
     Returns (symbols (rows, F), realized bits per row, byte offset after the
     last block). Raises CorruptionError on an invalid codeword or a block
     that runs past the end of data.
+
+    Fewer than _SPECULATIVE_MIN_ROWS rows are decoded by the scalar loop.
+    Otherwise _SPECULATIVE_WINDOW bytes at a time are decoded speculatively
+    (see _speculate); rows the fast pass cannot settle still go through the
+    scalar loop, so symbols, row bits, end offset and errors are the same
+    either way.
     """
     n_fields = len(tables)
     out = array("I", [0]) * (rows * n_fields)
     row_bits = array("q", [0]) * rows
     steps = [(64 - t.bits, (1 << t.bits) - 1, t.length, t.symbol, t) for t in tables]
-    reach = (sum(t.max_length for t in tables) + 7) // 8 + 1  # bytes one block can touch
+    reach = (sum(t.max_length for t in tables) + 7) // 8 + 1  # bytes a block can touch
+    if rows < _SPECULATIVE_MIN_ROWS or not n_fields:
+        end = _decode_rows(data, steps, reach, offset, 0, rows, out, row_bits)
+    else:
+        end = _speculate(data, steps, reach, offset, rows, out, row_bits)
+    symbols = np.frombuffer(out, dtype=np.uint32).reshape(rows, n_fields)
+    return symbols, np.frombuffer(row_bits, dtype=np.int64), end
+
+
+def _decode_rows(data, steps, reach, offset, first, stop, out, row_bits) -> int:
+    """Scalar loop: decode blocks first..stop-1 from data[offset:], one symbol
+    per step, into out (row-major symbols) and row_bits. steps holds each
+    field's (shift, mask, length, symbol, table) lookup; no block touches
+    more than `reach` bytes.
+
+    Returns the byte offset after block stop-1; raises CorruptionError at the
+    first invalid codeword or block end past the data.
+    """
+    n_fields = len(steps)
     limit = 8 * (len(data) - offset)
-    base, words, p, k = offset, [], 0, 0  # p: bit position relative to byte `base`
-    for r in range(rows):
+    base, words, p, k = offset, [], 0, first * n_fields  # p: bit position relative to `base`
+    for r in range(first, stop):
         if (p >> 3) + reach > len(words):
             base += p >> 3
             limit -= p
             p = 0
-            words = _be_words(data, base, max(reach, min(_WORD_WINDOW, len(data) - base)))
+            words = _be_words(data, base, max(reach, min(_WORD_WINDOW, len(data) - base,
+                                                         (stop - r) * reach)))
         start = p
         for shift, mask, length, symbol, table in steps:
             word = words[p >> 3]
@@ -348,5 +396,66 @@ def unpack_prefix(
                                   f"{8 * base + p}, past the end at {8 * len(data)}")
         row_bits[r] = p - start
         p = (p + 7) & ~7
+    return base + (p >> 3)
+
+
+def _speculate(data, steps, reach, offset, rows, out, row_bits) -> int:
+    """Decode all rows a window at a time; returns the byte offset after the last.
+
+    Each window's byte offsets are all decoded as row starts, one vectorized
+    lookup per field. A lookup that resolves no codeword adds _UNRESOLVED
+    bits, so a candidate's span tells whether every field resolved. The true
+    starts are then chained from the window's first byte, and decoded again
+    together into out and row_bits. A true start whose candidate did not
+    resolve, or ends past the data, is decoded by the scalar loop inside the
+    chain, which continues from its end. Working memory depends on the
+    window and the fields, not on `rows`.
+    """
+    tables = [step[-1] for step in steps]
+    n_fields = len(tables)
+    widths = sorted({t.bits for t in tables})
+    span = sum(t.bits for t in tables)  # most bits a resolved row takes
+    pad = (span + 7) // 8 + 1  # bytes a resolved row reaches past its start
+    fast = [(widths.index(t.bits), t.advance, np.frombuffer(t.length, dtype=np.uint8),
+             np.frombuffer(t.symbol, dtype=np.uint32)) for t in tables]
+    shifts = np.arange(8, dtype=np.uint32)
     symbols = np.frombuffer(out, dtype=np.uint32).reshape(rows, n_fields)
-    return symbols, np.frombuffer(row_bits, dtype=np.int64), base + (p >> 3)
+    bits = np.frombuffer(row_bits, dtype=np.int64)
+    base, r = offset, 0
+    while r < rows:
+        width = max(1, min(_SPECULATIVE_WINDOW, len(data) - base, (rows - r) * reach))
+        size = width + pad + 3
+        raw = np.frombuffer(data[base:base + size].ljust(size, b"\0"), dtype=np.uint8)
+        raw = raw.astype(np.uint32)
+        word = raw[:-3] << 24 | raw[1:-2] << 16 | raw[2:-1] << 8 | raw[3:]
+        ahead = (word[:, None] << shifts).ravel()  # bit position -> the 32 bits from it
+        peeks = [ahead >> (32 - k) for k in widths]  # bit position -> k-bit lookup index
+
+        start = np.arange(0, 8 * width, 8)
+        p = start.copy()
+        for w, advance, _, _ in fast:  # unresolved candidates may run off the window
+            p += np.take(advance, np.take(peeks[w], p, mode="clip"))
+        resolved = (p - start <= span) & (p <= 8 * (len(data) - base))
+        nxt = np.where(resolved, (p + 7) >> 3, -1).tolist()
+
+        b, starts, at = 0, [], []
+        while b < width and r < rows:
+            end = nxt[b]
+            if end < 0:  # a long or invalid codeword, or past the data
+                end = _decode_rows(data, steps, reach, base + b, r, r + 1, out,
+                                   row_bits) - base
+            else:
+                starts.append(b)
+                at.append(r)
+            b, r = end, r + 1
+        p = 8 * np.array(starts, dtype=np.int64)
+        first_bit = p.copy()
+        block = np.empty((n_fields, p.size), dtype=np.uint32)
+        for f, (w, _, length, symbol) in enumerate(fast):
+            peek = np.take(peeks[w], p)
+            np.take(symbol, peek, out=block[f])
+            p += np.take(length, peek)
+        symbols[at] = block.T
+        bits[at] = p - first_bit
+        base += b
+    return base

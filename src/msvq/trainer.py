@@ -33,13 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import entropy
-from .codebook import (
-    PRIOR_FLOOR,
-    Codebook,
-    MsvqModel,
-    nearest_batch,
-    nearest_rate_penalized_batch,
-)
+from .codebook import Codebook, MsvqModel, nearest_batch, nearest_rate_penalized_batch
 from .errors import ConfigError, DataError
 from .layout import SubVectorLayout
 from .quantizer import group_blocks, split_subvectors, walk_stages
@@ -266,7 +260,7 @@ def train(
             centers, prior, trace = _fit_codebook(
                 pts, k, rng, config.ec, rd_lambda, config.max_iters, config.rel_tol)
             if prior is not None:
-                prior = np.maximum(prior, PRIOR_FLOOR)
+                prior = np.maximum(prior, entropy.PRIOR_FLOOR)
                 prior = prior / prior.sum()
                 prior = _freeze(prior)
             stage_books[g].append(Codebook(vectors=_freeze(centers.astype(np.float32)),

@@ -1,4 +1,6 @@
 import json
+import sys
+import time
 import zlib
 from pathlib import Path
 
@@ -7,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msvq import bitstream, quantizer, rate
-from msvq.errors import CorruptionError
+from msvq import bitstream, codebook, entropy, quantizer, rate
+from msvq.errors import CorruptionError, MsvqError
 
-GOLDEN_MODELS = {kind: (Path(__file__).resolve().parent / "golden" / f"model_{kind}.msvq")
-                 .read_bytes() for kind in ("plain", "ec")}
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_MODELS = {kind: (GOLDEN / f"model_{kind}.msvq").read_bytes() for kind in ("plain", "ec")}
+GOLDEN_EC_PAYLOADS = {name: (GOLDEN / f"payload_{name}.msvp").read_bytes()
+                      for name in ("ec", "ec_strict")}
 
 
 @pytest.fixture(scope="module")
@@ -322,3 +326,104 @@ class TestPayloadFiles:
         if strict and which == "ec":  # the undo lowered the greedy plan
             assert got.mode == bitstream.MODE_EXPLICIT
             assert got.plan.stages.sum() < stages.sum()
+
+
+def _golden_ec_pair():
+    """A freshly loaded golden EC model (no code state built yet), its digest
+    and its table."""
+    model, info = bitstream.read_model(str(GOLDEN / "model_ec.msvq"))
+    return model, info.file_digest, bitstream.read_table(str(GOLDEN / "table_ec.json"))
+
+
+def test_code_state_is_built_once_per_model(tmp_path, monkeypatch):
+    model, digest, table = _golden_ec_pair()
+    data = bitstream.read_features(str(GOLDEN / "features.fmat"))
+    built = {"codes": 0, "tables": 0}
+    canonical, build_table = codebook.canonical_code, entropy.DecodeTable.build
+
+    def count_code(lengths):
+        built["codes"] += 1
+        return canonical(lengths)
+
+    def count_table(cls, code):
+        built["tables"] += 1
+        return build_table(code)
+
+    monkeypatch.setattr(codebook, "canonical_code", count_code)
+    monkeypatch.setattr(entropy.DecodeTable, "build", classmethod(count_table))
+    path = str(tmp_path / "p.msvp")
+    for _ in range(2):
+        info = bitstream.write_payload(path, model, digest, table, data, b_cap=30)
+        bitstream.read_payload(path, model, digest, table)
+    sub, stage, _ = quantizer.field_order(info.plan.stages)
+    used = set(zip(model.layout.group_of[sub].tolist(), stage.tolist()))
+    assert 1 < len(used) < model.n_groups * model.t_max
+    assert built == {"codes": model.n_groups * model.t_max, "tables": len(used)}
+
+
+def _read_outcome(path, pair, speculative=True):
+    """read_payload's (reconstruction, bits per vector), or the exit code and
+    text of the MsvqError it raised, and the seconds it took. With
+    speculative=False the EC body is decoded by the scalar loop alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not speculative:
+            mp.setattr(entropy, "_SPECULATIVE_MIN_ROWS", sys.maxsize)
+        start = time.perf_counter()
+        try:
+            z_hat, info = bitstream.read_payload(str(path), *pair)
+            outcome = (z_hat, info.bits_per_vector)
+        except MsvqError as exc:
+            outcome = (exc.exit_code, str(exc))
+    return outcome, time.perf_counter() - start
+
+
+class TestEcPayloadFuzz:
+    """Damaged golden EC payloads: every read fails with an MsvqError (CLI exit
+    2-5) in bounded time, or decodes exactly as the scalar loop does."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        return _golden_ec_pair()
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "p.msvp"
+
+    @staticmethod
+    def _check(blob, path, pair, errors_too=False):
+        path.write_bytes(blob)
+        got, seconds = _read_outcome(path, pair)
+        assert seconds < 2.0
+        failed = isinstance(got[0], int)
+        if failed:
+            assert 2 <= got[0] <= 5, got
+            if not errors_too:
+                return
+        want, _ = _read_outcome(path, pair, speculative=False)
+        if failed:
+            assert got == want
+        else:
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_EC_PAYLOADS))
+    def test_golden_payloads_take_the_fast_path(self, monkeypatch, pair, name):
+        rows = []
+        speculate = entropy._speculate
+        monkeypatch.setattr(entropy, "_speculate", lambda *a: rows.append(a[4]) or speculate(*a))
+        _, info = bitstream.read_payload(str(GOLDEN / f"payload_{name}.msvp"), *pair)
+        assert rows == [info.count] == [400]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_EC_PAYLOADS))
+    def test_every_truncation(self, path, pair, name):
+        blob = GOLDEN_EC_PAYLOADS[name]
+        for end in range(len(blob)):
+            self._check(blob[:end], path, pair)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_EC_PAYLOADS))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_byte_replacement(self, path, pair, name, data):
+        blob = bytearray(GOLDEN_EC_PAYLOADS[name])
+        at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        blob[at] = data.draw(st.integers(0, 255).filter(lambda b: b != blob[at]), label="byte")
+        self._check(bytes(blob), path, pair, errors_too=True)

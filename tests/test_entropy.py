@@ -1,5 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import encoded_usage, make_layout
 from msvq import entropy
@@ -217,3 +221,111 @@ class TestIndexStreams:
         incomplete = entropy.canonical_code(np.array([2, 2, 2]))  # Kraft sum 3/4
         with pytest.raises(CorruptionError, match="bit offset"):
             entropy.unpack_prefix(b"\xff", 1, [entropy.decode_table(incomplete)])
+
+
+LONG_CODE = np.r_[np.arange(1, 21), 20]  # Kraft sum 1; codewords up to 20 bits
+
+
+def _decode(data, rows, tables, offset=0, speculative=True):
+    """unpack_prefix forced onto the speculative path, or onto the scalar loop
+    alone (the reference), whatever the input size; errors come back as text."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entropy, "_SPECULATIVE_MIN_ROWS", 0 if speculative else sys.maxsize)
+        try:
+            return entropy.unpack_prefix(data, rows, tables, offset)
+        except CorruptionError as exc:
+            return str(exc)
+
+
+def _assert_same(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        symbols, bits, end = got
+        assert np.array_equal(symbols, want[0]) and symbols.dtype == want[0].dtype
+        assert np.array_equal(bits, want[1]) and bits.dtype == want[1].dtype
+        assert end == want[2]
+
+
+def _random_stream(rng, rows, long_code=True):
+    """Codes for a few fields (one of them, optionally, the long code) and
+    their packed rows; symbols are drawn uniformly, so long codewords abound."""
+    codes = [entropy.build_code(rng.dirichlet(np.full(int(rng.integers(2, 65)), 0.4)))
+             for _ in range(int(rng.integers(1, 5)))]
+    if long_code:
+        codes.insert(int(rng.integers(len(codes) + 1)), entropy.canonical_code(LONG_CODE))
+    symbols = np.stack([rng.integers(c.size, size=rows) for c in codes], axis=1)
+    return codes, symbols, entropy.pack_prefix(symbols, codes).tobytes()
+
+
+class TestSpeculativeDecode:
+    """The speculative decoder against the scalar loop it falls back to."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(0, 120),
+           offset=st.integers(0, 5), trailing=st.integers(0, 3),
+           window=st.sampled_from([1, 2, 3, 8, 29, 8192]), long_code=st.booleans())
+    def test_matches_the_scalar_loop(self, seed, rows, offset, trailing, window, long_code):
+        rng = np.random.default_rng(seed)
+        codes, symbols, packed = _random_stream(rng, rows, long_code)
+        data = bytes(rng.integers(256, size=offset, dtype=np.uint8)) + packed + b"\x5a" * trailing
+        tables = [entropy.decode_table(c) for c in codes]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entropy, "_SPECULATIVE_WINDOW", window)  # rows straddle windows
+            got = _decode(data, rows, tables, offset)
+        want = _decode(data, rows, tables, offset, speculative=False)
+        _assert_same(got, want)
+        assert np.array_equal(got[0], symbols)
+        assert got[2] == offset + len(packed)
+
+    def test_unresolved_lookups_are_caught_whatever_the_data_length(self, monkeypatch):
+        # with _UNRESOLVED just above a row's largest span, the candidates it
+        # marks still end inside the data; the span alone must flag them
+        rng = np.random.default_rng(5)
+        codes, symbols, data = _random_stream(rng, 200)
+        monkeypatch.setattr(entropy, "_UNRESOLVED",
+                            sum(min(c.max_length, entropy.LOOKUP_BITS) for c in codes) + 1)
+        tables = [entropy.DecodeTable.build(c) for c in codes]  # fresh: advance reads it
+        got = _decode(data, len(symbols), tables)
+        _assert_same(got, _decode(data, len(symbols), tables, speculative=False))
+        assert np.array_equal(got[0], symbols)
+
+    def test_large_input_takes_the_fast_path(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        codes = [entropy.build_code(rng.dirichlet(np.full(64, 2.0))) for _ in range(6)]
+        assert max(c.max_length for c in codes) <= entropy.LOOKUP_BITS
+        symbols = np.stack([rng.integers(64, size=3000) for _ in codes], axis=1)
+        data = entropy.pack_prefix(symbols, codes).tobytes()
+        tables = [entropy.decode_table(c) for c in codes]
+        scalar_calls = []
+        scalar = entropy._decode_rows
+        monkeypatch.setattr(entropy, "_decode_rows",
+                            lambda *args: scalar_calls.append(args) or scalar(*args))
+        got, _, end = entropy.unpack_prefix(data, len(symbols), tables)
+        assert np.array_equal(got, symbols) and end == len(data)
+        assert scalar_calls == []
+
+    def test_truncation_at_every_byte_matches_the_scalar_loop(self):
+        rng = np.random.default_rng(3)
+        codes, _, data = _random_stream(rng, 40)
+        tables = [entropy.decode_table(c) for c in codes]
+        for cut in range(len(data)):
+            want = _decode(data[:cut], 40, tables, speculative=False)
+            assert isinstance(want, str) and "bit offset" in want
+            _assert_same(_decode(data[:cut], 40, tables), want)
+
+    def test_invalid_codes_match_the_scalar_loop(self):
+        rng = np.random.default_rng(4)
+        codes = _random_stream(rng, 0)[0] + [entropy.canonical_code(np.array([2, 2, 2]))]
+        # in the last field "11" starts no codeword
+        symbols = np.stack([rng.integers(c.size, size=40) for c in codes], axis=1)
+        data = entropy.pack_prefix(symbols, codes).tobytes()
+        tables = [entropy.decode_table(c) for c in codes]
+        invalid = 0
+        for at in range(len(data)):
+            for value in (0xFF, int(rng.integers(256))):
+                flipped = data[:at] + bytes([value]) + data[at + 1:]
+                want = _decode(flipped, 40, tables, speculative=False)
+                invalid += isinstance(want, str) and "invalid prefix code" in want
+                _assert_same(_decode(flipped, 40, tables), want)
+        assert invalid > 0
