@@ -11,7 +11,6 @@ from .codebook import Codebook, MsvqModel, codeword_param_count
 from .entropy import HuffmanCode, avg_bits, build_code
 from .errors import ConfigError, CorruptionError, DataError, MsvqError, StateError
 from .layout import (
-    FeatureStats,
     SubVectorLayout,
     allocation_preset,
     build_layout,
@@ -36,7 +35,6 @@ __all__ = [
     "ConfigError",
     "CorruptionError",
     "DataError",
-    "FeatureStats",
     "HuffmanCode",
     "MarginalLossTable",
     "MsvqError",

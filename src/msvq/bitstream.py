@@ -141,8 +141,9 @@ def read_table(path: str) -> rate.MarginalLossTable:
 
 @dataclass(frozen=True)
 class ModelInfo:
-    version: int
-    flags: int
+    """The digests read_model reports beside the model: the table digest
+    stamped into the header (0 when unbound) and the file's own digest."""
+
     table_digest: int
     file_digest: int
 
@@ -235,13 +236,10 @@ def model_from_bytes(blob: bytes, name: str = "model") -> tuple[MsvqModel, Model
         cur.done()
         books = tuple(tuple(map(Codebook, *rows)) for rows in zip(vectors, priors, lengths))
         model = MsvqModel(layout=lay, codebooks=books, fallback_means=fallback,
-                          ec_enabled=ec, lambdas=lambdas)
+                          lambdas=lambdas)
     except (ConfigError, DataError) as exc:
         raise CorruptionError(f"{name}: {exc}") from exc
-
-    info = ModelInfo(version=version, flags=flags, table_digest=table_digest,
-                     file_digest=digest64(blob))
-    return model, info
+    return model, ModelInfo(table_digest=table_digest, file_digest=digest64(blob))
 
 
 def read_model(path: str) -> tuple[MsvqModel, ModelInfo]:
@@ -262,7 +260,9 @@ def stamp_table_digest(model_path: str, table_digest: int) -> None:
 
 @dataclass(frozen=True)
 class PayloadHeader:
-    version: int
+    """The checked MSVP header fields; the version is always PAYLOAD_VERSION,
+    as the parser rejects any other."""
+
     mode: int
     model_digest: int
     b_cap: int
@@ -270,14 +270,12 @@ class PayloadHeader:
 
 
 @dataclass(frozen=True)
-class PayloadInfo:
-    version: int
-    mode: int
-    b_cap: int
-    count: int
-    model_digest: int
+class PayloadInfo(PayloadHeader):
+    """A payload's header with the plan it was coded under and the realized
+    code bits of each vector, excluding byte padding."""
+
     plan: SelectionPlan
-    bits_per_vector: np.ndarray  # realized code bits, excluding byte padding
+    bits_per_vector: np.ndarray
 
 
 def parse_payload_header(blob: bytes, name: str = "payload") -> PayloadHeader:
@@ -296,8 +294,7 @@ def parse_payload_header(blob: bytes, name: str = "payload") -> PayloadHeader:
         raise CorruptionError(f"{name}: unknown plan mode {mode}")
     if reserved != 0:
         raise CorruptionError(f"{name}: reserved header byte is {reserved}, expected 0")
-    return PayloadHeader(version=version, mode=mode, model_digest=digest, b_cap=b_cap,
-                         count=count)
+    return PayloadHeader(mode=mode, model_digest=digest, b_cap=b_cap, count=count)
 
 
 def _plan_field_bits(lay) -> np.ndarray:
@@ -399,9 +396,8 @@ def write_payload(
             else:
                 fh.write(pack_fixed(chunk, coding).tobytes())
 
-    return PayloadInfo(version=PAYLOAD_VERSION, mode=mode, b_cap=b_cap,
-                       count=Z.shape[0], model_digest=model_digest, plan=plan,
-                       bits_per_vector=bits_rows)
+    return PayloadInfo(mode=mode, model_digest=model_digest, b_cap=b_cap, count=Z.shape[0],
+                       plan=plan, bits_per_vector=bits_rows)
 
 
 def read_payload(
@@ -468,6 +464,4 @@ def read_payload(
         bits_rows = np.full(count, exact_bits, dtype=np.int64)
 
     z_hat = decode_batch(model, symbols, plan)
-    info = PayloadInfo(version=head.version, mode=head.mode, b_cap=head.b_cap, count=count,
-                       model_digest=head.model_digest, plan=plan, bits_per_vector=bits_rows)
-    return z_hat, info
+    return z_hat, PayloadInfo(**vars(head), plan=plan, bits_per_vector=bits_rows)

@@ -1,7 +1,9 @@
 """Command-line surface: gen | train | table | encode | decode | sweep | verify | info.
 
 Every command is deterministic given its inputs and seed; sweep reports differ
-only in the wall-time column across runs. Error classes map to exit codes:
+only in the wall-time column across runs. Decoding is bit-exact under any BLAS
+build; training, the table pass and encoding search by BLAS matrix products
+and are reproducible within one BLAS build. Error classes map to exit codes:
 config 2, data 3, corruption 4, state 5.
 """
 
@@ -346,8 +348,8 @@ def _cmd_info(args) -> int:
         if head == bitstream.MODEL_MAGIC:
             model, info = bitstream.read_model(path)
             lay = model.layout
-            print(f"  model v{info.version}: M={lay.m_dim} D={lay.sub_dim} N={lay.n_sub} "
-                  f"G={lay.n_groups} T_max={lay.t_max}")
+            print(f"  model v{bitstream.MODEL_VERSION}: M={lay.m_dim} D={lay.sub_dim} "
+                  f"N={lay.n_sub} G={lay.n_groups} T_max={lay.t_max}")
             print(f"  ec={model.ec_enabled}")
             print(f"  table_digest={info.table_digest:#018x}")
             print(f"  file_digest={info.file_digest:#018x}")
@@ -357,7 +359,7 @@ def _cmd_info(args) -> int:
                     fh.read(bitstream.PAYLOAD_HEADER_SIZE), path)
             mode_name = ("explicit-plan" if header.mode == bitstream.MODE_EXPLICIT
                          else "plan-derived")
-            print(f"  payload v{header.version}: {header.count} vectors, "
+            print(f"  payload v{bitstream.PAYLOAD_VERSION}: {header.count} vectors, "
                   f"b_cap={header.b_cap}, {mode_name}")
             print(f"  model_digest={header.model_digest:#018x}")
         elif head == bitstream.FMAT_MAGIC:

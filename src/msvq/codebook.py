@@ -79,21 +79,21 @@ class MsvqModel:
     2^bits[g, t] codewords of dimension sub_dim that pass validate_codebook.
     fallback_means is the finite (n_sub, sub_dim) array of per-sub-vector
     training means (layout order) used to reconstruct sub-vectors that receive
-    zero stages. An entropy-constrained model (ec_enabled) has lambdas, the
-    finite positive per-stage distortion weights of the rate-penalized search,
-    and every codebook has a prior and Huffman code lengths (which training
-    builds from its final pass's codeword counts); a plain model has none of
-    the three. Any other combination raises on construction.
+    zero stages. A model is entropy-constrained (ec_enabled) exactly when it
+    has lambdas, the finite positive per-stage distortion weights of the
+    rate-penalized search; then every codebook has a prior and Huffman code
+    lengths (which training builds from its final pass's codeword counts), and
+    otherwise none has either. Any other combination raises on construction.
     """
 
     layout: SubVectorLayout
     codebooks: tuple[tuple[Codebook, ...], ...]
     fallback_means: np.ndarray
-    ec_enabled: bool = False
     lambdas: np.ndarray | None = None
 
     def __post_init__(self):
         lay = self.layout
+        ec = self.ec_enabled
         if len(self.codebooks) != lay.n_groups or any(
                 len(books) != lay.t_max for books in self.codebooks):
             raise ConfigError(f"model needs {lay.n_groups} groups of {lay.t_max} codebooks")
@@ -104,10 +104,9 @@ class MsvqModel:
                 if cb.vectors.shape != shape:
                     raise ConfigError(f"{where}: vectors are {cb.vectors.shape}, "
                                       f"layout needs {shape}")
-                if ((cb.prior is not None) != self.ec_enabled
-                        or (cb.code_lengths is not None) != self.ec_enabled):
+                if (cb.prior is not None) != ec or (cb.code_lengths is not None) != ec:
                     raise ConfigError(f"{where}: priors and code lengths must be given "
-                                      f"exactly when the model is entropy-constrained")
+                                      f"exactly when lambdas are")
                 try:
                     validate_codebook(cb)
                 except MsvqError as exc:
@@ -116,14 +115,16 @@ class MsvqModel:
         if means.shape != (lay.n_sub, lay.sub_dim) or not np.all(np.isfinite(means)):
             raise ConfigError(f"fallback means must be a finite ({lay.n_sub}, "
                               f"{lay.sub_dim}) array, got shape {means.shape}")
-        if not self.ec_enabled:
-            if self.lambdas is not None:
-                raise ConfigError("lambdas are given, but the model is not entropy-constrained")
+        if not ec:
             return
-        lambdas = np.asarray(self.lambdas, dtype=np.float64)  # None becomes a 0-d NaN
+        lambdas = np.asarray(self.lambdas, dtype=np.float64)
         if lambdas.shape != (lay.t_max,) or not np.all(np.isfinite(lambdas) & (lambdas > 0)):
             raise ConfigError(f"lambdas must be positive and finite, one per stage "
                               f"({lay.t_max})")
+
+    @property
+    def ec_enabled(self) -> bool:
+        return self.lambdas is not None
 
     @cached_property
     def huffman_codes(self) -> tuple[tuple[HuffmanCode, ...], ...]:

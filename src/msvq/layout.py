@@ -1,10 +1,12 @@
-"""Feature statistics, variance-sorted sub-vector layouts, and bit allocation.
+"""Feature variances, variance-sorted sub-vector layouts, and bit allocation.
 
 An M-dimensional feature vector is split into N sub-vectors of dimension D by
 first permuting coordinates into descending-variance order, so each sub-vector
 holds entries with similar spread. Sub-vectors are then assigned to G
 codebook-sharing groups (contiguous runs in variance order), and every
 sub-vector gets a per-stage quantization bit width from an allocation preset.
+The per-coordinate variance vector that compute_stats measures is the only
+statistic a layout needs.
 """
 
 from __future__ import annotations
@@ -25,21 +27,6 @@ _PRESET_ALIASES = {
     "type3": "type3",
     "typeiii": "type3",
 }
-
-
-@dataclass(frozen=True)
-class FeatureStats:
-    """Per-coordinate sample statistics of a feature matrix.
-
-    Attributes:
-        mean: Length-M sample means.
-        variance: Length-M population variances (1/n normalization).
-        sample_count: Number of rows the statistics were computed from.
-    """
-
-    mean: np.ndarray
-    variance: np.ndarray
-    sample_count: int
 
 
 @dataclass(frozen=True)
@@ -83,13 +70,14 @@ class SubVectorLayout:
         return self.bits[self.group_members(g)[0]]
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def freeze(a: np.ndarray) -> np.ndarray:
+    """Mark an array read-only and return it."""
     a.flags.writeable = False
     return a
 
 
-def compute_stats(data: np.ndarray) -> FeatureStats:
-    """Compute per-coordinate mean and population variance.
+def compute_stats(data: np.ndarray) -> np.ndarray:
+    """Per-coordinate population variance (1/n normalization), read-only.
 
     Args:
         data: (rows, M) feature matrix, rows >= 2, all finite.
@@ -105,8 +93,7 @@ def compute_stats(data: np.ndarray) -> FeatureStats:
     if not np.all(np.isfinite(data)):
         raise DataError("feature matrix contains non-finite values")
     mean = data.mean(axis=0)
-    variance = np.mean((data - mean) ** 2, axis=0)
-    return FeatureStats(_freeze(mean), _freeze(variance), int(data.shape[0]))
+    return freeze(np.mean((data - mean) ** 2, axis=0))
 
 
 def variance_order(variance: np.ndarray) -> np.ndarray:
@@ -206,12 +193,12 @@ def assemble_layout(
                 f"sub-vectors in group {g} have differing bit rows; codebook "
                 f"sharing requires identical widths (use more groups or another preset)")
     return SubVectorLayout(m_dim=m_dim, sub_dim=sub_dim, n_sub=n_sub,
-                           perm=_freeze(perm), group_of=_freeze(group_of),
-                           bits=_freeze(bits))
+                           perm=freeze(perm), group_of=freeze(group_of),
+                           bits=freeze(bits))
 
 
 def build_layout(
-    stats: FeatureStats,
+    variance: np.ndarray,
     sub_dim: int,
     t_max: int,
     groups: int,
@@ -220,7 +207,8 @@ def build_layout(
     """Build the variance-sorted sub-vector layout.
 
     Args:
-        stats: Feature statistics driving the coordinate ordering.
+        variance: Length-M per-coordinate variances (compute_stats) that
+            drive the coordinate ordering.
         sub_dim: Sub-vector dimension D; must divide M.
         t_max: Number of quantization stages.
         groups: Number of codebook-sharing groups G; must divide N.
@@ -231,7 +219,7 @@ def build_layout(
         ConfigError: on divisibility violations, preset/shape mismatches, or
             bit rows that differ within a codebook-sharing group.
     """
-    m_dim = int(stats.mean.shape[0])
+    m_dim = len(variance)
     if sub_dim < 1 or m_dim % sub_dim != 0:
         raise ConfigError(f"sub_dim={sub_dim} must divide feature dimension M={m_dim}")
     n_sub = m_dim // sub_dim
@@ -249,5 +237,5 @@ def build_layout(
                           f"(n_sub={n_sub}, t_max={t_max})")
 
     group_of = np.repeat(np.arange(groups, dtype=np.int64), n_sub // groups)
-    perm = variance_order(stats.variance)
+    perm = variance_order(variance)
     return assemble_layout(m_dim, sub_dim, n_sub, perm, group_of, bits)

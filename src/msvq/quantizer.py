@@ -30,6 +30,7 @@ import numpy as np
 
 from .codebook import ROW_CHUNK, MsvqModel, nearest_batch, nearest_rate_penalized_batch
 from .errors import ConfigError, CorruptionError, DataError
+from .layout import freeze
 
 
 @dataclass(frozen=True)
@@ -68,9 +69,7 @@ def _checked_stages(layout, stages) -> np.ndarray:
 
 def plan_from_stages(layout, stages) -> SelectionPlan:
     """Freeze a copy of a stage-count vector into a plan; the caller's array stays writeable."""
-    stages = _checked_stages(layout, stages).copy()
-    stages.flags.writeable = False
-    return SelectionPlan(stages=stages)
+    return SelectionPlan(stages=freeze(_checked_stages(layout, stages).copy()))
 
 
 def full_plan(layout) -> SelectionPlan:
@@ -207,7 +206,6 @@ def encode_batch(
     stages = _checked_stages(model.layout, plan.stages)
     lay = model.layout
     sub = split_subvectors(lay, Z)
-    lambdas = model.lambdas if model.ec_enabled else None
     sub_of, stage_of, _ = field_order(stages)
     # layout.MAX_BITS = 8 caps every codebook at 256 codewords
     symbols = np.empty((Z.shape[0], sub_of.size), dtype=np.uint8)
@@ -216,7 +214,7 @@ def encode_batch(
         chunk = sub[rows]
         for g, blk in group_blocks(lay, chunk.shape[0]):
             r = chunk[:, blk].transpose(1, 0, 2).copy()
-            idx = walk_stages(model.codebooks[g], lambdas, r, 0, stages[blk].tolist())
+            idx = walk_stages(model.codebooks[g], model.lambdas, r, 0, stages[blk].tolist())
             cols, at = _block_fields(sub_of, stage_of, blk)
             symbols[rows, cols] = idx[at].T
 

@@ -24,6 +24,7 @@ import numpy as np
 # perfbench/spans.py wraps these two names on this module; they are not called here.
 from .codebook import MsvqModel, nearest_batch, nearest_rate_penalized_batch
 from .errors import ConfigError, CorruptionError, DataError
+from .layout import freeze
 from .quantizer import (
     SelectionPlan,
     _check_features,
@@ -68,7 +69,6 @@ def _table_pass(model: MsvqModel, sub: np.ndarray):
     ec = model.ec_enabled
     len_sums = np.zeros((n, t_max), dtype=np.float64) if ec else None
     fallback = model.fallback_means.astype(np.float64)
-    lambdas = model.lambdas if ec else None
     for i in range(n):
         diff = sub[:, i, :] - fallback[i]
         dist_sums[i, 0] = np.einsum("rd,rd->", diff, diff)
@@ -77,7 +77,7 @@ def _table_pass(model: MsvqModel, sub: np.ndarray):
         # contiguous per-sub-vector slices: einsum's reduction order follows the memory layout
         r = sub[:, blk].transpose(1, 0, 2).copy()
         for t in range(t_max):
-            idx = walk_stages(books, lambdas, r, t, t + 1)[:, :, 0]
+            idx = walk_stages(books, model.lambdas, r, t, t + 1)[:, :, 0]
             for j in range(r.shape[0]):
                 dist_sums[blk.start + j, t + 1] = np.einsum("rd,rd->", r[j], r[j])
                 if ec:
@@ -106,10 +106,8 @@ def build_table(model: MsvqModel, data: np.ndarray, threads: int = 1) -> Margina
         step_bits, mode = sum(p[1] for p in parts) / rows, MODE_AVERAGE
     else:
         step_bits, mode = lay.bits.astype(np.float64), MODE_EXACT
-    loss.flags.writeable = False
-    step_bits = np.ascontiguousarray(step_bits)
-    step_bits.flags.writeable = False
-    return MarginalLossTable(loss=loss, step_bits=step_bits, mode=mode)
+    return MarginalLossTable(loss=freeze(loss), step_bits=freeze(np.ascontiguousarray(step_bits)),
+                             mode=mode)
 
 
 def greedy_order(table: MarginalLossTable, b_cap: float) -> tuple[np.ndarray, float, list[int]]:
@@ -156,9 +154,7 @@ def greedy_order(table: MarginalLossTable, b_cap: float) -> tuple[np.ndarray, fl
 
 def select_stages(table: MarginalLossTable, b_cap: float) -> SelectionPlan:
     """Derive the stage-count plan for a bit budget."""
-    stages = greedy_order(table, b_cap)[0]
-    stages.flags.writeable = False
-    return SelectionPlan(stages=stages)
+    return SelectionPlan(stages=freeze(greedy_order(table, b_cap)[0]))
 
 
 def plan_predicted_loss(table: MarginalLossTable, stages: np.ndarray) -> float:
@@ -207,13 +203,32 @@ def table_to_dict(table: MarginalLossTable) -> dict:
     }
 
 
+def _number_rows(doc: dict, key: str) -> np.ndarray:
+    """doc[key] as a float64 array; it must be a list of lists of JSON numbers."""
+    rows = doc[key]
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and all(type(v) in (int, float) for v in row)
+            for row in rows)):
+        raise CorruptionError(f"table {key} must be rows of JSON numbers")
+    return np.asarray(rows, dtype=np.float64)
+
+
 def table_from_dict(doc: dict) -> MarginalLossTable:
+    """The table an MLT1 document describes; anything else is a CorruptionError.
+
+    The format marker must be exactly "MLT1", n and t_max JSON integers, and
+    every loss and step_bits entry a JSON number: booleans and numeric strings
+    are rejected, not converted.
+    """
+    if doc.get("format") != "MLT1":
+        raise CorruptionError('table format marker is missing or not "MLT1"')
     try:
-        n, t_max, mode = int(doc["n"]), int(doc["t_max"]), str(doc["mode"])
-        loss = np.asarray(doc["loss"], dtype=np.float64)
-        step_bits = np.asarray(doc["step_bits"], dtype=np.float64)
+        n, t_max, mode = doc["n"], doc["t_max"], str(doc["mode"])
+        loss, step_bits = _number_rows(doc, "loss"), _number_rows(doc, "step_bits")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptionError(f"malformed table document: {exc}") from exc
+    if type(n) is not int or type(t_max) is not int:  # bool is an int subclass
+        raise CorruptionError("table n and t_max must be JSON integers")
     if mode not in (MODE_EXACT, MODE_AVERAGE):
         raise CorruptionError(f"table mode {mode!r} is not exact/average")
     if loss.shape != (n, t_max + 1) or step_bits.shape != (n, t_max):
@@ -227,6 +242,4 @@ def table_from_dict(doc: dict) -> MarginalLossTable:
     scale = max(float(np.abs(full).max()), 1e-30)
     if float(np.abs(full - full[0]).max()) > 1e-9 * scale:
         raise CorruptionError("last loss column must equal the full-model loss in every row")
-    loss.flags.writeable = False
-    step_bits.flags.writeable = False
-    return MarginalLossTable(loss=loss, step_bits=step_bits, mode=mode)
+    return MarginalLossTable(loss=freeze(loss), step_bits=freeze(step_bits), mode=mode)

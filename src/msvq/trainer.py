@@ -35,7 +35,7 @@ import numpy as np
 from . import entropy
 from .codebook import Codebook, MsvqModel, nearest_batch, nearest_rate_penalized_batch
 from .errors import ConfigError, DataError
-from .layout import SubVectorLayout
+from .layout import SubVectorLayout, freeze
 from .quantizer import group_blocks, split_subvectors, walk_stages
 
 _ACCEPT_SLACK = 1e-12  # relative; rejects rounds that worsen the objective
@@ -60,14 +60,6 @@ class TrainConfig:
             raise ConfigError("lambdas apply only to entropy-constrained training (ec)")
 
 
-@dataclass(frozen=True)
-class LloydStats:
-    """Assignment statistics of one Lloyd step, measured before the update."""
-
-    counts: np.ndarray
-    objective: float
-
-
 @dataclass
 class TrainReport:
     """Convergence traces and usage histograms of a training run.
@@ -76,13 +68,17 @@ class TrainReport:
     finalized stage t+1 quantized the training data. objective_traces and
     usage are keyed by (group, stage), both 0-based; traces hold mean
     distortion per point (plain mode) or the Lagrangian lambda * distortion +
-    mean code bits (EC mode).
+    mean code bits (EC mode), one entry per Lloyd round whose objective the
+    fit kept, so a fit's iteration count is its trace's length.
     """
 
     per_stage_distortion: list[float] = field(default_factory=list)
     objective_traces: dict[tuple[int, int], list[float]] = field(default_factory=dict)
-    iterations: dict[tuple[int, int], int] = field(default_factory=dict)
     codeword_usage: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+
+    @property
+    def iterations(self) -> dict[tuple[int, int], int]:
+        return {key: len(trace) for key, trace in self.objective_traces.items()}
 
     def to_dict(self) -> dict:
         n_stages = len(self.per_stage_distortion)
@@ -95,7 +91,7 @@ class TrainReport:
                     "groups": [
                         {
                             "group": g,
-                            "iterations": self.iterations[(g, t)],
+                            "iterations": len(self.objective_traces[(g, t)]),
                             "objective_trace": self.objective_traces[(g, t)],
                             "usage": self.codeword_usage[(g, t)].tolist(),
                         }
@@ -126,15 +122,16 @@ def _kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centers
 
 
-def _assign(points, vectors, prior, rd_lambda, ec):
-    """(indices, distortions, objective) of one assignment pass."""
-    if ec:
-        idx, res = nearest_rate_penalized_batch(points, vectors, prior, rd_lambda)
-    else:
+def _assign(points, vectors, prior, rd_lambda):
+    """(indices, distortions, objective) of one assignment pass, rate-penalized
+    when rd_lambda is given."""
+    if rd_lambda is None:
         idx, res = nearest_batch(points, vectors)
+    else:
+        idx, res = nearest_rate_penalized_batch(points, vectors, prior, rd_lambda)
     dist = np.einsum("pd,pd->p", res, res)
     objective = float(dist.mean())
-    if ec:
+    if rd_lambda is not None:
         objective = rd_lambda * objective + float(np.mean(-np.log2(prior[idx])))
     return idx, dist, objective
 
@@ -159,39 +156,38 @@ def _update_centers(points, idx, dist, vectors):
 def lloyd_step(
     points: np.ndarray,
     codebook: Codebook,
-    ec: bool = False,
     rd_lambda: float | None = None,
-) -> tuple[Codebook, LloydStats]:
+) -> tuple[Codebook, float]:
     """One (assign, update, re-prior, reseed) round.
 
-    Returns the updated codebook and the assignment statistics measured under
-    the input codebook.
+    With rd_lambda the round is entropy-constrained: points go to the codeword
+    minimizing rd_lambda * distortion - log2 prior, and the prior is
+    re-estimated from the cell counts; without it the round is plain and the
+    prior is passed through. Returns the updated codebook and the objective
+    measured under the input codebook.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise DataError(f"need at least one point, got shape {points.shape}")
-    if ec and rd_lambda is None:
-        raise ConfigError("entropy-constrained step requires rd_lambda")
-    idx, dist, objective = _assign(
-        points, codebook.vectors, codebook.prior, rd_lambda if ec else 0.0, ec)
+    idx, dist, objective = _assign(points, codebook.vectors, codebook.prior, rd_lambda)
     new_vectors, counts = _update_centers(points, idx, dist, codebook.vectors)
-    new_prior = entropy.smoothed_pmf(counts) if ec else codebook.prior
+    new_prior = codebook.prior if rd_lambda is None else entropy.smoothed_pmf(counts)
     updated = Codebook(vectors=new_vectors, prior=new_prior,
                        code_lengths=codebook.code_lengths)
-    return updated, LloydStats(counts=counts, objective=objective)
+    return updated, objective
 
 
-def _fit_codebook(points, k, rng, ec, rd_lambda, max_iters, rel_tol):
+def _fit_codebook(points, k, rng, rd_lambda, max_iters, rel_tol):
     book = Codebook(vectors=_kmeanspp(points, k, rng),
-                    prior=np.full(k, 1.0 / k) if ec else None)
+                    prior=None if rd_lambda is None else np.full(k, 1.0 / k))
     accepted = book
     trace: list[float] = []
     for _ in range(max_iters):
-        updated, stats = lloyd_step(points, book, ec, rd_lambda)
-        if trace and stats.objective > trace[-1] * (1.0 + _ACCEPT_SLACK):
+        updated, objective = lloyd_step(points, book, rd_lambda)
+        if trace and objective > trace[-1] * (1.0 + _ACCEPT_SLACK):
             book = accepted
             break
-        trace.append(stats.objective)
+        trace.append(objective)
         if len(trace) > 1 and (trace[-2] - trace[-1]) <= rel_tol * abs(trace[-2]):
             break
         accepted, book = book, updated
@@ -203,17 +199,12 @@ def _resolve_lambdas(config: TrainConfig, t_max: int, data_variance: float) -> n
         return None
     if config.lambdas is None:
         return np.full(t_max, 2.0 / max(data_variance, 1e-30), dtype=np.float64)
-    lambdas = np.asarray(config.lambdas, dtype=np.float64)
+    lambdas = np.array(config.lambdas, dtype=np.float64)
     if lambdas.shape != (t_max,):
         raise ConfigError(f"need {t_max} lambda values (one per stage), got {lambdas.shape}")
     if not np.all(np.isfinite(lambdas) & (lambdas > 0)):
         raise ConfigError("lambda values must be positive and finite")
     return lambdas
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def train(
@@ -256,17 +247,15 @@ def train(
                 raise DataError(f"stage {t + 1} group {g}: {pts.shape[0]} residuals "
                                 f"cannot fill {k} codewords")
             rng = np.random.default_rng([seed, t, g])
-            rd_lambda = float(lambdas[t]) if config.ec else None
+            rd_lambda = None if lambdas is None else float(lambdas[t])
             centers, prior, trace = _fit_codebook(
-                pts, k, rng, config.ec, rd_lambda, config.max_iters, config.rel_tol)
+                pts, k, rng, rd_lambda, config.max_iters, config.rel_tol)
             if prior is not None:
                 prior = np.maximum(prior, entropy.PRIOR_FLOOR)
-                prior = prior / prior.sum()
-                prior = _freeze(prior)
-            stage_books[g].append(Codebook(vectors=_freeze(centers.astype(np.float32)),
+                prior = freeze(prior / prior.sum())
+            stage_books[g].append(Codebook(vectors=freeze(centers.astype(np.float32)),
                                            prior=prior))
             report.objective_traces[(g, t)] = trace
-            report.iterations[(g, t)] = len(trace)
             report.codeword_usage[(g, t)] = np.zeros(k, dtype=np.int64)
 
         for g, blk in group_blocks(layout, data.shape[0]):
@@ -282,15 +271,14 @@ def train(
         report.per_stage_distortion.append(
             float(np.einsum("rnd,rnd->", residuals, residuals) / data.shape[0]))
 
-    if config.ec:
+    if lambdas is not None:
         pmfs = entropy.measure_group_pmfs(report.codeword_usage)
         stage_books = [[replace(cb, code_lengths=entropy.build_code(pmfs[g, t]).lengths)
                         for t, cb in enumerate(books)] for g, books in enumerate(stage_books)]
     model = MsvqModel(
         layout=layout,
         codebooks=tuple(tuple(books) for books in stage_books),
-        fallback_means=_freeze(fallback.astype(np.float32)),
-        ec_enabled=config.ec,
-        lambdas=_freeze(lambdas) if lambdas is not None else None,
+        fallback_means=freeze(fallback.astype(np.float32)),
+        lambdas=None if lambdas is None else freeze(lambdas),
     )
     return model, report

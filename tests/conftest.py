@@ -71,7 +71,7 @@ def make_toy_model(lay, rng, ec=False):
     fallback = rng.normal(size=(lay.n_sub, lay.sub_dim)).astype(np.float32)
     lambdas = np.ones(lay.t_max) if ec else None
     return MsvqModel(layout=lay, codebooks=tuple(books), fallback_means=fallback,
-                     ec_enabled=ec, lambdas=lambdas)
+                     lambdas=lambdas)
 
 
 def encoded_usage(model, data):

@@ -227,6 +227,28 @@ class TestVerifyAndInfo:
         assert run("info", bad) == 0
         assert "unrecognized format" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind", ["no_format", "wrong_format", "boolean_n",
+                                      "string_entry", "boolean_entry"])
+    def test_table_that_is_not_mlt1_is_corruption(self, workdir, tmp_path, capsys, kind):
+        doc = json.loads(workdir["table"].read_text())
+        if kind == "no_format":
+            del doc["format"]
+        elif kind == "wrong_format":
+            doc["format"] = "XXXX"
+        elif kind == "boolean_n":
+            doc = {**doc, "n": True, "loss": doc["loss"][:1], "step_bits": doc["step_bits"][:1]}
+        elif kind == "string_entry":
+            doc["loss"][0][0] = str(doc["loss"][0][0])
+        else:
+            doc["step_bits"][0][0] = True
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        model = tmp_path / "m.msvq"
+        model.write_bytes(workdir["model"].read_bytes())
+        assert run("table", "--model", model, "--bind", bad) == 4
+        assert run("info", bad) == 0
+        assert "unrecognized format" in capsys.readouterr().out
+
     def test_info_reports_headers(self, workdir, capsys):
         assert run("info", workdir["model"], workdir["data"], workdir["table"]) == 0
         out = capsys.readouterr().out

@@ -240,11 +240,11 @@ BROKEN_MODELS = {
         _toy(False), fallback_means=np.zeros((4, 3), dtype=np.float32))),
     "fallback_nonfinite": ("fallback means", lambda: dataclasses.replace(
         _toy(False), fallback_means=_nan_first(_toy(False).fallback_means))),
-    "plain_with_lambdas": ("not entropy-constrained", lambda: dataclasses.replace(
+    "plain_with_lambdas": ("priors and code lengths", lambda: dataclasses.replace(
         _toy(False), lambdas=np.ones(2))),
     "plain_with_ec_codebooks": ("priors and code lengths", lambda: dataclasses.replace(
-        _toy(True), ec_enabled=False, lambdas=None)),
-    "ec_without_lambdas": ("lambdas must be positive and finite", lambda: dataclasses.replace(
+        _toy(True), lambdas=None)),
+    "ec_without_lambdas": ("priors and code lengths", lambda: dataclasses.replace(
         _toy(True), lambdas=None)),
     "ec_lambda_count": ("lambdas must be positive and finite", lambda: dataclasses.replace(
         _toy(True), lambdas=np.ones(3))),

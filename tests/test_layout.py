@@ -7,25 +7,22 @@ from msvq.errors import ConfigError, DataError
 
 class TestComputeStats:
     def test_two_point_sample(self):
-        stats = layout.compute_stats(np.array([[0.0, 0.0], [2.0, 0.0]]))
-        assert np.array_equal(stats.mean, [1.0, 0.0])
-        assert np.array_equal(stats.variance, [1.0, 0.0])
-        assert stats.sample_count == 2
+        variance = layout.compute_stats(np.array([[0.0, 0.0], [2.0, 0.0]]))
+        assert np.array_equal(variance, [1.0, 0.0])
 
     def test_constant_data_has_zero_variance(self):
-        stats = layout.compute_stats(np.full((5, 3), 2.5))
-        assert np.array_equal(stats.variance, np.zeros(3))
+        variance = layout.compute_stats(np.full((5, 3), 2.5))
+        assert np.array_equal(variance, np.zeros(3))
 
     def test_seeded_normal_matches_direct_formula(self):
         rng = np.random.default_rng(42)
         data = rng.standard_normal((1000, 8))
-        stats = layout.compute_stats(data)
+        variance = layout.compute_stats(data)
         # independent route: E[x^2] - E[x]^2 instead of mean of squared deviations
         mean = data.sum(axis=0) / 1000.0
         var = (data ** 2).sum(axis=0) / 1000.0 - mean ** 2
-        np.testing.assert_allclose(stats.mean, mean, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(stats.variance, var, rtol=1e-10)
-        assert np.all((stats.variance >= 0.8) & (stats.variance <= 1.2))
+        np.testing.assert_allclose(variance, var, rtol=1e-10)
+        assert np.all((variance >= 0.8) & (variance <= 1.2))
 
     def test_rejects_nonfinite(self):
         bad = np.array([[1.0, np.nan], [0.0, 1.0]])
@@ -38,9 +35,7 @@ class TestComputeStats:
 
 
 def _stats(variance):
-    variance = np.asarray(variance, dtype=np.float64)
-    return layout.FeatureStats(mean=np.zeros_like(variance), variance=variance,
-                               sample_count=2)
+    return np.asarray(variance, dtype=np.float64)
 
 
 class TestBuildLayout:

@@ -88,7 +88,7 @@ def grouped_toy_model(ec, seed=0):
 
     books = tuple(tuple(skewed(cb) for cb in group) for group in m.codebooks)
     return MsvqModel(layout=lay, codebooks=books, fallback_means=m.fallback_means,
-                     ec_enabled=True, lambdas=rng.uniform(0.5, 2.0, lay.t_max))
+                     lambdas=rng.uniform(0.5, 2.0, lay.t_max))
 
 
 class TestPlans:
@@ -179,7 +179,7 @@ class TestEncodeDecode:
         m = make_toy_model(lay, np.random.default_rng(3))
         marks = np.arange(8, dtype=np.float32).reshape(4, 2)
         m = type(m)(layout=lay, codebooks=m.codebooks, fallback_means=marks,
-                    ec_enabled=False, lambdas=None)
+                    lambdas=None)
         z_hat = quantizer.encode_batch(m, np.zeros((1, 8)), zero_plan(lay))[1][0]
         assert sorted(z_hat.tolist()) == list(range(8))
         for i in range(4):
@@ -286,7 +286,7 @@ class TestEncodeDecode:
                       for group in ec_model.codebooks)
         plain = type(ec_model)(layout=ec_model.layout, codebooks=books,
                                fallback_means=ec_model.fallback_means,
-                               ec_enabled=False, lambdas=None)
+                               lambdas=None)
         idx_plain, _ = quantizer.encode_batch(plain, corr_data[:256], plan)
         diffs = int((idx_ec != idx_plain).sum())
         assert diffs > 0

@@ -72,6 +72,7 @@ def greedy_cases(draw):
 
 
 WORKED = table_from_drops([[10.0, 1.0], [6.0, 5.0], [3.0, 2.0]], 2.0)
+ONE_BY_ONE = table_from_drops([[2.0]], 1.0)  # n = t_max = 1, so a boolean true matches both
 
 
 @pytest.fixture(scope="module")
@@ -312,3 +313,49 @@ class TestTableSerialization:
         doc["step_bits"][0][0] = 0.0
         with pytest.raises(CorruptionError):
             rate.table_from_dict(doc)
+
+    def test_rejects_missing_format_marker(self):
+        doc = rate.table_to_dict(WORKED)
+        del doc["format"]
+        with pytest.raises(CorruptionError, match="MLT1"):
+            rate.table_from_dict(doc)
+
+    def test_rejects_wrong_format_marker(self):
+        doc = rate.table_to_dict(WORKED)
+        doc["format"] = "XXXX"
+        with pytest.raises(CorruptionError, match="MLT1"):
+            rate.table_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["n", "t_max"])
+    def test_rejects_boolean_size(self, field):
+        doc = rate.table_to_dict(ONE_BY_ONE)
+        rate.table_from_dict(doc)
+        doc[field] = True
+        with pytest.raises(CorruptionError, match="JSON integers"):
+            rate.table_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["n", "t_max"])
+    def test_rejects_integral_float_size(self, field):
+        doc = rate.table_to_dict(WORKED)
+        doc[field] = float(doc[field])
+        with pytest.raises(CorruptionError, match="JSON integers"):
+            rate.table_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["loss", "step_bits"])
+    def test_rejects_numeric_string_entry(self, field):
+        doc = rate.table_to_dict(WORKED)
+        doc[field][0][0] = str(doc[field][0][0])
+        with pytest.raises(CorruptionError, match="JSON numbers"):
+            rate.table_from_dict(doc)
+
+    @pytest.mark.parametrize("field, value", [("loss", False), ("step_bits", True)])
+    def test_rejects_boolean_entry(self, field, value):
+        doc = rate.table_to_dict(WORKED)
+        doc[field][0][-1] = value  # False equals the full loss 0.0, True a 1-bit step
+        with pytest.raises(CorruptionError, match="JSON numbers"):
+            rate.table_from_dict(doc)
+
+    def test_accepts_integer_entries(self):
+        doc = rate.table_to_dict(WORKED)
+        doc["step_bits"] = [[int(v) for v in row] for row in doc["step_bits"]]
+        assert np.array_equal(rate.table_from_dict(doc).step_bits, WORKED.step_bits)

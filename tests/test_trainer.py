@@ -3,7 +3,7 @@ import pytest
 
 from conftest import encoded_usage, make_layout
 from msvq import bitstream, datagen, entropy, layout, quantizer, trainer
-from msvq.codebook import ROW_CHUNK, Codebook, nearest_batch
+from msvq.codebook import ROW_CHUNK, Codebook, nearest_batch, nearest_rate_penalized_batch
 from msvq.errors import ConfigError, DataError
 
 
@@ -18,10 +18,11 @@ def direct_distortion(points, vectors):
 class TestLloydStep:
     def test_two_cluster_separation(self):
         cb = Codebook(vectors=np.array([[0.4], [0.6]], dtype=np.float32))
-        updated, stats = trainer.lloyd_step(np.array([[0.0], [1.0]]), cb)
+        updated, _ = trainer.lloyd_step(np.array([[0.0], [1.0]]), cb)
         assert np.array_equal(updated.vectors[:, 0], [0.0, 1.0])
         assert direct_distortion([[0.0], [1.0]], updated.vectors) == 0.0
-        assert stats.counts.tolist() == [1, 1]
+        idx, _ = nearest_batch(np.array([[0.0], [1.0]]), cb.vectors)
+        assert np.bincount(idx, minlength=2).tolist() == [1, 1]
 
     def test_identical_points_reseed_to_same_point(self):
         cb = Codebook(vectors=np.array([[0.0], [1.0]], dtype=np.float32))
@@ -44,8 +45,9 @@ class TestLloydStep:
         points = rng.normal(size=(50, 2))
         cb = Codebook(vectors=rng.normal(size=(4, 2)).astype(np.float32),
                       prior=np.full(4, 0.25))
-        updated, stats = trainer.lloyd_step(points, cb, ec=True, rd_lambda=2.0)
-        expected = (stats.counts + 1.0) / (50.0 + 4.0)
+        updated, _ = trainer.lloyd_step(points, cb, rd_lambda=2.0)
+        idx, _ = nearest_rate_penalized_batch(points, cb.vectors, cb.prior, 2.0)
+        expected = (np.bincount(idx, minlength=4) + 1.0) / (50.0 + 4.0)
         np.testing.assert_allclose(updated.prior, expected / expected.sum(), rtol=1e-12)
 
     def test_requires_points(self):
@@ -63,15 +65,15 @@ class TestFitCodebook:
         points = rng.normal(size=(300, 2))
         lam = 2.0 if ec else None
         vectors, prior, trace = trainer._fit_codebook(
-            points, 8, np.random.default_rng(1), ec, lam, max_iters=1, rel_tol=1e-5)
+            points, 8, np.random.default_rng(1), lam, max_iters=1, rel_tol=1e-5)
         start = Codebook(vectors=trainer._kmeanspp(points, 8, np.random.default_rng(1)),
                          prior=np.full(8, 1.0 / 8) if ec else None)
-        updated, stats = trainer.lloyd_step(points, start, ec, lam)
-        assert trace == [stats.objective]
+        updated, objective = trainer.lloyd_step(points, start, lam)
+        assert trace == [objective]
         assert np.array_equal(vectors, updated.vectors)
         assert (prior is None) if not ec else np.array_equal(prior, updated.prior)
-        _, own = trainer.lloyd_step(points, updated, ec, lam)
-        assert own.objective < trace[0]
+        _, own = trainer.lloyd_step(points, updated, lam)
+        assert own < trace[0]
 
 
 class TestTrain:
@@ -174,6 +176,13 @@ class TestTrain:
         with pytest.raises(ConfigError):
             trainer.train(np.random.default_rng(0).normal(size=(32, 4)), lay,
                           trainer.TrainConfig(seed=0, ec=True, lambdas=[1.0]))
+
+    def test_caller_lambdas_stay_writeable(self):
+        lay = make_layout(2, 2, [2, 2], groups=1)
+        lambdas = np.array([1.0, 1.0])
+        model, _ = trainer.train(np.random.default_rng(0).normal(size=(32, 4)), lay,
+                                 trainer.TrainConfig(seed=0, ec=True, lambdas=lambdas))
+        assert lambdas.flags.writeable and not model.lambdas.flags.writeable
 
     def test_lambdas_without_ec_rejected(self):
         with pytest.raises(ConfigError, match="entropy-constrained"):
