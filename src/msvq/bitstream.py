@@ -3,10 +3,11 @@
 Byte-level layouts are documented in docs/FORMATS.md. All integers are
 little-endian; vectors are IEEE-754 binary32, priors binary64. Model and table
 files are bound by 64-bit digests: the table command stamps the table file's
-digest into the model file, and every payload carries the digest of the model
-file it was encoded with, so a decoder can never silently pair the wrong
-artifacts. In plan-derived mode the payload carries only the bit budget and
-both sides re-derive the same stage plan from the shared table.
+digest into the model file (stamp_table_digest), read_bound_pair loads a model
+only with the table it is bound to, and every payload carries the digest of
+the model file it was encoded with, so a decoder can never silently pair the
+wrong artifacts. In plan-derived mode the payload carries only the bit budget
+and both sides re-derive the same stage plan from the shared table.
 
 MSVP vector data is the (rows, F) field matrix that encode_batch returns and
 decode_batch reads, its columns in quantizer.field_order's order; it goes
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rate
-from .codebook import ROW_CHUNK, Codebook, MsvqModel
+from .codebook import Codebook, MsvqModel
 # perfbench/spans.py wraps canonical_code on this module; it is not called here.
 from .entropy import (
     canonical_code,
@@ -44,14 +45,14 @@ from .entropy import (
     unpack_prefix,
 )
 from .errors import ConfigError, CorruptionError, DataError, StateError
-from .layout import assemble_layout
+from .layout import assemble_layout, check_features
 from .quantizer import (
     SelectionPlan,
-    _check_features,
     decode_batch,
     encode_batch,
     exact_bit_total,
     field_order,
+    map_row_chunks,
     plan_from_stages,
 )
 
@@ -67,6 +68,7 @@ FLAG_CODES = 0x4
 
 MODE_DERIVED = 0
 MODE_EXPLICIT = 1
+MODE_NAMES = {MODE_DERIVED: "plan-derived", MODE_EXPLICIT: "explicit-plan"}
 
 _MODEL_HEADER = struct.Struct("<4sHH5IQ")
 _DIGEST_OFFSET = 28  # table_digest position inside the model header
@@ -89,15 +91,11 @@ def file_digest(path: str) -> int:
 # --- FMAT1 feature matrices -------------------------------------------------
 
 def write_features(path: str, data: np.ndarray) -> None:
-    data = np.asarray(data)
-    if data.ndim != 2:
-        raise DataError(f"feature matrix must be 2-D, got shape {data.shape}")
-    if not np.all(np.isfinite(data)):
-        raise DataError("feature matrix contains non-finite values")
+    data = check_features(data, dtype="<f4")
     rows, cols = data.shape
     with open(path, "wb") as fh:
         fh.write(_FMAT_HEADER.pack(FMAT_MAGIC, FMAT_VERSION, rows, cols))
-        fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+        fh.write(data.tobytes())
 
 
 def read_features(path: str) -> np.ndarray:
@@ -256,6 +254,24 @@ def stamp_table_digest(model_path: str, table_digest: int) -> None:
         fh.write(struct.pack("<Q", table_digest))
 
 
+def read_bound_pair(model_path: str, table_path: str):
+    """(model, ModelInfo, table) of a model file and the table file it is bound to.
+
+    StateError when the model is bound to no table yet, CorruptionError when it
+    is bound to a different one.
+    """
+    model, info = read_model(model_path)
+    table_digest = file_digest(table_path)
+    if info.table_digest == 0:
+        raise StateError(f"{model_path} is not bound to a table yet; "
+                         f"run the table command first")
+    if info.table_digest != table_digest:
+        raise CorruptionError(f"{model_path} is bound to table digest "
+                              f"{info.table_digest:#018x}, {table_path} has "
+                              f"{table_digest:#018x}")
+    return model, info, read_table(table_path)
+
+
 # --- MSVP payload files -------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -290,7 +306,7 @@ def parse_payload_header(blob: bytes, name: str = "payload") -> PayloadHeader:
         raise CorruptionError(f"{name}: header checksum mismatch; the header is corrupted")
     if version != PAYLOAD_VERSION:
         raise CorruptionError(f"{name}: unsupported payload version {version}")
-    if mode not in (MODE_DERIVED, MODE_EXPLICIT):
+    if mode not in MODE_NAMES:
         raise CorruptionError(f"{name}: unknown plan mode {mode}")
     if reserved != 0:
         raise CorruptionError(f"{name}: reserved header byte is {reserved}, expected 0")
@@ -352,7 +368,7 @@ def write_payload(
     until every vector's realized bit count fits b_cap; the adjusted plan is
     then carried explicitly in the header.
     """
-    Z = _check_features(model, data)
+    Z = check_features(data, model.layout.m_dim)
     check_table(model, table)
     b_cap = int(b_cap)
     if not 0 <= b_cap < 2 ** 32:
@@ -389,12 +405,8 @@ def write_payload(
         fh.write(_PAYLOAD_CRC.pack(zlib.crc32(head)))
         if mode == MODE_EXPLICIT:
             fh.write(pack_fixed(plan.stages[None, :], _plan_field_bits(lay)).tobytes())
-        for a in range(0, Z.shape[0], ROW_CHUNK):
-            chunk = symbols[a:a + ROW_CHUNK]
-            if model.ec_enabled:
-                fh.write(pack_prefix(chunk, coding).tobytes())
-            else:
-                fh.write(pack_fixed(chunk, coding).tobytes())
+        pack = pack_prefix if model.ec_enabled else pack_fixed
+        fh.writelines(map_row_chunks(lambda s: pack(symbols[s], coding).tobytes(), Z.shape[0]))
 
     return PayloadInfo(mode=mode, model_digest=model_digest, b_cap=b_cap, count=Z.shape[0],
                        plan=plan, bits_per_vector=bits_rows)
@@ -430,12 +442,12 @@ def read_payload(
         if len(blob) < pos + size:
             raise CorruptionError(f"{path}: truncated inside the explicit plan")
         raw = np.frombuffer(blob, dtype=np.uint8, count=size, offset=pos)
-        stages = unpack_fixed(raw.reshape(1, size), field)[0].astype(np.int64)
+        stages = unpack_fixed(raw.reshape(1, size), field)[0]
         pos += size
-        if stages.max(initial=0) > lay.t_max:
-            raise CorruptionError(f"{path}: explicit plan holds a stage count above "
-                                  f"{lay.t_max}")
-        plan = plan_from_stages(lay, stages)
+        try:
+            plan = plan_from_stages(lay, stages)
+        except ConfigError as exc:
+            raise CorruptionError(f"{path}: explicit plan: {exc}") from exc
     else:
         plan = rate.select_stages(table, float(head.b_cap))
     coding = _field_coding(model, plan.stages)
@@ -458,9 +470,8 @@ def read_payload(
             raise CorruptionError(f"{path}: {body} bytes of vector data, {count} vectors "
                                   f"of {block} bytes need {count * block}")
         blocks = np.frombuffer(blob, dtype=np.uint8)[pos:].reshape(count, block)
-        symbols = np.empty((count, len(coding)), dtype=np.uint8)
-        for a in range(0, count, ROW_CHUNK):
-            symbols[a:a + ROW_CHUNK] = unpack_fixed(blocks[a:a + ROW_CHUNK], coding)
+        symbols = np.concatenate(map_row_chunks(lambda s: unpack_fixed(blocks[s], coding),
+                                                count))
         bits_rows = np.full(count, exact_bits, dtype=np.int64)
 
     z_hat = decode_batch(model, symbols, plan)

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import bitstream, datagen, oracle, rate
-from .errors import ConfigError, MsvqError, StateError
+from .errors import ConfigError, MsvqError
 from .layout import build_layout, compute_stats, validate_bits
 from .quantizer import (
     decode_batch,
@@ -64,20 +64,6 @@ def _parse_grid(text: str) -> list[int]:
     if step <= 0 or hi < lo:
         raise ConfigError(f"bad budget grid {text!r}")
     return list(range(lo, hi + 1, step))
-
-
-def _load_bound_pair(model_path: str, table_path: str):
-    model, info = bitstream.read_model(model_path)
-    table_digest = bitstream.file_digest(table_path)
-    if info.table_digest == 0:
-        raise StateError(f"{model_path} is not bound to a table yet; "
-                         f"run the table command first")
-    if info.table_digest != table_digest:
-        raise bitstream.CorruptionError(
-            f"{model_path} is bound to table digest {info.table_digest:#018x}, "
-            f"{table_path} has {table_digest:#018x}")
-    table = bitstream.read_table(table_path)
-    return model, info, table
 
 
 def _stage_hist(stages: np.ndarray, t_max: int) -> str:
@@ -188,13 +174,13 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    model, info, table = _load_bound_pair(args.model, args.table)
+    model, info, table = bitstream.read_bound_pair(args.model, args.table)
     data = bitstream.read_features(args.data)
     result = bitstream.write_payload(
         args.out, model, info.file_digest, table, data, args.b_cap,
         strict=args.strict, threads=_resolve_threads(args.threads))
-    mode = "explicit-plan" if result.mode == bitstream.MODE_EXPLICIT else "plan-derived"
-    print(f"encoded {result.count} vectors at b_cap={args.b_cap} ({mode})")
+    print(f"encoded {result.count} vectors at b_cap={args.b_cap} "
+          f"({bitstream.MODE_NAMES[result.mode]})")
     stages = result.plan.stages
     print(f"plan exact bits: {exact_bit_total(model.layout, stages)}"
           + (f", avg bits: {rate.plan_step_bits(table, stages):.4f}"
@@ -205,7 +191,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    model, info, table = _load_bound_pair(args.model, args.table)
+    model, info, table = bitstream.read_bound_pair(args.model, args.table)
     z_hat, pinfo = bitstream.read_payload(args.payload, model, info.file_digest, table)
     bitstream.write_features(args.out, z_hat.astype(np.float32))
     print(f"decoded {pinfo.count} vectors to {args.out}")
@@ -213,7 +199,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    model, _, table = _load_bound_pair(args.model, args.table)
+    model, _, table = bitstream.read_bound_pair(args.model, args.table)
     data = bitstream.read_features(args.data)
     budgets = sorted(_parse_grid(args.b_cap_grid))
     threads = _resolve_threads(args.threads)
@@ -260,7 +246,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    model, info, table = _load_bound_pair(args.model, args.table)
+    if args.max_n < 1:
+        raise ConfigError(f"--max-n must be at least 1, got {args.max_n}")
+    model, info, table = bitstream.read_bound_pair(args.model, args.table)
     data = bitstream.read_features(args.data)
     Z = np.asarray(data, dtype=np.float64)
     lay = model.layout
@@ -357,10 +345,8 @@ def _cmd_info(args) -> int:
             with open(path, "rb") as fh:
                 header = bitstream.parse_payload_header(
                     fh.read(bitstream.PAYLOAD_HEADER_SIZE), path)
-            mode_name = ("explicit-plan" if header.mode == bitstream.MODE_EXPLICIT
-                         else "plan-derived")
             print(f"  payload v{bitstream.PAYLOAD_VERSION}: {header.count} vectors, "
-                  f"b_cap={header.b_cap}, {mode_name}")
+                  f"b_cap={header.b_cap}, {bitstream.MODE_NAMES[header.mode]}")
             print(f"  model_digest={header.model_digest:#018x}")
         elif head == bitstream.FMAT_MAGIC:
             data = bitstream.read_features(path)

@@ -70,6 +70,15 @@ def validate_codebook(cb: Codebook) -> None:
             raise CorruptionError("code lengths violate the Kraft inequality")
 
 
+def check_lambdas(lambdas, t_max: int) -> np.ndarray:
+    """A float64 copy of per-stage lambdas; ConfigError unless there are t_max
+    of them, each positive and finite."""
+    lambdas = np.array(lambdas, dtype=np.float64)
+    if lambdas.shape != (t_max,) or not np.all(np.isfinite(lambdas) & (lambdas > 0)):
+        raise ConfigError(f"lambdas must be positive and finite, one per stage ({t_max})")
+    return lambdas
+
+
 @dataclass(frozen=True)
 class MsvqModel:
     """Immutable trained codec model, checked when it is built.
@@ -115,12 +124,8 @@ class MsvqModel:
         if means.shape != (lay.n_sub, lay.sub_dim) or not np.all(np.isfinite(means)):
             raise ConfigError(f"fallback means must be a finite ({lay.n_sub}, "
                               f"{lay.sub_dim}) array, got shape {means.shape}")
-        if not ec:
-            return
-        lambdas = np.asarray(self.lambdas, dtype=np.float64)
-        if lambdas.shape != (lay.t_max,) or not np.all(np.isfinite(lambdas) & (lambdas > 0)):
-            raise ConfigError(f"lambdas must be positive and finite, one per stage "
-                              f"({lay.t_max})")
+        if ec:
+            check_lambdas(self.lambdas, lay.t_max)
 
     @property
     def ec_enabled(self) -> bool:

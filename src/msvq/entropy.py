@@ -18,15 +18,17 @@ chunk at a time.
 * unpack_prefix is table-driven (Moffat & Turpin 1997, "On the
   implementation of minimum redundancy prefix codes"): the next LOOKUP_BITS
   bits index a table giving the symbol and its length, and a canonical
-  per-length search handles longer codewords. Because every row is a
-  byte-aligned block, each byte offset of a bounded window of the data is a
-  candidate row start, and all of them are decoded at once, one vectorized
+  per-length search handles longer codewords. Every table has the same
+  width, so one peek at a bit position serves every field. Because every row
+  is a byte-aligned block, each byte offset of a bounded window of the data is
+  a candidate row start, and all of them are decoded at once, one vectorized
   step per field (speculative decoding, Klein & Wiseman 2003, "Parallel
   Huffman decoding with applications to JPEG files"). The true row starts are
   then chained from the window's first byte and decoded again, together. A
   row the lookup cannot settle (a codeword longer than the table, an invalid
   code, or an end past the data) goes through the scalar loop, one symbol per
-  step, which also decodes small inputs and raises every CorruptionError.
+  step, which also decodes small inputs and raises every CorruptionError. The
+  scalar loop reads the words its rows can touch once, before its first row.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ from .errors import CorruptionError, DataError
 
 PRIOR_FLOOR = 2.0 ** -32  # keeps -log2(p) finite for every codeword
 MAX_CODE_LENGTH = 32  # Huffman code length cap
-LOOKUP_BITS = 12  # decode-table width; longer codewords take the per-length search
-_WORD_WINDOW = 4096  # bytes of payload held as 64-bit words by the scalar loop
+LOOKUP_BITS = 12  # width of every decode table; longer codewords take the per-length search
 _SPECULATIVE_WINDOW = 8192  # candidate row starts decoded at once
 _SPECULATIVE_MIN_ROWS = 64  # fewer rows are cheaper one symbol per step
 _UNRESOLVED = 1 << 32  # bits a speculative lookup adds when it resolves no codeword
@@ -76,14 +77,14 @@ class HuffmanCode:
 class DecodeTable:
     """Lookup decoder for a canonical code.
 
-    symbol[w] and length[w] give the codeword that starts the `bits`-bit
-    window w; length is 0 when that codeword is longer than the window or the
-    window starts no codeword. Then decode_long runs the canonical per-length
-    search: the codewords of length L are consecutive integers from first[L],
-    and belong to symbols ordered[start[L]:start[L] + count[L]].
+    symbol[w] and length[w] give the codeword that starts the LOOKUP_BITS-bit
+    window w, whatever the code's longest codeword; length is 0 when that
+    codeword is longer than the window or the window starts no codeword. Then
+    decode_long runs the canonical per-length search: the codewords of length
+    L are consecutive integers from first[L], and belong to symbols
+    ordered[start[L]:start[L] + count[L]].
     """
 
-    bits: int
     symbol: array
     length: bytes
     max_length: int
@@ -94,7 +95,7 @@ class DecodeTable:
 
     @classmethod
     def build(cls, code: HuffmanCode) -> DecodeTable:
-        k = min(LOOKUP_BITS, code.max_length)
+        k = LOOKUP_BITS
         lengths, codes = code.lengths, code.codes
         # codewords of at most k bits that fit their length (all of them when
         # the lengths obey Kraft's inequality) fill disjoint runs of windows
@@ -113,7 +114,7 @@ class DecodeTable:
         first = np.zeros_like(count)
         used = count > 0
         first[used] = codes[ordered[start[used]]]
-        return cls(bits=k, symbol=array("I", symbol.tobytes()), length=length.tobytes(),
+        return cls(symbol=array("I", symbol.tobytes()), length=length.tobytes(),
                    max_length=code.max_length, first=tuple(first.tolist()),
                    count=tuple(count.tolist()), start=tuple(start.tolist()),
                    ordered=tuple(ordered.tolist()))
@@ -351,7 +352,7 @@ def unpack_prefix(
     n_fields = len(tables)
     out = array("I", [0]) * (rows * n_fields)
     row_bits = array("q", [0]) * rows
-    steps = [(64 - t.bits, (1 << t.bits) - 1, t.length, t.symbol, t) for t in tables]
+    steps = [(t.length, t.symbol, t) for t in tables]
     reach = (sum(t.max_length for t in tables) + 7) // 8 + 1  # bytes a block can touch
     if rows < _SPECULATIVE_MIN_ROWS or not n_fields:
         end = _decode_rows(data, steps, reach, offset, 0, rows, out, row_bits)
@@ -364,39 +365,41 @@ def unpack_prefix(
 def _decode_rows(data, steps, reach, offset, first, stop, out, row_bits) -> int:
     """Scalar loop: decode blocks first..stop-1 from data[offset:], one symbol
     per step, into out (row-major symbols) and row_bits. steps holds each
-    field's (shift, mask, length, symbol, table) lookup; no block touches
-    more than `reach` bytes.
+    field's (length, symbol, table) lookup; no block touches more than `reach`
+    bytes.
+
+    The 64-bit words of every byte the blocks can touch are read once, up
+    front: a block starts inside the data or the loop has already raised, and
+    the blocks before it take at most `reach` bytes each. Callers keep that
+    bounded: fewer than _SPECULATIVE_MIN_ROWS rows, one fallback row, or
+    zero-field rows, whose `reach` is 1.
 
     Returns the byte offset after block stop-1; raises CorruptionError at the
     first invalid codeword or block end past the data.
     """
-    n_fields = len(steps)
+    shift, mask = 64 - LOOKUP_BITS, (1 << LOOKUP_BITS) - 1
     limit = 8 * (len(data) - offset)
-    base, words, p, k = offset, [], 0, first * n_fields  # p: bit position relative to `base`
+    words = _be_words(data, offset,
+                      max(0, min(len(data) - offset, (stop - first) * reach)) + reach)
+    p, k = 0, first * len(steps)  # p: bit position relative to `offset`
     for r in range(first, stop):
-        if (p >> 3) + reach > len(words):
-            base += p >> 3
-            limit -= p
-            p = 0
-            words = _be_words(data, base, max(reach, min(_WORD_WINDOW, len(data) - base,
-                                                         (stop - r) * reach)))
         start = p
-        for shift, mask, length, symbol, table in steps:
+        for length, symbol, table in steps:
             word = words[p >> 3]
             peek = (word >> (shift - (p & 7))) & mask
             n = length[peek]
             if n:
                 out[k] = symbol[peek]
             else:
-                out[k], n = table.decode_long(word, 8 * base + p)
+                out[k], n = table.decode_long(word, 8 * offset + p)
             k += 1
             p += n
         if p > limit:
             raise CorruptionError(f"bitstream truncated: block {r} ends at bit offset "
-                                  f"{8 * base + p}, past the end at {8 * len(data)}")
+                                  f"{8 * offset + p}, past the end at {8 * len(data)}")
         row_bits[r] = p - start
         p = (p + 7) & ~7
-    return base + (p >> 3)
+    return offset + (p >> 3)
 
 
 def _speculate(data, steps, reach, offset, rows, out, row_bits) -> int:
@@ -413,10 +416,9 @@ def _speculate(data, steps, reach, offset, rows, out, row_bits) -> int:
     """
     tables = [step[-1] for step in steps]
     n_fields = len(tables)
-    widths = sorted({t.bits for t in tables})
-    span = sum(t.bits for t in tables)  # most bits a resolved row takes
+    span = sum(min(LOOKUP_BITS, t.max_length) for t in tables)  # most bits a resolved row takes
     pad = (span + 7) // 8 + 1  # bytes a resolved row reaches past its start
-    fast = [(widths.index(t.bits), t.advance, np.frombuffer(t.length, dtype=np.uint8),
+    fast = [(t.advance, np.frombuffer(t.length, dtype=np.uint8),
              np.frombuffer(t.symbol, dtype=np.uint32)) for t in tables]
     shifts = np.arange(8, dtype=np.uint32)
     symbols = np.frombuffer(out, dtype=np.uint32).reshape(rows, n_fields)
@@ -428,13 +430,13 @@ def _speculate(data, steps, reach, offset, rows, out, row_bits) -> int:
         raw = np.frombuffer(data[base:base + size].ljust(size, b"\0"), dtype=np.uint8)
         raw = raw.astype(np.uint32)
         word = raw[:-3] << 24 | raw[1:-2] << 16 | raw[2:-1] << 8 | raw[3:]
-        ahead = (word[:, None] << shifts).ravel()  # bit position -> the 32 bits from it
-        peeks = [ahead >> (32 - k) for k in widths]  # bit position -> k-bit lookup index
+        # bit position -> the LOOKUP_BITS-bit lookup index that starts there
+        peeks = (word[:, None] << shifts).ravel() >> (32 - LOOKUP_BITS)
 
         start = np.arange(0, 8 * width, 8)
         p = start.copy()
-        for w, advance, _, _ in fast:  # unresolved candidates may run off the window
-            p += np.take(advance, np.take(peeks[w], p, mode="clip"))
+        for advance, _, _ in fast:  # unresolved candidates may run off the window
+            p += np.take(advance, np.take(peeks, p, mode="clip"))
         resolved = (p - start <= span) & (p <= 8 * (len(data) - base))
         nxt = np.where(resolved, (p + 7) >> 3, -1).tolist()
 
@@ -451,8 +453,8 @@ def _speculate(data, steps, reach, offset, rows, out, row_bits) -> int:
         p = 8 * np.array(starts, dtype=np.int64)
         first_bit = p.copy()
         block = np.empty((n_fields, p.size), dtype=np.uint32)
-        for f, (w, _, length, symbol) in enumerate(fast):
-            peek = np.take(peeks[w], p)
+        for f, (_, length, symbol) in enumerate(fast):
+            peek = np.take(peeks, p)
             np.take(symbol, peek, out=block[f])
             p += np.take(length, peek)
         symbols[at] = block.T

@@ -76,6 +76,18 @@ def freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_features(data, m_dim: int | None = None, dtype=np.float64) -> np.ndarray:
+    """A feature matrix as dtype; DataError unless it is 2-D, finite in that
+    dtype (float64 for the codec, the stored float32 for FMAT files) and, when
+    m_dim is given, m_dim columns wide."""
+    data = np.asarray(data, dtype=dtype)
+    if data.ndim != 2 or m_dim not in (None, data.shape[1]):
+        raise DataError(f"feature matrix must be (rows, {m_dim or 'M'}), got shape {data.shape}")
+    if not np.all(np.isfinite(data)):
+        raise DataError("feature matrix contains non-finite values")
+    return data
+
+
 def compute_stats(data: np.ndarray) -> np.ndarray:
     """Per-coordinate population variance (1/n normalization), read-only.
 
@@ -85,13 +97,9 @@ def compute_stats(data: np.ndarray) -> np.ndarray:
     Raises:
         DataError: on non-finite input or fewer than 2 rows.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise DataError(f"feature matrix must be 2-D, got shape {data.shape}")
+    data = check_features(data)
     if data.shape[0] < 2:
         raise DataError(f"need at least 2 rows to compute statistics, got {data.shape[0]}")
-    if not np.all(np.isfinite(data)):
-        raise DataError("feature matrix contains non-finite values")
     mean = data.mean(axis=0)
     return freeze(np.mean((data - mean) ** 2, axis=0))
 

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import ROW_CHUNK, MsvqModel, nearest_batch, nearest_rate_penalized_batch
-from .errors import ConfigError, CorruptionError, DataError
-from .layout import freeze
+from .errors import ConfigError, CorruptionError
+from .layout import check_features, freeze
 
 
 @dataclass(frozen=True)
@@ -104,15 +104,6 @@ def split_subvectors(layout, Z: np.ndarray) -> np.ndarray:
 def merge_subvectors(layout, sub: np.ndarray) -> np.ndarray:
     """(rows, N, D) in variance order -> (rows, M) in original coordinate order."""
     return np.take(sub.reshape(sub.shape[0], layout.m_dim), np.argsort(layout.perm), axis=1)
-
-
-def _check_features(model: MsvqModel, Z: np.ndarray) -> np.ndarray:
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 2 or Z.shape[1] != model.layout.m_dim:
-        raise DataError(f"feature matrix shape {Z.shape} does not match M={model.layout.m_dim}")
-    if not np.all(np.isfinite(Z)):
-        raise DataError("feature matrix contains non-finite values")
-    return Z
 
 
 def group_blocks(layout, rows: int):
@@ -202,7 +193,7 @@ def encode_batch(
     worker count. Within a chunk, each group block is walked as one batch to
     every member's planned depth. Z_hat is decode_batch of the field matrix.
     """
-    Z = _check_features(model, Z)
+    Z = check_features(Z, model.layout.m_dim)
     stages = _checked_stages(model.layout, plan.stages)
     lay = model.layout
     sub = split_subvectors(lay, Z)

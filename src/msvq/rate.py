@@ -24,10 +24,9 @@ import numpy as np
 # perfbench/spans.py wraps these two names on this module; they are not called here.
 from .codebook import MsvqModel, nearest_batch, nearest_rate_penalized_batch
 from .errors import ConfigError, CorruptionError, DataError
-from .layout import freeze
+from .layout import check_features, freeze
 from .quantizer import (
     SelectionPlan,
-    _check_features,
     cumulative_bits,
     group_blocks,
     map_row_chunks,
@@ -91,7 +90,7 @@ def build_table(model: MsvqModel, data: np.ndarray, threads: int = 1) -> Margina
     The table is in "average" mode (measured code lengths) for an
     entropy-constrained model and in "exact" mode (layout bits) otherwise.
     """
-    Z = _check_features(model, data)
+    Z = check_features(data, model.layout.m_dim)
     if Z.shape[0] < 1:
         raise DataError("cannot build a marginal-loss table from an empty feature matrix")
     lay = model.layout

@@ -33,9 +33,15 @@ from typing import Sequence
 import numpy as np
 
 from . import entropy
-from .codebook import Codebook, MsvqModel, nearest_batch, nearest_rate_penalized_batch
+from .codebook import (
+    Codebook,
+    MsvqModel,
+    check_lambdas,
+    nearest_batch,
+    nearest_rate_penalized_batch,
+)
 from .errors import ConfigError, DataError
-from .layout import SubVectorLayout, freeze
+from .layout import SubVectorLayout, check_features, freeze
 from .quantizer import group_blocks, split_subvectors, walk_stages
 
 _ACCEPT_SLACK = 1e-12  # relative; rejects rounds that worsen the objective
@@ -54,8 +60,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.rel_tol <= 0:
-            raise ConfigError(f"rel_tol must be positive, got {self.rel_tol}")
+        if not 0 < self.rel_tol < np.inf:  # a NaN tolerance would never stop a fit
+            raise ConfigError(f"rel_tol must be positive and finite, got {self.rel_tol}")
         if self.lambdas is not None and not self.ec:
             raise ConfigError("lambdas apply only to entropy-constrained training (ec)")
 
@@ -199,12 +205,7 @@ def _resolve_lambdas(config: TrainConfig, t_max: int, data_variance: float) -> n
         return None
     if config.lambdas is None:
         return np.full(t_max, 2.0 / max(data_variance, 1e-30), dtype=np.float64)
-    lambdas = np.array(config.lambdas, dtype=np.float64)
-    if lambdas.shape != (t_max,):
-        raise ConfigError(f"need {t_max} lambda values (one per stage), got {lambdas.shape}")
-    if not np.all(np.isfinite(lambdas) & (lambdas > 0)):
-        raise ConfigError("lambda values must be positive and finite")
-    return lambdas
+    return check_lambdas(config.lambdas, t_max)
 
 
 def train(
@@ -214,14 +215,12 @@ def train(
 ) -> tuple[MsvqModel, TrainReport]:
     """Train all stage codebooks on a feature matrix.
 
-    Raises DataError when any group/stage has fewer pooled residuals than
-    codewords, or when residual propagation produces non-finite values.
+    Raises DataError when data has fewer rows than the largest codebook has
+    codewords, or when residual propagation produces non-finite values. Each
+    group pools rows x members >= rows residuals per stage, so every codebook
+    then has enough points to fill.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[1] != layout.m_dim:
-        raise DataError(f"data shape {data.shape} does not match layout M={layout.m_dim}")
-    if not np.all(np.isfinite(data)):
-        raise DataError("training data contains non-finite values")
+    data = check_features(data, layout.m_dim)
     max_k = 1 << int(layout.bits.max())
     if data.shape[0] < max_k:
         raise DataError(f"need at least {max_k} rows (largest codebook size), "
@@ -243,9 +242,6 @@ def train(
             members = layout.group_members(g)
             pts = residuals[:, members, :].reshape(-1, layout.sub_dim)
             k = 1 << int(layout.group_bits(g)[t])
-            if pts.shape[0] < k:
-                raise DataError(f"stage {t + 1} group {g}: {pts.shape[0]} residuals "
-                                f"cannot fill {k} codewords")
             rng = np.random.default_rng([seed, t, g])
             rd_lambda = None if lambdas is None else float(lambdas[t])
             centers, prior, trace = _fit_codebook(

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msvq import bitstream, codebook, entropy, quantizer, rate
-from msvq.errors import CorruptionError, MsvqError
+from msvq.errors import CorruptionError, DataError, MsvqError
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_MODELS = {kind: (GOLDEN / f"model_{kind}.msvq").read_bytes() for kind in ("plain", "ec")}
@@ -55,6 +55,14 @@ class TestFeatureFiles:
         (tmp_path / "bad2.fmat").write_bytes(bytes(blob[:-3]))
         with pytest.raises(CorruptionError):
             bitstream.read_features(str(tmp_path / "bad2.fmat"))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    def test_rejects_values_beyond_float32(self, tmp_path):
+        # finite as float64, but the file would hold inf
+        path = tmp_path / "x.fmat"
+        with pytest.raises(DataError, match="non-finite"):
+            bitstream.write_features(str(path), np.array([[1e39, 1.0]]))
+        assert not path.exists()
 
 
 class TestModelFiles:

@@ -328,6 +328,22 @@ class TestParseErrors:
                    "--out", tmp_path / "t.json") == 2
         assert "MSVQ_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_verify_max_n_below_one_is_config_error(self, workdir, capsys, value):
+        # 0 rows would pass vacuously and -1 would slice off only the last row
+        assert run("verify", "--model", workdir["model"], "--table", workdir["table"],
+                   "--data", workdir["data"], "--max-n", value) == 2
+        captured = capsys.readouterr()
+        assert "--max-n" in captured.err and "PASS" not in captured.out
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rel_tol_is_config_error(self, workdir, tmp_path, capsys, value):
+        assert run("train", "--data", workdir["data"], "--sub-dim", 4, "--t-max", 2,
+                   "--groups", 4, "--alloc", "type3", "--rel-tol", value,
+                   "--out", tmp_path / "m.msvq") == 2
+        assert "rel_tol" in capsys.readouterr().err
+        assert not (tmp_path / "m.msvq").exists()
+
 
 class TestThreads:
     def test_env_var_fallback_does_not_change_results(self, workdir, tmp_path,

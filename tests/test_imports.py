@@ -1,8 +1,10 @@
-"""Import guard: every name a src/msvq module imports is used in that module.
+"""Import guard: every name a src/msvq module imports is used in that module,
+and no module imports another module's private names.
 
 No linter is part of the toolchain, so this parses each module with ast and
 looks for a load of every imported name. A package's __init__ uses a name by
-listing it in __all__, and every name in msvq.__all__ must resolve.
+listing it in __all__, and every name in msvq.__all__ must resolve. A rule
+that several modules need is public in the module that owns it.
 """
 
 import ast
@@ -42,12 +44,13 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
-def _unused_imports() -> set[tuple[str, str]]:
-    unused = set()
+def _trees():
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        unused.update((path.stem, name) for name in _imported(tree) - _used(tree))
-    return unused
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _unused_imports() -> set[tuple[str, str]]:
+    return {(stem, name) for stem, tree in _trees() for name in _imported(tree) - _used(tree)}
 
 
 def test_every_import_is_used():
@@ -57,6 +60,13 @@ def test_every_import_is_used():
 def test_allow_list_names_only_unused_imports():
     # once perfbench stops wrapping an edge, its import goes and so does the entry
     assert set(ALLOWED_UNUSED) <= _unused_imports()
+
+
+def test_no_module_imports_a_private_name():
+    private = [(stem, node.module, a.name) for stem, tree in _trees()
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for a in node.names if a.name.startswith("_")]
+    assert private == []
 
 
 def test_every_exported_name_resolves():

@@ -238,3 +238,6 @@ class TestTrainConfig:
             trainer.TrainConfig(max_iters=0)
         with pytest.raises(ConfigError):
             trainer.TrainConfig(rel_tol=0.0)
+        for bad in (np.nan, np.inf):  # a NaN tolerance would let every fit run to max_iters
+            with pytest.raises(ConfigError, match="positive and finite"):
+                trainer.TrainConfig(rel_tol=bad)
