@@ -366,9 +366,9 @@ def write_payload(
 
     With strict=True, greedy increments are undone (lowest priority first)
     until every vector's realized bit count fits b_cap; the adjusted plan is
-    then carried explicitly in the header.
+    then carried explicitly in the header. encode_batch checks the data, so
+    the feature matrix is scanned once.
     """
-    Z = check_features(data, model.layout.m_dim)
     check_table(model, table)
     b_cap = int(b_cap)
     if not 0 <= b_cap < 2 ** 32:
@@ -379,7 +379,8 @@ def write_payload(
     # sub-vector's earlier stages. The strict undo below only lowers stages,
     # so encoding to the greedy plan's depths serves every plan it can send.
     stages, _, order = rate.greedy_order(table, float(b_cap))
-    symbols, _ = encode_batch(model, Z, plan_from_stages(lay, stages), threads=threads)
+    symbols, _ = encode_batch(model, data, plan_from_stages(lay, stages), threads=threads)
+    rows = symbols.shape[0]
     bits = field_code_bits(model, stages, symbols)
     bits_rows = bits.sum(axis=1)
 
@@ -400,15 +401,15 @@ def write_payload(
 
     with open(path, "wb") as fh:
         head = _PAYLOAD_HEAD.pack(PAYLOAD_MAGIC, PAYLOAD_VERSION, mode, 0,
-                                  model_digest, b_cap, Z.shape[0])
+                                  model_digest, b_cap, rows)
         fh.write(head)
         fh.write(_PAYLOAD_CRC.pack(zlib.crc32(head)))
         if mode == MODE_EXPLICIT:
             fh.write(pack_fixed(plan.stages[None, :], _plan_field_bits(lay)).tobytes())
         pack = pack_prefix if model.ec_enabled else pack_fixed
-        fh.writelines(map_row_chunks(lambda s: pack(symbols[s], coding).tobytes(), Z.shape[0]))
+        fh.writelines(map_row_chunks(lambda s: pack(symbols[s], coding).tobytes(), rows))
 
-    return PayloadInfo(mode=mode, model_digest=model_digest, b_cap=b_cap, count=Z.shape[0],
+    return PayloadInfo(mode=mode, model_digest=model_digest, b_cap=b_cap, count=rows,
                        plan=plan, bits_per_vector=bits_rows)
 
 

@@ -8,6 +8,12 @@ differently from a direct-difference argmin. Decoding is unaffected, because
 receivers never search. Each kernel returns the chosen indices and the
 residuals x - c they leave, the next stage's input; an exact match leaves a
 residual of exactly 0.
+
+The scan scores a block of rows at a time into one score buffer of at most
+SCORE_BYTES, allocated once per call and reused, so the scores stay in cache
+whatever the row count. The plain kernel scores against -2c: scaling by a power
+of two is exact, so folding it into the codewords gives the same scores as
+scaling each product, without a pass over the scores.
 """
 
 from __future__ import annotations
@@ -21,7 +27,9 @@ from .entropy import MAX_CODE_LENGTH, HuffmanCode, canonical_code, kraft_sum
 from .errors import ConfigError, CorruptionError, DataError, MsvqError
 from .layout import SubVectorLayout
 
-ROW_CHUNK = 4096  # search block; callers chunk rows by it too, so results ignore threads
+# rows per work chunk, and most rows per stage-walk search; fixed, so results ignore threads
+ROW_CHUNK = 4096
+SCORE_BYTES = 1 << 19  # a scan's score buffer: a block of rows times K float64 scores
 
 
 @dataclass(frozen=True)
@@ -160,21 +168,30 @@ def codeword_param_count(model: MsvqModel) -> int:
     return sum(cb.size * cb.dim for group in model.codebooks for cb in group)
 
 
-def _scan(points, vec: np.ndarray, scale: float, bias: np.ndarray):
-    """Argmin of (points @ vec.T) * scale + bias per row, lowest index on ties.
+def _scan(points, vec: np.ndarray, weights: np.ndarray, bias: np.ndarray,
+          scale: float | None = None):
+    """Argmin of (points @ weights.T) [* scale] + bias per row, lowest index on ties.
 
-    vec is a C-contiguous float64 codeword array. Rows are scored ROW_CHUNK at
-    a time. Returns (indices, residuals), a residual being points - vec[index].
+    vec and weights are C-contiguous float64 (K, D) arrays. Rows are scored
+    max(1, SCORE_BYTES // (8 K)) at a time into one reused buffer, which bounds
+    the scan's scratch memory in bytes whatever the row count. Returns
+    (indices, residuals), a residual being points - vec[index].
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
-    idx = np.empty(pts.shape[0], dtype=np.int64)
-    for start in range(0, pts.shape[0], ROW_CHUNK):
-        chunk = pts[start:start + ROW_CHUNK]
-        scores = chunk @ vec.T
-        scores *= scale
+    rows, k = pts.shape[0], vec.shape[0]
+    step = max(1, SCORE_BYTES // (8 * k))
+    block = np.empty((min(step, rows), k), dtype=np.float64)
+    idx = np.empty(rows, dtype=np.int64)
+    for start in range(0, rows, step):
+        chunk = pts[start:start + step]
+        scores = block[:chunk.shape[0]]
+        np.matmul(chunk, weights.T, out=scores)
+        if scale is not None:
+            scores *= scale
         scores += bias
-        idx[start:start + ROW_CHUNK] = np.argmin(scores, axis=1)
-    return idx, pts - vec[idx]
+        np.argmin(scores, axis=1, out=idx[start:start + step])
+    res = vec[idx]
+    return idx, np.subtract(pts, res, out=res)
 
 
 def nearest_batch(points: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +200,7 @@ def nearest_batch(points: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, 
     Returns (indices, residuals); ties go to the lowest index.
     """
     vec = np.ascontiguousarray(vectors, dtype=np.float64)
-    return _scan(points, vec, -2.0, np.einsum("kd,kd->k", vec, vec))
+    return _scan(points, vec, -2.0 * vec, np.einsum("kd,kd->k", vec, vec))
 
 
 def nearest_rate_penalized_batch(
@@ -195,7 +212,8 @@ def nearest_rate_penalized_batch(
     """Batch scan minimizing rd_lambda * ||r - c_k||^2 - log2(prior_k).
 
     Returns (indices, residuals). The query-norm term is again constant per
-    query and omitted from the score.
+    query and omitted from the score. The scale -2 rd_lambda is not a power of
+    two, so it multiplies the scores rather than the codewords.
     """
     if rd_lambda <= 0.0:
         raise ConfigError(f"rd_lambda must be positive, got {rd_lambda}")
@@ -205,4 +223,4 @@ def nearest_rate_penalized_batch(
         raise CorruptionError("codeword prior has non-positive entries; model is corrupted")
     vec = np.ascontiguousarray(vectors, dtype=np.float64)
     penalty = -np.log2(prior) + rd_lambda * np.einsum("kd,kd->k", vec, vec)
-    return _scan(points, vec, -2.0 * rd_lambda, penalty)
+    return _scan(points, vec, vec, penalty, -2.0 * rd_lambda)

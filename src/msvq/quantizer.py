@@ -13,8 +13,9 @@ writes back in place; encoding, the table pass and training all use it. It
 walks a block of sub-vectors that share one group's codebooks, so each stage
 is one search over the whole block, and a sub-vector takes part only up to its
 own depth. group_blocks cuts every group into blocks of at most
-max(1, ROW_CHUNK // rows) sub-vectors, so a block's search never scores more
-than ROW_CHUNK rows at once. decode_batch is the codec's one codeword sum: it
+max(1, ROW_CHUNK // rows) sub-vectors, so one search call never takes more than
+ROW_CHUNK rows; the kernels' scan alone bounds the score buffer, in bytes
+(codebook.SCORE_BYTES). decode_batch is the codec's one codeword sum: it
 adds the codewords in float64 in ascending stage order, and encode_batch
 returns its output as Z_hat, so encoder and decoder agree bit for bit.
 Sub-vectors with zero active stages reconstruct to the stored training mean at
@@ -111,7 +112,8 @@ def group_blocks(layout, rows: int):
 
     A block holds members of one group only (groups are contiguous runs of
     equal size), at most max(1, ROW_CHUNK // rows) of them, so a search over
-    the block's (n * rows, D) residuals scores no more rows than one ROW_CHUNK.
+    the block's (n * rows, D) residuals takes no more rows than one ROW_CHUNK.
+    The search bounds its own score memory (codebook.SCORE_BYTES).
     """
     per = max(1, ROW_CHUNK // max(rows, 1))
     size = layout.n_sub // layout.n_groups

@@ -142,12 +142,20 @@ def _assign(points, vectors, prior, rd_lambda):
     return idx, dist, objective
 
 
+def _cell_sums(points, idx, k):
+    """(k, D) sum of each cell's points, added in input order (as np.add.at
+    does), one bincount per dimension."""
+    sums = np.empty((k, points.shape[1]), dtype=np.float64)
+    for d in range(points.shape[1]):
+        sums[:, d] = np.bincount(idx, weights=points[:, d], minlength=k)
+    return sums
+
+
 def _update_centers(points, idx, dist, vectors):
     """Cell means for non-empty cells; empty cells grab the worst-quantized point."""
     k = vectors.shape[0]
     counts = np.bincount(idx, minlength=k)
-    sums = np.zeros_like(vectors, dtype=np.float64)
-    np.add.at(sums, idx, points)
+    sums = _cell_sums(points, idx, k)
     new = vectors.astype(np.float64).copy()
     nonempty = counts > 0
     new[nonempty] = sums[nonempty] / counts[nonempty, None]

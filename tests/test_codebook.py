@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,20 +96,84 @@ class TestNearestRatePenalized:
             codebook.nearest_rate_penalized_batch(np.array([[0.0]]), cb.vectors, cb.prior, 1.0)
 
 
+def _block(k):
+    """Rows per score block of a K-codeword scan."""
+    return max(1, codebook.SCORE_BYTES // (8 * k))
+
+
 class TestResiduals:
     """Both kernels hand back points - vectors[indices], computed in float64."""
 
-    @pytest.mark.parametrize("rows", [0, 5, codebook.ROW_CHUNK + 3])
-    def test_residual_is_exact_difference(self, rows):
+    # (rows, codewords); the last row count straddles a K=256 score block
+    CASES = [(0, 16), (5, 16), (codebook.ROW_CHUNK + 3, 16),
+             (3 * _block(256) // 2, 256)]
+
+    @pytest.mark.parametrize("rows, k", CASES, ids=[str(rows) for rows, _ in CASES])
+    def test_residual_is_exact_difference(self, rows, k):
         rng = np.random.default_rng(rows)
-        vectors = rng.normal(size=(16, 3)).astype(np.float32)
+        vectors = rng.normal(size=(k, 3)).astype(np.float32)
         points = rng.normal(size=(rows, 3))
-        prior = rng.dirichlet(np.ones(16))
+        prior = rng.dirichlet(np.ones(k))
         for idx, res in (codebook.nearest_batch(points, vectors),
                          codebook.nearest_rate_penalized_batch(points, vectors, prior, 2.0)):
             assert idx.shape == (rows,) and res.shape == (rows, 3)
             assert res.dtype == np.float64
             assert np.array_equal(res, points - vectors.astype(np.float64)[idx])
+
+
+KERNELS = {
+    "plain": lambda points, vectors, prior: codebook.nearest_batch(points, vectors),
+    "rate": lambda points, vectors, prior: codebook.nearest_rate_penalized_batch(
+        points, vectors, prior, 0.7),
+}
+
+
+class TestBlockedScan:
+    """Scores are computed one SCORE_BYTES block of rows at a time; a block
+    boundary changes no result."""
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("k", [2, 16, 256])
+    def test_batch_equals_row_at_a_time(self, kernel, k):
+        rng = np.random.default_rng(k)
+        vectors = rng.normal(size=(k, 4)).astype(np.float32)
+        vectors[-1] = vectors[0]  # exact ties, which go to the lower index
+        prior = rng.dirichlet(np.ones(k))
+        block = _block(k)
+        points = rng.normal(size=(5 * block // 2, 4))
+        one = [KERNELS[kernel](points[i:i + 1], vectors, prior) for i in range(len(points))]
+        want_idx = np.concatenate([i for i, _ in one])
+        want_res = np.concatenate([r for _, r in one])
+        for rows in (0, 1, block - 1, block, block + 1, len(points)):
+            idx, res = KERNELS[kernel](points[:rows], vectors, prior)
+            assert np.array_equal(idx, want_idx[:rows])
+            assert np.array_equal(res, want_res[:rows])
+
+    @pytest.mark.parametrize("k", [2, 16, 256])
+    def test_folded_scores_pick_the_unfolded_argmin(self, k):
+        rng = np.random.default_rng(k + 1)
+        vectors = rng.normal(size=(k, 4)).astype(np.float32)
+        vectors[-1] = vectors[0]
+        points = np.concatenate([rng.normal(size=(3 * _block(256), 4)),
+                                 vectors[rng.integers(k, size=100)].astype(np.float64)])
+        vec = vectors.astype(np.float64)
+        unfolded = (points @ vec.T) * -2.0 + np.einsum("kd,kd->k", vec, vec)
+        idx, _ = codebook.nearest_batch(points, vectors)
+        assert np.array_equal(idx, np.argmin(unfolded, axis=1))
+
+    def test_scratch_memory_is_one_score_block(self):
+        rng = np.random.default_rng(0)
+        points = rng.normal(size=(8192, 4))
+        vectors = rng.normal(size=(256, 4))
+        codebook.nearest_batch(points[:1], vectors)  # first-call set-up is not the scan's
+        tracemalloc.start()
+        try:
+            idx, res = codebook.nearest_batch(points, vectors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = points.nbytes + vectors.nbytes + idx.nbytes + res.nbytes + codebook.SCORE_BYTES
+        assert peak < bound
 
 
 class TestSearchRounding:

@@ -56,6 +56,57 @@ class TestLloydStep:
             trainer.lloyd_step(np.empty((0, 1)), cb)
 
 
+def add_at_update(points, idx, dist, vectors):
+    """Reference Lloyd update: cell sums by np.add.at, then the trainer's
+    means and worst-point reseeding of empty cells."""
+    k = vectors.shape[0]
+    counts = np.bincount(idx, minlength=k)
+    sums = np.zeros((k, points.shape[1]))
+    np.add.at(sums, idx, points)
+    new = vectors.astype(np.float64).copy()
+    nonempty = counts > 0
+    new[nonempty] = sums[nonempty] / counts[nonempty, None]
+    err = dist.copy()
+    for cell in np.flatnonzero(~nonempty):
+        worst = int(np.argmax(err))
+        new[cell] = points[worst]
+        err[worst] = 0.0
+    return sums, new, counts
+
+
+class TestCenterUpdate:
+    """The Lloyd update's cell sums are bit-identical to np.add.at's."""
+
+    @staticmethod
+    def _case(k, seed):
+        # magnitudes far apart, so that the sums depend on the order of addition
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(3000, 3)) * 10.0 ** rng.integers(-8, 9, size=(3000, 1))
+        vectors = rng.normal(size=(k, 3)).astype(np.float32)
+        vectors[k // 2:] += 1e12  # cells no point reaches: empty, so reseeded
+        idx, res = nearest_batch(points, vectors)
+        return points, idx, np.einsum("pd,pd->p", res, res), vectors
+
+    @pytest.mark.parametrize("k", [2, 16, 256])
+    def test_sums_match_add_at(self, k):
+        points, idx, dist, vectors = self._case(k, k)
+        want, _, _ = add_at_update(points, idx, dist, vectors)
+        assert np.array_equal(trainer._cell_sums(points, idx, k), want)
+        backward = np.zeros_like(want)
+        np.add.at(backward, idx[::-1], points[::-1])
+        assert not np.array_equal(backward, want)  # the order is what is pinned
+
+    @pytest.mark.parametrize("k", [2, 16, 256])
+    def test_update_matches_reference_with_reseeding(self, k):
+        points, idx, dist, vectors = self._case(k, k + 1)
+        _, want, want_counts = add_at_update(points, idx, dist, vectors)
+        assert (want_counts == 0).sum() >= k // 2
+        new, counts = trainer._update_centers(points, idx, dist, vectors)
+        assert np.array_equal(new, want) and np.array_equal(counts, want_counts)
+        updated, _ = trainer.lloyd_step(points, Codebook(vectors=vectors))
+        assert np.array_equal(updated.vectors, want)
+
+
 class TestFitCodebook:
     @pytest.mark.parametrize("ec", [False, True])
     def test_exhausted_iterations_return_unassessed_update(self, ec):
