@@ -33,15 +33,19 @@ from .trainer import TrainConfig, train
 
 
 def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("MSVQ_THREADS")
-    if env:
+    name = "--threads"
+    if value is None:
+        env = os.environ.get("MSVQ_THREADS")
+        if not env:
+            return os.cpu_count() or 1
+        name = "MSVQ_THREADS"
         try:
-            return max(1, int(env))
+            value = int(env)
         except ValueError as exc:
             raise ConfigError(f"MSVQ_THREADS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
+    if value < 1:
+        raise ConfigError(f"{name} must be at least 1, got {value}")
+    return value
 
 
 def _parse_lambdas(text: str | None, t_max: int) -> list[float] | None:

@@ -27,7 +27,7 @@ from .entropy import MAX_CODE_LENGTH, HuffmanCode, canonical_code, kraft_sum
 from .errors import ConfigError, CorruptionError, DataError, MsvqError
 from .layout import SubVectorLayout
 
-# rows per work chunk, and most rows per stage-walk search; fixed, so results ignore threads
+# rows per work chunk; fixed, so results ignore threads
 ROW_CHUNK = 4096
 SCORE_BYTES = 1 << 19  # a scan's score buffer: a block of rows times K float64 scores
 

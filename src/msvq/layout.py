@@ -61,13 +61,14 @@ class SubVectorLayout:
     def n_groups(self) -> int:
         return int(self.group_of.max()) + 1
 
-    def group_members(self, g: int) -> np.ndarray:
-        """Sub-vector indices belonging to group g."""
-        return np.flatnonzero(self.group_of == g)
+    def group_members(self, g: int) -> slice:
+        """The contiguous slice of sub-vector indices belonging to group g."""
+        size = self.n_sub // self.n_groups
+        return slice(g * size, (g + 1) * size)
 
     def group_bits(self, g: int) -> np.ndarray:
         """Shared per-stage bit widths of group g."""
-        return self.bits[self.group_members(g)[0]]
+        return self.bits[self.group_members(g).start]
 
 
 def freeze(a: np.ndarray) -> np.ndarray:
@@ -179,6 +180,9 @@ def assemble_layout(
     The one constructor of checked layouts: build_layout derives the fields
     from statistics and a preset, model loading reads them from a file.
     """
+    if n_sub < 1 or sub_dim < 1:
+        raise ConfigError(f"need at least one sub-vector of dimension >= 1, got N={n_sub}, "
+                          f"D={sub_dim}")
     if m_dim != n_sub * sub_dim:
         raise ConfigError(f"M={m_dim} != N*D = {n_sub}*{sub_dim}")
     perm = np.asarray(perm, dtype=np.int64)

@@ -10,16 +10,16 @@ walk_stages, the codec's one stage walk, only searches: each stage's kernel
 picks the nearest codeword (rate-penalized when the model is
 entropy-constrained) and hands back the residual it leaves, which the walk
 writes back in place; encoding, the table pass and training all use it. It
-walks a block of sub-vectors that share one group's codebooks, so each stage
-is one search over the whole block, and a sub-vector takes part only up to its
-own depth. group_blocks cuts every group into blocks of at most
-max(1, ROW_CHUNK // rows) sub-vectors, so one search call never takes more than
-ROW_CHUNK rows; the kernels' scan alone bounds the score buffer, in bytes
-(codebook.SCORE_BYTES). decode_batch is the codec's one codeword sum: it
-adds the codewords in float64 in ascending stage order, and encode_batch
-returns its output as Z_hat, so encoder and decoder agree bit for bit.
-Sub-vectors with zero active stages reconstruct to the stored training mean at
-a cost of zero transmitted bits.
+walks a block of residuals that share one group's codebooks, so each stage is
+one search over the whole block, and a sub-vector takes part only up to its
+own depth. The block is a whole group: one row chunk of its members when
+encoding, decoding and building the table, or its pooled training points.
+map_row_chunks alone chunks rows, and the kernels' scan alone bounds the score
+buffer, in bytes (codebook.SCORE_BYTES). decode_batch is the codec's one
+codeword sum: it adds the codewords in float64 in ascending stage order, and
+encode_batch returns its output as Z_hat, so encoder and decoder agree bit for
+bit. Sub-vectors with zero active stages reconstruct to the stored training
+mean at a cost of zero transmitted bits.
 """
 
 from __future__ import annotations
@@ -107,22 +107,6 @@ def merge_subvectors(layout, sub: np.ndarray) -> np.ndarray:
     return np.take(sub.reshape(sub.shape[0], layout.m_dim), np.argsort(layout.perm), axis=1)
 
 
-def group_blocks(layout, rows: int):
-    """Yield (group, slice of sub-vector indices) blocks covering every sub-vector.
-
-    A block holds members of one group only (groups are contiguous runs of
-    equal size), at most max(1, ROW_CHUNK // rows) of them, so a search over
-    the block's (n * rows, D) residuals takes no more rows than one ROW_CHUNK.
-    The search bounds its own score memory (codebook.SCORE_BYTES).
-    """
-    per = max(1, ROW_CHUNK // max(rows, 1))
-    size = layout.n_sub // layout.n_groups
-    for g in range(layout.n_groups):
-        end = (g + 1) * size
-        for a in range(g * size, end, per):
-            yield g, slice(a, min(a + per, end))
-
-
 def _active(depth: list[int], t: int):
     """An index selecting the block members deeper than stage t.
 
@@ -133,23 +117,23 @@ def _active(depth: list[int], t: int):
 
 
 def _block_fields(sub: np.ndarray, stage: np.ndarray, blk: slice):
-    """The field-matrix columns of a block's members, and each one's (member, stage)."""
+    """The field-matrix columns of a group's members, and each one's (member, stage)."""
     cols = slice(*np.searchsorted(sub, [blk.start, blk.stop]).tolist())
     return cols, (sub[cols] - blk.start, slice(None), stage[cols])
 
 
 def walk_stages(books, lambdas, r: np.ndarray, start: int, stop) -> np.ndarray:
-    """Walk a block of sub-vector residuals through their stages, in place.
+    """Walk a block of residuals through their stages, in place.
 
-    r is a float64 (n, rows, D) array holding the residuals of n sub-vectors
-    that share one group's codebooks; books[t] is the stage-t codebook. stop
-    is each sub-vector's end stage, one int for all or a sequence of n. Stage t
-    searches, as one (n' * rows, D) batch, the n' sub-vectors whose stop
-    exceeds t, and writes the residuals the search leaves back into r. With
-    lambdas None each stage picks the nearest codeword; otherwise it minimizes
-    lambdas[t] * distortion - log2 prior. Returns the (n, rows,
-    max(stop) - start) chosen indices; the columns at and past a sub-vector's
-    own stop are zero.
+    r is a float64 (n, rows, D) array of residuals that share one group's
+    codebooks: n sub-vectors over the same rows, or (n = 1) a group's pooled
+    points; books[t] is the stage-t codebook. stop is each of the n end stages,
+    one int for all or a sequence of n. Stage t searches, as one (n' * rows, D)
+    batch, the n' of them whose stop exceeds t, and writes the residuals the
+    search leaves back into r. With lambdas None each stage picks the nearest
+    codeword; otherwise it minimizes lambdas[t] * distortion - log2 prior.
+    Returns the (n, rows, max(stop) - start) chosen indices; the columns at and
+    past a sub-vector's own stop are zero.
     """
     n, rows, dim = r.shape
     stop = np.broadcast_to(np.asarray(stop, dtype=np.int64), (n,)).tolist()
@@ -192,8 +176,8 @@ def encode_batch(
 
     The rows are processed in fixed chunks, on a worker pool when threads > 1;
     each chunk writes only its own rows, so the result does not depend on the
-    worker count. Within a chunk, each group block is walked as one batch to
-    every member's planned depth. Z_hat is decode_batch of the field matrix.
+    worker count. Within a chunk, each group is walked as one block to every
+    member's planned depth. Z_hat is decode_batch of the field matrix.
     """
     Z = check_features(Z, model.layout.m_dim)
     stages = _checked_stages(model.layout, plan.stages)
@@ -204,9 +188,9 @@ def encode_batch(
     symbols = np.empty((Z.shape[0], sub_of.size), dtype=np.uint8)
 
     def walk(rows: slice):
-        chunk = sub[rows]
-        for g, blk in group_blocks(lay, chunk.shape[0]):
-            r = chunk[:, blk].transpose(1, 0, 2).copy()
+        for g in range(lay.n_groups):
+            blk = lay.group_members(g)
+            r = sub[rows, blk].transpose(1, 0, 2).copy()
             idx = walk_stages(model.codebooks[g], model.lambdas, r, 0, stages[blk].tolist())
             cols, at = _block_fields(sub_of, stage_of, blk)
             symbols[rows, cols] = idx[at].T
@@ -218,8 +202,9 @@ def encode_batch(
 def decode_batch(model: MsvqModel, symbols: np.ndarray, plan: SelectionPlan) -> np.ndarray:
     """Rebuild Z_hat from a (rows, F) field matrix: the codec's one codeword sum.
 
-    Each group block adds one gather of its members' codewords per stage, in
-    ascending stage order; a sub-vector with no stages takes its stored mean.
+    Within each row chunk, each group adds one gather of its members'
+    codewords per stage, in ascending stage order, into a contiguous
+    accumulator; a sub-vector with no stages takes its stored mean.
     """
     stages = _checked_stages(model.layout, plan.stages)
     lay = model.layout
@@ -234,22 +219,26 @@ def decode_batch(model: MsvqModel, symbols: np.ndarray, plan: SelectionPlan) -> 
         f = int(bad.argmax())
         raise CorruptionError(f"sub-vector {sub[f]} stage {stage[f]}: codeword index "
                               f"out of range [0, {sizes[f]})")
-    rows = symbols.shape[0]
-    zhat = np.empty((rows, lay.n_sub, lay.sub_dim), dtype=np.float64)
-    for g, blk in group_blocks(lay, rows):
-        books = model.codebooks[g]
-        depth = stages[blk].tolist()
-        acc = np.zeros((len(depth), rows, lay.sub_dim), dtype=np.float64)
-        for j, d in enumerate(depth):
-            if d == 0:
-                acc[j] = model.fallback_means[blk.start + j]
-        idx = np.zeros((len(depth), rows, max(depth)), dtype=symbols.dtype)
-        cols, at = _block_fields(sub, stage, blk)
-        idx[at] = symbols[:, cols].T
-        for t in range(max(depth)):
-            sel = _active(depth, t)
-            acc[sel] += books[t].vectors.astype(np.float64)[idx[sel, :, t]]
-        zhat[:, blk] = acc.transpose(1, 0, 2)
+    zhat = np.empty((symbols.shape[0], lay.n_sub, lay.sub_dim), dtype=np.float64)
+
+    def add(rows: slice):
+        chunk = symbols[rows]
+        for g in range(lay.n_groups):
+            books, blk = model.codebooks[g], lay.group_members(g)
+            depth = stages[blk].tolist()
+            acc = np.zeros((len(depth), chunk.shape[0], lay.sub_dim), dtype=np.float64)
+            for j, d in enumerate(depth):
+                if d == 0:
+                    acc[j] = model.fallback_means[blk.start + j]
+            idx = np.zeros((len(depth), chunk.shape[0], max(depth)), dtype=symbols.dtype)
+            cols, at = _block_fields(sub, stage, blk)
+            idx[at] = chunk[:, cols].T
+            for t in range(max(depth)):
+                sel = _active(depth, t)
+                acc[sel] += books[t].vectors.astype(np.float64)[idx[sel, :, t]]
+            zhat[rows, blk] = acc.transpose(1, 0, 2)
+
+    map_row_chunks(add, symbols.shape[0])
     return merge_subvectors(lay, zhat)
 
 

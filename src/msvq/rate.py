@@ -28,7 +28,6 @@ from .layout import check_features, freeze
 from .quantizer import (
     SelectionPlan,
     cumulative_bits,
-    group_blocks,
     map_row_chunks,
     split_subvectors,
     walk_stages,
@@ -71,8 +70,8 @@ def _table_pass(model: MsvqModel, sub: np.ndarray):
     for i in range(n):
         diff = sub[:, i, :] - fallback[i]
         dist_sums[i, 0] = np.einsum("rd,rd->", diff, diff)
-    for g, blk in group_blocks(lay, sub.shape[0]):
-        books = model.codebooks[g]
+    for g in range(lay.n_groups):
+        books, blk = model.codebooks[g], lay.group_members(g)
         # contiguous per-sub-vector slices: einsum's reduction order follows the memory layout
         r = sub[:, blk].transpose(1, 0, 2).copy()
         for t in range(t_max):

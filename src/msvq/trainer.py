@@ -3,8 +3,8 @@ variant.
 
 Stages are trained strictly in order. For stage t, the residual sub-vectors of
 every codebook-sharing group are pooled and fit with Lloyd iterations seeded
-by k-means++; the finalized (float32) stage codebooks then quantize all
-residuals, and the residuals the search leaves feed stage t+1. A Lloyd
+by k-means++; the finalized (float32) stage codebook then quantizes the pooled
+points, and the residuals the search leaves feed stage t+1. A Lloyd
 assignment measures its distortions from those same residuals. In
 entropy-constrained mode the assignment rule penalizes improbable codewords
 (lambda * distortion - log2 prior) and the prior tracks smoothed empirical
@@ -42,7 +42,7 @@ from .codebook import (
 )
 from .errors import ConfigError, DataError
 from .layout import SubVectorLayout, check_features, freeze
-from .quantizer import group_blocks, split_subvectors, walk_stages
+from .quantizer import split_subvectors, walk_stages
 
 _ACCEPT_SLACK = 1e-12  # relative; rejects rounds that worsen the objective
 
@@ -248,7 +248,9 @@ def train(
     for t in range(t_max):
         for g in range(n_groups):
             members = layout.group_members(g)
-            pts = residuals[:, members, :].reshape(-1, layout.sub_dim)
+            # rows x members contiguous points (a copy unless the group is every
+            # sub-vector), fit and then walked in place, so each stage copies once
+            pts = np.ascontiguousarray(residuals[:, members]).reshape(-1, layout.sub_dim)
             k = 1 << int(layout.group_bits(g)[t])
             rng = np.random.default_rng([seed, t, g])
             rd_lambda = None if lambdas is None else float(lambdas[t])
@@ -257,21 +259,17 @@ def train(
             if prior is not None:
                 prior = np.maximum(prior, entropy.PRIOR_FLOOR)
                 prior = freeze(prior / prior.sum())
-            stage_books[g].append(Codebook(vectors=freeze(centers.astype(np.float32)),
-                                           prior=prior))
-            report.objective_traces[(g, t)] = trace
-            report.codeword_usage[(g, t)] = np.zeros(k, dtype=np.int64)
-
-        for g, blk in group_blocks(layout, data.shape[0]):
             books = stage_books[g]
-            r = residuals[:, blk].transpose(1, 0, 2).copy()
-            idx = walk_stages(books, lambdas, r, t, t + 1)
-            residuals[:, blk] = r.transpose(1, 0, 2)
-            report.codeword_usage[(g, t)] += np.bincount(idx.ravel(), minlength=books[t].size)
-            finite = np.isfinite(r).all(axis=(1, 2))
+            books.append(Codebook(vectors=freeze(centers.astype(np.float32)), prior=prior))
+            report.objective_traces[(g, t)] = trace
+            idx = walk_stages(books, lambdas, pts[None], t, t + 1)
+            report.codeword_usage[(g, t)] = np.bincount(idx.ravel(), minlength=k)
+            r = pts.reshape(data.shape[0], -1, layout.sub_dim)
+            residuals[:, members] = r
+            finite = np.isfinite(r).all(axis=(0, 2))
             if not finite.all():
                 raise DataError(f"non-finite residuals after stage {t + 1} "
-                                f"(sub-vector {blk.start + int(finite.argmin())}, group {g})")
+                                f"(sub-vector {members.start + int(finite.argmin())}, group {g})")
         report.per_stage_distortion.append(
             float(np.einsum("rnd,rnd->", residuals, residuals) / data.shape[0]))
 

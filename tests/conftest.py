@@ -1,8 +1,23 @@
 import numpy as np
 import pytest
 
-from msvq import datagen, entropy, layout, quantizer, trainer
+from msvq import bitstream, datagen, entropy, layout, quantizer, trainer
 from msvq.codebook import Codebook, MsvqModel
+
+
+# (M, D, N) of model headers whose layout has no coordinates: no sub-vectors,
+# or sub-vectors of dimension 0
+EMPTY_LAYOUTS = [(0, 4, 0), (0, 0, 2)]
+
+
+def empty_layout_model(m: int, d: int, n: int) -> bytes:
+    """A plain one-group, one-stage model file with the given M, D and N: header,
+    identity perm, group map and 5-bit widths; with M = N * D = 0 the means and
+    codewords take no bytes."""
+    return (bitstream._MODEL_HEADER.pack(bitstream.MODEL_MAGIC, bitstream.MODEL_VERSION, 0,
+                                         m, d, n, 1, 1, 0)
+            + np.arange(m, dtype="<u4").tobytes() + np.zeros(n, dtype="<u4").tobytes()
+            + bytes([5] * n))
 
 
 @pytest.fixture(scope="session")
@@ -90,3 +105,15 @@ def pytest_runtest_logreport(report):
         name = report.nodeid.rsplit("::", 1)[-1]
         outcome = "PASS" if report.passed else "FAIL"
         print(f"\n[ACCEPTANCE] {name}: {outcome}", flush=True)
+
+
+def record_searches(monkeypatch) -> list[int]:
+    """Count the stage walk's searches: wraps both kernels on quantizer and returns
+    the list that each call appends its row count to."""
+    rows: list[int] = []
+    for name in ("nearest_batch", "nearest_rate_penalized_batch"):
+        def counted(points, *args, kernel=getattr(quantizer, name)):
+            rows.append(points.shape[0])
+            return kernel(points, *args)
+        monkeypatch.setattr(quantizer, name, counted)
+    return rows

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import EMPTY_LAYOUTS, empty_layout_model
 from msvq import bitstream, codebook, entropy, quantizer, rate
 from msvq.errors import CorruptionError, DataError, MsvqError
 
@@ -137,6 +138,12 @@ class TestModelFiles:
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptionError, match="EC and code-length flags differ"):
             bitstream.read_model(str(path))
+
+    @pytest.mark.parametrize("m, d, n", EMPTY_LAYOUTS)
+    def test_rejects_layout_without_coordinates(self, m, d, n):
+        # N = 0 once raised numpy's ValueError, and D = 0 loaded as a model
+        with pytest.raises(CorruptionError, match="at least one sub-vector"):
+            bitstream.model_from_bytes(empty_layout_model(m, d, n))
 
     def test_rejects_truncated_and_trailing(self, tmp_path, model):
         path = str(tmp_path / "m.msvq")

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import EMPTY_LAYOUTS, empty_layout_model
 from msvq import bitstream, cli, rate
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -265,6 +266,14 @@ class TestVerifyAndInfo:
         assert run("info", bad) == 4
         assert "reserved model flag" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m, d, n", EMPTY_LAYOUTS)
+    def test_info_rejects_layout_without_coordinates(self, tmp_path, capsys, m, d, n):
+        bad = tmp_path / "bad.msvq"
+        bad.write_bytes(empty_layout_model(m, d, n))
+        assert run("info", bad) == 4
+        captured = capsys.readouterr()
+        assert "at least one sub-vector" in captured.err and "model v1" not in captured.out
+
     def test_verify_fails_on_inconsistent_table(self, workdir, tmp_path, capsys):
         doc = json.loads(workdir["table"].read_text())
         doc["loss"][0][0] += 1.0  # no longer matches direct re-evaluation
@@ -327,6 +336,20 @@ class TestParseErrors:
         assert run("table", "--model", model, "--data", workdir["data"],
                    "--out", tmp_path / "t.json") == 2
         assert "MSVQ_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, env", [(0, None), (-1, None), (None, "0")])
+    def test_thread_count_below_one_is_config_error(self, workdir, tmp_path, monkeypatch,
+                                                    capsys, flag, env):
+        monkeypatch.delenv("MSVQ_THREADS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("MSVQ_THREADS", env)
+        model = tmp_path / "m.msvq"
+        model.write_bytes(workdir["model"].read_bytes())
+        flags = () if flag is None else ("--threads", flag)
+        assert run(*flags, "table", "--model", model, "--data", workdir["data"],
+                   "--out", tmp_path / "t.json") == 2
+        assert ("MSVQ_THREADS" if env else "--threads") in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
 
     @pytest.mark.parametrize("value", [0, -1])
     def test_verify_max_n_below_one_is_config_error(self, workdir, capsys, value):

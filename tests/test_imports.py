@@ -4,7 +4,9 @@ and no module imports another module's private names.
 No linter is part of the toolchain, so this parses each module with ast and
 looks for a load of every imported name. A package's __init__ uses a name by
 listing it in __all__, and every name in msvq.__all__ must resolve. A rule
-that several modules need is public in the module that owns it.
+that several modules need is public in the module that owns it. Rows are
+chunked in one place: only quantizer.map_row_chunks names the row chunk and the
+worker pool.
 """
 
 import ast
@@ -23,6 +25,10 @@ ALLOWED_UNUSED = {
     ("bitstream", "canonical_code"):
         "perfbench/spans.py wraps msvq.bitstream.canonical_code as a traced edge",
 }
+
+
+# names that, beyond their definition and import, only quantizer.map_row_chunks uses
+ROW_CHUNKING = {"ROW_CHUNK", "ThreadPoolExecutor"}
 
 
 def _imported(tree: ast.Module) -> set[str]:
@@ -73,3 +79,29 @@ def test_every_exported_name_resolves():
     missing = [name for name in msvq.__all__ if not hasattr(msvq, name)]
     assert missing == []
     assert len(set(msvq.__all__)) == len(msvq.__all__)
+
+
+def _named(node: ast.AST, func: str | None = None):
+    """(enclosing function, name, how) of every name, attribute and import alias under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        func = node.name
+    if isinstance(node, ast.Name):
+        yield func, node.id, "store" if isinstance(node.ctx, ast.Store) else "load"
+    elif isinstance(node, ast.Attribute):
+        yield func, node.attr, "load"
+    elif isinstance(node, ast.alias):
+        yield func, (node.asname or node.name).split(".")[-1], "import"
+    for child in ast.iter_child_nodes(node):
+        yield from _named(child, func)
+
+
+def test_rows_are_chunked_only_in_map_row_chunks():
+    uses = {(stem, func, name, how) for stem, tree in _trees()
+            for func, name, how in _named(tree) if name in ROW_CHUNKING}
+    assert uses == {
+        ("codebook", None, "ROW_CHUNK", "store"),
+        ("quantizer", None, "ROW_CHUNK", "import"),
+        ("quantizer", None, "ThreadPoolExecutor", "import"),
+        ("quantizer", "map_row_chunks", "ROW_CHUNK", "load"),
+        ("quantizer", "map_row_chunks", "ThreadPoolExecutor", "load"),
+    }

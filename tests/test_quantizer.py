@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import make_layout, make_toy_model
+from conftest import make_layout, make_toy_model, record_searches
 from msvq import datagen, entropy, layout, quantizer
 from msvq.codebook import (
     ROW_CHUNK,
@@ -207,17 +209,18 @@ class TestEncodeDecode:
         m = ec_model if ec else model
         books, lambdas = m.codebooks[0], m.lambdas if ec else None
         members = m.layout.group_members(0)
-        assert members.size > 1
+        n = members.stop - members.start
+        assert n > 1
         x = quantizer.split_subvectors(m.layout, corr_data.astype(np.float64))[:, members, :]
         x = x.transpose(1, 0, 2).copy()
         whole = x.copy()
         idx = quantizer.walk_stages(books, lambdas, whole, 0, m.t_max)
-        assert idx.shape == (members.size, x.shape[1], m.t_max)
+        assert idx.shape == (n, x.shape[1], m.t_max)
         steps = x.copy()
         cols = [quantizer.walk_stages(books, lambdas, steps, t, t + 1) for t in range(m.t_max)]
         assert np.array_equal(np.concatenate(cols, axis=2), idx)
         assert np.array_equal(steps, whole)
-        for j in range(members.size):  # a member walked alone matches its block row
+        for j in range(n):  # a member walked alone matches its block row
             alone = x[j:j + 1].copy()
             assert np.array_equal(quantizer.walk_stages(books, lambdas, alone, 0, m.t_max),
                                   idx[j:j + 1])
@@ -296,12 +299,14 @@ class TestGroupedWalkMatchesReference:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("rows", [0, 37, 1500, ROW_CHUNK + 37])
     @pytest.mark.parametrize("ec", [False, True])
-    def test_indices_and_reconstruction_identical(self, ec, rows, threads):
+    def test_indices_and_reconstruction_identical(self, ec, rows, threads, monkeypatch):
         m = grouped_toy_model(ec)
         lay = m.layout
-        if rows == 1500:  # 4 members x 1500 rows exceed one ROW_CHUNK: groups split
-            assert len(list(quantizer.group_blocks(lay, rows))) == 2 * lay.n_groups
         Z = np.random.default_rng(rows).normal(size=(rows, lay.m_dim)) * 1.5
+        if rows == 1500:  # 4 members x 1500 rows exceed one ROW_CHUNK: groups stay whole
+            searched = record_searches(monkeypatch)
+            quantizer.encode_batch(m, Z, quantizer.full_plan(lay), threads=threads)
+            assert searched == [4 * rows] * (lay.n_groups * lay.t_max)
         rng = np.random.default_rng(1)
         plans = [quantizer.full_plan(lay), zero_plan(lay),
                  quantizer.plan_from_stages(lay, [3, 0, 1, 2, 0, 0, 3, 1])]
@@ -316,3 +321,41 @@ class TestGroupedWalkMatchesReference:
             decoded = quantizer.decode_batch(m, got_idx, plan)
             assert decoded.tobytes() == decode_batch_reference(m, want_idx, plan).tobytes()
             assert decoded.tobytes() == got_z.tobytes()
+
+
+class TestOneBlockPerGroupAndChunk:
+    """The walk's block is one whole group inside one map_row_chunks row chunk."""
+
+    ROWS = 2 * ROW_CHUNK + 37
+
+    def test_encode_searches_once_per_chunk_group_and_reached_stage(self, monkeypatch):
+        m = grouped_toy_model(False)
+        lay = m.layout
+        stages = np.array([3, 0, 1, 2, 0, 1, 0, 0])
+        Z = np.random.default_rng(3).normal(size=(self.ROWS, lay.m_dim))
+        searched = record_searches(monkeypatch)
+        quantizer.encode_batch(m, Z, quantizer.plan_from_stages(lay, stages))
+        depths = [stages[lay.group_members(g)] for g in range(lay.n_groups)]
+        want = [rows * int((d > t).sum()) for rows in (ROW_CHUNK, ROW_CHUNK, 37)
+                for d in depths for t in range(d.max())]
+        assert len(want) == 3 * (3 + 1)
+        assert searched == want
+
+    def test_decode_peak_memory_is_one_chunk_per_group(self):
+        lay = make_layout(32, 4, [3, 3, 3])  # one group of every sub-vector
+        m = make_toy_model(lay, np.random.default_rng(0))
+        stages = np.arange(lay.n_sub) % (lay.t_max + 1)  # mixed depths, some zero
+        plan = quantizer.plan_from_stages(lay, stages)
+        symbols = np.random.default_rng(1).integers(0, 8, size=(self.ROWS, int(stages.sum())),
+                                                    dtype=np.uint8)
+        out = self.ROWS * lay.m_dim * 8  # float64 Z_hat, before and after the merge
+        block = ROW_CHUNK * lay.m_dim * 8  # one chunk of the whole group
+        tracemalloc.start()
+        try:
+            z_hat = quantizer.decode_batch(m, symbols, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert z_hat.nbytes == out
+        # walking all rows of the group at once would hold two more Z_hat-sized blocks
+        assert peak < 2 * out + 2 * block

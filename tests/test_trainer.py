@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import encoded_usage, make_layout
+from conftest import encoded_usage, make_layout, record_searches
 from msvq import bitstream, datagen, entropy, layout, quantizer, trainer
 from msvq.codebook import ROW_CHUNK, Codebook, nearest_batch, nearest_rate_penalized_batch
 from msvq.errors import ConfigError, DataError
@@ -168,7 +168,17 @@ class TestTrain:
     def test_usage_histograms_cover_all_points(self, corr_data, model, report):
         lay = model.layout
         for (g, t), usage in report.codeword_usage.items():
-            assert usage.sum() == corr_data.shape[0] * len(lay.group_members(g))
+            members = lay.group_members(g)
+            assert usage.sum() == corr_data.shape[0] * (members.stop - members.start)
+
+    def test_propagation_walks_each_group_once_per_stage(self, monkeypatch):
+        # the walk sees each group's pooled points as one block, whatever the row count
+        data = datagen.gauss_corr(2 * ROW_CHUNK + 37, 16, 0.9, seed=4)
+        lay = layout.build_layout(layout.compute_stats(data), sub_dim=4, t_max=3, groups=2,
+                                  alloc=np.full((4, 3), 4))
+        searched = record_searches(monkeypatch)
+        trainer.train(data, lay, trainer.TrainConfig(max_iters=2, seed=1))
+        assert searched == [data.shape[0] * 2] * (lay.n_groups * lay.t_max)
 
     @pytest.mark.parametrize("ec", [False, True])
     def test_usage_equals_full_depth_encoding_counts(self, ec):
