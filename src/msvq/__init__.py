@@ -21,6 +21,7 @@ from .quantizer import (
     SelectionPlan,
     decode_batch,
     encode_batch,
+    encode_fields,
     full_plan,
     plan_from_stages,
     reconstruction_mse,
@@ -55,6 +56,7 @@ __all__ = [
     "decode_batch",
     "direct_marginal_loss",
     "encode_batch",
+    "encode_fields",
     "exhaustive_select",
     "full_plan",
     "lloyd_step",

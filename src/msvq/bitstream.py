@@ -9,9 +9,10 @@ the model file it was encoded with, so a decoder can never silently pair the
 wrong artifacts. In plan-derived mode the payload carries only the bit budget
 and both sides re-derive the same stage plan from the shared table.
 
-MSVP vector data is the (rows, F) field matrix that encode_batch returns and
+MSVP vector data is the (rows, F) field matrix that encode_fields returns and
 decode_batch reads, its columns in quantizer.field_order's order; it goes
 through the packing kernels of the entropy module a row chunk at a time.
+Writing a payload only encodes: it never rebuilds Z_hat.
 Under a plain model every vector's block is ceil(exact_bits / 8) bytes, so the
 reader checks the exact body length before decoding; under an EC model every
 vector with at least one field takes at least one byte, which bounds the
@@ -46,10 +47,12 @@ from .entropy import (
 )
 from .errors import ConfigError, CorruptionError, DataError, StateError
 from .layout import assemble_layout, check_features
+# perfbench/spans.py wraps encode_batch on this module; it is not called here.
 from .quantizer import (
     SelectionPlan,
     decode_batch,
     encode_batch,
+    encode_fields,
     exact_bit_total,
     field_order,
     map_row_chunks,
@@ -366,7 +369,7 @@ def write_payload(
 
     With strict=True, greedy increments are undone (lowest priority first)
     until every vector's realized bit count fits b_cap; the adjusted plan is
-    then carried explicitly in the header. encode_batch checks the data, so
+    then carried explicitly in the header. encode_fields checks the data, so
     the feature matrix is scanned once.
     """
     check_table(model, table)
@@ -379,7 +382,7 @@ def write_payload(
     # sub-vector's earlier stages. The strict undo below only lowers stages,
     # so encoding to the greedy plan's depths serves every plan it can send.
     stages, _, order = rate.greedy_order(table, float(b_cap))
-    symbols, _ = encode_batch(model, data, plan_from_stages(lay, stages), threads=threads)
+    symbols = encode_fields(model, data, plan_from_stages(lay, stages), threads=threads)
     rows = symbols.shape[0]
     bits = field_code_bits(model, stages, symbols)
     bits_rows = bits.sum(axis=1)

@@ -24,6 +24,7 @@ from .layout import build_layout, compute_stats, validate_bits
 from .quantizer import (
     decode_batch,
     encode_batch,
+    encode_fields,
     exact_bit_total,
     field_order,
     full_plan,
@@ -211,7 +212,7 @@ def _cmd_sweep(args) -> int:
 
     Z = np.asarray(data, dtype=np.float64)
     full = full_plan(lay)
-    symbols, _ = encode_batch(model, Z, full, threads=threads)
+    symbols = encode_fields(model, Z, full, threads=threads)
 
     rows = []
     for b_cap in budgets:

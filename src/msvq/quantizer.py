@@ -1,10 +1,12 @@
 """Encode/decode core: residual quantization under a per-sub-vector stage plan.
 
-A plan is its stage-count vector. encode_batch and decode_batch work on row
-batches; a single vector is a one-row batch. Indices travel as the payload's
-(rows, F) field matrix, one column per active (sub-vector, stage) module;
-field_order alone knows the column order and which columns of a deeper
-encoding a shallower plan sends.
+A plan is its stage-count vector. encode_fields, encode_batch and
+decode_batch work on row batches; a single vector is a one-row batch. Indices
+travel as the payload's (rows, F) field matrix, one column per active
+(sub-vector, stage) module; field_order alone knows the column order and which
+columns of a deeper encoding a shallower plan sends. encode_fields returns only
+that matrix, which is all a payload carries, so serving calls it; encode_batch
+adds Z_hat for callers that measure the reconstruction.
 
 walk_stages, the codec's one stage walk, only searches: each stage's kernel
 picks the nearest codeword (rate-penalized when the model is
@@ -166,36 +168,49 @@ def map_row_chunks(fn, rows: int, threads: int = 1) -> list:
     return [fn(c) for c in chunks]
 
 
+def encode_fields(
+    model: MsvqModel,
+    Z: np.ndarray,
+    plan: SelectionPlan,
+    threads: int = 1,
+) -> np.ndarray:
+    """Encode a feature matrix to its uint8 (rows, F) field matrix, the indices a
+    payload carries.
+
+    The rows are processed in fixed chunks, on a worker pool when threads > 1;
+    each chunk splits and writes only its own rows, so the result does not
+    depend on the worker count. Within a chunk, each group is walked as one
+    block to every member's planned depth.
+    """
+    Z = check_features(Z, model.layout.m_dim)
+    stages = _checked_stages(model.layout, plan.stages)
+    lay = model.layout
+    sub_of, stage_of, _ = field_order(stages)
+    # layout.MAX_BITS = 8 caps every codebook at 256 codewords
+    symbols = np.empty((Z.shape[0], sub_of.size), dtype=np.uint8)
+
+    def walk(rows: slice):
+        sub = split_subvectors(lay, Z[rows])
+        for g in range(lay.n_groups):
+            blk = lay.group_members(g)
+            r = sub[:, blk].transpose(1, 0, 2).copy()
+            idx = walk_stages(model.codebooks[g], model.lambdas, r, 0, stages[blk].tolist())
+            cols, at = _block_fields(sub_of, stage_of, blk)
+            symbols[rows, cols] = idx[at].T
+
+    map_row_chunks(walk, Z.shape[0], threads)
+    return symbols
+
+
 def encode_batch(
     model: MsvqModel,
     Z: np.ndarray,
     plan: SelectionPlan,
     threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Encode a feature matrix; returns its uint8 (rows, F) field matrix and Z_hat.
-
-    The rows are processed in fixed chunks, on a worker pool when threads > 1;
-    each chunk writes only its own rows, so the result does not depend on the
-    worker count. Within a chunk, each group is walked as one block to every
-    member's planned depth. Z_hat is decode_batch of the field matrix.
-    """
-    Z = check_features(Z, model.layout.m_dim)
-    stages = _checked_stages(model.layout, plan.stages)
-    lay = model.layout
-    sub = split_subvectors(lay, Z)
-    sub_of, stage_of, _ = field_order(stages)
-    # layout.MAX_BITS = 8 caps every codebook at 256 codewords
-    symbols = np.empty((Z.shape[0], sub_of.size), dtype=np.uint8)
-
-    def walk(rows: slice):
-        for g in range(lay.n_groups):
-            blk = lay.group_members(g)
-            r = sub[rows, blk].transpose(1, 0, 2).copy()
-            idx = walk_stages(model.codebooks[g], model.lambdas, r, 0, stages[blk].tolist())
-            cols, at = _block_fields(sub_of, stage_of, blk)
-            symbols[rows, cols] = idx[at].T
-
-    map_row_chunks(walk, Z.shape[0], threads)
+    """Encode a feature matrix; returns encode_fields' field matrix and Z_hat,
+    decode_batch of that matrix."""
+    symbols = encode_fields(model, Z, plan, threads)
     return symbols, decode_batch(model, symbols, plan)
 
 

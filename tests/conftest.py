@@ -92,7 +92,7 @@ def make_toy_model(lay, rng, ec=False):
 def encoded_usage(model, data):
     """Per-(group, stage) codeword counts of a full-depth encoding of data."""
     plan = quantizer.full_plan(model.layout)
-    symbols, _ = quantizer.encode_batch(model, data, plan)
+    symbols = quantizer.encode_fields(model, data, plan)
     sub, stage, _ = quantizer.field_order(plan.stages)
     group = model.layout.group_of[sub]
     return {(g, t): np.bincount(symbols[:, (group == g) & (stage == t)].ravel(),

@@ -310,15 +310,19 @@ class TestPayloadFiles:
         m, tab, b_cap = (model, table, 40) if which == "plain" else (ec_model, ec_table, 20)
         data = corr_data[:200]
 
+        references = []
+
         def full_depth(model_, Z, plan, threads=1):
+            references.append(plan)
             full = quantizer.full_plan(model_.layout)
-            symbols, z_hat = quantizer.encode_batch(model_, Z, full, threads)
-            return symbols[:, quantizer.field_order(plan.stages, full.stages)[2]], z_hat
+            symbols = quantizer.encode_fields(model_, Z, full, threads)
+            return symbols[:, quantizer.field_order(plan.stages, full.stages)[2]]
 
         reference = tmp_path / "full.msvp"
         with monkeypatch.context() as mp:
-            mp.setattr(bitstream, "encode_batch", full_depth)
+            mp.setattr(bitstream, "encode_fields", full_depth)
             want = bitstream.write_payload(str(reference), m, 3, tab, data, b_cap, strict)
+        assert len(references) == 1  # the reference encode replaced the shipped one
 
         searched = []
 
@@ -341,6 +345,25 @@ class TestPayloadFiles:
         if strict and which == "ec":  # the undo lowered the greedy plan
             assert got.mode == bitstream.MODE_EXPLICIT
             assert got.plan.stages.sum() < stages.sum()
+
+    @pytest.mark.parametrize("which, strict", [("plain", False), ("ec", False), ("ec", True)])
+    def test_write_payload_never_decodes(self, tmp_path, monkeypatch, model, table, ec_model,
+                                         ec_table, corr_data, which, strict):
+        m, tab, b_cap = (model, table, 40) if which == "plain" else (ec_model, ec_table, 20)
+        data = corr_data[:200]
+
+        def decode_batch(*args, **kwargs):
+            raise AssertionError("write_payload rebuilt Z_hat")
+
+        path = str(tmp_path / "p.msvp")
+        with monkeypatch.context() as mp:
+            for module in (quantizer, bitstream):
+                mp.setattr(module, "decode_batch", decode_batch)
+            info = bitstream.write_payload(path, m, 3, tab, data, b_cap, strict)
+        if strict:  # the undo path ran too
+            assert info.mode == bitstream.MODE_EXPLICIT
+        z_hat_rx, rx = bitstream.read_payload(path, m, 3, tab)
+        assert np.array_equal(z_hat_rx, quantizer.encode_batch(m, data, rx.plan)[1])
 
 
 def _golden_ec_pair():

@@ -24,6 +24,8 @@ ALLOWED_UNUSED = {
         "perfbench/spans.py wraps msvq.rate.nearest_rate_penalized_batch as a traced edge",
     ("bitstream", "canonical_code"):
         "perfbench/spans.py wraps msvq.bitstream.canonical_code as a traced edge",
+    ("bitstream", "encode_batch"):
+        "perfbench/spans.py wraps msvq.bitstream.encode_batch as a traced edge",
 }
 
 

@@ -53,5 +53,17 @@ def test_traced_payload_round_trip_fills_the_counters(spans, tmp_path):
     # reaches the kernels through the module attributes the wrappers replace
     for name in ("rate.greedy_calls", "rate.greedy_picks", "bitstream.symbols_written",
                  "bitstream.symbols_read", "codebook.search_calls",
-                 "quantizer.encode_batch_s", "quantizer.decode_batch_s"):
+                 "quantizer.decode_batch_s"):
         assert metrics[name] > 0, name
+    # serving's searches are traced inside the payload write that makes them
+    by_id = {s["id"]: s for s in tracer.spans}
+
+    def ancestors(span):
+        while span["parent"] is not None:
+            span = by_id[span["parent"]]
+            yield span["name"]
+
+    searches = [s for s in tracer.spans
+                if s["name"] == "codebook.search" and s["via"] == "quantizer"]
+    assert searches
+    assert all("bitstream.write_payload" in ancestors(s) for s in searches)

@@ -7,6 +7,7 @@ from conftest import make_layout, make_toy_model, record_searches
 from msvq import datagen, entropy, layout, quantizer
 from msvq.codebook import (
     ROW_CHUNK,
+    SCORE_BYTES,
     Codebook,
     MsvqModel,
     nearest_batch,
@@ -297,7 +298,7 @@ class TestEncodeDecode:
 
 class TestGroupedWalkMatchesReference:
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("rows", [0, 37, 1500, ROW_CHUNK + 37])
+    @pytest.mark.parametrize("rows", [0, 37, 1500, ROW_CHUNK + 37, 2 * ROW_CHUNK + 37])
     @pytest.mark.parametrize("ec", [False, True])
     def test_indices_and_reconstruction_identical(self, ec, rows, threads, monkeypatch):
         m = grouped_toy_model(ec)
@@ -317,6 +318,8 @@ class TestGroupedWalkMatchesReference:
             got_idx, got_z = quantizer.encode_batch(m, Z, plan, threads=threads)
             assert got_idx.shape == (rows, int(plan.stages.sum()))
             assert got_idx.dtype == np.uint8 and np.array_equal(got_idx, want_idx)
+            fields = quantizer.encode_fields(m, Z, plan, threads=threads)
+            assert fields.dtype == np.uint8 and np.array_equal(fields, got_idx)
             assert got_z.tobytes() == want_z.tobytes()
             decoded = quantizer.decode_batch(m, got_idx, plan)
             assert decoded.tobytes() == decode_batch_reference(m, want_idx, plan).tobytes()
@@ -359,3 +362,22 @@ class TestOneBlockPerGroupAndChunk:
         assert z_hat.nbytes == out
         # walking all rows of the group at once would hold two more Z_hat-sized blocks
         assert peak < 2 * out + 2 * block
+
+    def test_encode_peak_memory_is_one_chunk_split(self):
+        lay = make_layout(16, 4, [8, 6, 4], groups=16)  # one sub-vector per group
+        m = make_toy_model(lay, np.random.default_rng(0))
+        Z = np.random.default_rng(1).normal(size=(self.ROWS, lay.m_dim)).astype(np.float32)
+        plan = quantizer.full_plan(lay)
+        copy = self.ROWS * lay.m_dim * 8  # check_features' float64 copy of the input
+        split = ROW_CHUNK * lay.m_dim * 8  # one chunk's split_subvectors
+        block = ROW_CHUNK * lay.sub_dim * 8  # one chunk of one group's members
+        tracemalloc.start()
+        try:
+            symbols = quantizer.encode_fields(m, Z, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the group walk holds a few block-sized arrays (the block, the residuals
+        # its search leaves, the indices and their copy) and one score buffer;
+        # splitting all rows up front would hold another 16 blocks
+        assert peak < copy + symbols.nbytes + split + 8 * block + SCORE_BYTES

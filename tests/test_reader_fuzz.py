@@ -48,7 +48,7 @@ def _explicit_payload(model, digest, data, stages) -> bytes:
     write_payload sends a plain payload only in plan-derived mode."""
     lay = model.layout
     plan = quantizer.plan_from_stages(lay, stages)
-    symbols, _ = quantizer.encode_batch(model, data, plan)
+    symbols = quantizer.encode_fields(model, data, plan)
     sub, stage, _ = quantizer.field_order(plan.stages)
     head = (bitstream.PAYLOAD_MAGIC + (1).to_bytes(2, "little")
             + bytes([bitstream.MODE_EXPLICIT, 0]) + digest.to_bytes(8, "little")
