@@ -29,6 +29,7 @@ from .quantizer import (
     field_order,
     full_plan,
     reconstruction_mse,
+    usable_cores,
 )
 from .trainer import TrainConfig, train
 
@@ -38,7 +39,7 @@ def _resolve_threads(value: int | None) -> int:
     if value is None:
         env = os.environ.get("MSVQ_THREADS")
         if not env:
-            return os.cpu_count() or 1
+            return usable_cores()
         name = "MSVQ_THREADS"
         try:
             value = int(env)
@@ -145,7 +146,7 @@ def _cmd_train(args) -> int:
         ec=args.ec,
         lambdas=_parse_lambdas(getattr(args, "lambda"), args.t_max),
     )
-    model, report = train(data, layout, config)
+    model, report = train(data, layout, config, threads=_resolve_threads(args.threads))
     bitstream.write_model(args.out, model)
     print(json.dumps(report.to_dict(), indent=2))
     print(f"wrote model to {args.out}")
@@ -371,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="msvq",
         description="Rate-adaptive multi-stage vector quantization codec.")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap for chunked kernels (default: MSVQ_THREADS or cores)")
+                        help="worker cap for training, the table pass and encoding "
+                             "(default: MSVQ_THREADS or the usable cores)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate synthetic features (FMAT1)")

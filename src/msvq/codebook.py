@@ -11,9 +11,14 @@ residual of exactly 0.
 
 The scan scores a block of rows at a time into one score buffer of at most
 SCORE_BYTES, allocated once per call and reused, so the scores stay in cache
-whatever the row count. The plain kernel scores against -2c: scaling by a power
-of two is exact, so folding it into the codewords gives the same scores as
-scaling each product, without a pass over the scores.
+whatever the row count. The plain kernel folds both of its terms into one
+product, [x, 1] @ [-2c, ||c||^2].T: scaling by a power of two is exact, so -2c
+gives the same products as scaling each score, and the bias column is added as
+the product's last term, where the separate pass added it. That needs BLAS to
+sum the inner dimension in order, which IEEE arithmetic does not promise; the
+golden and determinism tests and the benchmark digests pin it on the kernels
+they run. The rate-penalized kernel scales by -2 lambda, which is not a power
+of two, so it cannot fold: it keeps a scale and a bias pass over each block.
 """
 
 from __future__ import annotations
@@ -168,27 +173,38 @@ def codeword_param_count(model: MsvqModel) -> int:
     return sum(cb.size * cb.dim for group in model.codebooks for cb in group)
 
 
-def _scan(points, vec: np.ndarray, weights: np.ndarray, bias: np.ndarray,
+def _scan(points, vec: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = None,
           scale: float | None = None):
-    """Argmin of (points @ weights.T) [* scale] + bias per row, lowest index on ties.
+    """Argmin of each row's score, lowest index on ties.
 
-    vec and weights are C-contiguous float64 (K, D) arrays. Rows are scored
-    max(1, SCORE_BYTES // (8 K)) at a time into one reused buffer, which bounds
-    the scan's scratch memory in bytes whatever the row count. Returns
-    (indices, residuals), a residual being points - vec[index].
+    vec is a C-contiguous float64 (K, D) array. With bias None, weights is
+    (K, D + 1) with the bias as its last column, and the score is
+    [points, 1] @ weights.T: each block of rows is copied into a reused
+    (block, D + 1) buffer whose last column is 1, so the product alone gives
+    the scores. Otherwise weights is (K, D) and the score is
+    (points @ weights.T) * scale + bias, two passes over each score block.
+    Rows are scored max(1, SCORE_BYTES // (8 K)) at a time into one reused
+    buffer, which bounds the scan's scratch memory in bytes whatever the row
+    count. Returns (indices, residuals), a residual being points - vec[index].
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
-    rows, k = pts.shape[0], vec.shape[0]
+    rows, (k, width) = pts.shape[0], weights.shape
     step = max(1, SCORE_BYTES // (8 * k))
     block = np.empty((min(step, rows), k), dtype=np.float64)
+    if bias is None:
+        lhs = np.empty((block.shape[0], width), dtype=np.float64)
+        lhs[:, -1] = 1.0
     idx = np.empty(rows, dtype=np.int64)
     for start in range(0, rows, step):
         chunk = pts[start:start + step]
         scores = block[:chunk.shape[0]]
+        if bias is None:
+            lhs[:chunk.shape[0], :-1] = chunk
+            chunk = lhs[:chunk.shape[0]]
         np.matmul(chunk, weights.T, out=scores)
-        if scale is not None:
+        if bias is not None:
             scores *= scale
-        scores += bias
+            scores += bias
         np.argmin(scores, axis=1, out=idx[start:start + step])
     res = vec[idx]
     return idx, np.subtract(pts, res, out=res)
@@ -200,7 +216,8 @@ def nearest_batch(points: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, 
     Returns (indices, residuals); ties go to the lowest index.
     """
     vec = np.ascontiguousarray(vectors, dtype=np.float64)
-    return _scan(points, vec, -2.0 * vec, np.einsum("kd,kd->k", vec, vec))
+    norms = np.einsum("kd,kd->k", vec, vec)
+    return _scan(points, vec, np.concatenate([-2.0 * vec, norms[:, None]], axis=1))
 
 
 def nearest_rate_penalized_batch(

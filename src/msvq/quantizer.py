@@ -16,16 +16,18 @@ walks a block of residuals that share one group's codebooks, so each stage is
 one search over the whole block, and a sub-vector takes part only up to its
 own depth. The block is a whole group: one row chunk of its members when
 encoding, decoding and building the table, or its pooled training points.
-map_row_chunks alone chunks rows, and the kernels' scan alone bounds the score
-buffer, in bytes (codebook.SCORE_BYTES). decode_batch is the codec's one
-codeword sum: it adds the codewords in float64 in ascending stage order, and
-encode_batch returns its output as Z_hat, so encoder and decoder agree bit for
-bit. Sub-vectors with zero active stages reconstruct to the stored training
-mean at a cost of zero transmitted bits.
+map_row_chunks alone chunks rows, map_workers alone runs a worker pool (row
+chunks here, a stage's group fits in training), and the kernels' scan alone
+bounds the score buffer, in bytes (codebook.SCORE_BYTES). decode_batch is
+the codec's one codeword sum: it adds the codewords in float64 in ascending
+stage order, and encode_batch returns its output as Z_hat, so encoder and
+decoder agree bit for bit. Sub-vectors with zero active stages reconstruct to
+the stored training mean at a cost of zero transmitted bits.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -154,18 +156,36 @@ def walk_stages(books, lambdas, r: np.ndarray, start: int, stop) -> np.ndarray:
     return idx
 
 
+def usable_cores() -> int:
+    """The CPUs this process may run on (its affinity mask), at least 1."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def map_workers(fn, items, threads: int = 1) -> list:
+    """[fn(item) for item in items], in order: the codec's one worker pool.
+
+    With threads > 1 and more than one item the calls run on a pool of at
+    most min(threads, len(items)) workers. An exception from a call is raised
+    for the first failing item in order, whatever the worker count.
+    """
+    items = list(items)
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def map_row_chunks(fn, rows: int, threads: int = 1) -> list:
     """[fn(s) for every ROW_CHUNK-row slice s of range(rows)], in row order.
 
-    Zero rows still make one (empty) slice. With threads > 1 and more than one
-    chunk the calls run on a worker pool; the chunks, and therefore the
-    results, do not depend on the worker count.
+    Zero rows still make one (empty) slice. The chunks, and therefore the
+    results, do not depend on the worker count (see map_workers).
     """
     chunks = [slice(a, a + ROW_CHUNK) for a in range(0, max(rows, 1), ROW_CHUNK)]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, chunks))
-    return [fn(c) for c in chunks]
+    return map_workers(fn, chunks, threads)
 
 
 def encode_fields(

@@ -1,14 +1,17 @@
 """Codebook training: multi-stage LBG on residuals, plus an entropy-constrained
 variant.
 
-Stages are trained strictly in order. For stage t, the residual sub-vectors of
-every codebook-sharing group are pooled and fit with Lloyd iterations seeded
-by k-means++; the finalized (float32) stage codebook then quantizes the pooled
-points, and the residuals the search leaves feed stage t+1. A Lloyd
-assignment measures its distortions from those same residuals. In
-entropy-constrained mode the assignment rule penalizes improbable codewords
-(lambda * distortion - log2 prior) and the prior tracks smoothed empirical
-selection frequencies.
+Stages are trained strictly in order, and a stage's groups concurrently. For
+stage t, the residual sub-vectors of each codebook-sharing group are pooled
+and fit with Lloyd iterations seeded by k-means++; the finalized (float32)
+stage codebook then quantizes the pooled points, and the residuals the search
+leaves feed stage t+1. A (group, stage) fit reads and writes only its own
+group's residuals and draws from its own rng, seeded [seed, t, g], so the
+group fits of a stage run on a worker pool (quantizer.map_workers) and the
+model and report do not depend on the worker count. A Lloyd assignment
+measures its distortions from those same residuals. In entropy-constrained
+mode the assignment rule penalizes improbable codewords (lambda * distortion -
+log2 prior) and the prior tracks smoothed empirical selection frequencies.
 
 That final quantizing pass counts each codebook's selections
 (TrainReport.codeword_usage); they equal the counts of a full-depth encoding
@@ -42,7 +45,7 @@ from .codebook import (
 )
 from .errors import ConfigError, DataError
 from .layout import SubVectorLayout, check_features, freeze
-from .quantizer import split_subvectors, walk_stages
+from .quantizer import map_workers, split_subvectors, usable_cores, walk_stages
 
 _ACCEPT_SLACK = 1e-12  # relative; rejects rounds that worsen the objective
 
@@ -110,21 +113,33 @@ class TrainReport:
 
 
 def _kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Seed k centers: first uniform, then proportional to squared distance."""
+    """Seed k centers: first uniform, then proportional to squared distance.
+
+    Each draw is the one rng.choice(n, p=d2 / total) makes (the cumulative
+    sum of p, scaled to end at 1, searched for one uniform draw), without
+    choice's checks of p; the scratch arrays are allocated once. Raises
+    DataError when the squared distances overflow.
+    """
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
+    diff = np.empty_like(points, dtype=np.float64)
+    d2, new, cdf = (np.empty(n, dtype=np.float64) for _ in range(3))
     centers[0] = points[rng.integers(n)]
-    diff = points - centers[0]
-    d2 = np.einsum("nd,nd->n", diff, diff)
+    np.einsum("nd,nd->n", np.subtract(points, centers[0], out=diff), diff, out=d2)
     for c in range(1, k):
         total = float(d2.sum())
+        if not np.isfinite(total):
+            raise DataError("squared distances overflow while seeding codewords; "
+                            "scale the features down")
         if total <= 0.0:
             j = int(rng.integers(n))
         else:
-            j = int(rng.choice(n, p=d2 / total))
+            np.cumsum(np.divide(d2, total, out=cdf), out=cdf)
+            cdf /= cdf[-1]
+            j = int(cdf.searchsorted(rng.random(), side="right"))
         centers[c] = points[j]
-        diff = points - centers[c]
-        np.minimum(d2, np.einsum("nd,nd->n", diff, diff), out=d2)
+        np.einsum("nd,nd->n", np.subtract(points, centers[c], out=diff), diff, out=new)
+        np.minimum(d2, new, out=d2)
     return centers
 
 
@@ -220,13 +235,17 @@ def train(
     data: np.ndarray,
     layout: SubVectorLayout,
     config: TrainConfig,
+    threads: int | None = None,
 ) -> tuple[MsvqModel, TrainReport]:
     """Train all stage codebooks on a feature matrix.
 
-    Raises DataError when data has fewer rows than the largest codebook has
-    codewords, or when residual propagation produces non-finite values. Each
-    group pools rows x members >= rows residuals per stage, so every codebook
-    then has enough points to fill.
+    A stage's group fits run on up to `threads` workers (default: every
+    usable core, capped at the group count); the model and report do not
+    depend on the worker count. Raises DataError when data has fewer rows
+    than the largest codebook has codewords, when seeding overflows, or when
+    residual propagation produces non-finite values. Each group pools
+    rows x members >= rows residuals per stage, so every codebook then has
+    enough points to fill.
     """
     data = check_features(data, layout.m_dim)
     max_k = 1 << int(layout.bits.max())
@@ -236,6 +255,9 @@ def train(
 
     t_max = layout.t_max
     n_groups = layout.n_groups
+    if threads is not None and threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
+    workers = usable_cores() if threads is None else threads
     lambdas = _resolve_lambdas(config, t_max, float(data.var(axis=0).mean()))
     seed = int(config.seed) & 0xFFFFFFFFFFFFFFFF
 
@@ -243,33 +265,39 @@ def train(
     fallback = sub.mean(axis=0)
     residuals = sub.copy()
 
-    report = TrainReport()
     stage_books: list[list[Codebook]] = [[] for _ in range(n_groups)]
+
+    def fit(t: int, g: int):
+        """Fit codebook (g, t) on the group's stage-t residuals and walk them
+        through it in place; only the group's own columns are read or written."""
+        members = layout.group_members(g)
+        # rows x members contiguous points (a copy unless the group is every
+        # sub-vector), fit and then walked in place, so each stage copies once
+        pts = np.ascontiguousarray(residuals[:, members]).reshape(-1, layout.sub_dim)
+        k = 1 << int(layout.group_bits(g)[t])
+        centers, prior, trace = _fit_codebook(
+            pts, k, np.random.default_rng([seed, t, g]),
+            None if lambdas is None else float(lambdas[t]), config.max_iters, config.rel_tol)
+        if prior is not None:
+            prior = np.maximum(prior, entropy.PRIOR_FLOOR)
+            prior = freeze(prior / prior.sum())
+        books = stage_books[g]
+        books.append(Codebook(vectors=freeze(centers.astype(np.float32)), prior=prior))
+        idx = walk_stages(books, lambdas, pts[None], t, t + 1)
+        r = pts.reshape(data.shape[0], -1, layout.sub_dim)
+        residuals[:, members] = r
+        return trace, np.bincount(idx.ravel(), minlength=k), np.isfinite(r).all(axis=(0, 2))
+
+    report = TrainReport()
     for t in range(t_max):
-        for g in range(n_groups):
-            members = layout.group_members(g)
-            # rows x members contiguous points (a copy unless the group is every
-            # sub-vector), fit and then walked in place, so each stage copies once
-            pts = np.ascontiguousarray(residuals[:, members]).reshape(-1, layout.sub_dim)
-            k = 1 << int(layout.group_bits(g)[t])
-            rng = np.random.default_rng([seed, t, g])
-            rd_lambda = None if lambdas is None else float(lambdas[t])
-            centers, prior, trace = _fit_codebook(
-                pts, k, rng, rd_lambda, config.max_iters, config.rel_tol)
-            if prior is not None:
-                prior = np.maximum(prior, entropy.PRIOR_FLOOR)
-                prior = freeze(prior / prior.sum())
-            books = stage_books[g]
-            books.append(Codebook(vectors=freeze(centers.astype(np.float32)), prior=prior))
-            report.objective_traces[(g, t)] = trace
-            idx = walk_stages(books, lambdas, pts[None], t, t + 1)
-            report.codeword_usage[(g, t)] = np.bincount(idx.ravel(), minlength=k)
-            r = pts.reshape(data.shape[0], -1, layout.sub_dim)
-            residuals[:, members] = r
-            finite = np.isfinite(r).all(axis=(0, 2))
+        fits = map_workers(lambda g: fit(t, g), range(n_groups), workers)
+        for g, (trace, usage, finite) in enumerate(fits):
             if not finite.all():
-                raise DataError(f"non-finite residuals after stage {t + 1} "
-                                f"(sub-vector {members.start + int(finite.argmin())}, group {g})")
+                raise DataError(f"non-finite residuals after stage {t + 1} (sub-vector "
+                                f"{layout.group_members(g).start + int(finite.argmin())}, "
+                                f"group {g})")
+            report.objective_traces[(g, t)] = trace
+            report.codeword_usage[(g, t)] = usage
         report.per_stage_distortion.append(
             float(np.einsum("rnd,rnd->", residuals, residuals) / data.shape[0]))
 

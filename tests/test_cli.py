@@ -351,6 +351,30 @@ class TestParseErrors:
         assert ("MSVQ_THREADS" if env else "--threads") in capsys.readouterr().err
         assert not (tmp_path / "t.json").exists()
 
+    def test_train_worker_count_changes_no_model_byte(self, workdir, tmp_path, monkeypatch):
+        monkeypatch.delenv("MSVQ_THREADS", raising=False)
+        models = []
+        for threads in (1, 2):
+            out = tmp_path / f"m{threads}.msvq"
+            assert run("--threads", threads, "train", "--data", workdir["data"],
+                       "--sub-dim", 4, "--t-max", 2, "--groups", 4, "--alloc", "type3",
+                       "--seed", 11, "--out", out) == 0
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
+
+    @pytest.mark.parametrize("flag, env", [(0, None), (None, "0")])
+    def test_train_thread_count_below_one_is_config_error(self, workdir, tmp_path,
+                                                          monkeypatch, capsys, flag, env):
+        monkeypatch.delenv("MSVQ_THREADS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("MSVQ_THREADS", env)
+        flags = () if flag is None else ("--threads", flag)
+        out = tmp_path / "m.msvq"
+        assert run(*flags, "train", "--data", workdir["data"], "--sub-dim", 4,
+                   "--t-max", 2, "--groups", 4, "--alloc", "type3", "--out", out) == 2
+        assert ("MSVQ_THREADS" if env else "--threads") in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [0, -1])
     def test_verify_max_n_below_one_is_config_error(self, workdir, capsys, value):
         # 0 rows would pass vacuously and -1 would slice off only the last row

@@ -161,6 +161,27 @@ class TestBlockedScan:
         idx, _ = codebook.nearest_batch(points, vectors)
         assert np.array_equal(idx, np.argmin(unfolded, axis=1))
 
+    @pytest.mark.parametrize("k", [16, 256])
+    def test_bias_column_scores_equal_the_unfused_sum(self, k):
+        # the plain kernel scores [x, 1] @ [-2c, ||c||^2].T in one product. Far
+        # from the origin, on near-ties between two codewords, the argmin
+        # follows the scores' rounding, so a changed summation order shows.
+        rng = np.random.default_rng(k + 2)
+        offset = 1e3
+        vectors = (offset + rng.normal(size=(k, 4))).astype(np.float32)
+        vectors[-1] = vectors[0]  # exact ties, which go to the lower index
+        vec = vectors.astype(np.float64)
+        rows = 2 * _block(k) + 7
+        a = rng.integers(k, size=rows)
+        b = (a + 1 + rng.integers(k - 1, size=rows)) % k
+        points = (vec[a] + vec[b]) / 2 + rng.normal(size=(rows, 4)) * 1e-9
+        unfused = points @ (-2.0 * vec).T
+        unfused += np.einsum("kd,kd->k", vec, vec)
+        want = np.argmin(unfused, axis=1)
+        idx, res = codebook.nearest_batch(points, vectors)
+        assert np.array_equal(idx, want)
+        assert np.array_equal(res, points - vec[want])
+
     def test_scratch_memory_is_one_score_block(self):
         rng = np.random.default_rng(0)
         points = rng.normal(size=(8192, 4))

@@ -5,8 +5,9 @@ No linter is part of the toolchain, so this parses each module with ast and
 looks for a load of every imported name. A package's __init__ uses a name by
 listing it in __all__, and every name in msvq.__all__ must resolve. A rule
 that several modules need is public in the module that owns it. Rows are
-chunked in one place: only quantizer.map_row_chunks names the row chunk and the
-worker pool.
+chunked in one place and there is one worker pool: only
+quantizer.map_row_chunks names the row chunk, and only quantizer.map_workers
+the pool.
 """
 
 import ast
@@ -29,7 +30,8 @@ ALLOWED_UNUSED = {
 }
 
 
-# names that, beyond their definition and import, only quantizer.map_row_chunks uses
+# names that, beyond their definition and import, only quantizer.map_row_chunks
+# (the row chunk) and quantizer.map_workers (the pool) use
 ROW_CHUNKING = {"ROW_CHUNK", "ThreadPoolExecutor"}
 
 
@@ -105,5 +107,5 @@ def test_rows_are_chunked_only_in_map_row_chunks():
         ("quantizer", None, "ROW_CHUNK", "import"),
         ("quantizer", None, "ThreadPoolExecutor", "import"),
         ("quantizer", "map_row_chunks", "ROW_CHUNK", "load"),
-        ("quantizer", "map_row_chunks", "ThreadPoolExecutor", "load"),
+        ("quantizer", "map_workers", "ThreadPoolExecutor", "load"),
     }

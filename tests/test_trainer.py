@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,89 @@ class TestTrain:
         resid = sub[:, 0, :] - cb1.vectors[idx].astype(np.float64)
         cb2 = model.codebooks[0][1]
         assert np.abs(cb2.vectors).max() <= 3 * np.abs(resid).max()
+
+
+def choice_kmeanspp(points, k, rng):
+    """k-means++ seeding drawn by Generator.choice, the reference for _kmeanspp."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = float(d2.sum())
+        j = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=d2 / total))
+        centers[c] = points[j]
+        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
+    return centers
+
+
+class TestKmeansppSeeding:
+    @pytest.mark.parametrize("n, k, dim", [(1000, 16, 1), (4096, 256, 4), (3001, 64, 2)])
+    def test_draws_equal_generator_choice(self, n, k, dim):
+        # the draw re-implements Generator.choice(n, p=...); a numpy change shows here
+        points = np.random.default_rng(n).normal(size=(n, dim))
+        got = trainer._kmeanspp(points, k, np.random.default_rng([1, 2]))
+        want = choice_kmeanspp(points, k, np.random.default_rng([1, 2]))
+        assert np.array_equal(got, want)
+
+    def test_coincident_points_draw_uniformly(self):
+        points = np.ones((64, 3))
+        got = trainer._kmeanspp(points, 8, np.random.default_rng(4))
+        assert np.array_equal(got, choice_kmeanspp(points, 8, np.random.default_rng(4)))
+
+    def test_overflowing_distances_are_a_data_error(self):
+        # finite features whose squared distances overflow float64
+        data = np.random.default_rng(0).standard_normal((256, 8)) * 1e170
+        lay = make_layout(2, 4, [4], groups=1)
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="overflow"):
+            trainer.train(data, lay, trainer.TrainConfig(max_iters=2, seed=0))
+
+
+class TestWorkerCount:
+    """A stage's group fits run concurrently; the worker count changes nothing."""
+
+    @pytest.mark.parametrize("ec", [False, True])
+    def test_model_and_report_ignore_worker_count(self, ec):
+        data = datagen.gauss_corr(1024, 24, 0.9, seed=5)
+        lay = layout.build_layout(layout.compute_stats(data), sub_dim=4, t_max=2, groups=3,
+                                  alloc=np.full((6, 2), 4))
+        assert lay.n_groups == 3
+        config = trainer.TrainConfig(max_iters=8, seed=2, ec=ec,
+                                     lambdas=[8.0, 8.0] if ec else None)
+        runs = [trainer.train(data, lay, config, threads=w)
+                for w in (1, 2, 3, lay.n_groups + 1, None)]
+        want_model, want = runs[0]
+        for model, report in runs[1:]:
+            assert bitstream.model_to_bytes(model) == bitstream.model_to_bytes(want_model)
+            assert report.per_stage_distortion == want.per_stage_distortion
+            assert list(report.objective_traces.items()) == list(want.objective_traces.items())
+            assert list(report.codeword_usage) == list(want.codeword_usage)
+            for key, usage in want.codeword_usage.items():
+                assert np.array_equal(report.codeword_usage[key], usage)
+
+    def test_more_workers_than_cores_under_frequent_switching(self):
+        # each fit writes its own residual columns of one shared array; a lost
+        # or crossed write would change the next stage's codebooks
+        data = datagen.gauss_corr(512, 32, 0.9, seed=8)
+        lay = layout.build_layout(layout.compute_stats(data), sub_dim=2, t_max=3, groups=8,
+                                  alloc=np.full((16, 3), 3))
+        config = trainer.TrainConfig(max_iters=4, seed=6)
+        want = bitstream.model_to_bytes(trainer.train(data, lay, config, threads=1)[0])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                model, _ = trainer.train(data, lay, config, threads=2 * lay.n_groups)
+                assert bitstream.model_to_bytes(model) == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_worker_count_below_one_rejected(self, threads):
+        lay = make_layout(2, 2, [2], groups=1)
+        with pytest.raises(ConfigError, match="threads"):
+            trainer.train(np.random.default_rng(0).normal(size=(32, 4)), lay,
+                          trainer.TrainConfig(seed=0), threads=threads)
 
 
 class TestTrainReportExport:
