@@ -66,6 +66,11 @@ class SubVectorLayout:
         size = self.n_sub // self.n_groups
         return slice(g * size, (g + 1) * size)
 
+    def group_columns(self, g: int) -> np.ndarray:
+        """The original coordinates of group g's sub-vectors, a (members, D) array:
+        Z[:, group_columns(g)] is the group's (rows, members, D) block of Z."""
+        return self.perm.reshape(self.n_sub, self.sub_dim)[self.group_members(g)]
+
     def group_bits(self, g: int) -> np.ndarray:
         """Shared per-stage bit widths of group g."""
         return self.bits[self.group_members(g).start]

@@ -16,13 +16,16 @@ walks a block of residuals that share one group's codebooks, so each stage is
 one search over the whole block, and a sub-vector takes part only up to its
 own depth. The block is a whole group: one row chunk of its members when
 encoding, decoding and building the table, or its pooled training points.
-map_row_chunks alone chunks rows, map_workers alone runs a worker pool (row
-chunks here, a stage's group fits in training), and the kernels' scan alone
-bounds the score buffer, in bytes (codebook.SCORE_BYTES). decode_batch is
-the codec's one codeword sum: it adds the codewords in float64 in ascending
-stage order, and encode_batch returns its output as Z_hat, so encoder and
-decoder agree bit for bit. Sub-vectors with zero active stages reconstruct to
-the stored training mean at a cost of zero transmitted bits.
+Each pass gathers a group's block straight from the feature matrix's columns
+(layout.group_columns), and decode_batch scatters each row chunk back with
+one np.take. map_row_chunks alone chunks rows, map_workers alone runs a
+worker pool (row chunks here, a stage's group fits in training), and the
+kernels' scan alone bounds the score buffer, in bytes (codebook.SCORE_BYTES).
+decode_batch is the codec's one codeword sum: it adds the codewords in
+float64 in ascending stage order, and encode_batch returns its output as
+Z_hat, so encoder and decoder agree bit for bit. Sub-vectors with zero active
+stages reconstruct to the stored training mean at a cost of zero transmitted
+bits.
 """
 
 from __future__ import annotations
@@ -93,22 +96,6 @@ def field_order(stages, within=None) -> tuple[np.ndarray, np.ndarray, np.ndarray
     sub = np.repeat(np.arange(stages.size), stages)
     stage = np.arange(sub.size) - np.repeat(np.cumsum(stages) - stages, stages)
     return sub, stage, (np.cumsum(within) - within)[sub] + stage
-
-
-def split_subvectors(layout, Z: np.ndarray) -> np.ndarray:
-    """(rows, M) -> (rows, N, D) in variance order.
-
-    Z[:, perm] returns a Fortran-ordered array, and downstream sums (the
-    trainer's fallback means, the table's stage-0 distortions) follow that
-    memory order; a gather such as np.take(Z, perm, axis=1) is C-ordered and
-    changes their rounding, so this stays a fancy-index.
-    """
-    return Z[:, layout.perm].reshape(Z.shape[0], layout.n_sub, layout.sub_dim)
-
-
-def merge_subvectors(layout, sub: np.ndarray) -> np.ndarray:
-    """(rows, N, D) in variance order -> (rows, M) in original coordinate order."""
-    return np.take(sub.reshape(sub.shape[0], layout.m_dim), np.argsort(layout.perm), axis=1)
 
 
 def _active(depth: list[int], t: int):
@@ -198,9 +185,10 @@ def encode_fields(
     payload carries.
 
     The rows are processed in fixed chunks, on a worker pool when threads > 1;
-    each chunk splits and writes only its own rows, so the result does not
-    depend on the worker count. Within a chunk, each group is walked as one
-    block to every member's planned depth.
+    each chunk gathers and writes only its own rows, so the result does not
+    depend on the worker count. Within a chunk, each group's columns are
+    gathered into one (members, rows, D) block and walked to every member's
+    planned depth.
     """
     Z = check_features(Z, model.layout.m_dim)
     stages = _checked_stages(model.layout, plan.stages)
@@ -210,10 +198,9 @@ def encode_fields(
     symbols = np.empty((Z.shape[0], sub_of.size), dtype=np.uint8)
 
     def walk(rows: slice):
-        sub = split_subvectors(lay, Z[rows])
         for g in range(lay.n_groups):
             blk = lay.group_members(g)
-            r = sub[:, blk].transpose(1, 0, 2).copy()
+            r = np.take(Z[rows], lay.group_columns(g), axis=1).transpose(1, 0, 2).copy()
             idx = walk_stages(model.codebooks[g], model.lambdas, r, 0, stages[blk].tolist())
             cols, at = _block_fields(sub_of, stage_of, blk)
             symbols[rows, cols] = idx[at].T
@@ -239,7 +226,8 @@ def decode_batch(model: MsvqModel, symbols: np.ndarray, plan: SelectionPlan) -> 
 
     Within each row chunk, each group adds one gather of its members'
     codewords per stage, in ascending stage order, into a contiguous
-    accumulator; a sub-vector with no stages takes its stored mean.
+    accumulator; a sub-vector with no stages takes its stored mean. One np.take
+    puts the chunk's variance-ordered buffer into coordinate order.
     """
     stages = _checked_stages(model.layout, plan.stages)
     lay = model.layout
@@ -254,10 +242,12 @@ def decode_batch(model: MsvqModel, symbols: np.ndarray, plan: SelectionPlan) -> 
         f = int(bad.argmax())
         raise CorruptionError(f"sub-vector {sub[f]} stage {stage[f]}: codeword index "
                               f"out of range [0, {sizes[f]})")
-    zhat = np.empty((symbols.shape[0], lay.n_sub, lay.sub_dim), dtype=np.float64)
+    zhat = np.empty((symbols.shape[0], lay.m_dim), dtype=np.float64)
+    inverse = np.argsort(lay.perm)
 
     def add(rows: slice):
         chunk = symbols[rows]
+        ordered = np.empty((chunk.shape[0], lay.n_sub, lay.sub_dim), dtype=np.float64)
         for g in range(lay.n_groups):
             books, blk = model.codebooks[g], lay.group_members(g)
             depth = stages[blk].tolist()
@@ -271,10 +261,12 @@ def decode_batch(model: MsvqModel, symbols: np.ndarray, plan: SelectionPlan) -> 
             for t in range(max(depth)):
                 sel = _active(depth, t)
                 acc[sel] += books[t].vectors.astype(np.float64)[idx[sel, :, t]]
-            zhat[rows, blk] = acc.transpose(1, 0, 2)
+            ordered[:, blk] = acc.transpose(1, 0, 2)
+        np.take(ordered.reshape(chunk.shape[0], lay.m_dim), inverse, axis=1, out=zhat[rows],
+                mode="clip")
 
     map_row_chunks(add, symbols.shape[0])
-    return merge_subvectors(lay, zhat)
+    return zhat
 
 
 def reconstruction_mse(Z: np.ndarray, Z_hat: np.ndarray) -> float:

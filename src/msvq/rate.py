@@ -25,13 +25,7 @@ import numpy as np
 from .codebook import MsvqModel, nearest_batch, nearest_rate_penalized_batch
 from .errors import ConfigError, CorruptionError, DataError
 from .layout import check_features, freeze
-from .quantizer import (
-    SelectionPlan,
-    cumulative_bits,
-    map_row_chunks,
-    split_subvectors,
-    walk_stages,
-)
+from .quantizer import SelectionPlan, cumulative_bits, map_row_chunks, walk_stages
 
 MODE_EXACT = "exact"
 MODE_AVERAGE = "average"
@@ -59,7 +53,7 @@ class MarginalLossTable:
         return self.step_bits.shape[1]
 
 
-def _table_pass(model: MsvqModel, sub: np.ndarray):
+def _table_pass(model: MsvqModel, z: np.ndarray):
     """Per-chunk sums of cumulative sub-vector distortions and (EC) code lengths."""
     lay = model.layout
     n, t_max = lay.n_sub, lay.t_max
@@ -67,13 +61,15 @@ def _table_pass(model: MsvqModel, sub: np.ndarray):
     ec = model.ec_enabled
     len_sums = np.zeros((n, t_max), dtype=np.float64) if ec else None
     fallback = model.fallback_means.astype(np.float64)
-    for i in range(n):
-        diff = sub[:, i, :] - fallback[i]
-        dist_sums[i, 0] = np.einsum("rd,rd->", diff, diff)
     for g in range(lay.n_groups):
         books, blk = model.codebooks[g], lay.group_members(g)
-        # contiguous per-sub-vector slices: einsum's reduction order follows the memory layout
-        r = sub[:, blk].transpose(1, 0, 2).copy()
+        # (members, D, rows): the stage-0 einsums follow this memory order, which
+        # their rounding depends on; the walk gets a contiguous copy per member
+        x = z.T[lay.group_columns(g)]
+        for j in range(x.shape[0]):
+            diff = x[j].T - fallback[blk.start + j]
+            dist_sums[blk.start + j, 0] = np.einsum("rd,rd->", diff, diff)
+        r = x.transpose(0, 2, 1).copy()
         for t in range(t_max):
             idx = walk_stages(books, model.lambdas, r, t, t + 1)[:, :, 0]
             for j in range(r.shape[0]):
@@ -90,20 +86,17 @@ def build_table(model: MsvqModel, data: np.ndarray, threads: int = 1) -> Margina
     entropy-constrained model and in "exact" mode (layout bits) otherwise.
     """
     Z = check_features(data, model.layout.m_dim)
-    if Z.shape[0] < 1:
+    rows = Z.shape[0]
+    if rows < 1:
         raise DataError("cannot build a marginal-loss table from an empty feature matrix")
-    lay = model.layout
-    sub = split_subvectors(lay, Z)
-    parts = map_row_chunks(lambda s: _table_pass(model, sub[s]), len(sub), threads)
-
-    rows = sub.shape[0]
+    parts = map_row_chunks(lambda s: _table_pass(model, Z[s]), rows, threads)
     dist = sum(p[0] for p in parts) / rows
     full_loss = float(dist[:, -1].sum())
     loss = full_loss - dist[:, -1:] + dist
     if model.ec_enabled:
         step_bits, mode = sum(p[1] for p in parts) / rows, MODE_AVERAGE
     else:
-        step_bits, mode = lay.bits.astype(np.float64), MODE_EXACT
+        step_bits, mode = model.layout.bits.astype(np.float64), MODE_EXACT
     return MarginalLossTable(loss=freeze(loss), step_bits=freeze(np.ascontiguousarray(step_bits)),
                              mode=mode)
 

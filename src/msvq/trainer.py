@@ -45,7 +45,7 @@ from .codebook import (
 )
 from .errors import ConfigError, DataError
 from .layout import SubVectorLayout, check_features, freeze
-from .quantizer import map_workers, split_subvectors, usable_cores, walk_stages
+from .quantizer import map_workers, usable_cores, walk_stages
 
 _ACCEPT_SLACK = 1e-12  # relative; rejects rounds that worsen the objective
 
@@ -223,11 +223,13 @@ def _fit_codebook(points, k, rng, rd_lambda, max_iters, rel_tol):
     return book.vectors, book.prior, trace
 
 
-def _resolve_lambdas(config: TrainConfig, t_max: int, data_variance: float) -> np.ndarray | None:
+def _resolve_lambdas(config: TrainConfig, t_max: int, data: np.ndarray) -> np.ndarray | None:
+    """None (plain), the configured lambdas, or 2 / data's mean variance per stage."""
     if not config.ec:
         return None
     if config.lambdas is None:
-        return np.full(t_max, 2.0 / max(data_variance, 1e-30), dtype=np.float64)
+        variance = float(data.var(axis=0).mean())
+        return np.full(t_max, 2.0 / max(variance, 1e-30), dtype=np.float64)
     return check_lambdas(config.lambdas, t_max)
 
 
@@ -258,22 +260,25 @@ def train(
     if threads is not None and threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
     workers = usable_cores() if threads is None else threads
-    lambdas = _resolve_lambdas(config, t_max, float(data.var(axis=0).mean()))
+    lambdas = _resolve_lambdas(config, t_max, data)
     seed = int(config.seed) & 0xFFFFFFFFFFFFFFFF
 
-    sub = split_subvectors(layout, data)
-    fallback = sub.mean(axis=0)
-    residuals = sub.copy()
+    # one (members, D, rows) gather per group: the means sum each coordinate's
+    # rows in that memory order, and the group's rows x members points are
+    # copied into one contiguous array that every stage walks in place
+    fallback, residuals = [], []
+    for g in range(n_groups):
+        x = data.T[layout.group_columns(g)]
+        fallback.append(x.mean(axis=2))
+        residuals.append(x.transpose(2, 0, 1).reshape(-1, layout.sub_dim))
 
     stage_books: list[list[Codebook]] = [[] for _ in range(n_groups)]
 
     def fit(t: int, g: int):
         """Fit codebook (g, t) on the group's stage-t residuals and walk them
-        through it in place; only the group's own columns are read or written."""
-        members = layout.group_members(g)
-        # rows x members contiguous points (a copy unless the group is every
-        # sub-vector), fit and then walked in place, so each stage copies once
-        pts = np.ascontiguousarray(residuals[:, members]).reshape(-1, layout.sub_dim)
+        through it in place; only the group's own residual array is touched.
+        Returns (trace, usage, which members stayed finite, residual energy)."""
+        pts = residuals[g]
         k = 1 << int(layout.group_bits(g)[t])
         centers, prior, trace = _fit_codebook(
             pts, k, np.random.default_rng([seed, t, g]),
@@ -284,22 +289,21 @@ def train(
         books = stage_books[g]
         books.append(Codebook(vectors=freeze(centers.astype(np.float32)), prior=prior))
         idx = walk_stages(books, lambdas, pts[None], t, t + 1)
-        r = pts.reshape(data.shape[0], -1, layout.sub_dim)
-        residuals[:, members] = r
-        return trace, np.bincount(idx.ravel(), minlength=k), np.isfinite(r).all(axis=(0, 2))
+        finite = np.isfinite(pts.reshape(data.shape[0], -1, layout.sub_dim)).all(axis=(0, 2))
+        return (trace, np.bincount(idx.ravel(), minlength=k), finite,
+                float(np.einsum("pd,pd->", pts, pts)))
 
     report = TrainReport()
     for t in range(t_max):
         fits = map_workers(lambda g: fit(t, g), range(n_groups), workers)
-        for g, (trace, usage, finite) in enumerate(fits):
+        for g, (trace, usage, finite, _) in enumerate(fits):
             if not finite.all():
                 raise DataError(f"non-finite residuals after stage {t + 1} (sub-vector "
                                 f"{layout.group_members(g).start + int(finite.argmin())}, "
                                 f"group {g})")
             report.objective_traces[(g, t)] = trace
             report.codeword_usage[(g, t)] = usage
-        report.per_stage_distortion.append(
-            float(np.einsum("rnd,rnd->", residuals, residuals) / data.shape[0]))
+        report.per_stage_distortion.append(sum(f[3] for f in fits) / data.shape[0])
 
     if lambdas is not None:
         pmfs = entropy.measure_group_pmfs(report.codeword_usage)
@@ -308,7 +312,7 @@ def train(
     model = MsvqModel(
         layout=layout,
         codebooks=tuple(tuple(books) for books in stage_books),
-        fallback_means=freeze(fallback.astype(np.float32)),
+        fallback_means=freeze(np.concatenate(fallback).astype(np.float32)),
         lambdas=None if lambdas is None else freeze(lambdas),
     )
     return model, report

@@ -75,6 +75,19 @@ class TestBuildLayout:
         inv = np.argsort(lay.perm)
         assert np.array_equal(z[lay.perm][inv], z)
 
+    def test_group_columns_are_the_groups_variance_ordered_coordinates(self):
+        rng = np.random.default_rng(6)
+        lay = layout.build_layout(_stats(rng.uniform(1, 2, 24)), sub_dim=2, t_max=1,
+                                  groups=3, alloc=np.full((12, 1), 2))
+        assert not np.array_equal(lay.perm, np.arange(24))
+        cols = [lay.group_columns(g) for g in range(lay.n_groups)]
+        assert all(c.shape == (4, 2) for c in cols)
+        assert np.array_equal(np.concatenate(cols), lay.perm.reshape(12, 2))
+        Z = rng.normal(size=(5, 24))
+        split = Z[:, lay.perm].reshape(5, 12, 2)  # every sub-vector, in variance order
+        for g, c in enumerate(cols):
+            assert np.array_equal(Z[:, c], split[:, lay.group_members(g)])
+
     def test_divisibility_errors(self):
         with pytest.raises(ConfigError):
             layout.build_layout(_stats(np.ones(10)), sub_dim=4, t_max=1, groups=1,

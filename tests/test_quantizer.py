@@ -16,6 +16,11 @@ from msvq.codebook import (
 from msvq.errors import ConfigError, CorruptionError
 
 
+def to_coordinate_order(lay, sub):
+    """(rows, N, D) in variance order -> (rows, M) in original coordinate order."""
+    return np.take(sub.reshape(sub.shape[0], lay.m_dim), np.argsort(lay.perm), axis=1)
+
+
 def encode_batch_reference(model, Z, plan):
     """The per-sub-vector encode loop that the grouped stage walk replaced.
 
@@ -24,7 +29,7 @@ def encode_batch_reference(model, Z, plan):
     stages = plan.stages
     lay = model.layout
     Z = np.asarray(Z, dtype=np.float64)
-    sub = quantizer.split_subvectors(lay, Z)
+    sub = Z[:, lay.perm].reshape(Z.shape[0], lay.n_sub, lay.sub_dim)
     lambdas = model.lambdas if model.ec_enabled else None
     symbols = np.empty((Z.shape[0], int(stages.sum())), dtype=np.uint8)
     for a in range(0, max(Z.shape[0], 1), ROW_CHUNK):
@@ -49,7 +54,7 @@ def encode_batch_reference(model, Z, plan):
                 symbols[rows, field] = col
                 field += 1
             sub[rows, i, :] = acc
-    return symbols, quantizer.merge_subvectors(lay, sub)
+    return symbols, to_coordinate_order(lay, sub)
 
 
 def decode_batch_reference(model, symbols, plan):
@@ -69,7 +74,7 @@ def decode_batch_reference(model, symbols, plan):
             acc += books[t].vectors.astype(np.float64)[symbols[:, field]]
             field += 1
         zhat[:, i, :] = acc
-    return quantizer.merge_subvectors(lay, zhat)
+    return to_coordinate_order(lay, zhat)
 
 
 def zero_plan(lay):
@@ -136,7 +141,7 @@ class TestEncodeDecode:
         z = rng.normal(size=(1, model.layout.m_dim))
         plan = zero_plan(model.layout)
         symbols, z_hat = quantizer.encode_batch(model, z, plan)
-        expected = quantizer.merge_subvectors(
+        expected = to_coordinate_order(
             model.layout, model.fallback_means.astype(np.float64)[None, :, :])
         assert np.array_equal(z_hat, expected)
         assert symbols.shape == (1, 0)
@@ -209,11 +214,12 @@ class TestEncodeDecode:
     def test_walk_in_steps_equals_walk_at_once(self, corr_data, model, ec_model, ec):
         m = ec_model if ec else model
         books, lambdas = m.codebooks[0], m.lambdas if ec else None
-        members = m.layout.group_members(0)
+        lay = m.layout
+        members = lay.group_members(0)
         n = members.stop - members.start
         assert n > 1
-        x = quantizer.split_subvectors(m.layout, corr_data.astype(np.float64))[:, members, :]
-        x = x.transpose(1, 0, 2).copy()
+        x = corr_data.astype(np.float64)[:, lay.perm].reshape(-1, lay.n_sub, lay.sub_dim)
+        x = x[:, members, :].transpose(1, 0, 2).copy()
         whole = x.copy()
         idx = quantizer.walk_stages(books, lambdas, whole, 0, m.t_max)
         assert idx.shape == (n, x.shape[1], m.t_max)
@@ -231,7 +237,8 @@ class TestEncodeDecode:
 
     def test_walk_stops_each_member_at_its_depth(self, corr_data, model):
         books = model.codebooks[0]
-        x = quantizer.split_subvectors(model.layout, corr_data.astype(np.float64))[:, :2, :]
+        lay = model.layout
+        x = corr_data.astype(np.float64)[:, lay.perm].reshape(-1, lay.n_sub, lay.sub_dim)[:, :2]
         x = x.transpose(1, 0, 2).copy()
         full = x.copy()
         idx_full = quantizer.walk_stages(books, None, full, 0, model.t_max)
@@ -345,13 +352,14 @@ class TestOneBlockPerGroupAndChunk:
         assert searched == want
 
     def test_decode_peak_memory_is_one_chunk_per_group(self):
+        rows = 6 * ROW_CHUNK + 37
         lay = make_layout(32, 4, [3, 3, 3])  # one group of every sub-vector
         m = make_toy_model(lay, np.random.default_rng(0))
         stages = np.arange(lay.n_sub) % (lay.t_max + 1)  # mixed depths, some zero
         plan = quantizer.plan_from_stages(lay, stages)
-        symbols = np.random.default_rng(1).integers(0, 8, size=(self.ROWS, int(stages.sum())),
+        symbols = np.random.default_rng(1).integers(0, 8, size=(rows, int(stages.sum())),
                                                     dtype=np.uint8)
-        out = self.ROWS * lay.m_dim * 8  # float64 Z_hat, before and after the merge
+        out = rows * lay.m_dim * 8  # float64 Z_hat in coordinate order
         block = ROW_CHUNK * lay.m_dim * 8  # one chunk of the whole group
         tracemalloc.start()
         try:
@@ -360,16 +368,17 @@ class TestOneBlockPerGroupAndChunk:
         finally:
             tracemalloc.stop()
         assert z_hat.nbytes == out
-        # walking all rows of the group at once would hold two more Z_hat-sized blocks
-        assert peak < 2 * out + 2 * block
+        # a chunk holds its variance-ordered buffer, the group's accumulator and a
+        # gather of codewords; a whole variance-ordered Z_hat beside the output
+        # would add six more blocks
+        assert peak < out + 4 * block
 
-    def test_encode_peak_memory_is_one_chunk_split(self):
+    def test_encode_peak_memory_is_one_group_block(self):
         lay = make_layout(16, 4, [8, 6, 4], groups=16)  # one sub-vector per group
         m = make_toy_model(lay, np.random.default_rng(0))
         Z = np.random.default_rng(1).normal(size=(self.ROWS, lay.m_dim)).astype(np.float32)
         plan = quantizer.full_plan(lay)
         copy = self.ROWS * lay.m_dim * 8  # check_features' float64 copy of the input
-        split = ROW_CHUNK * lay.m_dim * 8  # one chunk's split_subvectors
         block = ROW_CHUNK * lay.sub_dim * 8  # one chunk of one group's members
         tracemalloc.start()
         try:
@@ -377,7 +386,8 @@ class TestOneBlockPerGroupAndChunk:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the group walk holds a few block-sized arrays (the block, the residuals
-        # its search leaves, the indices and their copy) and one score buffer;
-        # splitting all rows up front would hold another 16 blocks
-        assert peak < copy + symbols.nbytes + split + 8 * block + SCORE_BYTES
+        # the group walk holds a few block-sized arrays (the gather and its
+        # transposed copy, the residuals its search leaves, the indices and their
+        # copy) and one score buffer; permuting a whole chunk first would hold
+        # another 16 blocks
+        assert peak < copy + symbols.nbytes + 8 * block + SCORE_BYTES

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_layout
-from msvq import datagen, oracle, quantizer, rate, trainer
+from conftest import make_layout, make_toy_model
+from msvq import datagen, layout, oracle, quantizer, rate, trainer
 from msvq.codebook import ROW_CHUNK
 from msvq.errors import ConfigError, CorruptionError
 
@@ -95,6 +96,22 @@ class TestBuildTable:
         two = rate.build_table(m, data, threads=2)
         assert np.array_equal(one.loss, two.loss)
         assert np.array_equal(one.step_bits, two.step_bits)
+
+    def test_peak_memory_is_chunk_blocks_not_a_permuted_copy(self):
+        data = datagen.gauss_corr(6 * ROW_CHUNK + 37, 64, 0.9, seed=3).astype(np.float64)
+        lay = layout.build_layout(layout.compute_stats(data), 4, 3, 1, "type3")
+        m = make_toy_model(lay, np.random.default_rng(0))
+        chunk = ROW_CHUNK * lay.m_dim * 8  # one row chunk of the whole group
+        tracemalloc.start()
+        try:
+            rate.build_table(m, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # check_features' finiteness mask, then per chunk the group's gather, its
+        # contiguous copy, the residuals its search leaves and one score buffer;
+        # a variance-ordered copy of all the data would add six more chunks
+        assert peak < data.nbytes // 8 + 4 * chunk
 
     def test_single_subvector_matches_train_report(self):
         rng = np.random.default_rng(21)

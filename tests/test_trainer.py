@@ -1,11 +1,18 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import encoded_usage, make_layout, record_searches
 from msvq import bitstream, datagen, entropy, layout, quantizer, trainer
-from msvq.codebook import ROW_CHUNK, Codebook, nearest_batch, nearest_rate_penalized_batch
+from msvq.codebook import (
+    ROW_CHUNK,
+    SCORE_BYTES,
+    Codebook,
+    nearest_batch,
+    nearest_rate_penalized_batch,
+)
 from msvq.errors import ConfigError, DataError
 
 
@@ -182,6 +189,32 @@ class TestTrain:
         trainer.train(data, lay, trainer.TrainConfig(max_iters=2, seed=1))
         assert searched == [data.shape[0] * 2] * (lay.n_groups * lay.t_max)
 
+    def test_peak_memory_is_two_copies_of_the_input(self):
+        data = datagen.gauss_corr(4 * ROW_CHUNK, 64, 0.9, seed=3)
+        assert data.dtype == np.float32
+        lay = layout.build_layout(layout.compute_stats(data), sub_dim=4, t_max=2, groups=16,
+                                  alloc=np.full((16, 2), 3))
+        copy = data.size * 8  # one float64 copy of the input
+        group = copy // lay.n_groups  # one group's residuals
+        tracemalloc.start()
+        try:
+            trainer.train(data, lay, trainer.TrainConfig(max_iters=2, seed=1), threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # check_features' float64 copy and the groups' residual arrays, plus one
+        # fit's scratch (seeding distances, the search's residuals and one score
+        # buffer); a variance-ordered copy of the data would add sixteen groups
+        assert peak < 2 * copy + 8 * group + SCORE_BYTES
+
+    def test_default_ec_lambdas_are_twice_the_inverse_mean_variance(self):
+        data = datagen.gauss_corr(512, 16, 0.9, seed=4)
+        lay = layout.build_layout(layout.compute_stats(data), sub_dim=4, t_max=2, groups=2,
+                                  alloc=np.full((4, 2), 3))
+        model, _ = trainer.train(data, lay, trainer.TrainConfig(max_iters=2, seed=1, ec=True))
+        variance = float(data.astype(np.float64).var(axis=0).mean())
+        assert model.lambdas.tolist() == [2.0 / variance] * 2
+
     @pytest.mark.parametrize("ec", [False, True])
     def test_usage_equals_full_depth_encoding_counts(self, ec):
         # encoding walks ROW_CHUNK-row chunks, training walks all rows at once;
@@ -339,8 +372,8 @@ class TestWorkerCount:
                 assert np.array_equal(report.codeword_usage[key], usage)
 
     def test_more_workers_than_cores_under_frequent_switching(self):
-        # each fit writes its own residual columns of one shared array; a lost
-        # or crossed write would change the next stage's codebooks
+        # each fit walks its own group's residual array in place; a lost or
+        # crossed write would change the next stage's codebooks
         data = datagen.gauss_corr(512, 32, 0.9, seed=8)
         lay = layout.build_layout(layout.compute_stats(data), sub_dim=2, t_max=3, groups=8,
                                   alloc=np.full((16, 3), 3))
