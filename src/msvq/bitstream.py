@@ -474,8 +474,13 @@ def read_payload(
             raise CorruptionError(f"{path}: {body} bytes of vector data, {count} vectors "
                                   f"of {block} bytes need {count * block}")
         blocks = np.frombuffer(blob, dtype=np.uint8)[pos:].reshape(count, block)
-        symbols = np.concatenate(map_row_chunks(lambda s: unpack_fixed(blocks[s], coding),
-                                                count))
+        # layout.MAX_BITS = 8 caps every plain field at one byte
+        symbols = np.empty((count, len(coding)), dtype=np.uint8)
+
+        def unpack(rows: slice):
+            symbols[rows] = unpack_fixed(blocks[rows], coding)
+
+        map_row_chunks(unpack, count)
         bits_rows = np.full(count, exact_bits, dtype=np.int64)
 
     z_hat = decode_batch(model, symbols, plan)

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import encoded_usage, make_layout
 from msvq import entropy
-from msvq.codebook import Codebook, MsvqModel
+from msvq.codebook import ROW_CHUNK, Codebook, MsvqModel
 from msvq.errors import CorruptionError, DataError
 
 
@@ -151,6 +152,49 @@ class TestPackingKernels:
         widths = [3, 2]
         blocks = np.array([[0b10101111]], dtype=np.uint8)
         assert entropy.unpack_fixed(blocks, widths).tolist() == [[5, 1]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(0, 9),
+           widths=st.lists(st.integers(1, 33), max_size=40))
+    def test_fixed_fields_match_the_scalar_packer(self, seed, rows, widths):
+        rng = np.random.default_rng(seed)
+        widths = np.array(widths, dtype=np.int64)
+        # up to 8 bits above each field's width, which pack must drop
+        symbols = rng.integers(0, 1 << (widths + 8), size=(rows, widths.size))
+        blocks = entropy.pack_fixed(symbols, widths)
+        assert blocks.dtype == np.uint8
+        assert blocks.shape == (rows, (int(widths.sum()) + 7) // 8)
+        fields = [list(zip(row.tolist(), widths.tolist())) for row in symbols]
+        assert blocks.tobytes() == _reference_pack(fields)
+
+        padding = -int(widths.sum()) % 8  # random padding bits, which unpack must ignore
+        noisy = blocks.copy()
+        if padding:
+            noisy[:, -1] |= rng.integers(0, 1 << padding, size=rows).astype(np.uint8)
+        got = entropy.unpack_fixed(noisy, widths)
+        width = int(widths.max(initial=1))
+        assert got.dtype == next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                                 if np.iinfo(t).bits >= width)
+        assert np.array_equal(got, symbols & ((1 << widths) - 1))
+
+    @pytest.mark.parametrize("n_fields", [16, 256])
+    def test_fixed_kernels_hold_no_matrix_of_bits(self, n_fields):
+        """Packing and unpacking a row chunk of 8-bit fields holds a few arrays
+        the size of the field matrix, not one byte per payload bit."""
+        widths = np.full(n_fields, 8)
+        symbols = np.random.default_rng(3).integers(0, 256, size=(ROW_CHUNK, n_fields),
+                                                    dtype=np.uint8)
+        blocks = entropy.pack_fixed(symbols, widths)
+        for kernel, arg in ((entropy.pack_fixed, symbols), (entropy.unpack_fixed, blocks)):
+            tracemalloc.start()
+            try:
+                kernel(arg, widths)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # about 3 (pack) and 4 (unpack) field matrices; a matrix of bits
+            # is 8 and its shifted copy 8 more
+            assert peak < 6 * symbols.size, kernel.__name__
 
     def test_prefix_rows_match_reference(self):
         rng = np.random.default_rng(4)
