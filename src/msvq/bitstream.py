@@ -94,11 +94,11 @@ def file_digest(path: str) -> int:
 # --- FMAT1 feature matrices -------------------------------------------------
 
 def write_features(path: str, data: np.ndarray) -> None:
-    data = check_features(data, dtype="<f4")
+    data = np.ascontiguousarray(check_features(data, dtype="<f4"))
     rows, cols = data.shape
     with open(path, "wb") as fh:
         fh.write(_FMAT_HEADER.pack(FMAT_MAGIC, FMAT_VERSION, rows, cols))
-        fh.write(data.tobytes())
+        fh.write(data)  # the matrix's own buffer: a C-ordered float32 input is not copied
 
 
 def read_features(path: str) -> np.ndarray:
@@ -126,16 +126,19 @@ def write_table(path: str, table: rate.MarginalLossTable) -> None:
         fh.write("\n")
 
 
-def read_table(path: str) -> rate.MarginalLossTable:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def _table_from_bytes(blob: bytes, name: str) -> rate.MarginalLossTable:
     try:
         doc = json.loads(blob.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON; nesting too deep
-        raise CorruptionError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
+        raise CorruptionError(f"{name}: not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise CorruptionError(f"{path}: table document must be a JSON object")
+        raise CorruptionError(f"{name}: table document must be a JSON object")
     return rate.table_from_dict(doc)
+
+
+def read_table(path: str) -> rate.MarginalLossTable:
+    with open(path, "rb") as fh:
+        return _table_from_bytes(fh.read(), path)
 
 
 # --- MSVQ model files ---------------------------------------------------------
@@ -261,10 +264,12 @@ def read_bound_pair(model_path: str, table_path: str):
     """(model, ModelInfo, table) of a model file and the table file it is bound to.
 
     StateError when the model is bound to no table yet, CorruptionError when it
-    is bound to a different one.
+    is bound to a different one. One read of the table file is digested and parsed.
     """
     model, info = read_model(model_path)
-    table_digest = file_digest(table_path)
+    with open(table_path, "rb") as fh:
+        blob = fh.read()
+    table_digest = digest64(blob)
     if info.table_digest == 0:
         raise StateError(f"{model_path} is not bound to a table yet; "
                          f"run the table command first")
@@ -272,7 +277,7 @@ def read_bound_pair(model_path: str, table_path: str):
         raise CorruptionError(f"{model_path} is bound to table digest "
                               f"{info.table_digest:#018x}, {table_path} has "
                               f"{table_digest:#018x}")
-    return model, info, read_table(table_path)
+    return model, info, _table_from_bytes(blob, table_path)
 
 
 # --- MSVP payload files -------------------------------------------------------
@@ -363,7 +368,7 @@ def write_payload(
     data: np.ndarray,
     b_cap: int,
     strict: bool = False,
-    threads: int = 1,
+    threads: int | None = 1,
 ) -> PayloadInfo:
     """Derive the plan for b_cap, encode the data, and write an MSVP file.
 

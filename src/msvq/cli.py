@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bitstream, datagen, oracle, rate
 from .errors import ConfigError, MsvqError
-from .layout import build_layout, compute_stats, validate_bits
+from .layout import PRESETS, build_layout, compute_stats
 from .quantizer import (
     decode_batch,
     encode_batch,
@@ -29,17 +29,17 @@ from .quantizer import (
     field_order,
     full_plan,
     reconstruction_mse,
-    usable_cores,
 )
 from .trainer import TrainConfig, train
 
 
-def _resolve_threads(value: int | None) -> int:
+def _resolve_threads(value: int | None) -> int | None:
+    """--threads, else MSVQ_THREADS, else None (every usable core); errors name the source."""
     name = "--threads"
     if value is None:
         env = os.environ.get("MSVQ_THREADS")
         if not env:
-            return usable_cores()
+            return None
         name = "MSVQ_THREADS"
         try:
             value = int(env)
@@ -133,7 +133,7 @@ def _cmd_train(args) -> int:
     if args.alloc == "file":
         with open(args.alloc_file, "r", encoding="utf-8") as fh:
             try:
-                alloc = validate_bits(np.asarray(json.load(fh), dtype=np.float64))
+                alloc = np.asarray(json.load(fh), dtype=np.float64)
             except (ValueError, TypeError, RecursionError) as exc:
                 raise ConfigError(f"{args.alloc_file}: not a JSON bit matrix: {exc}") from exc
     else:
@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sub-dim", type=int, required=True)
     p.add_argument("--t-max", type=int, required=True)
     p.add_argument("--groups", type=int, required=True)
-    p.add_argument("--alloc", required=True, choices=["type1", "type2", "type3", "file"])
+    p.add_argument("--alloc", required=True, choices=[*PRESETS, "file"])
     p.add_argument("--alloc-file", help="JSON bit matrix when --alloc file")
     p.add_argument("--ec", action="store_true", help="entropy-constrained training")
     p.add_argument("--lambda", dest="lambda", default=None,

@@ -4,7 +4,8 @@ An M-dimensional feature vector is split into N sub-vectors of dimension D by
 first permuting coordinates into descending-variance order, so each sub-vector
 holds entries with similar spread. Sub-vectors are then assigned to G
 codebook-sharing groups (contiguous runs in variance order), and every
-sub-vector gets a per-stage quantization bit width from an allocation preset.
+sub-vector gets a per-stage quantization bit width from an allocation preset
+(PRESETS) or an explicit matrix; assemble_layout alone checks bit matrices.
 The per-coordinate variance vector that compute_stats measures is the only
 statistic a layout needs.
 """
@@ -18,15 +19,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 MAX_BITS = 8  # codebooks are exhaustively scanned; 2^8 codewords is the ceiling
-
-_PRESET_ALIASES = {
-    "type1": "type1",
-    "typei": "type1",
-    "type2": "type2",
-    "typeii": "type2",
-    "type3": "type3",
-    "typeiii": "type3",
-}
+PRESETS = ("type1", "type2", "type3")  # the paper's Type I/II/III allocations
 
 
 @dataclass(frozen=True)
@@ -144,23 +137,22 @@ def allocation_preset(name: str, n_sub: int, t_max: int) -> np.ndarray:
 
     type1: top half of the rows gets 8,7,6,... bits over the stages, bottom
     half 6,5,4,...; type2: constant 7 bits for the top half and 5 for the
-    bottom; type3: constant 6 bits everywhere.
+    bottom; type3: constant 6 bits everywhere. All are valid by construction.
     """
-    key = _PRESET_ALIASES.get(name.replace("_", "").replace("-", "").lower())
-    if key is None:
+    if name not in PRESETS:
         raise ConfigError(f"unknown allocation preset {name!r}; "
-                          f"expected one of type1, type2, type3")
+                          f"expected one of {', '.join(PRESETS)}")
     if t_max < 1:
         raise ConfigError(f"t_max must be >= 1, got {t_max}")
     if n_sub < 1:
         raise ConfigError(f"n_sub must be >= 1, got {n_sub}")
-    if key == "type3":
-        return validate_bits(np.full((n_sub, t_max), 6, dtype=np.int64))
+    if name == "type3":
+        return np.full((n_sub, t_max), 6, dtype=np.int64)
     if n_sub % 2 != 0:
         raise ConfigError(f"preset {name!r} splits rows into halves; n_sub={n_sub} is odd")
     half = n_sub // 2
     bits = np.empty((n_sub, t_max), dtype=np.int64)
-    if key == "type1":
+    if name == "type1":
         if t_max > 6:
             raise ConfigError(f"type1 needs t_max <= 6 to keep widths >= 1, got {t_max}")
         stages = np.arange(t_max)
@@ -169,7 +161,7 @@ def allocation_preset(name: str, n_sub: int, t_max: int) -> np.ndarray:
     else:  # type2
         bits[:half] = 7
         bits[half:] = 5
-    return validate_bits(bits)
+    return bits
 
 
 def assemble_layout(
@@ -229,8 +221,8 @@ def build_layout(
         sub_dim: Sub-vector dimension D; must divide M.
         t_max: Number of quantization stages.
         groups: Number of codebook-sharing groups G; must divide N.
-        alloc: Preset name ("type1"/"type2"/"type3") or an explicit
-            (N, t_max) bit matrix.
+        alloc: Preset name (one of PRESETS) or an explicit (N, t_max) bit
+            matrix, which assemble_layout checks.
 
     Raises:
         ConfigError: on divisibility violations, preset/shape mismatches, or
@@ -245,10 +237,8 @@ def build_layout(
     if n_sub % groups != 0:
         raise ConfigError(f"groups={groups} must divide n_sub={n_sub}")
 
-    if isinstance(alloc, str):
-        bits = allocation_preset(alloc, n_sub, t_max)
-    else:
-        bits = validate_bits(alloc)
+    bits = (allocation_preset(alloc, n_sub, t_max) if isinstance(alloc, str)
+            else np.asarray(alloc))
     if bits.shape != (n_sub, t_max):
         raise ConfigError(f"bit matrix shape {bits.shape} does not match "
                           f"(n_sub={n_sub}, t_max={t_max})")

@@ -19,8 +19,9 @@ encoding, decoding and building the table, or its pooled training points.
 Each pass gathers a group's block straight from the feature matrix's columns
 (layout.group_columns), and decode_batch scatters each row chunk back with
 one np.take. map_row_chunks alone chunks rows, map_workers alone runs a
-worker pool (row chunks here, a stage's group fits in training), and the
-kernels' scan alone bounds the score buffer, in bytes (codebook.SCORE_BYTES).
+worker pool (row chunks here, a stage's group fits in training) and owns the
+worker-count rule, and the kernels' scan alone bounds the score buffer, in
+bytes (codebook.SCORE_BYTES).
 decode_batch is the codec's one codeword sum: it adds the codewords in
 float64 in ascending stage order, and encode_batch returns its output as
 Z_hat, so encoder and decoder agree bit for bit. Sub-vectors with zero active
@@ -151,13 +152,18 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def map_workers(fn, items, threads: int = 1) -> list:
+def map_workers(fn, items, threads: int | None = 1) -> list:
     """[fn(item) for item in items], in order: the codec's one worker pool.
 
+    threads=None means every usable core; a count below 1 is a ConfigError.
     With threads > 1 and more than one item the calls run on a pool of at
     most min(threads, len(items)) workers. An exception from a call is raised
     for the first failing item in order, whatever the worker count.
     """
+    if threads is None:
+        threads = usable_cores()
+    elif threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     items = list(items)
     if threads > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
@@ -165,7 +171,7 @@ def map_workers(fn, items, threads: int = 1) -> list:
     return [fn(item) for item in items]
 
 
-def map_row_chunks(fn, rows: int, threads: int = 1) -> list:
+def map_row_chunks(fn, rows: int, threads: int | None = 1) -> list:
     """[fn(s) for every ROW_CHUNK-row slice s of range(rows)], in row order.
 
     Zero rows still make one (empty) slice. The chunks, and therefore the
@@ -179,7 +185,7 @@ def encode_fields(
     model: MsvqModel,
     Z: np.ndarray,
     plan: SelectionPlan,
-    threads: int = 1,
+    threads: int | None = 1,
 ) -> np.ndarray:
     """Encode a feature matrix to its uint8 (rows, F) field matrix, the indices a
     payload carries.
@@ -213,7 +219,7 @@ def encode_batch(
     model: MsvqModel,
     Z: np.ndarray,
     plan: SelectionPlan,
-    threads: int = 1,
+    threads: int | None = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode a feature matrix; returns encode_fields' field matrix and Z_hat,
     decode_batch of that matrix."""

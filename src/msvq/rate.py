@@ -79,7 +79,7 @@ def _table_pass(model: MsvqModel, z: np.ndarray):
     return dist_sums, len_sums
 
 
-def build_table(model: MsvqModel, data: np.ndarray, threads: int = 1) -> MarginalLossTable:
+def build_table(model: MsvqModel, data: np.ndarray, threads: int | None = 1) -> MarginalLossTable:
     """Build the marginal-loss table from a feature matrix.
 
     The table is in "average" mode (measured code lengths) for an

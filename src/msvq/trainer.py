@@ -45,7 +45,7 @@ from .codebook import (
 )
 from .errors import ConfigError, DataError
 from .layout import SubVectorLayout, check_features, freeze
-from .quantizer import map_workers, usable_cores, walk_stages
+from .quantizer import map_workers, walk_stages
 
 _ACCEPT_SLACK = 1e-12  # relative; rejects rounds that worsen the objective
 
@@ -242,8 +242,8 @@ def train(
     """Train all stage codebooks on a feature matrix.
 
     A stage's group fits run on up to `threads` workers (default: every
-    usable core, capped at the group count); the model and report do not
-    depend on the worker count. Raises DataError when data has fewer rows
+    usable core, capped at the group count; see quantizer.map_workers); the
+    model and report do not depend on the worker count. Raises DataError when data has fewer rows
     than the largest codebook has codewords, when seeding overflows, or when
     residual propagation produces non-finite values. Each group pools
     rows x members >= rows residuals per stage, so every codebook then has
@@ -257,9 +257,6 @@ def train(
 
     t_max = layout.t_max
     n_groups = layout.n_groups
-    if threads is not None and threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
-    workers = usable_cores() if threads is None else threads
     lambdas = _resolve_lambdas(config, t_max, data)
     seed = int(config.seed) & 0xFFFFFFFFFFFFFFFF
 
@@ -295,7 +292,7 @@ def train(
 
     report = TrainReport()
     for t in range(t_max):
-        fits = map_workers(lambda g: fit(t, g), range(n_groups), workers)
+        fits = map_workers(lambda g: fit(t, g), range(n_groups), threads)
         for g, (trace, usage, finite, _) in enumerate(fits):
             if not finite.all():
                 raise DataError(f"non-finite residuals after stage {t + 1} (sub-vector "

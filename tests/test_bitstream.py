@@ -1,6 +1,9 @@
+import builtins
+import io
 import json
 import sys
 import time
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -64,6 +67,23 @@ class TestFeatureFiles:
         with pytest.raises(DataError, match="non-finite"):
             bitstream.write_features(str(path), np.array([[1e39, 1.0]]))
         assert not path.exists()
+
+
+    def test_write_holds_no_copy_of_the_matrix(self, tmp_path):
+        rows, cols = 1024, 256
+        data = np.random.default_rng(0).normal(size=(rows, cols)).astype(np.float32)
+        path = tmp_path / "x.fmat"
+        tracemalloc.start()
+        try:
+            bitstream.write_features(str(path), data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the finiteness check's mask takes R*M bytes; a tobytes() copy takes 4*R*M
+        assert peak < 2 * rows * cols
+        assert path.read_bytes()[16:] == data.tobytes()
+        bitstream.write_features(str(path), data.T)  # a non-contiguous view
+        assert path.read_bytes()[16:] == data.T.tobytes()
 
 
 class TestModelFiles:
@@ -198,6 +218,30 @@ class TestTableFiles:
         path.write_text("not json at all")
         with pytest.raises(CorruptionError):
             bitstream.read_table(str(path))
+
+
+class TestBoundPair:
+    def test_table_bytes_digested_are_the_bytes_loaded(self, tmp_path, monkeypatch, model,
+                                                       table, corr_data):
+        model_path, table_path = tmp_path / "m.msvq", tmp_path / "t.json"
+        bitstream.write_model(str(model_path), model)
+        bitstream.write_table(str(table_path), table)
+        bitstream.stamp_table_digest(str(model_path), bitstream.file_digest(str(table_path)))
+        other = json.dumps(rate.table_to_dict(rate.build_table(model, corr_data[:300])))
+        opened = []
+
+        def swapping_open(path, mode="r", *args, **kwargs):
+            # a table replaced between two reads of its file
+            if str(path) == str(table_path):
+                opened.append(mode)
+                if len(opened) > 1:
+                    return io.BytesIO(other.encode())
+            return builtins.open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(bitstream, "open", swapping_open, raising=False)
+        _, _, got = bitstream.read_bound_pair(str(model_path), str(table_path))
+        assert opened == ["rb"]
+        assert np.array_equal(got.loss, table.loss)
 
 
 class TestPayloadFiles:

@@ -7,7 +7,9 @@ listing it in __all__, and every name in msvq.__all__ must resolve. A rule
 that several modules need is public in the module that owns it. Rows are
 chunked in one place and there is one worker pool: only
 quantizer.map_row_chunks names the row chunk, and only quantizer.map_workers
-the pool.
+the pool. Each of two rules has one owner: quantizer.map_workers resolves and
+checks every worker count, and layout.assemble_layout alone checks bit
+matrices.
 """
 
 import ast
@@ -109,3 +111,16 @@ def test_rows_are_chunked_only_in_map_row_chunks():
         ("quantizer", "map_row_chunks", "ROW_CHUNK", "load"),
         ("quantizer", "map_workers", "ThreadPoolExecutor", "load"),
     }
+
+
+# rule owners: a name whose every load must sit in its owning function
+ONE_OWNER = {
+    "usable_cores": ("quantizer", "map_workers"),
+    "validate_bits": ("layout", "assemble_layout"),
+}
+
+
+def test_each_rule_is_applied_only_by_its_owner():
+    loads = {(name, (stem, func)) for stem, tree in _trees()
+             for func, name, how in _named(tree) if name in ONE_OWNER and how == "load"}
+    assert loads == set(ONE_OWNER.items())

@@ -135,6 +135,12 @@ class TestAllocationPresets:
         with pytest.raises(ConfigError):
             layout.allocation_preset("type9", 4, 2)
 
+    @pytest.mark.parametrize("name", ["typeI", "TYPE1", "type_2", "type-3", "typeiii"])
+    def test_presets_have_one_spelling(self, name):
+        assert layout.PRESETS == ("type1", "type2", "type3")
+        with pytest.raises(ConfigError, match="unknown allocation preset"):
+            layout.allocation_preset(name, 4, 2)
+
     def test_odd_rows_rejected_for_halved_presets(self):
         with pytest.raises(ConfigError):
             layout.allocation_preset("type1", 5, 2)

@@ -1,10 +1,11 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_layout, make_toy_model, record_searches
-from msvq import datagen, entropy, layout, quantizer
+from msvq import bitstream, datagen, entropy, layout, quantizer, rate, trainer
 from msvq.codebook import (
     ROW_CHUNK,
     SCORE_BYTES,
@@ -391,3 +392,51 @@ class TestOneBlockPerGroupAndChunk:
         # copy) and one score buffer; permuting a whole chunk first would hold
         # another 16 blocks
         assert peak < copy + symbols.nbytes + 8 * block + SCORE_BYTES
+
+
+class TestWorkerCountRule:
+    """quantizer.map_workers owns the worker-count rule of every entry point:
+    threads=None is every usable core, a count below 1 is a ConfigError."""
+
+    ENTRY_POINTS = ["build_table", "encode_fields", "encode_batch", "write_payload", "train"]
+
+    @pytest.fixture(scope="class")
+    def serve(self, model, corr_data):
+        # more rows than two row chunks, so a pool has several chunks to share
+        data = datagen.gauss_corr(2 * ROW_CHUNK + 37, model.layout.m_dim, 0.9, seed=5)
+        return data, rate.build_table(model, corr_data)
+
+    @staticmethod
+    def _run(entry, threads, model, corr_data, serve, path) -> bytes:
+        """The entry point's output at `threads`, as bytes."""
+        data, table = serve
+        plan = quantizer.full_plan(model.layout)
+        if entry == "build_table":
+            return json.dumps(rate.table_to_dict(
+                rate.build_table(model, data, threads=threads))).encode()
+        if entry == "encode_fields":
+            return quantizer.encode_fields(model, data, plan, threads=threads).tobytes()
+        if entry == "encode_batch":
+            symbols, z_hat = quantizer.encode_batch(model, data, plan, threads=threads)
+            return symbols.tobytes() + z_hat.tobytes()
+        if entry == "write_payload":
+            bitstream.write_payload(str(path), model, 7, table, data, 40, threads=threads)
+            return path.read_bytes()
+        config = trainer.TrainConfig(max_iters=2, seed=1)
+        return bitstream.model_to_bytes(
+            trainer.train(corr_data, model.layout, config, threads=threads)[0])
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_none_means_usable_cores_and_matches_one(self, entry, model, corr_data, serve,
+                                                     tmp_path):
+        assert model.layout.n_groups > 1  # training has more than one fit per stage
+        want = self._run(entry, 1, model, corr_data, serve, tmp_path / "one.msvp")
+        assert self._run(entry, None, model, corr_data, serve, tmp_path / "all.msvp") == want
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_below_one_rejected(self, entry, threads, model, corr_data, serve, tmp_path):
+        path = tmp_path / "p.msvp"
+        with pytest.raises(ConfigError, match="threads"):
+            self._run(entry, threads, model, corr_data, serve, path)
+        assert not path.exists()
