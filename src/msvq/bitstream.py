@@ -3,7 +3,7 @@
 Byte-level layouts are documented in docs/FORMATS.md. All integers are
 little-endian; vectors are IEEE-754 binary32, priors binary64. Model and table
 files are bound by 64-bit digests: the table command stamps the table file's
-digest into the model file (stamp_table_digest), read_bound_pair loads a model
+digest into the model file (bind_table), read_bound_pair loads a model
 only with the table it is bound to, and every payload carries the digest of
 the model file it was encoded with, so a decoder can never silently pair the
 wrong artifacts. In plan-derived mode the payload carries only the bit budget
@@ -252,10 +252,30 @@ def read_model(path: str) -> tuple[MsvqModel, ModelInfo]:
     return model_from_bytes(blob, name=path)
 
 
+def _read_table_file(path: str) -> tuple[bytes, int]:
+    """One read of a table file and its digest: a table parsed from these bytes
+    is the table the digest names."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    return blob, digest64(blob)
+
+
 def stamp_table_digest(model_path: str, table_digest: int) -> None:
-    """Bind a model file to a table file by patching the digest field."""
-    read_model(model_path)  # refuse to patch something that is not a valid model
+    """Patch a model file's table digest field; the bytes checked are the bytes patched."""
     with open(model_path, "r+b") as fh:
+        model_from_bytes(fh.read(), model_path)  # refuse to patch something that is not a model
+        fh.seek(_DIGEST_OFFSET)
+        fh.write(struct.pack("<Q", table_digest))
+
+
+def bind_table(model_path: str, table_path: str) -> None:
+    """Check a table file against a model file and stamp its digest into the
+    model's header: one read of the table is parsed, checked and digested, and
+    the model bytes parsed are the bytes patched."""
+    with open(model_path, "r+b") as fh:
+        model, _ = model_from_bytes(fh.read(), model_path)
+        blob, table_digest = _read_table_file(table_path)
+        check_table(model, _table_from_bytes(blob, table_path))
         fh.seek(_DIGEST_OFFSET)
         fh.write(struct.pack("<Q", table_digest))
 
@@ -267,9 +287,7 @@ def read_bound_pair(model_path: str, table_path: str):
     is bound to a different one. One read of the table file is digested and parsed.
     """
     model, info = read_model(model_path)
-    with open(table_path, "rb") as fh:
-        blob = fh.read()
-    table_digest = digest64(blob)
+    blob, table_digest = _read_table_file(table_path)
     if info.table_digest == 0:
         raise StateError(f"{model_path} is not bound to a table yet; "
                          f"run the table command first")

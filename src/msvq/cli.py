@@ -154,19 +154,17 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    model, _ = bitstream.read_model(args.model)
     if args.bind:
-        table = bitstream.read_table(args.bind)
-        bitstream.check_table(model, table)
-        bitstream.stamp_table_digest(args.model, bitstream.file_digest(args.bind))
+        bitstream.bind_table(args.model, args.bind)
         print(f"bound {args.model} to externally supplied table {args.bind}")
         return 0
+    model, _ = bitstream.read_model(args.model)
     if not args.data or not args.out:
         raise ConfigError("table requires --data and --out (or --bind PATH)")
     data = bitstream.read_features(args.data)
     table = rate.build_table(model, data, threads=_resolve_threads(args.threads))
     bitstream.write_table(args.out, table)
-    bitstream.stamp_table_digest(args.model, bitstream.file_digest(args.out))
+    bitstream.bind_table(args.model, args.out)
     report = rate.validate_convexity(table)
     monotone = sum(r["monotone"] for r in report)
     convex = sum(r["convex"] for r in report)

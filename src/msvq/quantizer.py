@@ -19,7 +19,7 @@ encoding, decoding and building the table, or its pooled training points.
 Each pass gathers a group's block straight from the feature matrix's columns
 (layout.group_columns), and decode_batch scatters each row chunk back with
 one np.take. map_row_chunks alone chunks rows, map_workers alone runs a
-worker pool (row chunks here, a stage's group fits in training) and owns the
+worker pool (row chunks here, each group's cascade in training) and owns the
 worker-count rule, and the kernels' scan alone bounds the score buffer, in
 bytes (codebook.SCORE_BYTES).
 decode_batch is the codec's one codeword sum: it adds the codewords in

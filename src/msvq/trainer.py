@@ -1,13 +1,13 @@
 """Codebook training: multi-stage LBG on residuals, plus an entropy-constrained
 variant.
 
-Stages are trained strictly in order, and a stage's groups concurrently. For
-stage t, the residual sub-vectors of each codebook-sharing group are pooled
-and fit with Lloyd iterations seeded by k-means++; the finalized (float32)
-stage codebook then quantizes the pooled points, and the residuals the search
-leaves feed stage t+1. A (group, stage) fit reads and writes only its own
-group's residuals and draws from its own rng, seeded [seed, t, g], so the
-group fits of a stage run on a worker pool (quantizer.map_workers) and the
+Each codebook-sharing group's cascade is trained as one task. For stage t
+the group's residual sub-vectors are pooled and fit with Lloyd iterations
+seeded by k-means++; the finalized (float32) stage codebook then quantizes the
+pooled points, and the residuals the search leaves feed stage t+1. A stage
+depends only on the earlier stages of its own group, so each task gathers its
+group's columns, keeps its residuals to itself and seeds stage t's rng with
+[seed, t, g]; the tasks run on a worker pool (quantizer.map_workers), and the
 model and report do not depend on the worker count. A Lloyd assignment
 measures its distortions from those same residuals. In entropy-constrained
 mode the assignment rule penalizes improbable codewords (lambda * distortion -
@@ -241,75 +241,74 @@ def train(
 ) -> tuple[MsvqModel, TrainReport]:
     """Train all stage codebooks on a feature matrix.
 
-    A stage's group fits run on up to `threads` workers (default: every
-    usable core, capped at the group count; see quantizer.map_workers); the
-    model and report do not depend on the worker count. Raises DataError when data has fewer rows
-    than the largest codebook has codewords, when seeding overflows, or when
-    residual propagation produces non-finite values. Each group pools
-    rows x members >= rows residuals per stage, so every codebook then has
-    enough points to fill.
+    Each group's cascade is one task, and the tasks run on up to `threads`
+    workers (default: every usable core, capped at the group count; see
+    quantizer.map_workers); the model and report do not depend on the worker
+    count. Raises DataError when data has fewer rows than the largest codebook
+    has codewords, when seeding overflows, or when residual propagation
+    produces non-finite values (reported for the lowest (stage, group)). Each
+    group pools rows x members >= rows residuals per stage, so every codebook
+    then has enough points to fill.
     """
     data = check_features(data, layout.m_dim)
+    rows = data.shape[0]
     max_k = 1 << int(layout.bits.max())
-    if data.shape[0] < max_k:
-        raise DataError(f"need at least {max_k} rows (largest codebook size), "
-                        f"got {data.shape[0]}")
+    if rows < max_k:
+        raise DataError(f"need at least {max_k} rows (largest codebook size), got {rows}")
 
-    t_max = layout.t_max
-    n_groups = layout.n_groups
-    lambdas = _resolve_lambdas(config, t_max, data)
+    lambdas = _resolve_lambdas(config, layout.t_max, data)
     seed = int(config.seed) & 0xFFFFFFFFFFFFFFFF
 
-    # one (members, D, rows) gather per group: the means sum each coordinate's
-    # rows in that memory order, and the group's rows x members points are
-    # copied into one contiguous array that every stage walks in place
-    fallback, residuals = [], []
-    for g in range(n_groups):
-        x = data.T[layout.group_columns(g)]
-        fallback.append(x.mean(axis=2))
-        residuals.append(x.transpose(2, 0, 1).reshape(-1, layout.sub_dim))
-
-    stage_books: list[list[Codebook]] = [[] for _ in range(n_groups)]
-
-    def fit(t: int, g: int):
-        """Fit codebook (g, t) on the group's stage-t residuals and walk them
-        through it in place; only the group's own residual array is touched.
-        Returns (trace, usage, which members stayed finite, residual energy)."""
-        pts = residuals[g]
-        k = 1 << int(layout.group_bits(g)[t])
-        centers, prior, trace = _fit_codebook(
-            pts, k, np.random.default_rng([seed, t, g]),
-            None if lambdas is None else float(lambdas[t]), config.max_iters, config.rel_tol)
-        if prior is not None:
-            prior = np.maximum(prior, entropy.PRIOR_FLOOR)
-            prior = freeze(prior / prior.sum())
-        books = stage_books[g]
-        books.append(Codebook(vectors=freeze(centers.astype(np.float32)), prior=prior))
-        idx = walk_stages(books, lambdas, pts[None], t, t + 1)
-        finite = np.isfinite(pts.reshape(data.shape[0], -1, layout.sub_dim)).all(axis=(0, 2))
-        return (trace, np.bincount(idx.ravel(), minlength=k), finite,
-                float(np.einsum("pd,pd->", pts, pts)))
-
-    report = TrainReport()
-    for t in range(t_max):
-        fits = map_workers(lambda g: fit(t, g), range(n_groups), threads)
-        for g, (trace, usage, finite, _) in enumerate(fits):
+    def fit_group(g: int):
+        """Fit group g's stages in order until one leaves non-finite residuals.
+        Returns its fallback means, its codebooks, each fitted stage's (trace,
+        usage, residual energy), and the (stage, group, member) that failed, or None."""
+        # one (members, D, rows) gather: the means sum each coordinate's rows in
+        # that memory order, and are taken first, as the walk overwrites the
+        # pooled points in place and a one-member group's are a view of it
+        pts = data.T[layout.group_columns(g)]
+        means = pts.mean(axis=2)
+        pts = pts.transpose(2, 0, 1).reshape(-1, layout.sub_dim)
+        books, stages = [], []
+        for t in range(layout.t_max):
+            k = 1 << int(layout.group_bits(g)[t])
+            centers, prior, trace = _fit_codebook(
+                pts, k, np.random.default_rng([seed, t, g]),
+                None if lambdas is None else float(lambdas[t]), config.max_iters,
+                config.rel_tol)
+            if prior is not None:
+                prior = np.maximum(prior, entropy.PRIOR_FLOOR)
+                prior = freeze(prior / prior.sum())
+            books.append(Codebook(vectors=freeze(centers.astype(np.float32)), prior=prior))
+            idx = walk_stages(books, lambdas, pts[None], t, t + 1)
+            stages.append((trace, np.bincount(idx.ravel(), minlength=k),
+                           float(np.einsum("pd,pd->", pts, pts))))
+            finite = np.isfinite(pts.reshape(rows, -1, layout.sub_dim)).all(axis=(0, 2))
             if not finite.all():
-                raise DataError(f"non-finite residuals after stage {t + 1} (sub-vector "
-                                f"{layout.group_members(g).start + int(finite.argmin())}, "
-                                f"group {g})")
+                return means, books, stages, (t, g, int(finite.argmin()))
+        return means, books, stages, None
+
+    means, books, stages, failed = zip(*map_workers(fit_group, range(layout.n_groups), threads))
+    if any(failed):
+        t, g, j = min(f for f in failed if f)
+        raise DataError(f"non-finite residuals after stage {t + 1} (sub-vector "
+                        f"{layout.group_members(g).start + j}, group {g})")
+    report = TrainReport()
+    for t in range(layout.t_max):
+        fitted = [group[t] for group in stages]
+        for g, (trace, usage, _) in enumerate(fitted):
             report.objective_traces[(g, t)] = trace
             report.codeword_usage[(g, t)] = usage
-        report.per_stage_distortion.append(sum(f[3] for f in fits) / data.shape[0])
+        report.per_stage_distortion.append(sum(f[2] for f in fitted) / rows)
 
     if lambdas is not None:
         pmfs = entropy.measure_group_pmfs(report.codeword_usage)
-        stage_books = [[replace(cb, code_lengths=entropy.build_code(pmfs[g, t]).lengths)
-                        for t, cb in enumerate(books)] for g, books in enumerate(stage_books)]
+        books = [[replace(cb, code_lengths=entropy.build_code(pmfs[g, t]).lengths)
+                  for t, cb in enumerate(group)] for g, group in enumerate(books)]
     model = MsvqModel(
         layout=layout,
-        codebooks=tuple(tuple(books) for books in stage_books),
-        fallback_means=freeze(np.concatenate(fallback).astype(np.float32)),
+        codebooks=tuple(tuple(group) for group in books),
+        fallback_means=freeze(np.concatenate(means).astype(np.float32)),
         lambdas=None if lambdas is None else freeze(lambdas),
     )
     return model, report

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EMPTY_LAYOUTS, empty_layout_model
-from msvq import bitstream, codebook, entropy, quantizer, rate
+from msvq import bitstream, cli, codebook, entropy, quantizer, rate
 from msvq.errors import CorruptionError, DataError, MsvqError
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -242,6 +242,30 @@ class TestBoundPair:
         _, _, got = bitstream.read_bound_pair(str(model_path), str(table_path))
         assert opened == ["rb"]
         assert np.array_equal(got.loss, table.loss)
+
+    def test_bind_checks_and_stamps_one_read_of_each_file(self, tmp_path, monkeypatch, model,
+                                                          table, corr_data):
+        model_path, table_path = tmp_path / "m.msvq", tmp_path / "t.json"
+        bitstream.write_model(str(model_path), model)
+        bitstream.write_table(str(table_path), table)
+        checked = table_path.read_bytes()
+        other = json.dumps(rate.table_to_dict(rate.build_table(model, corr_data[:300])))
+        opened = {str(model_path): [], str(table_path): []}
+
+        def swapping_open(path, mode="r", *args, **kwargs):
+            # a table replaced after its first read
+            if str(path) in opened:
+                opened[str(path)].append(mode)
+                if str(path) == str(table_path) and len(opened[str(path)]) > 1:
+                    return io.BytesIO(other.encode())
+            return builtins.open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(bitstream, "open", swapping_open, raising=False)
+        assert cli.main(["table", "--model", str(model_path), "--bind", str(table_path)]) == 0
+        monkeypatch.undo()
+        assert opened == {str(model_path): ["r+b"], str(table_path): ["rb"]}
+        _, info = bitstream.read_model(str(model_path))
+        assert info.table_digest == bitstream.digest64(checked)
 
 
 class TestPayloadFiles:

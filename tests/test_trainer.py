@@ -189,7 +189,7 @@ class TestTrain:
         trainer.train(data, lay, trainer.TrainConfig(max_iters=2, seed=1))
         assert searched == [data.shape[0] * 2] * (lay.n_groups * lay.t_max)
 
-    def test_peak_memory_is_two_copies_of_the_input(self):
+    def test_peak_memory_is_one_copy_of_the_input_and_one_group(self):
         data = datagen.gauss_corr(4 * ROW_CHUNK, 64, 0.9, seed=3)
         assert data.dtype == np.float32
         lay = layout.build_layout(layout.compute_stats(data), sub_dim=4, t_max=2, groups=16,
@@ -202,10 +202,24 @@ class TestTrain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # check_features' float64 copy and the groups' residual arrays, plus one
-        # fit's scratch (seeding distances, the search's residuals and one score
-        # buffer); a variance-ordered copy of the data would add sixteen groups
-        assert peak < 2 * copy + 8 * group + SCORE_BYTES
+        # check_features' float64 copy, plus one group task at a time: its
+        # residuals and its fit's scratch (seeding distances, the search's
+        # residuals and one score buffer); the residuals of every group held
+        # at once would add another copy
+        assert peak < copy + 8 * group + SCORE_BYTES
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_nonfinite_residuals_name_the_first_stage_and_group(self, threads):
+        # 2**130 is exact, its columns have zero variance, so they sort last
+        # (sub-vector 3, group 3), and it exceeds float32, so the stage-1
+        # codewords are infinite and leave non-finite residuals
+        data = np.random.default_rng(0).normal(size=(256, 16))
+        data[:, [2, 7, 9, 13]] = 2.0 ** 130
+        lay = layout.build_layout(layout.compute_stats(data), sub_dim=4, t_max=2, groups=4,
+                                  alloc=np.full((4, 2), 3))
+        with pytest.raises(DataError, match=r"after stage 1 \(sub-vector 3, group 3\)"):
+            trainer.train(data, lay, trainer.TrainConfig(max_iters=2, seed=0), threads=threads)
 
     def test_default_ec_lambdas_are_twice_the_inverse_mean_variance(self):
         data = datagen.gauss_corr(512, 16, 0.9, seed=4)
@@ -350,7 +364,25 @@ class TestKmeansppSeeding:
 
 
 class TestWorkerCount:
-    """A stage's group fits run concurrently; the worker count changes nothing."""
+    """Each group's cascade is one task, the tasks run concurrently, and the
+    worker count changes nothing."""
+
+    def test_one_pool_over_the_groups(self, monkeypatch):
+        # every stage of a group runs in its group's task: no pool per stage,
+        # and no wait between stages
+        calls = []
+
+        def spy(fn, items, threads=1):
+            items = list(items)
+            calls.append(len(items))
+            return quantizer.map_workers(fn, items, threads)
+
+        monkeypatch.setattr(trainer, "map_workers", spy)
+        data = datagen.gauss_corr(512, 32, 0.9, seed=8)
+        lay = layout.build_layout(layout.compute_stats(data), sub_dim=2, t_max=3, groups=8,
+                                  alloc=np.full((16, 3), 3))
+        trainer.train(data, lay, trainer.TrainConfig(max_iters=2, seed=6), threads=2)
+        assert calls == [lay.n_groups]
 
     @pytest.mark.parametrize("ec", [False, True])
     def test_model_and_report_ignore_worker_count(self, ec):
