@@ -7,7 +7,9 @@ digest into the model file (bind_table), read_bound_pair loads a model
 only with the table it is bound to, and every payload carries the digest of
 the model file it was encoded with, so a decoder can never silently pair the
 wrong artifacts. In plan-derived mode the payload carries only the bit budget
-and both sides re-derive the same stage plan from the shared table.
+and both sides derive the same stage plan from the shared table; the table
+memoizes the last budget's plan (rate.MarginalLossTable.plan), so a stream at
+one budget derives it once per process, not once per payload.
 
 MSVP vector data is the (rows, F) field matrix that encode_fields returns and
 decode_batch reads, its columns in quantizer.field_order's order; it goes
@@ -388,7 +390,7 @@ def write_payload(
     strict: bool = False,
     threads: int | None = 1,
 ) -> PayloadInfo:
-    """Derive the plan for b_cap, encode the data, and write an MSVP file.
+    """Take the plan for b_cap from the table, encode the data, and write an MSVP file.
 
     With strict=True, greedy increments are undone (lowest priority first)
     until every vector's realized bit count fits b_cap; the adjusted plan is
@@ -404,15 +406,16 @@ def write_payload(
     # Stage choices are prefix-stable: stage t's index depends only on the
     # sub-vector's earlier stages. The strict undo below only lowers stages,
     # so encoding to the greedy plan's depths serves every plan it can send.
-    stages, _, order = rate.greedy_order(table, float(b_cap))
-    symbols = encode_fields(model, data, plan_from_stages(lay, stages), threads=threads)
+    greedy, _, order = table.plan(float(b_cap))
+    plan = SelectionPlan(stages=greedy)
+    symbols = encode_fields(model, data, plan, threads=threads)
     rows = symbols.shape[0]
-    bits = field_code_bits(model, stages, symbols)
+    bits = field_code_bits(model, greedy, symbols)
     bits_rows = bits.sum(axis=1)
 
     mode = MODE_DERIVED
     if strict and bits_rows.max(initial=0) > b_cap:
-        greedy = stages.copy()
+        stages = greedy.copy()  # the memo's stages are shared and read-only
         column = np.zeros((lay.n_sub, lay.t_max), dtype=np.int64)
         column[field_order(greedy)[:2]] = np.arange(int(greedy.sum()))
         for i_undo in reversed(order):
@@ -421,8 +424,8 @@ def write_payload(
             stages[i_undo] -= 1
             bits_rows -= bits[:, column[i_undo, stages[i_undo]]]
         symbols = symbols[:, field_order(stages, greedy)[2]]
+        plan = plan_from_stages(lay, stages)
         mode = MODE_EXPLICIT
-    plan = plan_from_stages(lay, stages)
     coding = _field_coding(model, plan.stages)
 
     with open(path, "wb") as fh:

@@ -206,7 +206,7 @@ def _scan(points, vec: np.ndarray, weights: np.ndarray, bias: np.ndarray | None 
             scores *= scale
             scores += bias
         np.argmin(scores, axis=1, out=idx[start:start + step])
-    res = vec[idx]
+    res = np.take(vec, idx, axis=0)
     return idx, np.subtract(pts, res, out=res)
 
 

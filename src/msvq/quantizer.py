@@ -242,7 +242,7 @@ def decode_batch(model: MsvqModel, symbols: np.ndarray, plan: SelectionPlan) -> 
     if symbols.ndim != 2 or symbols.shape[1] != sub.size or symbols.dtype.kind not in "iu":
         raise CorruptionError(f"symbol matrix must be integer (rows, {sub.size}), got "
                               f"{symbols.dtype} {symbols.shape}")
-    sizes = np.array([[cb.size for cb in b] for b in model.codebooks])[lay.group_of[sub], stage]
+    sizes = 1 << lay.bits[sub, stage]  # MsvqModel pins each codebook's size to its bits
     bad = ((symbols < 0) | (symbols >= sizes)).any(axis=0)
     if bad.any():
         f = int(bad.argmax())
@@ -266,7 +266,7 @@ def decode_batch(model: MsvqModel, symbols: np.ndarray, plan: SelectionPlan) -> 
             idx[at] = chunk[:, cols].T
             for t in range(max(depth)):
                 sel = _active(depth, t)
-                acc[sel] += books[t].vectors.astype(np.float64)[idx[sel, :, t]]
+                acc[sel] += np.take(books[t].vectors.astype(np.float64), idx[sel, :, t], axis=0)
             ordered[:, blk] = acc.transpose(1, 0, 2)
         np.take(ordered.reshape(chunk.shape[0], lay.m_dim), inverse, axis=1, out=zhat[rows],
                 mode="clip")

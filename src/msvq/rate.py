@@ -11,13 +11,16 @@ stage to the sub-vector with the best loss drop per bit among those whose next
 step still fits the budget, stopping when nothing fits (Fox 1966, marginal
 analysis). Ties go to the lowest sub-vector index. Each sub-vector's next step
 waits in a heap keyed by (-ratio, index); a step that does not fit is dropped
-for good, because the bits used only grow. A plan costs O(picks log N).
+for good, because the bits used only grow. Deriving a plan costs
+O(picks log N). A table memoizes the plan of the last budget it was asked for
+(MarginalLossTable.plan), so a process serving a stream at one budget derives
+it once and repeating the last budget costs nothing.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +46,23 @@ class MarginalLossTable:
     loss: np.ndarray
     step_bits: np.ndarray
     mode: str
+    # (b_cap, stages, used, order) of the last budget plan() derived
+    _last_plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def plan(self, b_cap: float) -> tuple[np.ndarray, float, tuple[int, ...]]:
+        """greedy_order(self, b_cap) with read-only stages and the order as a tuple.
+
+        The table keeps one plan, the last budget's, as one tuple that a miss
+        swaps in whole: a thread sees the old plan or the new one, never a mix,
+        and the memo stays O(N) whatever budgets the callers ask for. Every
+        caller that repeats the last budget shares its plan.
+        """
+        last = self._last_plan
+        if last is None or last[0] != b_cap:
+            stages, used, order = greedy_order(self, b_cap)
+            last = (b_cap, freeze(stages), used, tuple(order))
+            object.__setattr__(self, "_last_plan", last)
+        return last[1:]
 
     @property
     def n_sub(self) -> int:
@@ -144,8 +164,9 @@ def greedy_order(table: MarginalLossTable, b_cap: float) -> tuple[np.ndarray, fl
 
 
 def select_stages(table: MarginalLossTable, b_cap: float) -> SelectionPlan:
-    """Derive the stage-count plan for a bit budget."""
-    return SelectionPlan(stages=freeze(greedy_order(table, b_cap)[0]))
+    """The stage-count plan for a bit budget, from the table's memo (see
+    MarginalLossTable.plan); its stage array is read-only and shared."""
+    return SelectionPlan(stages=table.plan(b_cap)[0])
 
 
 def plan_predicted_loss(table: MarginalLossTable, stages: np.ndarray) -> float:

@@ -1,4 +1,5 @@
 import builtins
+import gc
 import io
 import json
 import sys
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EMPTY_LAYOUTS, empty_layout_model
+from conftest import EMPTY_LAYOUTS, empty_layout_model, make_layout, make_toy_model
 from msvq import bitstream, cli, codebook, entropy, quantizer, rate
 from msvq.errors import CorruptionError, DataError, MsvqError
 
@@ -432,6 +433,114 @@ class TestPayloadFiles:
             assert info.mode == bitstream.MODE_EXPLICIT
         z_hat_rx, rx = bitstream.read_payload(path, m, 3, tab)
         assert np.array_equal(z_hat_rx, quantizer.encode_batch(m, data, rx.plan)[1])
+
+
+class TestPlanMemo:
+    """A table memoizes the last budget's plan; serving takes its plan from there."""
+
+    def test_one_derivation_per_budget_serves_both_sides(self, tmp_path, monkeypatch, model,
+                                                         corr_data):
+        tab = rate.build_table(model, corr_data)
+        calls = []
+        greedy = rate.greedy_order
+
+        def counting(table, b_cap):
+            calls.append(b_cap)
+            return greedy(table, b_cap)
+
+        monkeypatch.setattr(rate, "greedy_order", counting)
+        path = str(tmp_path / "p.msvp")
+        for b_cap in (40, 40, 20, 20):
+            bitstream.write_payload(path, model, 7, tab, corr_data[:50], b_cap)
+            bitstream.read_payload(path, model, 7, tab)
+        assert calls == [40.0, 20.0]
+
+    def test_strict_undo_does_not_poison_the_memo(self, tmp_path, ec_model, corr_data):
+        tab = rate.build_table(ec_model, corr_data)
+        data, b_cap = corr_data[:200], 20
+        greedy = rate.greedy_order(tab, float(b_cap))[0]
+        path = str(tmp_path / "p.msvp")
+        strict = bitstream.write_payload(path, ec_model, 3, tab, data, b_cap, strict=True)
+        assert strict.mode == bitstream.MODE_EXPLICIT  # the undo lowered the plan
+        assert strict.plan.stages.sum() < greedy.sum()
+        info = bitstream.write_payload(path, ec_model, 3, tab, data, b_cap)
+        _, rx = bitstream.read_payload(path, ec_model, 3, tab)
+        assert info.mode == bitstream.MODE_DERIVED
+        for plan in (info.plan, rx.plan, rate.select_stages(tab, float(b_cap))):
+            assert np.array_equal(plan.stages, greedy)
+            assert not plan.stages.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                plan.stages[0] = 0
+
+    def test_hostile_budgets_cannot_grow_the_memo(self, tmp_path):
+        lay = make_layout(64, 2, [4, 3, 2])
+        toy = make_toy_model(lay, np.random.default_rng(0))
+        data = np.random.default_rng(1).normal(size=(64, lay.m_dim))
+        tab = rate.build_table(toy, data)
+        path = tmp_path / "head.msvp"
+        bitstream.write_payload(str(path), toy, 7, tab, data[:1], b_cap=0)
+        head = bytearray(path.read_bytes())
+        payloads = []
+        for b_cap in range(1, 1001):  # one vector of all-zero indices under each plan
+            plan = quantizer.plan_from_stages(lay, rate.greedy_order(tab, float(b_cap))[0])
+            head[16:20] = b_cap.to_bytes(4, "little")
+            head[24:28] = zlib.crc32(bytes(head[:24])).to_bytes(4, "little")
+            path = tmp_path / f"b{b_cap}.msvp"
+            block = (quantizer.exact_bit_total(lay, plan.stages) + 7) // 8
+            path.write_bytes(bytes(head) + bytes(block))
+            zeros = np.zeros((1, int(plan.stages.sum())), dtype=np.uint8)
+            payloads.append((str(path), plan.stages, quantizer.decode_batch(toy, zeros, plan)))
+        tab = rate.build_table(toy, data)  # a table with an empty memo
+
+        def retained():
+            gc.collect()  # a full collection also empties the interpreter's free lists
+            snap = tracemalloc.take_snapshot()
+            return sum(t.size for t in snap.filter_traces(
+                [tracemalloc.Filter(True, rate.__file__)]).traces)
+
+        tracemalloc.start()
+        try:
+            bitstream.read_payload(payloads[-1][0], toy, 7, tab)
+            one = retained()  # what rate allocated and still holds: the last budget's memo
+            for path, stages, want in payloads:
+                z_hat, info = bitstream.read_payload(path, toy, 7, tab)
+                assert np.array_equal(info.plan.stages, stages)
+                assert np.array_equal(z_hat, want)
+            del z_hat, info
+            many = retained()
+        finally:
+            tracemalloc.stop()
+        assert one > 0
+        assert many == one
+
+    def test_a_shared_table_serves_threads_like_serial_reads(self, tmp_path, model, corr_data):
+        tab = rate.build_table(model, corr_data)
+        paths = []
+        for b_cap in (20, 40):
+            path = str(tmp_path / f"b{b_cap}.msvp")
+            bitstream.write_payload(path, model, 7, tab, corr_data[:100], b_cap)
+            paths.append(path)
+        jobs = [paths[i % 2] for i in range(32)]
+
+        def read(path):
+            z_hat, info = bitstream.read_payload(path, model, 7, tab)
+            return info.plan.stages.tolist(), z_hat.tobytes()
+
+        serial = [read(path) for path in jobs]
+        assert serial[0][0] != serial[1][0]
+        # many alternating lookups, so a memo swapped in two steps would be caught
+        # between them
+        budgets = [(20.0, 40.0)[i % 2] for i in range(20000)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = quantizer.map_workers(read, jobs, threads=4)
+            plans = quantizer.map_workers(
+                lambda b: rate.select_stages(tab, b).stages.tolist(), budgets, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        assert plans == [serial[int(b == 40.0)][0] for b in budgets]
 
 
 def _golden_ec_pair():
