@@ -34,7 +34,8 @@ from .layout import SubVectorLayout
 
 # rows per work chunk; fixed, so results ignore threads
 ROW_CHUNK = 4096
-SCORE_BYTES = 1 << 19  # a scan's score buffer: a block of rows times K float64 scores
+# a block of rows' float64 scratch: a scan's K scores per row, or decode's M sums
+SCORE_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -158,6 +159,18 @@ class MsvqModel:
         k = max(cb.size for books in self.codebooks for cb in books)
         return np.array([[np.pad(cb.code_lengths, (0, k - cb.size)) for cb in books]
                          for books in self.codebooks])
+
+    @cached_property
+    def stage_tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per stage t, (table, offsets): every group's stage-t codebook stacked
+        into one float64 table, group g's codewords starting at row offsets[g].
+        Built on first use and kept with the model."""
+        tables = []
+        for t in range(self.t_max):
+            books = [group[t].vectors for group in self.codebooks]
+            offsets = np.cumsum([0] + [vec.shape[0] for vec in books[:-1]], dtype=np.int64)
+            tables.append((np.concatenate(books).astype(np.float64), offsets))
+        return tuple(tables)
 
     @property
     def t_max(self) -> int:

@@ -15,18 +15,18 @@ writes back in place; encoding, the table pass and training all use it. It
 walks a block of residuals that share one group's codebooks, so each stage is
 one search over the whole block, and a sub-vector takes part only up to its
 own depth. The block is a whole group: one row chunk of its members when
-encoding, decoding and building the table, or its pooled training points.
-Each pass gathers a group's block straight from the feature matrix's columns
-(layout.group_columns), and decode_batch scatters each row chunk back with
-one np.take. map_row_chunks alone chunks rows, map_workers alone runs a
-worker pool (row chunks here, each group's cascade in training) and owns the
-worker-count rule, and the kernels' scan alone bounds the score buffer, in
-bytes (codebook.SCORE_BYTES).
+encoding and building the table, or its pooled training points. Each pass
+gathers a group's block straight from the feature matrix's columns
+(layout.group_columns). map_row_chunks alone chunks rows, map_workers alone
+runs a worker pool (row chunks here, each group's cascade in training) and
+owns the worker-count rule, and a block of rows' scratch is bounded in bytes
+(codebook.SCORE_BYTES): the kernels' scan bounds its score buffer by it, and
+decode_batch its accumulator.
 decode_batch is the codec's one codeword sum: it adds the codewords in
-float64 in ascending stage order, and encode_batch returns its output as
-Z_hat, so encoder and decoder agree bit for bit. Sub-vectors with zero active
-stages reconstruct to the stored training mean at a cost of zero transmitted
-bits.
+float64 in ascending stage order, stage-major across every group, and
+encode_batch returns its output as Z_hat, so encoder and decoder agree bit
+for bit. Sub-vectors with zero active stages reconstruct to the stored
+training mean at a cost of zero transmitted bits.
 """
 
 from __future__ import annotations
@@ -37,7 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import ROW_CHUNK, MsvqModel, nearest_batch, nearest_rate_penalized_batch
+from .codebook import (
+    ROW_CHUNK,
+    SCORE_BYTES,
+    MsvqModel,
+    nearest_batch,
+    nearest_rate_penalized_batch,
+)
 from .errors import ConfigError, CorruptionError
 from .layout import check_features, freeze
 
@@ -230,10 +236,14 @@ def encode_batch(
 def decode_batch(model: MsvqModel, symbols: np.ndarray, plan: SelectionPlan) -> np.ndarray:
     """Rebuild Z_hat from a (rows, F) field matrix: the codec's one codeword sum.
 
-    Within each row chunk, each group adds one gather of its members'
-    codewords per stage, in ascending stage order, into a contiguous
-    accumulator; a sub-vector with no stages takes its stored mean. One np.take
-    puts the chunk's variance-ordered buffer into coordinate order.
+    The sum is stage-major across groups. Sub-vectors are sorted deepest first
+    (a stable sort), so those deeper than stage t are a prefix of the order.
+    Each row chunk is summed in blocks of max(1, SCORE_BYTES // (8 M)) rows,
+    so the accumulator stays in cache: a block starts from the stored mean of
+    every sub-vector with no stages and +0.0 for the rest, and each stage
+    adds one np.take of its codewords from the model's stage table (every
+    group's stage-t codebook) to the prefix it reaches. One np.take puts the
+    block into coordinate order.
     """
     stages = _checked_stages(model.layout, plan.stages)
     lay = model.layout
@@ -243,33 +253,41 @@ def decode_batch(model: MsvqModel, symbols: np.ndarray, plan: SelectionPlan) -> 
         raise CorruptionError(f"symbol matrix must be integer (rows, {sub.size}), got "
                               f"{symbols.dtype} {symbols.shape}")
     sizes = 1 << lay.bits[sub, stage]  # MsvqModel pins each codebook's size to its bits
-    bad = ((symbols < 0) | (symbols >= sizes)).any(axis=0)
+    bad = symbols.max(axis=0, initial=0) >= sizes
+    if symbols.dtype.kind == "i":
+        bad |= symbols.min(axis=0, initial=0) < 0
     if bad.any():
         f = int(bad.argmax())
         raise CorruptionError(f"sub-vector {sub[f]} stage {stage[f]}: codeword index "
                               f"out of range [0, {sizes[f]})")
-    zhat = np.empty((symbols.shape[0], lay.m_dim), dtype=np.float64)
+    order = np.argsort(-stages, kind="stable")
+    depth = stages[order]
+    first = np.searchsorted(sub, order)  # each sub-vector's stage-0 field column
+    group = lay.group_of[order]
+    reach = []  # per stage: the field columns of the prefix it reaches, their table rows
+    for t in range(int(stages.max())):
+        table, offsets = model.stage_tables[t]
+        n = int((depth > t).sum())
+        reach.append((first[:n] + t, np.take(offsets, group[:n]), table))
+    base = np.where((depth == 0)[:, None], np.take(model.fallback_means, order, axis=0), 0.0)
+    rank = np.argsort(order)
     inverse = np.argsort(lay.perm)
+    # where each coordinate of Z_hat sits in a block's deepest-first accumulator
+    to_coords = rank[inverse // lay.sub_dim] * lay.sub_dim + inverse % lay.sub_dim
+    zhat = np.empty((symbols.shape[0], lay.m_dim), dtype=np.float64)
+    step = max(1, SCORE_BYTES // (8 * lay.m_dim))
 
     def add(rows: slice):
-        chunk = symbols[rows]
-        ordered = np.empty((chunk.shape[0], lay.n_sub, lay.sub_dim), dtype=np.float64)
-        for g in range(lay.n_groups):
-            books, blk = model.codebooks[g], lay.group_members(g)
-            depth = stages[blk].tolist()
-            acc = np.zeros((len(depth), chunk.shape[0], lay.sub_dim), dtype=np.float64)
-            for j, d in enumerate(depth):
-                if d == 0:
-                    acc[j] = model.fallback_means[blk.start + j]
-            idx = np.zeros((len(depth), chunk.shape[0], max(depth)), dtype=symbols.dtype)
-            cols, at = _block_fields(sub, stage, blk)
-            idx[at] = chunk[:, cols].T
-            for t in range(max(depth)):
-                sel = _active(depth, t)
-                acc[sel] += np.take(books[t].vectors.astype(np.float64), idx[sel, :, t], axis=0)
-            ordered[:, blk] = acc.transpose(1, 0, 2)
-        np.take(ordered.reshape(chunk.shape[0], lay.m_dim), inverse, axis=1, out=zhat[rows],
-                mode="clip")
+        for start in range(rows.start, min(rows.stop, symbols.shape[0]), step):
+            block = slice(start, min(start + step, rows.stop))
+            fields = symbols[block]
+            acc = np.empty((fields.shape[0],) + base.shape, dtype=np.float64)
+            acc[:] = base
+            for cols, offsets, table in reach:
+                acc[:, :cols.size] += np.take(table, np.take(fields, cols, axis=1) + offsets,
+                                              axis=0)
+            np.take(acc.reshape(fields.shape[0], lay.m_dim), to_coords, axis=1,
+                    out=zhat[block], mode="clip")
 
     map_row_chunks(add, symbols.shape[0])
     return zhat

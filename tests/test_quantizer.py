@@ -1,3 +1,4 @@
+import gc
 import json
 import tracemalloc
 
@@ -59,7 +60,7 @@ def encode_batch_reference(model, Z, plan):
 
 
 def decode_batch_reference(model, symbols, plan):
-    """The per-sub-vector decode loop that the grouped codeword sum replaced."""
+    """A per-sub-vector float64 codeword sum, which decode_batch must match bit for bit."""
     stages = plan.stages
     lay = model.layout
     rows = symbols.shape[0]
@@ -352,28 +353,6 @@ class TestOneBlockPerGroupAndChunk:
         assert len(want) == 3 * (3 + 1)
         assert searched == want
 
-    def test_decode_peak_memory_is_one_chunk_per_group(self):
-        rows = 6 * ROW_CHUNK + 37
-        lay = make_layout(32, 4, [3, 3, 3])  # one group of every sub-vector
-        m = make_toy_model(lay, np.random.default_rng(0))
-        stages = np.arange(lay.n_sub) % (lay.t_max + 1)  # mixed depths, some zero
-        plan = quantizer.plan_from_stages(lay, stages)
-        symbols = np.random.default_rng(1).integers(0, 8, size=(rows, int(stages.sum())),
-                                                    dtype=np.uint8)
-        out = rows * lay.m_dim * 8  # float64 Z_hat in coordinate order
-        block = ROW_CHUNK * lay.m_dim * 8  # one chunk of the whole group
-        tracemalloc.start()
-        try:
-            z_hat = quantizer.decode_batch(m, symbols, plan)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert z_hat.nbytes == out
-        # a chunk holds its variance-ordered buffer, the group's accumulator and a
-        # gather of codewords; a whole variance-ordered Z_hat beside the output
-        # would add six more blocks
-        assert peak < out + 4 * block
-
     def test_encode_peak_memory_is_one_group_block(self):
         lay = make_layout(16, 4, [8, 6, 4], groups=16)  # one sub-vector per group
         m = make_toy_model(lay, np.random.default_rng(0))
@@ -392,6 +371,87 @@ class TestOneBlockPerGroupAndChunk:
         # copy) and one score buffer; permuting a whole chunk first would hold
         # another 16 blocks
         assert peak < copy + symbols.nbytes + 8 * block + SCORE_BYTES
+
+
+def mixed_width_model(seed=0):
+    """3 groups of 3 sub-vectors under a shuffled perm; group 0's stage-0 codebook
+    has 7 bits and the others' 5, so the stage tables' offsets matter.
+
+    Every stage-0 codeword of group 1 has a -0.0 first component: a sum that
+    starts from +0.0 gives +0.0 there, one that starts from the codeword -0.0.
+    """
+    rng = np.random.default_rng(seed)
+    lay = layout.assemble_layout(27, 3, 9, perm=rng.permutation(27),
+                                 group_of=np.repeat(np.arange(3), 3),
+                                 bits=np.repeat([[7, 5, 2], [5, 5, 1], [5, 3, 1]], 3, axis=0))
+    m = make_toy_model(lay, rng)
+    books = [list(group) for group in m.codebooks]
+    vec = books[1][0].vectors.copy()
+    vec[:, 0] = -0.0
+    books[1][0] = Codebook(vectors=vec)
+    return MsvqModel(layout=lay, codebooks=tuple(map(tuple, books)),
+                     fallback_means=m.fallback_means)
+
+
+def random_fields(lay, plan, rows, seed):
+    sub, stage, _ = quantizer.field_order(plan.stages)
+    sizes = 1 << lay.bits[sub, stage]
+    return np.random.default_rng(seed).integers(0, sizes, size=(rows, sub.size), dtype=np.uint8)
+
+
+class TestStageMajorDecode:
+    """decode_batch sums every group's codewords stage-major, in row blocks of
+    max(1, SCORE_BYTES // (8 M)) rows."""
+
+    M27_BLOCK = SCORE_BYTES // (8 * 27)
+
+    @pytest.mark.parametrize("rows", [0, 1, M27_BLOCK - 1, M27_BLOCK, M27_BLOCK + 1,
+                                      ROW_CHUNK + 37])
+    def test_matches_per_sub_vector_sum(self, rows):
+        m = mixed_width_model()
+        lay = m.layout
+        assert m.stage_tables[0][1].tolist() == [0, 128, 160]
+        rng = np.random.default_rng(rows)
+        plans = [quantizer.full_plan(lay), zero_plan(lay),
+                 quantizer.plan_from_stages(lay, [3, 0, 1, 2, 0, 1, 0, 3, 1])]
+        plans += [quantizer.plan_from_stages(lay, rng.integers(0, lay.t_max + 1, lay.n_sub))
+                  for _ in range(3)]
+        for k, plan in enumerate(plans):
+            symbols = random_fields(lay, plan, rows, k)
+            decoded = quantizer.decode_batch(m, symbols, plan)
+            assert decoded.shape == (rows, lay.m_dim)
+            assert decoded.tobytes() == decode_batch_reference(m, symbols, plan).tobytes()
+            assert decoded.tobytes() == quantizer.decode_batch(
+                m, symbols.astype(np.int64), plan).tobytes()
+
+    def test_sum_starts_from_positive_zero(self):
+        m = mixed_width_model()
+        lay = m.layout
+        plan = quantizer.plan_from_stages(lay, [3, 3, 3, 1, 1, 1, 0, 0, 0])
+        decoded = quantizer.decode_batch(m, random_fields(lay, plan, 5, 0), plan)
+        first = decoded[:, lay.perm.reshape(lay.n_sub, lay.sub_dim)[3:6, 0]]
+        assert np.all(first == 0.0) and not np.signbit(first).any()
+
+    def test_scratch_does_not_grow_with_rows(self):
+        lay = make_layout(128, 4, [8, 8, 8])  # M = 512: a block is 128 rows
+        m = make_toy_model(lay, np.random.default_rng(0))
+        plan = quantizer.plan_from_stages(lay, np.arange(lay.n_sub) % (lay.t_max + 1))
+        quantizer.decode_batch(m, random_fields(lay, plan, 1, 0), plan)  # builds the stage tables
+        scratch = {}
+        for rows in (64, 128, 4096):
+            symbols = random_fields(lay, plan, rows, 1)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                z_hat = quantizer.decode_batch(m, symbols, plan)
+                scratch[rows] = tracemalloc.get_traced_memory()[1] - z_hat.nbytes
+            finally:
+                tracemalloc.stop()
+        # a block holds its accumulator, one stage's gather and its indices; a
+        # (rows, N, D) buffer of the whole batch would add 16 MiB at 4096 rows
+        assert max(scratch.values()) < 3 * SCORE_BYTES
+        # 64 rows fill half a block; past one full block nothing grows
+        assert scratch[4096] < scratch[128] + SCORE_BYTES // 16
 
 
 class TestWorkerCountRule:
