@@ -30,7 +30,7 @@ import numpy as np
 
 from .entropy import MAX_CODE_LENGTH, HuffmanCode, canonical_code, kraft_sum
 from .errors import ConfigError, CorruptionError, DataError, MsvqError
-from .layout import SubVectorLayout
+from .layout import SubVectorLayout, freeze
 
 # rows per work chunk; fixed, so results ignore threads
 ROW_CHUNK = 4096
@@ -164,12 +164,12 @@ class MsvqModel:
     def stage_tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per stage t, (table, offsets): every group's stage-t codebook stacked
         into one float64 table, group g's codewords starting at row offsets[g].
-        Built on first use and kept with the model."""
+        Built on first use and kept with the model, read-only like its codebooks."""
         tables = []
         for t in range(self.t_max):
             books = [group[t].vectors for group in self.codebooks]
             offsets = np.cumsum([0] + [vec.shape[0] for vec in books[:-1]], dtype=np.int64)
-            tables.append((np.concatenate(books).astype(np.float64), offsets))
+            tables.append((freeze(np.concatenate(books).astype(np.float64)), freeze(offsets)))
         return tuple(tables)
 
     @property

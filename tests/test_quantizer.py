@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import tracemalloc
@@ -305,34 +306,64 @@ class TestEncodeDecode:
         assert diffs > 0
 
 
+def mixed_width_model(ec, seed=0):
+    """8 sub-vectors in 4 groups of 2 under a shuffled perm, M = 24 as in
+    grouped_toy_model; the groups' stage-t codebooks differ in size (stage 0
+    has 7, 6, 5 and 5 bits), so the stage tables' offsets matter.
+
+    Every stage-0 codeword of group 1 has a -0.0 first component: a sum that
+    starts from +0.0 gives +0.0 there, one that starts from the codeword -0.0.
+    """
+    rng = np.random.default_rng(seed)
+    lay = layout.assemble_layout(24, 3, 8, perm=rng.permutation(24),
+                                 group_of=np.repeat(np.arange(4), 2),
+                                 bits=np.repeat([[7, 5, 2], [6, 5, 2], [5, 4, 1], [5, 3, 1]], 2,
+                                                axis=0))
+    m = make_toy_model(lay, rng, ec=ec)
+    books = [list(group) for group in m.codebooks]
+    vec = books[1][0].vectors.copy()
+    vec[:, 0] = -0.0
+    books[1][0] = dataclasses.replace(books[1][0], vectors=vec)
+    return MsvqModel(layout=lay, codebooks=tuple(map(tuple, books)),
+                     fallback_means=m.fallback_means, lambdas=m.lambdas)
+
+
+M24_BLOCK = SCORE_BYTES // (8 * 24)  # decode_batch's row block at both models' M
+
+
 class TestGroupedWalkMatchesReference:
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("rows", [0, 37, 1500, ROW_CHUNK + 37, 2 * ROW_CHUNK + 37])
+    @pytest.mark.parametrize("rows", [0, 1, 37, 1500, M24_BLOCK - 1, M24_BLOCK, M24_BLOCK + 1,
+                                      ROW_CHUNK + 37, 2 * ROW_CHUNK + 37])
     @pytest.mark.parametrize("ec", [False, True])
     def test_indices_and_reconstruction_identical(self, ec, rows, threads, monkeypatch):
-        m = grouped_toy_model(ec)
-        lay = m.layout
-        Z = np.random.default_rng(rows).normal(size=(rows, lay.m_dim)) * 1.5
-        if rows == 1500:  # 4 members x 1500 rows exceed one ROW_CHUNK: groups stay whole
-            searched = record_searches(monkeypatch)
-            quantizer.encode_batch(m, Z, quantizer.full_plan(lay), threads=threads)
-            assert searched == [4 * rows] * (lay.n_groups * lay.t_max)
-        rng = np.random.default_rng(1)
-        plans = [quantizer.full_plan(lay), zero_plan(lay),
-                 quantizer.plan_from_stages(lay, [3, 0, 1, 2, 0, 0, 3, 1])]
-        plans += [quantizer.plan_from_stages(lay, rng.integers(0, lay.t_max + 1, lay.n_sub))
-                  for _ in range(3)]
-        for plan in plans:
-            want_idx, want_z = encode_batch_reference(m, Z, plan)
-            got_idx, got_z = quantizer.encode_batch(m, Z, plan, threads=threads)
-            assert got_idx.shape == (rows, int(plan.stages.sum()))
-            assert got_idx.dtype == np.uint8 and np.array_equal(got_idx, want_idx)
-            fields = quantizer.encode_fields(m, Z, plan, threads=threads)
-            assert fields.dtype == np.uint8 and np.array_equal(fields, got_idx)
-            assert got_z.tobytes() == want_z.tobytes()
-            decoded = quantizer.decode_batch(m, got_idx, plan)
-            assert decoded.tobytes() == decode_batch_reference(m, want_idx, plan).tobytes()
-            assert decoded.tobytes() == got_z.tobytes()
+        for m in (grouped_toy_model(ec), mixed_width_model(ec)):
+            lay = m.layout
+            assert lay.m_dim == 24
+            Z = np.random.default_rng(rows).normal(size=(rows, lay.m_dim)) * 1.5
+            if rows == 1500:  # one search per group and stage, even past one ROW_CHUNK
+                searched = record_searches(monkeypatch)
+                quantizer.encode_batch(m, Z, quantizer.full_plan(lay), threads=threads)
+                members = lay.n_sub // lay.n_groups
+                assert searched == [members * rows] * (lay.n_groups * lay.t_max)
+            rng = np.random.default_rng(1)
+            plans = [quantizer.full_plan(lay), zero_plan(lay),
+                     quantizer.plan_from_stages(lay, [3, 0, 1, 2, 0, 0, 3, 1])]
+            plans += [quantizer.plan_from_stages(lay, rng.integers(0, lay.t_max + 1, lay.n_sub))
+                      for _ in range(3)]
+            for plan in plans:
+                want_idx, want_z = encode_batch_reference(m, Z, plan)
+                got_idx, got_z = quantizer.encode_batch(m, Z, plan, threads=threads)
+                assert got_idx.shape == (rows, int(plan.stages.sum()))
+                assert got_idx.dtype == np.uint8 and np.array_equal(got_idx, want_idx)
+                fields = quantizer.encode_fields(m, Z, plan, threads=threads)
+                assert fields.dtype == np.uint8 and np.array_equal(fields, got_idx)
+                assert got_z.tobytes() == want_z.tobytes()
+                decoded = quantizer.decode_batch(m, got_idx, plan)
+                assert decoded.tobytes() == decode_batch_reference(m, want_idx, plan).tobytes()
+                assert decoded.tobytes() == got_z.tobytes()
+                assert decoded.tobytes() == quantizer.decode_batch(
+                    m, got_idx.astype(np.int64), plan).tobytes()
 
 
 class TestOneBlockPerGroupAndChunk:
@@ -352,6 +383,28 @@ class TestOneBlockPerGroupAndChunk:
                 for d in depths for t in range(d.max())]
         assert len(want) == 3 * (3 + 1)
         assert searched == want
+
+    def test_decode_peak_memory_is_one_chunk_per_group(self):
+        rows = 6 * ROW_CHUNK + 37
+        lay = make_layout(32, 4, [3, 3, 3])  # one group of every sub-vector
+        m = make_toy_model(lay, np.random.default_rng(0))
+        stages = np.arange(lay.n_sub) % (lay.t_max + 1)  # mixed depths, some zero
+        plan = quantizer.plan_from_stages(lay, stages)
+        symbols = np.random.default_rng(1).integers(0, 8, size=(rows, int(stages.sum())),
+                                                    dtype=np.uint8)
+        out = rows * lay.m_dim * 8  # float64 Z_hat in coordinate order
+        block = ROW_CHUNK * lay.m_dim * 8  # one chunk of the whole group
+        tracemalloc.start()
+        try:
+            z_hat = quantizer.decode_batch(m, symbols, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert z_hat.nbytes == out
+        # decode's scratch is one row block's accumulator, gather and indices;
+        # scratch kept across chunks, or a whole variance-ordered Z_hat beside
+        # the output, would add six more blocks
+        assert peak < out + 4 * block
 
     def test_encode_peak_memory_is_one_group_block(self):
         lay = make_layout(16, 4, [8, 6, 4], groups=16)  # one sub-vector per group
@@ -373,26 +426,6 @@ class TestOneBlockPerGroupAndChunk:
         assert peak < copy + symbols.nbytes + 8 * block + SCORE_BYTES
 
 
-def mixed_width_model(seed=0):
-    """3 groups of 3 sub-vectors under a shuffled perm; group 0's stage-0 codebook
-    has 7 bits and the others' 5, so the stage tables' offsets matter.
-
-    Every stage-0 codeword of group 1 has a -0.0 first component: a sum that
-    starts from +0.0 gives +0.0 there, one that starts from the codeword -0.0.
-    """
-    rng = np.random.default_rng(seed)
-    lay = layout.assemble_layout(27, 3, 9, perm=rng.permutation(27),
-                                 group_of=np.repeat(np.arange(3), 3),
-                                 bits=np.repeat([[7, 5, 2], [5, 5, 1], [5, 3, 1]], 3, axis=0))
-    m = make_toy_model(lay, rng)
-    books = [list(group) for group in m.codebooks]
-    vec = books[1][0].vectors.copy()
-    vec[:, 0] = -0.0
-    books[1][0] = Codebook(vectors=vec)
-    return MsvqModel(layout=lay, codebooks=tuple(map(tuple, books)),
-                     fallback_means=m.fallback_means)
-
-
 def random_fields(lay, plan, rows, seed):
     sub, stage, _ = quantizer.field_order(plan.stages)
     sizes = 1 << lay.bits[sub, stage]
@@ -403,33 +436,21 @@ class TestStageMajorDecode:
     """decode_batch sums every group's codewords stage-major, in row blocks of
     max(1, SCORE_BYTES // (8 M)) rows."""
 
-    M27_BLOCK = SCORE_BYTES // (8 * 27)
-
-    @pytest.mark.parametrize("rows", [0, 1, M27_BLOCK - 1, M27_BLOCK, M27_BLOCK + 1,
-                                      ROW_CHUNK + 37])
-    def test_matches_per_sub_vector_sum(self, rows):
-        m = mixed_width_model()
-        lay = m.layout
-        assert m.stage_tables[0][1].tolist() == [0, 128, 160]
-        rng = np.random.default_rng(rows)
-        plans = [quantizer.full_plan(lay), zero_plan(lay),
-                 quantizer.plan_from_stages(lay, [3, 0, 1, 2, 0, 1, 0, 3, 1])]
-        plans += [quantizer.plan_from_stages(lay, rng.integers(0, lay.t_max + 1, lay.n_sub))
-                  for _ in range(3)]
-        for k, plan in enumerate(plans):
-            symbols = random_fields(lay, plan, rows, k)
-            decoded = quantizer.decode_batch(m, symbols, plan)
-            assert decoded.shape == (rows, lay.m_dim)
-            assert decoded.tobytes() == decode_batch_reference(m, symbols, plan).tobytes()
-            assert decoded.tobytes() == quantizer.decode_batch(
-                m, symbols.astype(np.int64), plan).tobytes()
+    def test_stage_tables_are_shared_read_only(self):
+        m = mixed_width_model(False)
+        assert m.stage_tables is m.stage_tables
+        assert m.stage_tables[0][1].tolist() == [0, 128, 192, 224]
+        for arrays in m.stage_tables:
+            for a in arrays:
+                with pytest.raises(ValueError):
+                    a[0] = 1
 
     def test_sum_starts_from_positive_zero(self):
-        m = mixed_width_model()
+        m = mixed_width_model(False)
         lay = m.layout
-        plan = quantizer.plan_from_stages(lay, [3, 3, 3, 1, 1, 1, 0, 0, 0])
+        plan = quantizer.plan_from_stages(lay, [3, 3, 1, 1, 2, 2, 0, 0])
         decoded = quantizer.decode_batch(m, random_fields(lay, plan, 5, 0), plan)
-        first = decoded[:, lay.perm.reshape(lay.n_sub, lay.sub_dim)[3:6, 0]]
+        first = decoded[:, lay.perm.reshape(lay.n_sub, lay.sub_dim)[2:4, 0]]
         assert np.all(first == 0.0) and not np.signbit(first).any()
 
     def test_scratch_does_not_grow_with_rows(self):
