@@ -28,12 +28,14 @@ chunk at a time.
   is a byte-aligned block, each byte offset of a bounded window of the data is
   a candidate row start, and all of them are decoded at once, one vectorized
   step per field (speculative decoding, Klein & Wiseman 2003, "Parallel
-  Huffman decoding with applications to JPEG files"). The true row starts are
-  then chained from the window's first byte and decoded again, together. A
-  row the lookup cannot settle (a codeword longer than the table, an invalid
-  code, or an end past the data) goes through the scalar loop, one symbol per
-  step, which also decodes small inputs and raises every CorruptionError. The
-  scalar loop reads the words its rows can touch once, before its first row.
+  Huffman decoding with applications to JPEG files"). Each candidate's lookup
+  of each field is kept, so that pass is the decode: the true row starts are
+  chained from the window's first byte, and their symbols are one gather from
+  the kept lookups. A row the lookup cannot settle (a codeword longer than
+  the table, an invalid code, or an end past the data) goes through the
+  scalar loop, one symbol per step, which also decodes small inputs and
+  raises every CorruptionError. The scalar loop reads the words its rows can
+  touch once, before its first row.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .errors import CorruptionError, DataError
 PRIOR_FLOOR = 2.0 ** -32  # keeps -log2(p) finite for every codeword
 MAX_CODE_LENGTH = 32  # Huffman code length cap
 LOOKUP_BITS = 12  # width of every decode table; longer codewords take the per-length search
-_SPECULATIVE_WINDOW = 8192  # candidate row starts decoded at once
+_SPECULATIVE_WINDOW = 16384  # candidate row starts decoded at once
 _SPECULATIVE_MIN_ROWS = 64  # fewer rows are cheaper one symbol per step
 _UNRESOLVED = 1 << 32  # bits a speculative lookup adds when it resolves no codeword
 
@@ -384,17 +386,20 @@ def unpack_prefix(
     """Decode `rows` byte-aligned blocks from data[offset:], field f with tables[f].
 
     Returns (symbols (rows, F), realized bits per row, byte offset after the
-    last block). Raises CorruptionError on an invalid codeword or a block
-    that runs past the end of data.
+    last block); the symbols take the narrowest unsigned type that holds
+    every code's symbols, as unpack_fixed's fields do. Raises CorruptionError
+    on an invalid codeword or a block that runs past the end of data.
 
     Fewer than _SPECULATIVE_MIN_ROWS rows are decoded by the scalar loop.
     Otherwise _SPECULATIVE_WINDOW bytes at a time are decoded speculatively
     (see _speculate); rows the fast pass cannot settle still go through the
     scalar loop, so symbols, row bits, end offset and errors are the same
-    either way.
+    either way. Working memory beyond the output is O(F x window), whatever
+    `rows`.
     """
     n_fields = len(tables)
-    out = array("I", [0]) * (rows * n_fields)
+    dtype = np.min_scalar_type(max((len(t.ordered) for t in tables), default=1) - 1)
+    out = array(dtype.char, [0]) * (rows * n_fields)
     row_bits = array("q", [0]) * rows
     steps = [(t.length, t.symbol, t) for t in tables]
     reach = (sum(t.max_length for t in tables) + 7) // 8 + 1  # bytes a block can touch
@@ -402,7 +407,7 @@ def unpack_prefix(
         end = _decode_rows(data, steps, reach, offset, 0, rows, out, row_bits)
     else:
         end = _speculate(data, steps, reach, offset, rows, out, row_bits)
-    symbols = np.frombuffer(out, dtype=np.uint32).reshape(rows, n_fields)
+    symbols = np.frombuffer(out, dtype=dtype).reshape(rows, n_fields)
     return symbols, np.frombuffer(row_bits, dtype=np.int64), end
 
 
@@ -450,23 +455,33 @@ def _speculate(data, steps, reach, offset, rows, out, row_bits) -> int:
     """Decode all rows a window at a time; returns the byte offset after the last.
 
     Each window's byte offsets are all decoded as row starts, one vectorized
-    lookup per field. A lookup that resolves no codeword adds _UNRESOLVED
-    bits, so a candidate's span tells whether every field resolved. The true
-    starts are then chained from the window's first byte, and decoded again
-    together into out and row_bits. A true start whose candidate did not
-    resolve, or ends past the data, is decoded by the scalar loop inside the
-    chain, which continues from its end. Working memory depends on the
-    window and the fields, not on `rows`.
+    lookup per field, and every candidate's lookup index of every field is
+    kept. A lookup that resolves no codeword adds _UNRESOLVED bits, so a
+    candidate's span tells whether every field resolved. The true starts are
+    then chained from the window's first byte; their symbols are one gather
+    from the kept lookups through the stacked symbol tables, and their bits
+    the candidates' spans. A true start whose candidate did not resolve, or
+    ends past the data, is decoded by the scalar loop inside the chain, which
+    continues from its end, in the same window. Working memory is O(F x
+    window), whatever `rows`.
     """
     tables = [step[-1] for step in steps]
     n_fields = len(tables)
     span = sum(min(LOOKUP_BITS, t.max_length) for t in tables)  # most bits a resolved row takes
     pad = (span + 7) // 8 + 1  # bytes a resolved row reaches past its start
-    fast = [(t.advance, np.frombuffer(t.length, dtype=np.uint8),
-             np.frombuffer(t.symbol, dtype=np.uint32)) for t in tables]
+    advances = [t.advance for t in tables]
     shifts = np.arange(8, dtype=np.uint32)
-    symbols = np.frombuffer(out, dtype=np.uint32).reshape(rows, n_fields)
+    symbols = np.frombuffer(out, dtype=out.typecode).reshape(rows, n_fields)
+    # fields that share a code share its table, stacked once; field f's
+    # symbols start at column[f] of stacked
+    distinct = {id(t): t for t in tables}
+    stacked = np.concatenate([np.frombuffer(t.symbol, dtype=np.uint32)
+                              for t in distinct.values()]).astype(symbols.dtype)
+    rank = {key: j for j, key in enumerate(distinct)}
+    column = np.array([rank[id(t)] << LOOKUP_BITS for t in tables], dtype=np.uint32)[:, None]
     bits = np.frombuffer(row_bits, dtype=np.int64)
+    lookups = np.empty(n_fields * _SPECULATIVE_WINDOW, dtype=np.uint16)
+    added = np.empty(_SPECULATIVE_WINDOW, dtype=np.int64)
     base, r = offset, 0
     while r < rows:
         width = max(1, min(_SPECULATIVE_WINDOW, len(data) - base, (rows - r) * reach))
@@ -475,14 +490,21 @@ def _speculate(data, steps, reach, offset, rows, out, row_bits) -> int:
         raw = raw.astype(np.uint32)
         word = raw[:-3] << 24 | raw[1:-2] << 16 | raw[2:-1] << 8 | raw[3:]
         # bit position -> the LOOKUP_BITS-bit lookup index that starts there
-        peeks = (word[:, None] << shifts).ravel() >> (32 - LOOKUP_BITS)
+        peeks = word[:, None] << shifts
+        peeks >>= 32 - LOOKUP_BITS
+        peeks = peeks.astype(np.uint16).ravel()
 
         start = np.arange(0, 8 * width, 8)
         p = start.copy()
-        for advance, _, _ in fast:  # unresolved candidates may run off the window
-            p += np.take(advance, np.take(peeks, p, mode="clip"))
+        # C-contiguous (F, width), so the take of the true rows copies nothing else
+        kept, adds = lookups[:n_fields * width].reshape(n_fields, width), added[:width]
+        for advance, lookup in zip(advances, kept):
+            # unresolved candidates may run off the window
+            np.take(peeks, p, mode="clip", out=lookup)
+            np.take(advance, lookup, mode="clip", out=adds)
+            p += adds
         resolved = (p - start <= span) & (p <= 8 * (len(data) - base))
-        nxt = np.where(resolved, (p + 7) >> 3, -1).tolist()
+        nxt = memoryview(np.where(resolved, (p + 7) >> 3, -1))
 
         b, starts, at = 0, [], []
         while b < width and r < rows:
@@ -494,14 +516,8 @@ def _speculate(data, steps, reach, offset, rows, out, row_bits) -> int:
                 starts.append(b)
                 at.append(r)
             b, r = end, r + 1
-        p = 8 * np.array(starts, dtype=np.int64)
-        first_bit = p.copy()
-        block = np.empty((n_fields, p.size), dtype=np.uint32)
-        for f, (_, length, symbol) in enumerate(fast):
-            peek = np.take(peeks, p)
-            np.take(symbol, peek, out=block[f])
-            p += np.take(length, peek)
-        symbols[at] = block.T
-        bits[at] = p - first_bit
+        starts, at = np.array(starts, dtype=np.intp), np.array(at, dtype=np.intp)
+        symbols[at] = np.take(stacked, np.take(kept, starts, axis=1) + column).T
+        bits[at] = p[starts] - 8 * starts
         base += b
     return base

@@ -308,7 +308,8 @@ class TestSpeculativeDecode:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(0, 120),
            offset=st.integers(0, 5), trailing=st.integers(0, 3),
-           window=st.sampled_from([1, 2, 3, 8, 29, 8192]), long_code=st.booleans())
+           window=st.sampled_from([1, 2, 3, 8, 29, 200, 8192, 16384]),
+           long_code=st.booleans())
     def test_matches_the_scalar_loop(self, seed, rows, offset, trailing, window, long_code):
         rng = np.random.default_rng(seed)
         codes, symbols, packed = _random_stream(rng, rows, long_code)
@@ -321,6 +322,102 @@ class TestSpeculativeDecode:
         _assert_same(got, want)
         assert np.array_equal(got[0], symbols)
         assert got[2] == offset + len(packed)
+
+    @pytest.mark.parametrize("offset", [0, 3])
+    def test_fallback_rows_inside_a_window(self, monkeypatch, offset):
+        """Rows whose long codeword the lookup cannot settle, several per
+        window: two back to back and one on the window's last byte, so it ends
+        past the window. Each is decoded once by the scalar loop, and the
+        speculative lookups of the rows around it still serve."""
+        window = 16
+        monkeypatch.setattr(entropy, "_SPECULATIVE_WINDOW", window)
+        codes = [entropy.canonical_code(np.array([1, 1])), entropy.canonical_code(LONG_CODE)]
+        # a short row is 2 bits (one byte), a long row 21 bits (three bytes)
+        fields, long_at, pos, base = [], [], offset, offset
+        while len(fields) < 300:
+            long_row = pos - base in (2, 5, window - 1)
+            fields.append((len(fields) % 2, 19 if long_row else 0))
+            if long_row:
+                long_at.append(pos)
+            pos += 3 if long_row else 1
+            if pos - base >= window:
+                base = pos
+        symbols = np.array(fields)
+        data = b"\xa5" * offset + entropy.pack_prefix(symbols, codes).tobytes()
+        tables = [entropy.decode_table(c) for c in codes]
+        fallbacks = []
+        scalar = entropy._decode_rows
+        monkeypatch.setattr(entropy, "_decode_rows",
+                            lambda *args: fallbacks.append(args[3]) or scalar(*args))
+        got = _decode(data, len(symbols), tables, offset)
+        assert fallbacks == long_at
+        _assert_same(got, _decode(data, len(symbols), tables, offset, speculative=False))
+        assert np.array_equal(got[0], symbols) and got[2] == len(data)
+
+    def test_fallback_rows_do_not_end_their_window(self, monkeypatch):
+        """On a stream where most rows fall back to the scalar loop, the
+        speculative pass still reads each window of the body once."""
+        window = 64
+        monkeypatch.setattr(entropy, "_SPECULATIVE_WINDOW", window)
+        rng = np.random.default_rng(8)
+        code = entropy.canonical_code(LONG_CODE)
+        symbols = np.where(rng.random((2000, 1)) < 0.8, rng.integers(12, 21, size=(2000, 1)),
+                           rng.integers(0, 12, size=(2000, 1)))
+        assert np.mean(code.lengths[symbols] > entropy.LOOKUP_BITS) > 0.7
+        windows = []
+
+        class Spy(bytes):  # records the reads _speculate makes of the data
+            def __getitem__(self, key):
+                if sys._getframe(1).f_code is entropy._speculate.__code__:
+                    windows.append(key)
+                return super().__getitem__(key)
+
+        data = Spy(entropy.pack_prefix(symbols, [code]).tobytes())
+        got = _decode(data, len(symbols), [entropy.decode_table(code)])
+        assert np.array_equal(got[0], symbols) and got[2] == len(data)
+        assert len(windows) <= len(data) // window + 1
+
+    def test_scratch_is_bounded_by_the_window_and_the_fields(self):
+        """The kept lookups are F x window uint16s and the stacked symbol
+        tables F x 2^LOOKUP_BITS bytes; the rest, under 128 bytes per window
+        byte, is its 8 bit-position peeks and the candidates' int64 vectors.
+        None of it grows with the rows."""
+        window = entropy._SPECULATIVE_WINDOW
+        rng = np.random.default_rng(9)
+        codes = [entropy.build_code(rng.dirichlet(np.full(16, 2.0))) for _ in range(31)]
+        assert max(c.max_length for c in codes) <= entropy.LOOKUP_BITS
+        tables = [entropy.decode_table(c) for c in codes]
+        for table in tables:
+            table.advance  # kept with the table once built; not scratch
+        row_bytes = len(entropy.pack_prefix(
+            np.stack([rng.integers(16, size=1000) for _ in codes], axis=1), codes)) / 1000
+        scratch = {}
+        for windows in (4, 16):
+            rows = int(windows * window / row_bytes)
+            symbols = np.stack([rng.integers(16, size=rows) for _ in codes], axis=1)
+            data = entropy.pack_prefix(symbols, codes).tobytes()
+            tracemalloc.start()
+            try:
+                got, bits, _ = entropy.unpack_prefix(data, rows, tables)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(got, symbols)
+            scratch[windows] = peak - got.nbytes - bits.nbytes
+        assert scratch[16] <= scratch[4] + window
+        stacked = len(codes) << entropy.LOOKUP_BITS
+        assert scratch[16] < 2 * len(codes) * window + stacked + 128 * window
+
+    @pytest.mark.parametrize("size, dtype", [(256, np.uint8), (257, np.uint16),
+                                             (65537, np.uint32)])
+    def test_symbols_take_the_narrowest_type(self, size, dtype):
+        code = entropy.build_code(np.full(size, 1.0 / size))
+        symbols = np.random.default_rng(size).integers(size, size=(100, 2))
+        data = entropy.pack_prefix(symbols, [code, code]).tobytes()
+        tables = [entropy.decode_table(code)] * 2
+        got = _decode(data, 100, tables)
+        _assert_same(got, _decode(data, 100, tables, speculative=False))
+        assert got[0].dtype == dtype and np.array_equal(got[0], symbols)
 
     def test_unresolved_lookups_are_caught_whatever_the_data_length(self, monkeypatch):
         # with _UNRESOLVED just above a row's largest span, the candidates it
