@@ -14,7 +14,12 @@ one budget derives it once per process, not once per payload.
 MSVP vector data is the (rows, F) field matrix that encode_fields returns and
 decode_batch reads, its columns in quantizer.field_order's order; it goes
 through the packing kernels of the entropy module a row chunk at a time.
-Writing a payload only encodes: it never rebuilds Z_hat.
+Writing a payload only encodes: it never rebuilds Z_hat. Whatever a payload
+derives from its plan alone (field widths and the fixed-width packing plan,
+or under EC the fields' codes and decoder, and the exact bit total) comes
+from the plan's serving layout, which the model keeps for the last plan it
+served (quantizer.plan_layout), so a stream at one budget builds it once.
+The format is unchanged by it.
 Under a plain model every vector's block is ceil(exact_bits / 8) bytes, so the
 reader checks the exact body length before decoding; under an EC model every
 vector with at least one field takes at least one byte, which bounds the
@@ -23,7 +28,9 @@ is allocated. An EC body is decoded by entropy.unpack_prefix, which decodes
 a window of candidate vector starts at once and falls back to one symbol per
 step only for the vectors its lookup cannot settle. The canonical codes, their
 decode tables and the code-length lookup are built once per loaded model and
-kept with it (MsvqModel.huffman_codes, MsvqModel.padded_code_lengths).
+kept with it (MsvqModel.huffman_codes, MsvqModel.padded_code_lengths); a
+plan's decoder, built through decode_table by field_decoder, is kept in its
+serving layout.
 """
 
 from __future__ import annotations
@@ -40,10 +47,13 @@ from . import rate
 from .codebook import Codebook, MsvqModel
 # perfbench/spans.py wraps canonical_code on this module; it is not called here.
 from .entropy import (
+    PrefixDecoder,
     canonical_code,
     decode_table,
+    fixed_plan,
     pack_fixed,
     pack_prefix,
+    prefix_decoder,
     unpack_fixed,
     unpack_prefix,
 )
@@ -55,10 +65,9 @@ from .quantizer import (
     decode_batch,
     encode_batch,
     encode_fields,
-    exact_bit_total,
-    field_order,
     map_row_chunks,
     plan_from_stages,
+    plan_layout,
 )
 
 MODEL_MAGIC = b"MSVQ"
@@ -341,9 +350,9 @@ def parse_payload_header(blob: bytes, name: str = "payload") -> PayloadHeader:
     return PayloadHeader(mode=mode, model_digest=digest, b_cap=b_cap, count=count)
 
 
-def _plan_field_bits(lay) -> np.ndarray:
-    """Field widths of an explicit plan: one stage count per sub-vector."""
-    return np.full(lay.n_sub, max(1, int(np.ceil(np.log2(lay.t_max + 1)))))
+def _plan_header(lay):
+    """FixedPlan of an explicit plan's header: one stage count per sub-vector."""
+    return fixed_plan(np.full(lay.n_sub, max(1, int(np.ceil(np.log2(lay.t_max + 1))))))
 
 
 def check_table(model: MsvqModel, table: rate.MarginalLossTable) -> None:
@@ -356,28 +365,22 @@ def check_table(model: MsvqModel, table: rate.MarginalLossTable) -> None:
         raise StateError("average-bits table requires entropy codes on the model")
 
 
+def field_decoder(codes) -> PrefixDecoder:
+    """The PrefixDecoder of fields coded by `codes`, from their decode tables
+    (each built once per code); quantizer.plan_layout keeps one per plan."""
+    return prefix_decoder([decode_table(code) for code in codes])
+
+
 def field_code_bits(model: MsvqModel, stages: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     """(rows, F) transmitted bits of each field of a stage vector's field matrix.
 
     Fixed widths under a plain model (a read-only broadcast), the symbols' code
     lengths under an EC one; a row sums to its vector's bits before padding.
     """
-    lay = model.layout
-    sub, stage, _ = field_order(stages)
+    pl = plan_layout(model, stages)
     if not model.ec_enabled:
-        return np.broadcast_to(lay.bits[sub, stage], symbols.shape)
-    lengths = model.padded_code_lengths[lay.group_of[sub], stage]
-    return lengths[np.arange(sub.size), symbols]
-
-
-def _field_coding(model: MsvqModel, stages: np.ndarray):
-    """Bit width (plain) or canonical code (EC) of each transmitted field."""
-    lay = model.layout
-    sub, stage, _ = field_order(stages)
-    if not model.ec_enabled:
-        return lay.bits[sub, stage]
-    codes = model.huffman_codes
-    return [codes[g][t] for g, t in zip(lay.group_of[sub].tolist(), stage.tolist())]
+        return np.broadcast_to(pl.widths, symbols.shape)
+    return pl.code_lengths[np.arange(pl.sub.size), symbols]
 
 
 def write_payload(
@@ -408,6 +411,7 @@ def write_payload(
     # so encoding to the greedy plan's depths serves every plan it can send.
     greedy, _, order = table.plan(float(b_cap))
     plan = SelectionPlan(stages=greedy)
+    pl = plan_layout(model, greedy)
     symbols = encode_fields(model, data, plan, threads=threads)
     rows = symbols.shape[0]
     bits = field_code_bits(model, greedy, symbols)
@@ -416,17 +420,15 @@ def write_payload(
     mode = MODE_DERIVED
     if strict and bits_rows.max(initial=0) > b_cap:
         stages = greedy.copy()  # the memo's stages are shared and read-only
-        column = np.zeros((lay.n_sub, lay.t_max), dtype=np.int64)
-        column[field_order(greedy)[:2]] = np.arange(int(greedy.sum()))
         for i_undo in reversed(order):
             if bits_rows.max(initial=0) <= b_cap:
                 break
             stages[i_undo] -= 1
-            bits_rows -= bits[:, column[i_undo, stages[i_undo]]]
-        symbols = symbols[:, field_order(stages, greedy)[2]]
+            bits_rows -= bits[:, pl.start[i_undo] + stages[i_undo]]
         plan = plan_from_stages(lay, stages)
+        greedy_pl, pl = pl, plan_layout(model, plan.stages)
+        symbols = symbols[:, pl.columns_in(greedy_pl)]
         mode = MODE_EXPLICIT
-    coding = _field_coding(model, plan.stages)
 
     with open(path, "wb") as fh:
         head = _PAYLOAD_HEAD.pack(PAYLOAD_MAGIC, PAYLOAD_VERSION, mode, 0,
@@ -434,8 +436,8 @@ def write_payload(
         fh.write(head)
         fh.write(_PAYLOAD_CRC.pack(zlib.crc32(head)))
         if mode == MODE_EXPLICIT:
-            fh.write(pack_fixed(plan.stages[None, :], _plan_field_bits(lay)).tobytes())
-        pack = pack_prefix if model.ec_enabled else pack_fixed
+            fh.write(pack_fixed(plan.stages[None, :], _plan_header(lay)).tobytes())
+        pack, coding = (pack_prefix, pl.codes) if model.ec_enabled else (pack_fixed, pl.packing)
         fh.writelines(map_row_chunks(lambda s: pack(symbols[s], coding).tobytes(), rows))
 
     return PayloadInfo(mode=mode, model_digest=model_digest, b_cap=b_cap, count=rows,
@@ -467,47 +469,44 @@ def read_payload(
 
     pos = PAYLOAD_HEADER_SIZE
     if head.mode == MODE_EXPLICIT:
-        field = _plan_field_bits(lay)
-        size = (int(field.sum()) + 7) // 8
-        if len(blob) < pos + size:
+        header = _plan_header(lay)
+        if len(blob) < pos + header.size:
             raise CorruptionError(f"{path}: truncated inside the explicit plan")
-        raw = np.frombuffer(blob, dtype=np.uint8, count=size, offset=pos)
-        stages = unpack_fixed(raw.reshape(1, size), field)[0]
-        pos += size
+        raw = np.frombuffer(blob, dtype=np.uint8, count=header.size, offset=pos)
+        stages = unpack_fixed(raw.reshape(1, header.size), header)[0]
+        pos += header.size
         try:
             plan = plan_from_stages(lay, stages)
         except ConfigError as exc:
             raise CorruptionError(f"{path}: explicit plan: {exc}") from exc
     else:
         plan = rate.select_stages(table, float(head.b_cap))
-    coding = _field_coding(model, plan.stages)
+    pl = plan_layout(model, plan.stages)
 
     count, body = head.count, len(blob) - pos
     if model.ec_enabled:
         # every vector with at least one field takes at least one byte
-        if len(coding) and count > body:
+        if len(pl.codes) and count > body:
             raise CorruptionError(f"{path}: header claims {count} vectors, only {body} "
                                   f"bytes of vector data follow")
-        tables = [decode_table(code) for code in coding]
-        symbols, bits_rows, end = unpack_prefix(blob, count, tables, pos)
+        symbols, bits_rows, end = unpack_prefix(blob, count, pl.decoder, pos)
         if end != len(blob):
             raise CorruptionError(f"{path}: {len(blob) - end} trailing bytes after the "
                                   f"last vector")
     else:
-        exact_bits = exact_bit_total(lay, plan.stages)
-        block = (exact_bits + 7) // 8
+        block = (pl.exact_bits + 7) // 8
         if body != count * block:
             raise CorruptionError(f"{path}: {body} bytes of vector data, {count} vectors "
                                   f"of {block} bytes need {count * block}")
         blocks = np.frombuffer(blob, dtype=np.uint8)[pos:].reshape(count, block)
         # layout.MAX_BITS = 8 caps every plain field at one byte
-        symbols = np.empty((count, len(coding)), dtype=np.uint8)
+        symbols = np.empty((count, pl.sub.size), dtype=np.uint8)
 
         def unpack(rows: slice):
-            symbols[rows] = unpack_fixed(blocks[rows], coding)
+            symbols[rows] = unpack_fixed(blocks[rows], pl.packing)
 
         map_row_chunks(unpack, count)
-        bits_rows = np.full(count, exact_bits, dtype=np.int64)
+        bits_rows = np.full(count, pl.exact_bits, dtype=np.int64)
 
     z_hat = decode_batch(model, symbols, plan)
     return z_hat, PayloadInfo(**vars(head), plan=plan, bits_per_vector=bits_rows)

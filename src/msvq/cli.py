@@ -26,8 +26,8 @@ from .quantizer import (
     encode_batch,
     encode_fields,
     exact_bit_total,
-    field_order,
     full_plan,
+    plan_layout,
     reconstruction_mse,
 )
 from .trainer import TrainConfig, train
@@ -211,13 +211,14 @@ def _cmd_sweep(args) -> int:
 
     Z = np.asarray(data, dtype=np.float64)
     full = full_plan(lay)
+    full_fields = plan_layout(model, full.stages)
     symbols = encode_fields(model, Z, full, threads=threads)
 
     rows = []
     for b_cap in budgets:
         start = time.perf_counter()
         plan = rate.select_stages(table, float(b_cap))
-        planned = symbols[:, field_order(plan.stages, full.stages)[2]]
+        planned = symbols[:, plan_layout(model, plan.stages).columns_in(full_fields)]
         z_hat = decode_batch(model, planned, plan)
         mse = reconstruction_mse(Z, z_hat)
         bits = bitstream.field_code_bits(model, plan.stages, planned).sum(axis=1)

@@ -23,7 +23,7 @@ of two, so it cannot fold: it keeps a scale and a bias pass over each block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -107,12 +107,15 @@ class MsvqModel:
     rate-penalized search; then every codebook has a prior and Huffman code
     lengths (which training builds from its final pass's codeword counts), and
     otherwise none has either. Any other combination raises on construction.
+    plan_memo holds the serving layout of the last stage plan served
+    (quantizer.plan_layout owns it).
     """
 
     layout: SubVectorLayout
     codebooks: tuple[tuple[Codebook, ...], ...]
     fallback_means: np.ndarray
     lambdas: np.ndarray | None = None
+    plan_memo: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lay = self.layout

@@ -8,7 +8,9 @@ The kernels pack and unpack the codec's field matrix: (rows, F) symbols, one
 row per vector and one column per transmitted (sub-vector, stage) field, in
 the order quantizer.field_order gives; every row becomes its own byte-aligned
 block. They are the only packing code: MSVP payloads go through them a row
-chunk at a time.
+chunk at a time. What they derive from the fields alone is built once, as a
+FixedPlan (fixed_plan) or a PrefixDecoder (prefix_decoder), and a plan's
+serving layout (quantizer.plan_layout) keeps it, so a call only moves bits.
 
 * Fixed-length fields (pack_fixed/unpack_fixed) sit at the same bits of every
   row, so both work a field, not a bit, at a time (Lemire & Boytsov 2015,
@@ -34,8 +36,11 @@ chunk at a time.
   the kept lookups. A row the lookup cannot settle (a codeword longer than
   the table, an invalid code, or an end past the data) goes through the
   scalar loop, one symbol per step, which also decodes small inputs and
-  raises every CorruptionError. The scalar loop reads the words its rows can
-  touch once, before its first row.
+  raises every CorruptionError. Speculation costs O(F x body bytes) and the
+  scalar loop O(F x rows) steps, so rows of more than
+  _SPECULATIVE_MAX_ROW_BYTES body bytes on average go to the scalar loop
+  too. The scalar loop reads the words its rows can touch once, before its
+  first row, a bounded batch of rows at a time.
 """
 
 from __future__ import annotations
@@ -49,12 +54,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CorruptionError, DataError
+from .layout import freeze
 
 PRIOR_FLOOR = 2.0 ** -32  # keeps -log2(p) finite for every codeword
 MAX_CODE_LENGTH = 32  # Huffman code length cap
 LOOKUP_BITS = 12  # width of every decode table; longer codewords take the per-length search
 _SPECULATIVE_WINDOW = 16384  # candidate row starts decoded at once
 _SPECULATIVE_MIN_ROWS = 64  # fewer rows are cheaper one symbol per step
+_SPECULATIVE_MAX_ROW_BYTES = 96  # so are rows of more body bytes on average
 _UNRESOLVED = 1 << 32  # bits a speculative lookup adds when it resolves no codeword
 
 
@@ -92,7 +99,7 @@ class DecodeTable:
     ordered[start[L]:start[L] + count[L]].
     """
 
-    symbol: array
+    symbol: memoryview
     length: bytes
     max_length: int
     first: tuple[int, ...]
@@ -121,7 +128,8 @@ class DecodeTable:
         first = np.zeros_like(count)
         used = count > 0
         first[used] = codes[ordered[start[used]]]
-        return cls(symbol=array("I", symbol.tobytes()), length=length.tobytes(),
+        return cls(symbol=memoryview(array("I", symbol.tobytes())).toreadonly(),
+                   length=length.tobytes(),
                    max_length=code.max_length, first=tuple(first.tolist()),
                    count=tuple(count.tolist()), start=tuple(start.tolist()),
                    ordered=tuple(ordered.tolist()))
@@ -131,7 +139,7 @@ class DecodeTable:
         """length as int64, with _UNRESOLVED where it is 0: what speculative
         decoding adds to a candidate's bit position."""
         length = np.frombuffer(self.length, dtype=np.uint8)
-        return np.where(length == 0, _UNRESOLVED, length.astype(np.int64))
+        return freeze(np.where(length == 0, _UNRESOLVED, length.astype(np.int64)))
 
     def decode_long(self, word: int, pos: int) -> tuple[int, int]:
         """(symbol, length) of the codeword at bit `pos`, which is bit pos % 8
@@ -263,51 +271,37 @@ def decode_table(code: HuffmanCode) -> DecodeTable:
 
 # --- packing kernels ---------------------------------------------------------
 
-def _fixed_plan(widths) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Per-field plan of a fixed-length block.
+@dataclass(frozen=True)
+class FixedPlan:
+    """How the fields of a fixed-length block sit in it; built by fixed_plan.
 
     A field starting at bit s of its row lies in the nb-byte big-endian window
     from its first byte s >> 3, nb = ceil((7 + max width) / 8), at phase s & 7:
-    it is the window shifted right by 8 * nb - phase - width, then masked.
-    Returns first bytes, phases, right shifts and masks (both in the window's
-    unsigned type), and nb.
+    it is the window shifted right by 8 * nb - phase - width, then masked
+    (shift and mask are in the window's unsigned type). A block is size bytes;
+    source[k, j] is the byte of pack_fixed's little-endian lanes that gives
+    byte j of the block its k-th field (the zero lane past the last field
+    where byte j has fewer), and dtype is the narrowest unsigned type that
+    holds every field. Every array is read-only.
     """
+
+    first: np.ndarray
+    shift: np.ndarray
+    mask: np.ndarray
+    nb: int
+    size: int
+    source: np.ndarray
+    dtype: np.dtype
+
+
+def fixed_plan(widths) -> FixedPlan:
+    """The FixedPlan of fields of the given bit widths (each 1 to 57)."""
     widths = np.asarray(widths, dtype=np.int64)
     starts = np.cumsum(widths) - widths
+    first, phase = starts >> 3, starts & 7
     nb = (14 + int(widths.max(initial=1))) // 8
     window = np.min_scalar_type((1 << (8 * nb)) - 1)
-    shift = (8 * nb - (starts & 7) - widths).astype(window)
-    mask = ((1 << widths) - 1).astype(window)
-    return starts >> 3, starts & 7, shift, mask, nb
-
-
-def _field_dtype(widths) -> np.dtype:
-    """Narrowest unsigned integer type that holds every field."""
-    return np.min_scalar_type((1 << int(np.max(widths, initial=1))) - 1)
-
-
-def pack_fixed(symbols: np.ndarray, widths) -> np.ndarray:
-    """Pack (rows, F) symbols at fixed bit widths (each 1 to 57), MSB-first.
-
-    Returns (rows, ceil(sum(widths) / 8)) bytes; padding bits are zero. Bits
-    of a symbol above its field width are dropped.
-
-    Each field's masked, shifted window is stored little-endian, so byte j of
-    it is the field's lane nb - 1 - j. A byte of the block holds bits of at
-    most 8 fields; ranked by start, the k-th of them for every byte is one
-    column gather from the lanes, and the block is the OR of those gathers.
-    """
-    first, phase, shift, mask, nb = _fixed_plan(widths)
-    widths = np.asarray(widths, dtype=np.int64)
-    symbols = np.asarray(symbols)
     n_fields, size = widths.size, (int(widths.sum()) + 7) // 8
-    # one all-zero field after the last: the lane of "no field"
-    window = np.zeros((symbols.shape[0], n_fields + 1), dtype=shift.dtype.newbyteorder("<"))
-    body = window[:, :n_fields]
-    body[...] = symbols
-    body &= mask
-    body <<= shift
-    lanes, stride = window.view(np.uint8), window.itemsize
 
     # the window bytes that hold a field's bits, field by field, fall on
     # non-decreasing bytes of the block
@@ -316,30 +310,58 @@ def pack_fixed(symbols: np.ndarray, widths) -> np.ndarray:
     j = np.arange(field.size) - np.repeat(np.cumsum(held) - held, held)
     column = first[field] + j
     rank = np.arange(column.size) - np.searchsorted(column, column)
+    stride = window.itemsize
     source = np.full((int(rank.max(initial=0)) + 1, size), n_fields * stride)
     source[rank, column] = field * stride + nb - 1 - j
-    out = np.take(lanes, source[0], axis=1)
-    for lane in source[1:]:
+    return FixedPlan(first=freeze(first), shift=freeze((8 * nb - phase - widths).astype(window)),
+                     mask=freeze(((1 << widths) - 1).astype(window)), nb=nb, size=size,
+                     source=freeze(source),
+                     dtype=np.min_scalar_type((1 << int(widths.max(initial=1))) - 1))
+
+
+def pack_fixed(symbols: np.ndarray, plan: FixedPlan) -> np.ndarray:
+    """Pack (rows, F) symbols into the fixed-length blocks of a FixedPlan, MSB-first.
+
+    Returns (rows, plan.size) bytes; padding bits are zero. Bits of a symbol
+    above its field width are dropped.
+
+    Each field's masked, shifted window is stored little-endian, so byte j of
+    it is the field's lane nb - 1 - j. A byte of the block holds bits of at
+    most 8 fields; ranked by start, the k-th of them for every byte is one
+    column gather from the lanes, and the block is the OR of those gathers.
+    """
+    symbols = np.asarray(symbols)
+    n_fields = plan.first.size
+    # one all-zero field after the last: the lane of "no field"
+    window = np.zeros((symbols.shape[0], n_fields + 1),
+                      dtype=plan.shift.dtype.newbyteorder("<"))
+    body = window[:, :n_fields]
+    body[...] = symbols
+    body &= plan.mask
+    body <<= plan.shift
+    lanes = window.view(np.uint8)
+    out = np.take(lanes, plan.source[0], axis=1)
+    for lane in plan.source[1:]:
         out |= np.take(lanes, lane, axis=1)
     return out
 
 
-def unpack_fixed(blocks: np.ndarray, widths) -> np.ndarray:
-    """Inverse of pack_fixed: (rows, ceil(sum(widths) / 8)) bytes -> (rows, F).
+def unpack_fixed(blocks: np.ndarray, plan: FixedPlan) -> np.ndarray:
+    """Inverse of pack_fixed: (rows, plan.size) bytes -> (rows, F) fields of plan.dtype.
 
     Padding bits are ignored.
     """
-    first, _, shift, mask, nb = _fixed_plan(widths)
+    first, nb = plan.first, plan.nb
     rows, size = blocks.shape
     padded = np.zeros((rows, size + nb - 1), dtype=np.uint8)
     padded[:, :size] = blocks
-    window = padded[:, first].astype(shift.dtype)
+    window = padded[:, first].astype(plan.shift.dtype)
     for j in range(1, nb):
         window <<= 8
         window |= padded[:, first + j]
-    window >>= shift
-    window &= mask
-    return window.astype(_field_dtype(widths), copy=False)
+    window >>= plan.shift
+    window &= plan.mask
+    return window.astype(plan.dtype, copy=False)
 
 
 def pack_prefix(symbols: np.ndarray, codes: Sequence[HuffmanCode]) -> np.ndarray:
@@ -377,55 +399,99 @@ def _be_words(data: bytes, start: int, n: int) -> list[int]:
     return windows.copy().view(">u8").ravel().tolist()
 
 
+@dataclass(frozen=True)
+class PrefixDecoder:
+    """What unpack_prefix needs of a block's fields; built by prefix_decoder.
+
+    steps holds each field's (length, symbol, table) lookup, reach the most
+    bytes a block can touch, dtype the narrowest unsigned type that holds
+    every code's symbols, and span the most bits a block the lookups resolve
+    takes. For the speculative pass, advances holds each field's advance and
+    stacked the fields' distinct symbol tables end to end, field f's from
+    column[f]. Every array is read-only.
+    """
+
+    steps: tuple
+    reach: int
+    dtype: np.dtype
+    span: int
+    advances: tuple
+    stacked: np.ndarray
+    column: np.ndarray
+
+
+def prefix_decoder(tables: Sequence[DecodeTable]) -> PrefixDecoder:
+    """The PrefixDecoder of blocks whose field f is coded by tables[f]."""
+    dtype = np.min_scalar_type(max((len(t.ordered) for t in tables), default=1) - 1)
+    # fields that share a code share its table, stacked once
+    distinct = {id(t): t for t in tables}
+    rank = {key: j for j, key in enumerate(distinct)}
+    stacked = np.concatenate([np.zeros(0, dtype=np.uint32)]
+                             + [np.frombuffer(t.symbol, dtype=np.uint32)
+                                for t in distinct.values()])
+    column = np.array([rank[id(t)] << LOOKUP_BITS for t in tables], dtype=np.uint32)
+    return PrefixDecoder(
+        steps=tuple((t.length, t.symbol, t) for t in tables),
+        reach=(sum(t.max_length for t in tables) + 7) // 8 + 1, dtype=dtype,
+        span=sum(min(LOOKUP_BITS, t.max_length) for t in tables),
+        advances=tuple(t.advance for t in tables), stacked=freeze(stacked.astype(dtype)),
+        column=freeze(column[:, None]))
+
+
 def unpack_prefix(
     data: bytes,
     rows: int,
-    tables: Sequence[DecodeTable],
+    decoder: PrefixDecoder,
     offset: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Decode `rows` byte-aligned blocks from data[offset:], field f with tables[f].
+    """Decode `rows` byte-aligned blocks from data[offset:] with a PrefixDecoder.
 
     Returns (symbols (rows, F), realized bits per row, byte offset after the
-    last block); the symbols take the narrowest unsigned type that holds
-    every code's symbols, as unpack_fixed's fields do. Raises CorruptionError
-    on an invalid codeword or a block that runs past the end of data.
+    last block); the symbols take decoder.dtype, the narrowest unsigned type
+    that holds every code's symbols, as unpack_fixed's fields do. Raises
+    CorruptionError on an invalid codeword or a block that runs past the end
+    of data.
 
-    Fewer than _SPECULATIVE_MIN_ROWS rows are decoded by the scalar loop.
-    Otherwise _SPECULATIVE_WINDOW bytes at a time are decoded speculatively
-    (see _speculate); rows the fast pass cannot settle still go through the
-    scalar loop, so symbols, row bits, end offset and errors are the same
-    either way. Working memory beyond the output is O(F x window), whatever
-    `rows`.
+    Speculation costs O(F x body bytes), the scalar loop O(F x rows) steps, so
+    fewer than _SPECULATIVE_MIN_ROWS rows, or rows of more than
+    _SPECULATIVE_MAX_ROW_BYTES body bytes on average (both known before
+    decoding), are decoded by the scalar loop, a bounded batch of rows at a
+    time. Otherwise _SPECULATIVE_WINDOW bytes at a time are decoded
+    speculatively (see _speculate); rows the fast pass cannot settle still go
+    through the scalar loop, so symbols, row bits, end offset and errors are
+    the same either way. Working memory beyond the output is O(F x window),
+    whatever `rows`.
     """
-    n_fields = len(tables)
-    dtype = np.min_scalar_type(max((len(t.ordered) for t in tables), default=1) - 1)
-    out = array(dtype.char, [0]) * (rows * n_fields)
+    n_fields = len(decoder.steps)
+    out = array(decoder.dtype.char, [0]) * (rows * n_fields)
     row_bits = array("q", [0]) * rows
-    steps = [(t.length, t.symbol, t) for t in tables]
-    reach = (sum(t.max_length for t in tables) + 7) // 8 + 1  # bytes a block can touch
-    if rows < _SPECULATIVE_MIN_ROWS or not n_fields:
-        end = _decode_rows(data, steps, reach, offset, 0, rows, out, row_bits)
+    if (rows < _SPECULATIVE_MIN_ROWS or not n_fields
+            or len(data) - offset > rows * _SPECULATIVE_MAX_ROW_BYTES):
+        batch = max(1, _SPECULATIVE_WINDOW // decoder.reach)
+        end = offset
+        for first in range(0, rows, batch):
+            end = _decode_rows(data, decoder, out, end, first, min(first + batch, rows),
+                               row_bits)
     else:
-        end = _speculate(data, steps, reach, offset, rows, out, row_bits)
-    symbols = np.frombuffer(out, dtype=dtype).reshape(rows, n_fields)
+        end = _speculate(data, decoder, out, offset, rows, row_bits)
+    symbols = np.frombuffer(out, dtype=decoder.dtype).reshape(rows, n_fields)
     return symbols, np.frombuffer(row_bits, dtype=np.int64), end
 
 
-def _decode_rows(data, steps, reach, offset, first, stop, out, row_bits) -> int:
+def _decode_rows(data, decoder, out, offset, first, stop, row_bits) -> int:
     """Scalar loop: decode blocks first..stop-1 from data[offset:], one symbol
-    per step, into out (row-major symbols) and row_bits. steps holds each
-    field's (length, symbol, table) lookup; no block touches more than `reach`
-    bytes.
+    per step, into out (row-major symbols) and row_bits.
 
     The 64-bit words of every byte the blocks can touch are read once, up
     front: a block starts inside the data or the loop has already raised, and
-    the blocks before it take at most `reach` bytes each. Callers keep that
-    bounded: fewer than _SPECULATIVE_MIN_ROWS rows, one fallback row, or
-    zero-field rows, whose `reach` is 1.
+    the blocks before it take at most decoder.reach bytes each. Callers keep
+    that bounded: a batch of at most _SPECULATIVE_WINDOW bytes' reach, one
+    fallback row, or zero-field rows, whose reach is 1.
 
     Returns the byte offset after block stop-1; raises CorruptionError at the
     first invalid codeword or block end past the data.
     """
+    steps, reach = decoder.steps, decoder.reach
     shift, mask = 64 - LOOKUP_BITS, (1 << LOOKUP_BITS) - 1
     limit = 8 * (len(data) - offset)
     words = _be_words(data, offset,
@@ -451,7 +517,7 @@ def _decode_rows(data, steps, reach, offset, first, stop, out, row_bits) -> int:
     return offset + (p >> 3)
 
 
-def _speculate(data, steps, reach, offset, rows, out, row_bits) -> int:
+def _speculate(data, decoder, out, offset, rows, row_bits) -> int:
     """Decode all rows a window at a time; returns the byte offset after the last.
 
     Each window's byte offsets are all decoded as row starts, one vectorized
@@ -459,26 +525,16 @@ def _speculate(data, steps, reach, offset, rows, out, row_bits) -> int:
     kept. A lookup that resolves no codeword adds _UNRESOLVED bits, so a
     candidate's span tells whether every field resolved. The true starts are
     then chained from the window's first byte; their symbols are one gather
-    from the kept lookups through the stacked symbol tables, and their bits
-    the candidates' spans. A true start whose candidate did not resolve, or
-    ends past the data, is decoded by the scalar loop inside the chain, which
-    continues from its end, in the same window. Working memory is O(F x
-    window), whatever `rows`.
+    from the kept lookups through the decoder's stacked symbol tables, and
+    their bits the candidates' spans. A true start whose candidate did not
+    resolve, or ends past the data, is decoded by the scalar loop inside the
+    chain, which continues from its end, in the same window. Working memory
+    is O(F x window), whatever `rows`.
     """
-    tables = [step[-1] for step in steps]
-    n_fields = len(tables)
-    span = sum(min(LOOKUP_BITS, t.max_length) for t in tables)  # most bits a resolved row takes
+    n_fields, reach, span = len(decoder.steps), decoder.reach, decoder.span
     pad = (span + 7) // 8 + 1  # bytes a resolved row reaches past its start
-    advances = [t.advance for t in tables]
     shifts = np.arange(8, dtype=np.uint32)
     symbols = np.frombuffer(out, dtype=out.typecode).reshape(rows, n_fields)
-    # fields that share a code share its table, stacked once; field f's
-    # symbols start at column[f] of stacked
-    distinct = {id(t): t for t in tables}
-    stacked = np.concatenate([np.frombuffer(t.symbol, dtype=np.uint32)
-                              for t in distinct.values()]).astype(symbols.dtype)
-    rank = {key: j for j, key in enumerate(distinct)}
-    column = np.array([rank[id(t)] << LOOKUP_BITS for t in tables], dtype=np.uint32)[:, None]
     bits = np.frombuffer(row_bits, dtype=np.int64)
     lookups = np.empty(n_fields * _SPECULATIVE_WINDOW, dtype=np.uint16)
     added = np.empty(_SPECULATIVE_WINDOW, dtype=np.int64)
@@ -498,7 +554,7 @@ def _speculate(data, steps, reach, offset, rows, out, row_bits) -> int:
         p = start.copy()
         # C-contiguous (F, width), so the take of the true rows copies nothing else
         kept, adds = lookups[:n_fields * width].reshape(n_fields, width), added[:width]
-        for advance, lookup in zip(advances, kept):
+        for advance, lookup in zip(decoder.advances, kept):
             # unresolved candidates may run off the window
             np.take(peeks, p, mode="clip", out=lookup)
             np.take(advance, lookup, mode="clip", out=adds)
@@ -510,14 +566,13 @@ def _speculate(data, steps, reach, offset, rows, out, row_bits) -> int:
         while b < width and r < rows:
             end = nxt[b]
             if end < 0:  # a long or invalid codeword, or past the data
-                end = _decode_rows(data, steps, reach, base + b, r, r + 1, out,
-                                   row_bits) - base
+                end = _decode_rows(data, decoder, out, base + b, r, r + 1, row_bits) - base
             else:
                 starts.append(b)
                 at.append(r)
             b, r = end, r + 1
         starts, at = np.array(starts, dtype=np.intp), np.array(at, dtype=np.intp)
-        symbols[at] = np.take(stacked, np.take(kept, starts, axis=1) + column).T
+        symbols[at] = np.take(decoder.stacked, np.take(kept, starts, axis=1) + decoder.column).T
         bits[at] = p[starts] - 8 * starts
         base += b
     return base

@@ -3,10 +3,18 @@
 A plan is its stage-count vector. encode_fields, encode_batch and
 decode_batch work on row batches; a single vector is a one-row batch. Indices
 travel as the payload's (rows, F) field matrix, one column per active
-(sub-vector, stage) module; field_order alone knows the column order and which
-columns of a deeper encoding a shallower plan sends. encode_fields returns only
+(sub-vector, stage) module, in field_order's order. encode_fields returns only
 that matrix, which is all a payload carries, so serving calls it; encode_batch
 adds Z_hat for callers that measure the reconstruction.
+
+Everything serving derives from a plan alone is one PlanLayout: the field
+order and each group's columns, the packing plan (fixed widths, or under EC
+the codes and their decoder), the bit total, and decode_batch's order, reach,
+base and coordinate map. Only _build_layout makes one, and it is the only
+caller of field_order, and of entropy.fixed_plan but for the explicit plan's
+header (tests/test_imports.py guards both); plan_layout keeps the last plan's
+layout on the model, read-only, so a stream at one budget builds it once.
+encode_fields, decode_batch and the bitstream module read it.
 
 walk_stages, the codec's one stage walk, only searches: each stage's kernel
 picks the nearest codeword (rate-penalized when the model is
@@ -44,6 +52,7 @@ from .codebook import (
     nearest_batch,
     nearest_rate_penalized_batch,
 )
+from .entropy import FixedPlan, PrefixDecoder, fixed_plan
 from .errors import ConfigError, CorruptionError
 from .layout import check_features, freeze
 
@@ -91,18 +100,123 @@ def full_plan(layout) -> SelectionPlan:
     return plan_from_stages(layout, np.full(layout.n_sub, layout.t_max, dtype=np.int64))
 
 
-def field_order(stages, within=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sub-vector, stage, column) of each field of a stage vector's field matrix.
+def field_order(stages) -> tuple[np.ndarray, np.ndarray]:
+    """(sub-vector, stage) of each field of a stage vector's field matrix.
 
-    Fields run sub-vector-major, then stage order. column is the field's place
-    in the field matrix of `within`, a stage vector at least as deep everywhere
-    (default: stages), so symbols[:, column] of a deeper encoding is this plan's.
+    Fields run sub-vector-major, then stage order.
     """
     stages = np.asarray(stages, dtype=np.int64)
-    within = stages if within is None else np.asarray(within, dtype=np.int64)
     sub = np.repeat(np.arange(stages.size), stages)
-    stage = np.arange(sub.size) - np.repeat(np.cumsum(stages) - stages, stages)
-    return sub, stage, (np.cumsum(within) - within)[sub] + stage
+    return sub, np.arange(sub.size) - np.repeat(np.cumsum(stages) - stages, stages)
+
+
+@dataclass(frozen=True)
+class PlanLayout:
+    """Everything serving derives from one stage plan of one model.
+
+    plan_layout builds it once per (model, plan); it is read-only and sized
+    by the plan and the model, never by rows.
+
+    Fields: stages, the plan; sub and stage, each field's sub-vector and
+    stage in field order (field_order); start, each sub-vector's first
+    column; widths and sizes, each field's codebook bits and codeword count;
+    exact_bits, a vector's fixed-length bits. Encoding: groups, per group its
+    members' depths, its field columns and where they sit in the stage
+    walk's indices. Packing: packing, the fixed-width FixedPlan (plain
+    models); under EC instead codes, each field's canonical code, decoder,
+    the PrefixDecoder of their decode tables, and code_lengths, the (F, K)
+    code length of each field's codewords. Decoding (decode_batch): the sub-vectors sorted
+    deepest first; reach, per stage, the field columns of the prefix it
+    reaches, their stage-table rows and the table; base, a block's starting
+    sums (the stored mean of each sub-vector with no stages, +0.0 for the
+    rest); to_coords, each coordinate's place in that order; and step, the
+    rows summed per block.
+    """
+
+    stages: np.ndarray
+    sub: np.ndarray
+    stage: np.ndarray
+    start: np.ndarray
+    widths: np.ndarray
+    sizes: np.ndarray
+    exact_bits: int
+    groups: tuple
+    packing: FixedPlan | None
+    codes: tuple
+    decoder: PrefixDecoder | None
+    code_lengths: np.ndarray | None
+    reach: tuple
+    base: np.ndarray
+    to_coords: np.ndarray
+    step: int
+
+    def columns_in(self, deeper: PlanLayout) -> np.ndarray:
+        """Each field's column in the field matrix of a plan at least as deep
+        everywhere: symbols[:, columns_in(deeper)] of its encoding is this plan's."""
+        return deeper.start[self.sub] + self.stage
+
+
+def plan_layout(model: MsvqModel, stages) -> PlanLayout:
+    """The PlanLayout of a stage vector under a model, from the model's memo.
+
+    The model keeps one layout, the last plan's, keyed by its stage vector:
+    identity first, then contents. A miss checks the vector, builds the
+    layout and swaps it in whole, as MarginalLossTable.plan does, so a thread
+    sees the old layout or the new one, never a mix, and the memo stays the
+    size of one plan whatever plans the callers ask for.
+    """
+    last = model.plan_memo
+    if last is not None and (stages is last.stages or np.array_equal(stages, last.stages)):
+        return last
+    built = _build_layout(model, _checked_stages(model.layout, stages))
+    object.__setattr__(model, "plan_memo", built)
+    return built
+
+
+def _build_layout(model: MsvqModel, stages: np.ndarray) -> PlanLayout:
+    """A PlanLayout (the only code that makes one); every array it holds is read-only."""
+    # bitstream builds EC decode tables (bitstream.decode_table is a traced edge)
+    # and imports this module, so its helper is looked up at call time
+    from .bitstream import field_decoder
+
+    lay, ec = model.layout, model.ec_enabled
+    stages = freeze(stages.copy())  # the memo's key: the layout's own, never a caller's
+    sub, stage = field_order(stages)
+    widths = lay.bits[sub, stage]
+    start = np.cumsum(stages) - stages
+    groups = []
+    for g in range(lay.n_groups):
+        blk = lay.group_members(g)
+        cols = slice(*np.searchsorted(sub, [blk.start, blk.stop]).tolist())
+        groups.append((stages[blk].tolist(), cols,
+                       (freeze(sub[cols] - blk.start), slice(None), freeze(stage[cols]))))
+    codes, decoder, code_lengths = (), None, None
+    if ec:
+        books = model.huffman_codes
+        codes = tuple(books[g][t] for g, t in zip(lay.group_of[sub].tolist(), stage.tolist()))
+        decoder = field_decoder(codes)
+        code_lengths = freeze(model.padded_code_lengths[lay.group_of[sub], stage])
+
+    order = np.argsort(-stages, kind="stable")
+    depth = stages[order]
+    first = start[order]  # each sub-vector's stage-0 field column
+    group = lay.group_of[order]
+    reach = []
+    for t in range(int(stages.max())):
+        table, offsets = model.stage_tables[t]
+        n = int((depth > t).sum())
+        reach.append((freeze(first[:n] + t), freeze(np.take(offsets, group[:n])), table))
+    base = np.where((depth == 0)[:, None], np.take(model.fallback_means, order, axis=0), 0.0)
+    rank = np.argsort(order)
+    inverse = np.argsort(lay.perm)
+    # where each coordinate of Z_hat sits in a block's deepest-first accumulator
+    to_coords = rank[inverse // lay.sub_dim] * lay.sub_dim + inverse % lay.sub_dim
+    return PlanLayout(
+        stages=stages, sub=freeze(sub), stage=freeze(stage), start=freeze(start),
+        widths=freeze(widths), sizes=freeze(1 << widths), exact_bits=int(widths.sum()),
+        groups=tuple(groups), packing=None if ec else fixed_plan(widths), codes=codes,
+        decoder=decoder, code_lengths=code_lengths, reach=tuple(reach), base=freeze(base),
+        to_coords=freeze(to_coords), step=max(1, SCORE_BYTES // (8 * lay.m_dim)))
 
 
 def _active(depth: list[int], t: int):
@@ -112,12 +226,6 @@ def _active(depth: list[int], t: int):
     """
     live = [j for j, d in enumerate(depth) if d > t]
     return live if len(live) < len(depth) else slice(None)
-
-
-def _block_fields(sub: np.ndarray, stage: np.ndarray, blk: slice):
-    """The field-matrix columns of a group's members, and each one's (member, stage)."""
-    cols = slice(*np.searchsorted(sub, [blk.start, blk.stop]).tolist())
-    return cols, (sub[cols] - blk.start, slice(None), stage[cols])
 
 
 def walk_stages(books, lambdas, r: np.ndarray, start: int, stop) -> np.ndarray:
@@ -203,18 +311,15 @@ def encode_fields(
     planned depth.
     """
     Z = check_features(Z, model.layout.m_dim)
-    stages = _checked_stages(model.layout, plan.stages)
+    pl = plan_layout(model, plan.stages)
     lay = model.layout
-    sub_of, stage_of, _ = field_order(stages)
     # layout.MAX_BITS = 8 caps every codebook at 256 codewords
-    symbols = np.empty((Z.shape[0], sub_of.size), dtype=np.uint8)
+    symbols = np.empty((Z.shape[0], pl.sub.size), dtype=np.uint8)
 
     def walk(rows: slice):
-        for g in range(lay.n_groups):
-            blk = lay.group_members(g)
+        for g, (depths, cols, at) in enumerate(pl.groups):
             r = np.take(Z[rows], lay.group_columns(g), axis=1).transpose(1, 0, 2).copy()
-            idx = walk_stages(model.codebooks[g], model.lambdas, r, 0, stages[blk].tolist())
-            cols, at = _block_fields(sub_of, stage_of, blk)
+            idx = walk_stages(model.codebooks[g], model.lambdas, r, 0, depths)
             symbols[rows, cols] = idx[at].T
 
     map_row_chunks(walk, Z.shape[0], threads)
@@ -243,50 +348,37 @@ def decode_batch(model: MsvqModel, symbols: np.ndarray, plan: SelectionPlan) -> 
     every sub-vector with no stages and +0.0 for the rest, and each stage
     adds one np.take of its codewords from the model's stage table (every
     group's stage-t codebook) to the prefix it reaches. One np.take puts the
-    block into coordinate order.
+    block into coordinate order. The order, each stage's reach, the starting
+    block and the coordinate map come from the plan's PlanLayout, built once
+    per (model, plan); a call only checks the matrix and sums.
     """
-    stages = _checked_stages(model.layout, plan.stages)
-    lay = model.layout
-    sub, stage, _ = field_order(stages)
+    pl = plan_layout(model, plan.stages)
+    m_dim = model.layout.m_dim
     symbols = np.asarray(symbols)
-    if symbols.ndim != 2 or symbols.shape[1] != sub.size or symbols.dtype.kind not in "iu":
-        raise CorruptionError(f"symbol matrix must be integer (rows, {sub.size}), got "
+    if (symbols.ndim != 2 or symbols.shape[1] != pl.sub.size
+            or symbols.dtype.kind not in "iu"):
+        raise CorruptionError(f"symbol matrix must be integer (rows, {pl.sub.size}), got "
                               f"{symbols.dtype} {symbols.shape}")
-    sizes = 1 << lay.bits[sub, stage]  # MsvqModel pins each codebook's size to its bits
-    bad = symbols.max(axis=0, initial=0) >= sizes
+    # MsvqModel pins each codebook's size to its bits
+    bad = symbols.max(axis=0, initial=0) >= pl.sizes
     if symbols.dtype.kind == "i":
         bad |= symbols.min(axis=0, initial=0) < 0
     if bad.any():
         f = int(bad.argmax())
-        raise CorruptionError(f"sub-vector {sub[f]} stage {stage[f]}: codeword index "
-                              f"out of range [0, {sizes[f]})")
-    order = np.argsort(-stages, kind="stable")
-    depth = stages[order]
-    first = np.searchsorted(sub, order)  # each sub-vector's stage-0 field column
-    group = lay.group_of[order]
-    reach = []  # per stage: the field columns of the prefix it reaches, their table rows
-    for t in range(int(stages.max())):
-        table, offsets = model.stage_tables[t]
-        n = int((depth > t).sum())
-        reach.append((first[:n] + t, np.take(offsets, group[:n]), table))
-    base = np.where((depth == 0)[:, None], np.take(model.fallback_means, order, axis=0), 0.0)
-    rank = np.argsort(order)
-    inverse = np.argsort(lay.perm)
-    # where each coordinate of Z_hat sits in a block's deepest-first accumulator
-    to_coords = rank[inverse // lay.sub_dim] * lay.sub_dim + inverse % lay.sub_dim
-    zhat = np.empty((symbols.shape[0], lay.m_dim), dtype=np.float64)
-    step = max(1, SCORE_BYTES // (8 * lay.m_dim))
+        raise CorruptionError(f"sub-vector {pl.sub[f]} stage {pl.stage[f]}: codeword index "
+                              f"out of range [0, {pl.sizes[f]})")
+    zhat = np.empty((symbols.shape[0], m_dim), dtype=np.float64)
 
     def add(rows: slice):
-        for start in range(rows.start, min(rows.stop, symbols.shape[0]), step):
-            block = slice(start, min(start + step, rows.stop))
+        for start in range(rows.start, min(rows.stop, symbols.shape[0]), pl.step):
+            block = slice(start, min(start + pl.step, rows.stop))
             fields = symbols[block]
-            acc = np.empty((fields.shape[0],) + base.shape, dtype=np.float64)
-            acc[:] = base
-            for cols, offsets, table in reach:
+            acc = np.empty((fields.shape[0],) + pl.base.shape, dtype=np.float64)
+            acc[:] = pl.base
+            for cols, offsets, table in pl.reach:
                 acc[:, :cols.size] += np.take(table, np.take(fields, cols, axis=1) + offsets,
                                               axis=0)
-            np.take(acc.reshape(fields.shape[0], lay.m_dim), to_coords, axis=1,
+            np.take(acc.reshape(fields.shape[0], m_dim), pl.to_coords, axis=1,
                     out=zhat[block], mode="clip")
 
     map_row_chunks(add, symbols.shape[0])

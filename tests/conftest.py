@@ -93,7 +93,7 @@ def encoded_usage(model, data):
     """Per-(group, stage) codeword counts of a full-depth encoding of data."""
     plan = quantizer.full_plan(model.layout)
     symbols = quantizer.encode_fields(model, data, plan)
-    sub, stage, _ = quantizer.field_order(plan.stages)
+    sub, stage = quantizer.field_order(plan.stages)
     group = model.layout.group_of[sub]
     return {(g, t): np.bincount(symbols[:, (group == g) & (stage == t)].ravel(),
                                 minlength=cb.size)

@@ -251,7 +251,8 @@ def test_criterion_7_entropy_round_trip_property_suite():
         for _ in range(100):
             stream = rng.integers(k, size=int(rng.integers(0, 17)))
             payload = entropy.pack_prefix(stream[None, :], [code] * stream.size).tobytes()
-            decoded, _, end = entropy.unpack_prefix(payload, 1, [table] * stream.size)
+            decoder = entropy.prefix_decoder([table] * stream.size)
+            decoded, _, end = entropy.unpack_prefix(payload, 1, decoder)
             assert decoded[0].tolist() == stream.tolist()
             assert end == len(payload)
             cases += 1

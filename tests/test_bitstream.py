@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import gc
 import io
 import json
@@ -385,7 +386,8 @@ class TestPayloadFiles:
             references.append(plan)
             full = quantizer.full_plan(model_.layout)
             symbols = quantizer.encode_fields(model_, Z, full, threads)
-            return symbols[:, quantizer.field_order(plan.stages, full.stages)[2]]
+            deeper = quantizer.plan_layout(model_, full.stages)
+            return symbols[:, quantizer.plan_layout(model_, plan.stages).columns_in(deeper)]
 
         reference = tmp_path / "full.msvp"
         with monkeypatch.context() as mp:
@@ -543,6 +545,179 @@ class TestPlanMemo:
         assert plans == [serial[int(b == 40.0)][0] for b in budgets]
 
 
+def _arrays(obj):
+    """Every numpy array and memoryview reachable from a layout's fields."""
+    if isinstance(obj, (np.ndarray, memoryview)):
+        yield obj
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, entropy.DecodeTable):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+    elif isinstance(obj, entropy.DecodeTable):
+        yield obj.symbol
+        yield obj.advance
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+
+
+class TestPlanLayout:
+    """quantizer.plan_layout: what serving derives from a stage plan is built
+    once per (model, plan), kept read-only on the model, and changes no byte."""
+
+    @pytest.fixture(params=["plain", "ec"])
+    def pair(self, request, model, table, ec_model, ec_table):
+        # a copy of the shared model, so the memo starts empty
+        m, tab = (model, table) if request.param == "plain" else (ec_model, ec_table)
+        return dataclasses.replace(m), tab
+
+    def test_one_build_serves_every_payload_at_one_budget(self, tmp_path, monkeypatch, pair,
+                                                          corr_data):
+        m, tab = pair
+        builds, orders, decode_tables = [], [], []
+        build, order, decode_table = (quantizer._build_layout, quantizer.field_order,
+                                      bitstream.decode_table)
+        monkeypatch.setattr(quantizer, "_build_layout",
+                            lambda model, stages: builds.append(stages) or build(model, stages))
+        monkeypatch.setattr(quantizer, "field_order",
+                            lambda *a: orders.append(a) or order(*a))
+        monkeypatch.setattr(bitstream, "decode_table",
+                            lambda code: decode_tables.append(code) or decode_table(code))
+        path = str(tmp_path / "p.msvp")
+        for k in range(6):
+            info = bitstream.write_payload(path, m, 7, tab, corr_data[50 * k:50 * k + 50], 30)
+            bitstream.read_payload(path, m, 7, tab)
+        assert len(builds) == len(orders) == 1
+        n_fields = int(info.plan.stages.sum())
+        assert n_fields > 0
+        assert len(decode_tables) == (n_fields if m.ec_enabled else 0)
+
+    def test_every_plan_matches_an_uncached_model(self, tmp_path, pair, corr_data):
+        m, tab = pair
+        data = corr_data[:300]
+        full = int(m.layout.bits.sum()) + 1
+        # alternating budgets, the zero-field and full plans, and (under EC)
+        # strict writes whose undo sends an explicit plan
+        runs = [(30, False), (12, False), (30, False), (0, False), (full, False),
+                (20, True), (12, False), (30, True), (full, False), (0, False), (20, True)]
+        explicit = set()
+        for k, (b_cap, strict) in enumerate(runs):
+            cached, fresh = str(tmp_path / f"c{k}.msvp"), str(tmp_path / f"f{k}.msvp")
+            info = bitstream.write_payload(cached, m, 7, tab, data, b_cap, strict=strict)
+            want = bitstream.write_payload(fresh, dataclasses.replace(m), 7, tab, data, b_cap,
+                                           strict=strict)
+            assert open(cached, "rb").read() == open(fresh, "rb").read()
+            assert np.array_equal(info.bits_per_vector, want.bits_per_vector)
+            explicit.add(info.mode)
+            z_hat, rx = bitstream.read_payload(cached, m, 7, tab)
+            z_want, _ = bitstream.read_payload(cached, dataclasses.replace(m), 7, tab)
+            assert z_hat.tobytes() == z_want.tobytes()
+            assert np.array_equal(rx.plan.stages, info.plan.stages)
+        assert bitstream.MODE_EXPLICIT in explicit or not m.ec_enabled
+
+    def test_a_stage_vector_is_keyed_by_contents(self, pair, corr_data):
+        m, _ = pair
+        data = corr_data[:40]
+        stages = np.full(m.layout.n_sub, m.layout.t_max, dtype=np.int64)
+        plan = quantizer.SelectionPlan(stages=stages)  # writeable: the caller may change it
+        deep = quantizer.encode_fields(m, data, plan)
+        z_deep = quantizer.decode_batch(m, deep, plan)
+        stages[::2] = 1  # the same array object, now a shallower plan
+        shallow = quantizer.encode_fields(m, data, plan)
+        fresh = dataclasses.replace(m)
+        assert np.array_equal(shallow, quantizer.encode_fields(fresh, data, plan))
+        assert shallow.shape[1] == int(stages.sum())
+        z_shallow = quantizer.decode_batch(m, shallow, plan)
+        assert z_shallow.tobytes() == quantizer.decode_batch(fresh, shallow, plan).tobytes()
+        assert not np.array_equal(z_shallow, z_deep)
+        assert quantizer.plan_layout(m, stages).stages is not stages  # the memo keeps a copy
+
+    def test_every_layout_array_is_read_only(self, pair):
+        m, _ = pair
+        stages = np.array([3, 2, 0, 1])
+        layout = quantizer.plan_layout(m, stages)
+        assert layout is quantizer.plan_layout(m, stages.copy())
+        arrays = list(_arrays(layout))
+        assert len(arrays) > 10
+        for a in arrays:
+            if isinstance(a, memoryview):
+                assert a.readonly
+                with pytest.raises(TypeError):
+                    a[0] = 0
+            elif a.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    a.flat[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layout.exact_bits = 0
+
+    def test_hostile_budgets_cannot_grow_the_layout_memo(self, tmp_path):
+        lay = make_layout(128, 2, [4, 3, 2])
+        toy = make_toy_model(lay, np.random.default_rng(0))
+        data = np.random.default_rng(1).normal(size=(64, lay.m_dim))
+        tab = rate.build_table(toy, data)
+        path = tmp_path / "head.msvp"
+        bitstream.write_payload(str(path), toy, 7, tab, data[:1], b_cap=0)
+        head = bytearray(path.read_bytes())
+        payloads = []
+        for b_cap in range(1, 1001):  # one vector of all-zero indices under each plan
+            stages = rate.greedy_order(tab, float(b_cap))[0]
+            head[16:20] = b_cap.to_bytes(4, "little")
+            head[24:28] = zlib.crc32(bytes(head[:24])).to_bytes(4, "little")
+            path = tmp_path / f"b{b_cap}.msvp"
+            block = (quantizer.exact_bit_total(lay, stages) + 7) // 8
+            path.write_bytes(bytes(head) + bytes(block))
+            payloads.append((str(path), stages))
+        assert len({stages.tobytes() for _, stages in payloads}) > 500
+        toy = dataclasses.replace(toy)  # a model with an empty memo
+
+        def retained():
+            # numpy array data that serving allocated and still holds; numpy's
+            # cache of dims and strides keeps freed blocks traced in the default
+            # domain, so only its own data domain gives exact totals
+            gc.collect()
+            snap = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+            return sum(t.size for t in snap.filter_traces(
+                [tracemalloc.Filter(True, f) for f in (quantizer.__file__, entropy.__file__,
+                                                       bitstream.__file__)]).traces)
+
+        tracemalloc.start()
+        try:
+            bitstream.read_payload(payloads[-1][0], toy, 7, tab)
+            one = retained()  # the model's layout memo of the last budget's plan
+            for path, stages in payloads:
+                z_hat, info = bitstream.read_payload(path, toy, 7, tab)
+                assert np.array_equal(info.plan.stages, stages)
+            del z_hat, info
+            many = retained()
+        finally:
+            tracemalloc.stop()
+        assert one > 0
+        assert many == one
+
+    def test_threads_share_the_memo_like_serial_reads(self, tmp_path, pair, corr_data):
+        m, tab = pair
+        paths = []
+        for k, (b_cap, strict) in enumerate([(12, False), (30, False), (20, True), (0, False)]):
+            path = str(tmp_path / f"p{k}.msvp")
+            bitstream.write_payload(path, m, 7, tab, corr_data[:60], b_cap, strict=strict)
+            paths.append(path)
+        jobs = [paths[i % len(paths)] for i in range(64)]
+
+        def read(path):
+            z_hat, info = bitstream.read_payload(path, m, 7, tab)
+            return info.plan.stages.tolist(), z_hat.tobytes()
+
+        serial = [read(path) for path in jobs]
+        assert len({stages for stages, _ in ((tuple(a), b) for a, b in serial)}) == len(paths)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = quantizer.map_workers(read, jobs, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+
 def _golden_ec_pair():
     """A freshly loaded golden EC model (no code state built yet), its digest
     and its table."""
@@ -570,7 +745,7 @@ def test_code_state_is_built_once_per_model(tmp_path, monkeypatch):
     for _ in range(2):
         info = bitstream.write_payload(path, model, digest, table, data, b_cap=30)
         bitstream.read_payload(path, model, digest, table)
-    sub, stage, _ = quantizer.field_order(info.plan.stages)
+    sub, stage = quantizer.field_order(info.plan.stages)
     used = set(zip(model.layout.group_of[sub].tolist(), stage.tolist()))
     assert 1 < len(used) < model.n_groups * model.t_max
     assert built == {"codes": model.n_groups * model.t_max, "tables": len(used)}

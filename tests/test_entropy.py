@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import encoded_usage, make_layout
@@ -142,16 +142,16 @@ class TestPackingKernels:
         rng = np.random.default_rng(2)
         widths = rng.integers(1, 17, 50)
         symbols = rng.integers(0, 1 << widths, size=(7, 50))
-        blocks = entropy.pack_fixed(symbols, widths)
+        blocks = entropy.pack_fixed(symbols, entropy.fixed_plan(widths))
         assert blocks.shape == (7, (int(widths.sum()) + 7) // 8)
         rows = [list(zip(row.tolist(), widths.tolist())) for row in symbols]
         assert blocks.tobytes() == _reference_pack(rows)
-        assert np.array_equal(entropy.unpack_fixed(blocks, widths), symbols)
+        assert np.array_equal(entropy.unpack_fixed(blocks, entropy.fixed_plan(widths)), symbols)
 
     def test_fixed_unpack_ignores_padding(self):
         widths = [3, 2]
         blocks = np.array([[0b10101111]], dtype=np.uint8)
-        assert entropy.unpack_fixed(blocks, widths).tolist() == [[5, 1]]
+        assert entropy.unpack_fixed(blocks, entropy.fixed_plan(widths)).tolist() == [[5, 1]]
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(0, 9),
@@ -161,7 +161,7 @@ class TestPackingKernels:
         widths = np.array(widths, dtype=np.int64)
         # up to 8 bits above each field's width, which pack must drop
         symbols = rng.integers(0, 1 << (widths + 8), size=(rows, widths.size))
-        blocks = entropy.pack_fixed(symbols, widths)
+        blocks = entropy.pack_fixed(symbols, entropy.fixed_plan(widths))
         assert blocks.dtype == np.uint8
         assert blocks.shape == (rows, (int(widths.sum()) + 7) // 8)
         fields = [list(zip(row.tolist(), widths.tolist())) for row in symbols]
@@ -171,7 +171,7 @@ class TestPackingKernels:
         noisy = blocks.copy()
         if padding:
             noisy[:, -1] |= rng.integers(0, 1 << padding, size=rows).astype(np.uint8)
-        got = entropy.unpack_fixed(noisy, widths)
+        got = entropy.unpack_fixed(noisy, entropy.fixed_plan(widths))
         width = int(widths.max(initial=1))
         assert got.dtype == next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
                                  if np.iinfo(t).bits >= width)
@@ -184,11 +184,12 @@ class TestPackingKernels:
         widths = np.full(n_fields, 8)
         symbols = np.random.default_rng(3).integers(0, 256, size=(ROW_CHUNK, n_fields),
                                                     dtype=np.uint8)
-        blocks = entropy.pack_fixed(symbols, widths)
+        plan = entropy.fixed_plan(widths)
+        blocks = entropy.pack_fixed(symbols, plan)
         for kernel, arg in ((entropy.pack_fixed, symbols), (entropy.unpack_fixed, blocks)):
             tracemalloc.start()
             try:
-                kernel(arg, widths)
+                kernel(arg, plan)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -205,10 +206,38 @@ class TestPackingKernels:
         packed = entropy.pack_prefix(symbols, codes).tobytes()
         assert packed == _reference_pack(rows)
         tables = [entropy.decode_table(c) for c in codes]
-        got, bits, end = entropy.unpack_prefix(b"\x00" + packed, 30, tables, offset=1)
+        got, bits, end = entropy.unpack_prefix(b"\x00" + packed, 30,
+                                               entropy.prefix_decoder(tables), offset=1)
         assert np.array_equal(got, symbols)
         assert bits.tolist() == [sum(n for _, n in row) for row in rows]
         assert end == 1 + len(packed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(0, 70),
+           n_fields=st.integers(0, 12), shortest=st.integers(1, entropy.MAX_CODE_LENGTH))
+    @example(seed=1, rows=0, n_fields=4, shortest=1)
+    @example(seed=2, rows=5, n_fields=0, shortest=1)
+    @example(seed=3, rows=3, n_fields=3, shortest=24)  # rows of 72 bits and more
+    @example(seed=4, rows=66, n_fields=5, shortest=27)  # rows of 135 bits and more
+    def test_prefix_rows_match_the_scalar_packer(self, seed, rows, n_fields, shortest):
+        """Random canonical codes, codewords up to MAX_CODE_LENGTH bits: pack_prefix
+        equals the scalar packer, and both unpack paths give the symbols back."""
+        rng = np.random.default_rng(seed)
+        codes = [_random_code(rng, shortest) for _ in range(n_fields)]
+        symbols = np.zeros((rows, n_fields), dtype=np.int64)
+        for f, code in enumerate(codes):
+            symbols[:, f] = rng.integers(code.size, size=rows)
+        fields = [[(int(c.codes[s]), int(c.lengths[s])) for c, s in zip(codes, row)]
+                  for row in symbols]
+        packed = entropy.pack_prefix(symbols, codes)
+        assert packed.dtype == np.uint8
+        assert packed.tobytes() == _reference_pack(fields)
+        tables = [entropy.decode_table(c) for c in codes]
+        for speculative in (True, False):
+            got, bits, end = _decode(packed.tobytes(), rows, tables, speculative=speculative)
+            assert np.array_equal(got, symbols) and got.shape == symbols.shape
+            assert bits.tolist() == [sum(n for _, n in row) for row in fields]
+            assert end == packed.size
 
     def test_codes_longer_than_the_lookup(self):
         lengths = np.r_[np.arange(1, 21), 20]  # Kraft sum exactly 1
@@ -218,14 +247,16 @@ class TestPackingKernels:
         assert table is entropy.decode_table(code)  # built once per code
         stream = np.random.default_rng(6).integers(lengths.size, size=200)
         payload = entropy.pack_prefix(stream[None, :], [code] * stream.size).tobytes()
-        got, _, end = entropy.unpack_prefix(payload, 1, [table] * stream.size)
+        decoder = entropy.prefix_decoder([table] * stream.size)
+        got, _, end = entropy.unpack_prefix(payload, 1, decoder)
         assert got[0].tolist() == stream.tolist()
         assert end == len(payload)
 
     def test_prefix_truncation_reports_offset(self):
         table = entropy.decode_table(entropy.canonical_code(np.array([1, 2, 2])))
         with pytest.raises(CorruptionError, match="bit offset 9"):
-            entropy.unpack_prefix(b"\xff", 1, [table] * 5)  # 4 codewords fill the byte
+            # 4 codewords fill the byte
+            entropy.unpack_prefix(b"\xff", 1, entropy.prefix_decoder([table] * 5))
 
 
 class TestIndexStreams:
@@ -235,7 +266,8 @@ class TestIndexStreams:
     def _round_trip(symbols, codes):
         payload = entropy.pack_prefix(np.array([symbols], dtype=np.int64).reshape(1, -1),
                                       codes).tobytes()
-        got, _, end = entropy.unpack_prefix(payload, 1, [entropy.decode_table(c) for c in codes])
+        decoder = entropy.prefix_decoder([entropy.decode_table(c) for c in codes])
+        got, _, end = entropy.unpack_prefix(payload, 1, decoder)
         assert end == len(payload)
         return payload, got[0].tolist()
 
@@ -264,7 +296,17 @@ class TestIndexStreams:
     def test_invalid_prefix_raises_with_offset(self):
         incomplete = entropy.canonical_code(np.array([2, 2, 2]))  # Kraft sum 3/4
         with pytest.raises(CorruptionError, match="bit offset"):
-            entropy.unpack_prefix(b"\xff", 1, [entropy.decode_table(incomplete)])
+            entropy.unpack_prefix(b"\xff", 1,
+                                  entropy.prefix_decoder([entropy.decode_table(incomplete)]))
+
+
+def _random_code(rng, shortest):
+    """A canonical code of 1 to 40 codewords of shortest to MAX_CODE_LENGTH bits
+    whose lengths obey Kraft's inequality."""
+    lengths = rng.integers(shortest, entropy.MAX_CODE_LENGTH + 1, size=int(rng.integers(1, 41)))
+    while entropy.kraft_sum(lengths) > 1.0:
+        lengths[rng.choice(np.flatnonzero(lengths < entropy.MAX_CODE_LENGTH))] += 1
+    return entropy.canonical_code(lengths)
 
 
 LONG_CODE = np.r_[np.arange(1, 21), 20]  # Kraft sum 1; codewords up to 20 bits
@@ -272,11 +314,13 @@ LONG_CODE = np.r_[np.arange(1, 21), 20]  # Kraft sum 1; codewords up to 20 bits
 
 def _decode(data, rows, tables, offset=0, speculative=True):
     """unpack_prefix forced onto the speculative path, or onto the scalar loop
-    alone (the reference), whatever the input size; errors come back as text."""
+    alone (the reference), whatever the input size and row width; errors come
+    back as text."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(entropy, "_SPECULATIVE_MIN_ROWS", 0 if speculative else sys.maxsize)
+        mp.setattr(entropy, "_SPECULATIVE_MAX_ROW_BYTES", sys.maxsize)
         try:
-            return entropy.unpack_prefix(data, rows, tables, offset)
+            return entropy.unpack_prefix(data, rows, entropy.prefix_decoder(tables), offset)
         except CorruptionError as exc:
             return str(exc)
 
@@ -398,7 +442,7 @@ class TestSpeculativeDecode:
             data = entropy.pack_prefix(symbols, codes).tobytes()
             tracemalloc.start()
             try:
-                got, bits, _ = entropy.unpack_prefix(data, rows, tables)
+                got, bits, _ = entropy.unpack_prefix(data, rows, entropy.prefix_decoder(tables))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -442,9 +486,53 @@ class TestSpeculativeDecode:
         scalar = entropy._decode_rows
         monkeypatch.setattr(entropy, "_decode_rows",
                             lambda *args: scalar_calls.append(args) or scalar(*args))
-        got, _, end = entropy.unpack_prefix(data, len(symbols), tables)
+        got, _, end = entropy.unpack_prefix(data, len(symbols), entropy.prefix_decoder(tables))
         assert np.array_equal(got, symbols) and end == len(data)
         assert scalar_calls == []
+
+    def test_the_path_follows_the_bytes_per_row(self, monkeypatch):
+        """Speculation costs O(F x body bytes): at one row count, narrow rows take
+        the speculative pass and rows of more than _SPECULATIVE_MAX_ROW_BYTES
+        body bytes on average the scalar loop."""
+        rng = np.random.default_rng(12)
+        code = entropy.build_code(rng.dirichlet(np.full(64, 2.0)))
+        table = entropy.decode_table(code)
+        calls = []
+        speculate = entropy._speculate
+        monkeypatch.setattr(entropy, "_speculate",
+                            lambda *a: calls.append(a[4]) or speculate(*a))
+        for n_fields, speculative in ((12, True), (200, False)):
+            symbols = rng.integers(64, size=(300, n_fields))
+            data = entropy.pack_prefix(symbols, [code] * n_fields).tobytes()
+            wide = len(data) > 300 * entropy._SPECULATIVE_MAX_ROW_BYTES
+            assert wide != speculative
+            calls.clear()
+            decoder = entropy.prefix_decoder([table] * n_fields)
+            got, _, end = entropy.unpack_prefix(data, 300, decoder)
+            assert np.array_equal(got, symbols) and end == len(data)
+            assert calls == ([300] if speculative else [])
+
+    def test_wide_rows_decode_in_bounded_memory(self):
+        """The scalar loop decodes wide rows a batch at a time, so what it holds
+        beyond its output does not grow with the row count."""
+        rng = np.random.default_rng(13)
+        code = entropy.build_code(rng.dirichlet(np.full(64, 2.0)))
+        decoder = entropy.prefix_decoder([entropy.decode_table(code)] * 200)
+        peaks = []
+        for rows in (300, 1200):
+            symbols = rng.integers(64, size=(rows, 200))
+            data = entropy.pack_prefix(symbols, [code] * 200).tobytes()
+            assert len(data) > rows * entropy._SPECULATIVE_MAX_ROW_BYTES
+            tracemalloc.start()
+            try:
+                got, _, _ = entropy.unpack_prefix(data, rows, decoder)
+                peaks.append(tracemalloc.get_traced_memory()[1] - got.nbytes - 8 * rows)
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(got, symbols)
+        # the words of one batch: about _SPECULATIVE_WINDOW Python ints
+        assert peaks[1] < peaks[0] + 100_000
+        assert max(peaks) < 80 * entropy._SPECULATIVE_WINDOW
 
     def test_truncation_at_every_byte_matches_the_scalar_loop(self):
         rng = np.random.default_rng(3)

@@ -11,7 +11,10 @@ the pool. Each of two rules has one owner: quantizer.map_workers resolves and
 checks every worker count, and layout.assemble_layout alone checks bit
 matrices. Plans are derived in two places only: the table's memo
 (MarginalLossTable.plan), which every serving path goes through, and the CLI's
-verify command, whose budget sweep checks the uncached derivation.
+verify command, whose budget sweep checks the uncached derivation. A plan's
+field order and fixed-width packing are derived only where its serving
+layout is made (quantizer.plan_layout keeps one per model), apart from the
+explicit plan's header, which is packed at its own widths.
 """
 
 import ast
@@ -121,6 +124,11 @@ ONE_OWNER = {
     "validate_bits": {("layout", "assemble_layout")},
     # a serving path that re-solved the plan per payload would load it elsewhere
     "greedy_order": {("rate", "plan"), ("cli", "_cmd_verify")},
+    # serving reads a plan's field order and fixed-width packing from the
+    # plan's layout, which _build_layout alone makes once per (model, plan); the
+    # explicit plan's header packs one stage count per sub-vector, not a plan
+    "field_order": {("quantizer", "_build_layout")},
+    "fixed_plan": {("quantizer", "_build_layout"), ("bitstream", "_plan_header")},
 }
 
 

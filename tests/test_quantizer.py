@@ -123,11 +123,14 @@ class TestPlans:
             quantizer.plan_from_stages(model.layout, [4, 0, 0, 0])
 
     def test_field_order_and_columns_in_a_deeper_plan(self):
-        sub, stage, column = quantizer.field_order([2, 0, 3], within=[3, 1, 3])
+        sub, stage = quantizer.field_order([2, 0, 3])
         assert sub.tolist() == [0, 0, 2, 2, 2]
         assert stage.tolist() == [0, 1, 0, 1, 2]
-        assert column.tolist() == [0, 1, 4, 5, 6]
-        assert quantizer.field_order([2, 0, 3])[2].tolist() == [0, 1, 2, 3, 4]
+        toy = make_toy_model(make_layout(3, 1, [2, 2, 2]), np.random.default_rng(0))
+        deeper = quantizer.plan_layout(toy, [3, 1, 3])
+        assert quantizer.plan_layout(toy, [2, 0, 3]).columns_in(deeper).tolist() == \
+            [0, 1, 4, 5, 6]
+        assert deeper.columns_in(deeper).tolist() == list(range(7))
 
     def test_plan_leaves_callers_stage_array_writeable(self, model):
         stages = np.array([3, 2, 1, 0], dtype=np.int64)
@@ -427,7 +430,7 @@ class TestOneBlockPerGroupAndChunk:
 
 
 def random_fields(lay, plan, rows, seed):
-    sub, stage, _ = quantizer.field_order(plan.stages)
+    sub, stage = quantizer.field_order(plan.stages)
     sizes = 1 << lay.bits[sub, stage]
     return np.random.default_rng(seed).integers(0, sizes, size=(rows, sub.size), dtype=np.uint8)
 

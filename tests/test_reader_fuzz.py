@@ -49,7 +49,7 @@ def _explicit_payload(model, digest, data, stages) -> bytes:
     lay = model.layout
     plan = quantizer.plan_from_stages(lay, stages)
     symbols = quantizer.encode_fields(model, data, plan)
-    sub, stage, _ = quantizer.field_order(plan.stages)
+    sub, stage = quantizer.field_order(plan.stages)
     head = (bitstream.PAYLOAD_MAGIC + (1).to_bytes(2, "little")
             + bytes([bitstream.MODE_EXPLICIT, 0]) + digest.to_bytes(8, "little")
             + (0).to_bytes(4, "little") + len(data).to_bytes(4, "little"))
