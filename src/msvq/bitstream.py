@@ -16,21 +16,24 @@ decode_batch reads, its columns in quantizer.field_order's order; it goes
 through the packing kernels of the entropy module a row chunk at a time.
 Writing a payload only encodes: it never rebuilds Z_hat. Whatever a payload
 derives from its plan alone (field widths and the fixed-width packing plan,
-or under EC the fields' codes and decoder, and the exact bit total) comes
-from the plan's serving layout, which the model keeps for the last plan it
-served (quantizer.plan_layout), so a stream at one budget builds it once.
-The format is unchanged by it.
+or under EC the fields' prefix encoder and decoder, and the exact bit total)
+comes from the plan's serving layout, which the model keeps for the last plan
+it served (quantizer.plan_layout), so a stream at one budget builds it once.
+The format is unchanged by it. Writing packs the row chunks on the worker
+pool, with the caller's worker count, as encoding does. Each vector's bits
+come from packing it: a fixed-width vector's are the plan's exact bits, and
+under EC the packer gathers each field's code length once per payload (a
+strict write whose undo needs each field's bits gathers them once before).
 Under a plain model every vector's block is ceil(exact_bits / 8) bytes, so the
 reader checks the exact body length before decoding; under an EC model every
 vector with at least one field takes at least one byte, which bounds the
 header's vector count. Either check runs before anything sized by that count
 is allocated. An EC body is decoded by entropy.unpack_prefix, which decodes
 a window of candidate vector starts at once and falls back to one symbol per
-step only for the vectors its lookup cannot settle. The canonical codes, their
-decode tables and the code-length lookup are built once per loaded model and
-kept with it (MsvqModel.huffman_codes, MsvqModel.padded_code_lengths); a
-plan's decoder, built through decode_table by field_decoder, is kept in its
-serving layout.
+step only for the vectors its lookup cannot settle. The canonical codes and
+their decode tables are built once per loaded model and kept with it
+(MsvqModel.huffman_codes); a plan's encoder, and its decoder, built through
+decode_table by field_decoder, are kept in its serving layout.
 """
 
 from __future__ import annotations
@@ -375,12 +378,13 @@ def field_code_bits(model: MsvqModel, stages: np.ndarray, symbols: np.ndarray) -
     """(rows, F) transmitted bits of each field of a stage vector's field matrix.
 
     Fixed widths under a plain model (a read-only broadcast), the symbols' code
-    lengths under an EC one; a row sums to its vector's bits before padding.
+    lengths under an EC one, one gather from the plan's PrefixEncoder; a row
+    sums to its vector's bits before padding.
     """
     pl = plan_layout(model, stages)
     if not model.ec_enabled:
         return np.broadcast_to(pl.widths, symbols.shape)
-    return pl.code_lengths[np.arange(pl.sub.size), symbols]
+    return np.take(pl.encoder.lengths, symbols + pl.encoder.offset)
 
 
 def write_payload(
@@ -398,7 +402,10 @@ def write_payload(
     With strict=True, greedy increments are undone (lowest priority first)
     until every vector's realized bit count fits b_cap; the adjusted plan is
     then carried explicitly in the header. encode_fields checks the data, so
-    the feature matrix is scanned once.
+    the feature matrix is scanned once. The row chunks are encoded, then
+    packed, on a pool of `threads` workers; the bytes do not depend on it.
+    bits_per_vector comes from the packing: the plan's exact bits under a
+    plain model, and under EC the code lengths the packer gathers.
     """
     check_table(model, table)
     b_cap = int(b_cap)
@@ -414,21 +421,30 @@ def write_payload(
     pl = plan_layout(model, greedy)
     symbols = encode_fields(model, data, plan, threads=threads)
     rows = symbols.shape[0]
-    bits = field_code_bits(model, greedy, symbols)
-    bits_rows = bits.sum(axis=1)
 
     mode = MODE_DERIVED
-    if strict and bits_rows.max(initial=0) > b_cap:
-        stages = greedy.copy()  # the memo's stages are shared and read-only
-        for i_undo in reversed(order):
-            if bits_rows.max(initial=0) <= b_cap:
-                break
-            stages[i_undo] -= 1
-            bits_rows -= bits[:, pl.start[i_undo] + stages[i_undo]]
-        plan = plan_from_stages(lay, stages)
-        greedy_pl, pl = pl, plan_layout(model, plan.stages)
-        symbols = symbols[:, pl.columns_in(greedy_pl)]
-        mode = MODE_EXPLICIT
+    if strict:
+        bits = field_code_bits(model, greedy, symbols)
+        bits_rows = bits.sum(axis=1)
+        if bits_rows.max(initial=0) > b_cap:
+            stages = greedy.copy()  # the memo's stages are shared and read-only
+            for i_undo in reversed(order):
+                if bits_rows.max(initial=0) <= b_cap:
+                    break
+                stages[i_undo] -= 1
+                bits_rows -= bits[:, pl.start[i_undo] + stages[i_undo]]
+            plan = plan_from_stages(lay, stages)
+            greedy_pl, pl = pl, plan_layout(model, plan.stages)
+            symbols = symbols[:, pl.columns_in(greedy_pl)]
+            mode = MODE_EXPLICIT
+
+    if model.ec_enabled:
+        packed = map_row_chunks(lambda s: pack_prefix(symbols[s], pl.encoder), rows, threads)
+        chunks = [block for block, _ in packed]
+        bits_rows = np.concatenate([row_bits for _, row_bits in packed])
+    else:
+        chunks = map_row_chunks(lambda s: pack_fixed(symbols[s], pl.packing), rows, threads)
+        bits_rows = np.full(rows, pl.exact_bits, dtype=np.int64)
 
     with open(path, "wb") as fh:
         head = _PAYLOAD_HEAD.pack(PAYLOAD_MAGIC, PAYLOAD_VERSION, mode, 0,
@@ -437,8 +453,7 @@ def write_payload(
         fh.write(_PAYLOAD_CRC.pack(zlib.crc32(head)))
         if mode == MODE_EXPLICIT:
             fh.write(pack_fixed(plan.stages[None, :], _plan_header(lay)).tobytes())
-        pack, coding = (pack_prefix, pl.codes) if model.ec_enabled else (pack_fixed, pl.packing)
-        fh.writelines(map_row_chunks(lambda s: pack(symbols[s], coding).tobytes(), rows))
+        fh.writelines(chunks)
 
     return PayloadInfo(mode=mode, model_digest=model_digest, b_cap=b_cap, count=rows,
                        plan=plan, bits_per_vector=bits_rows)
@@ -486,7 +501,7 @@ def read_payload(
     count, body = head.count, len(blob) - pos
     if model.ec_enabled:
         # every vector with at least one field takes at least one byte
-        if len(pl.codes) and count > body:
+        if pl.sub.size and count > body:
             raise CorruptionError(f"{path}: header claims {count} vectors, only {body} "
                                   f"bytes of vector data follow")
         symbols, bits_rows, end = unpack_prefix(blob, count, pl.decoder, pos)

@@ -156,14 +156,6 @@ class MsvqModel:
                      for books in self.codebooks)
 
     @cached_property
-    def padded_code_lengths(self) -> np.ndarray:
-        """(G, T, K) code length of every codeword (EC models only), K being
-        the largest codebook's size; zero past a smaller codebook's end."""
-        k = max(cb.size for books in self.codebooks for cb in books)
-        return np.array([[np.pad(cb.code_lengths, (0, k - cb.size)) for cb in books]
-                         for books in self.codebooks])
-
-    @cached_property
     def stage_tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per stage t, (table, offsets): every group's stage-t codebook stacked
         into one float64 table, group g's codewords starting at row offsets[g].

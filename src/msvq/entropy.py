@@ -9,8 +9,9 @@ row per vector and one column per transmitted (sub-vector, stage) field, in
 the order quantizer.field_order gives; every row becomes its own byte-aligned
 block. They are the only packing code: MSVP payloads go through them a row
 chunk at a time. What they derive from the fields alone is built once, as a
-FixedPlan (fixed_plan) or a PrefixDecoder (prefix_decoder), and a plan's
-serving layout (quantizer.plan_layout) keeps it, so a call only moves bits.
+FixedPlan (fixed_plan), a PrefixEncoder (prefix_encoder) or a PrefixDecoder
+(prefix_decoder), and a plan's serving layout (quantizer.plan_layout) keeps
+it, so a call only moves bits.
 
 * Fixed-length fields (pack_fixed/unpack_fixed) sit at the same bits of every
   row, so both work a field, not a bit, at a time (Lemire & Boytsov 2015,
@@ -19,9 +20,15 @@ serving layout (quantizer.plan_layout) keeps it, so a call only moves bits.
   first byte: unpack gathers that window and shifts and masks the field out,
   and pack ORs each byte of the block from the window bytes of the at most 8
   fields that hold its bits.
-* Prefix-coded fields (pack_prefix) take their bit offsets from cumulative
-  code lengths; each codeword's byte contributions are summed into the output
-  in at most five vectorized passes.
+* Prefix-coded fields (pack_prefix) are packed a 32-bit word at a time, in
+  row blocks whose scratch is bounded in bytes. A PrefixEncoder stacks every
+  field's codewords and lengths in one table, so a block's codewords and
+  their lengths are one gather each; the lengths' running sum places every
+  codeword. A codeword (at most 32 bits) lies in the 64-bit big-endian window
+  of the two 32-bit words that end with the word holding its last bit, and
+  the codewords that end in one word, which touch disjoint bits, are OR-ed
+  into one window by np.bitwise_or.reduceat over the block. Each window's
+  low word is its own word, and its high word is OR-ed into the word before.
 * unpack_prefix is table-driven (Moffat & Turpin 1997, "On the
   implementation of minimum redundancy prefix codes"): the next LOOKUP_BITS
   bits index a table giving the symbol and its length, and a canonical
@@ -87,9 +94,10 @@ class HuffmanCode:
         return DecodeTable.build(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecodeTable:
-    """Lookup decoder for a canonical code.
+    """Lookup decoder for a canonical code; equal only to itself, as it
+    belongs to the one code it was built for.
 
     symbol[w] and length[w] give the codeword that starts the LOOKUP_BITS-bit
     window w, whatever the code's longest codeword; length is 0 when that
@@ -364,31 +372,90 @@ def unpack_fixed(blocks: np.ndarray, plan: FixedPlan) -> np.ndarray:
     return window.astype(plan.dtype, copy=False)
 
 
-def pack_prefix(symbols: np.ndarray, codes: Sequence[HuffmanCode]) -> np.ndarray:
-    """Prefix-code (rows, F) symbols, column f with codes[f], MSB-first.
+@dataclass(frozen=True)
+class PrefixEncoder:
+    """What pack_prefix needs of a block's fields; built by prefix_encoder.
 
-    Each row is zero-padded to a byte boundary; returns the packed bytes.
+    codes and lengths hold every field's codewords and their lengths end to
+    end, field f's from offset[f], so symbol s of field f is entry
+    offset[f] + s of both. step is the rows a block packs. Every array is
+    read-only.
+    """
+
+    codes: np.ndarray
+    lengths: np.ndarray
+    offset: np.ndarray
+    step: int
+
+
+def prefix_encoder(codes: Sequence[HuffmanCode], scratch: int) -> PrefixEncoder:
+    """The PrefixEncoder of blocks whose field f is coded by codes[f].
+
+    A block is max(1, scratch // (16 F)) rows, so each of pack_prefix's int64
+    (rows, F) temporaries takes at most half of `scratch` bytes.
+    """
+    sizes = [code.size for code in codes]
+    empty = [np.zeros(0, dtype=np.int64)]
+    return PrefixEncoder(
+        codes=freeze(np.concatenate(empty + [code.codes for code in codes])),
+        lengths=freeze(np.concatenate(empty + [code.lengths for code in codes])),
+        offset=freeze(np.cumsum([0] + sizes[:-1], dtype=np.int64)),
+        step=max(1, scratch // (16 * max(1, len(sizes)))))
+
+
+def pack_prefix(symbols: np.ndarray, encoder: PrefixEncoder) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix-code (rows, F) symbols with a PrefixEncoder, MSB-first.
+
+    Each row is zero-padded to a byte boundary. Returns (the packed bytes,
+    each row's bits before padding), like unpack_prefix's symbols and bits.
+    Rows are packed encoder.step at a time (_pack_block), so the scratch
+    beyond the output does not grow with the rows.
     """
     symbols = np.asarray(symbols)
-    values = np.empty(symbols.shape, dtype=np.int64)
-    lengths = np.empty(symbols.shape, dtype=np.int64)
-    for f, code in enumerate(codes):
-        values[:, f] = code.codes[symbols[:, f]]
-        lengths[:, f] = code.lengths[symbols[:, f]]
-    row_bytes = (lengths.sum(axis=1) + 7) >> 3
-    row_start = 8 * (np.cumsum(row_bytes) - row_bytes)
-    starts = (row_start[:, None] + np.cumsum(lengths, axis=1) - lengths).ravel()
-    # Left-align each codeword in the 40 bits from its first byte (lengths are
-    # capped at 32, so it ends within 5 bytes). Different codewords never
-    # share a bit, so summing their byte contributions equals OR-ing them.
-    aligned = values.ravel() << (40 - lengths.ravel() - (starts & 7))
-    first = starts >> 3
-    total = int(row_bytes.sum())
-    out = np.zeros(total + 5, dtype=np.float64)
-    for j in range((int(lengths.max(initial=0)) + 14) // 8):
-        out += np.bincount(first + j, weights=(aligned >> (32 - 8 * j)) & 0xFF,
-                           minlength=total + 5)
-    return out[:total].astype(np.uint8)
+    rows, n_fields = symbols.shape
+    row_bits = np.zeros(rows, dtype=np.int64)
+    step = encoder.step
+    blocks = [_pack_block(symbols[a:a + step], encoder, row_bits[a:a + step])
+              for a in range(0, rows if n_fields else 0, step)]
+    return np.concatenate([np.zeros(0, dtype=np.uint8)] + blocks), row_bits
+
+
+def _pack_block(symbols: np.ndarray, encoder: PrefixEncoder, bits: np.ndarray) -> np.ndarray:
+    """The packed bytes of a block of at least one row and one field; writes
+    each row's bits to `bits`. Its scratch is three int64 arrays the block's
+    shape and arrays the size of its words."""
+    index = symbols + encoder.offset
+    ends = np.take(encoder.lengths, index)
+    window = np.take(encoder.codes, index)
+    flat = ends.reshape(-1)
+    np.cumsum(flat, out=flat)  # the bits up to each codeword's end, rows unpadded
+    before = ends[:, -1]
+    bits[:] = before
+    bits[1:] -= before[:-1]
+    row_bytes = (bits + 7) >> 3
+    start = np.cumsum(row_bytes)
+    size = int(start[-1])
+    start -= row_bytes
+    ends += ((start << 3) - (before - bits))[:, None]  # each codeword's end bit
+    # each codeword at the end of the 64-bit window of the 32-bit word holding
+    # its last bit and the word before; below 2^63, as the shift is below 32
+    shift = np.negative(ends, out=index)  # the indices are spent
+    shift &= 31
+    window <<= shift
+    flat -= 1
+    flat >>= 5  # the word holding each codeword's last bit, non-decreasing
+    new = np.empty(flat.size, dtype=bool)  # the first codeword to end in its word
+    new[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=new[1:])
+    seg = np.flatnonzero(new)
+    merged = np.bitwise_or.reduceat(window.reshape(-1), seg)  # one window a word
+    word = flat[seg]
+    # words[w + 1] is word w; a window's high word holds bits only when one of
+    # its codewords started in the word before, so words[0] stays zero
+    words = np.zeros(((size + 3) >> 2) + 1, dtype=np.int64)
+    words[word + 1] = merged & 0xFFFFFFFF
+    words[word] |= merged >> 32
+    return words[1:].astype(">u4").view(np.uint8)[:size]
 
 
 def _be_words(data: bytes, start: int, n: int) -> list[int]:
@@ -424,12 +491,10 @@ def prefix_decoder(tables: Sequence[DecodeTable]) -> PrefixDecoder:
     """The PrefixDecoder of blocks whose field f is coded by tables[f]."""
     dtype = np.min_scalar_type(max((len(t.ordered) for t in tables), default=1) - 1)
     # fields that share a code share its table, stacked once
-    distinct = {id(t): t for t in tables}
-    rank = {key: j for j, key in enumerate(distinct)}
+    rank = {t: j for j, t in enumerate(dict.fromkeys(tables))}
     stacked = np.concatenate([np.zeros(0, dtype=np.uint32)]
-                             + [np.frombuffer(t.symbol, dtype=np.uint32)
-                                for t in distinct.values()])
-    column = np.array([rank[id(t)] << LOOKUP_BITS for t in tables], dtype=np.uint32)
+                             + [np.frombuffer(t.symbol, dtype=np.uint32) for t in rank])
+    column = np.array([rank[t] << LOOKUP_BITS for t in tables], dtype=np.uint32)
     return PrefixDecoder(
         steps=tuple((t.length, t.symbol, t) for t in tables),
         reach=(sum(t.max_length for t in tables) + 7) // 8 + 1, dtype=dtype,

@@ -9,11 +9,12 @@ adds Z_hat for callers that measure the reconstruction.
 
 Everything serving derives from a plan alone is one PlanLayout: the field
 order and each group's columns, the packing plan (fixed widths, or under EC
-the codes and their decoder), the bit total, and decode_batch's order, reach,
-base and coordinate map. Only _build_layout makes one, and it is the only
-caller of field_order, and of entropy.fixed_plan but for the explicit plan's
-header (tests/test_imports.py guards both); plan_layout keeps the last plan's
-layout on the model, read-only, so a stream at one budget builds it once.
+the fields' prefix encoder and decoder), the bit total, and decode_batch's
+order, reach, base and coordinate map. Only _build_layout makes one, and it
+is the only caller of field_order and entropy.prefix_encoder, and of
+entropy.fixed_plan but for the explicit plan's header (tests/test_imports.py
+guards all three); plan_layout keeps the last plan's layout on the model,
+read-only, so a stream at one budget builds it once.
 encode_fields, decode_batch and the bitstream module read it.
 
 walk_stages, the codec's one stage walk, only searches: each stage's kernel
@@ -52,7 +53,7 @@ from .codebook import (
     nearest_batch,
     nearest_rate_penalized_batch,
 )
-from .entropy import FixedPlan, PrefixDecoder, fixed_plan
+from .entropy import FixedPlan, PrefixDecoder, PrefixEncoder, fixed_plan, prefix_encoder
 from .errors import ConfigError, CorruptionError
 from .layout import check_features, freeze
 
@@ -123,14 +124,13 @@ class PlanLayout:
     exact_bits, a vector's fixed-length bits. Encoding: groups, per group its
     members' depths, its field columns and where they sit in the stage
     walk's indices. Packing: packing, the fixed-width FixedPlan (plain
-    models); under EC instead codes, each field's canonical code, decoder,
-    the PrefixDecoder of their decode tables, and code_lengths, the (F, K)
-    code length of each field's codewords. Decoding (decode_batch): the sub-vectors sorted
-    deepest first; reach, per stage, the field columns of the prefix it
-    reaches, their stage-table rows and the table; base, a block's starting
-    sums (the stored mean of each sub-vector with no stages, +0.0 for the
-    rest); to_coords, each coordinate's place in that order; and step, the
-    rows summed per block.
+    models); under EC instead encoder, the PrefixEncoder of the fields'
+    canonical codes, and decoder, the PrefixDecoder of their decode tables.
+    Decoding (decode_batch): the sub-vectors sorted deepest first; reach, per
+    stage, the field columns of the prefix it reaches, their stage-table rows
+    and the table; base, a block's starting sums (the stored mean of each
+    sub-vector with no stages, +0.0 for the rest); to_coords, each
+    coordinate's place in that order; and step, the rows summed per block.
     """
 
     stages: np.ndarray
@@ -142,9 +142,8 @@ class PlanLayout:
     exact_bits: int
     groups: tuple
     packing: FixedPlan | None
-    codes: tuple
+    encoder: PrefixEncoder | None
     decoder: PrefixDecoder | None
-    code_lengths: np.ndarray | None
     reach: tuple
     base: np.ndarray
     to_coords: np.ndarray
@@ -190,12 +189,11 @@ def _build_layout(model: MsvqModel, stages: np.ndarray) -> PlanLayout:
         cols = slice(*np.searchsorted(sub, [blk.start, blk.stop]).tolist())
         groups.append((stages[blk].tolist(), cols,
                        (freeze(sub[cols] - blk.start), slice(None), freeze(stage[cols]))))
-    codes, decoder, code_lengths = (), None, None
+    encoder, decoder = None, None
     if ec:
         books = model.huffman_codes
-        codes = tuple(books[g][t] for g, t in zip(lay.group_of[sub].tolist(), stage.tolist()))
-        decoder = field_decoder(codes)
-        code_lengths = freeze(model.padded_code_lengths[lay.group_of[sub], stage])
+        codes = [books[g][t] for g, t in zip(lay.group_of[sub].tolist(), stage.tolist())]
+        encoder, decoder = prefix_encoder(codes, SCORE_BYTES), field_decoder(codes)
 
     order = np.argsort(-stages, kind="stable")
     depth = stages[order]
@@ -214,8 +212,8 @@ def _build_layout(model: MsvqModel, stages: np.ndarray) -> PlanLayout:
     return PlanLayout(
         stages=stages, sub=freeze(sub), stage=freeze(stage), start=freeze(start),
         widths=freeze(widths), sizes=freeze(1 << widths), exact_bits=int(widths.sum()),
-        groups=tuple(groups), packing=None if ec else fixed_plan(widths), codes=codes,
-        decoder=decoder, code_lengths=code_lengths, reach=tuple(reach), base=freeze(base),
+        groups=tuple(groups), packing=None if ec else fixed_plan(widths), encoder=encoder,
+        decoder=decoder, reach=tuple(reach), base=freeze(base),
         to_coords=freeze(to_coords), step=max(1, SCORE_BYTES // (8 * lay.m_dim)))
 
 

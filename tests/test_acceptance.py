@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from msvq import bitstream, cli, datagen, entropy, layout, oracle, quantizer, rate, trainer
-from msvq.codebook import codeword_param_count
+from msvq.codebook import SCORE_BYTES, codeword_param_count
 
 DATA_SEED = 20260808
 TRAIN_SEED = 13
@@ -250,7 +250,8 @@ def test_criterion_7_entropy_round_trip_property_suite():
         table = entropy.decode_table(code)
         for _ in range(100):
             stream = rng.integers(k, size=int(rng.integers(0, 17)))
-            payload = entropy.pack_prefix(stream[None, :], [code] * stream.size).tobytes()
+            encoder = entropy.prefix_encoder([code] * stream.size, SCORE_BYTES)
+            payload = entropy.pack_prefix(stream[None, :], encoder)[0].tobytes()
             decoder = entropy.prefix_decoder([table] * stream.size)
             decoded, _, end = entropy.unpack_prefix(payload, 1, decoder)
             assert decoded[0].tolist() == stream.tolist()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import encoded_usage, make_layout
 from msvq import entropy
-from msvq.codebook import ROW_CHUNK, Codebook, MsvqModel
+from msvq.codebook import ROW_CHUNK, SCORE_BYTES, Codebook, MsvqModel
 from msvq.errors import CorruptionError, DataError
 
 
@@ -137,6 +137,33 @@ def _reference_pack(rows):
     return bytes(out)
 
 
+def _packed(symbols, codes) -> bytes:
+    """pack_prefix's bytes of a field matrix whose field f is coded by codes[f]."""
+    return entropy.pack_prefix(symbols, entropy.prefix_encoder(codes, SCORE_BYTES))[0].tobytes()
+
+
+def _check_prefix(symbols, codes, block):
+    """Pack symbols in blocks of `block` rows; assert the bytes equal the
+    scalar packer's and every SCORE_BYTES block's, the row bits the codeword
+    lengths' sums, and that both unpack paths give the symbols back."""
+    encoder = entropy.prefix_encoder(codes, 16 * max(1, len(codes)) * block)
+    assert encoder.step == block
+    packed, bits = entropy.pack_prefix(symbols, encoder)
+    fields = [[(int(c.codes[s]), int(c.lengths[s])) for c, s in zip(codes, row)]
+              for row in symbols]
+    assert packed.dtype == np.uint8
+    assert packed.tobytes() == _reference_pack(fields) == _packed(symbols, codes)
+    assert bits.dtype == np.int64
+    assert bits.tolist() == [sum(n for _, n in row) for row in fields]
+    tables = [entropy.decode_table(c) for c in codes]
+    for speculative in (True, False):
+        got, got_bits, end = _decode(packed.tobytes(), len(symbols), tables,
+                                     speculative=speculative)
+        assert np.array_equal(got, symbols) and got.shape == symbols.shape
+        assert np.array_equal(got_bits, bits)
+        assert end == packed.size
+
+
 class TestPackingKernels:
     def test_fixed_fields_round_trip(self):
         rng = np.random.default_rng(2)
@@ -203,7 +230,7 @@ class TestPackingKernels:
         symbols = np.stack([rng.integers(c.size, size=30) for c in codes], axis=1)
         rows = [[(int(c.codes[s]), int(c.lengths[s])) for c, s in zip(codes, row)]
                 for row in symbols]
-        packed = entropy.pack_prefix(symbols, codes).tobytes()
+        packed = _packed(symbols, codes)
         assert packed == _reference_pack(rows)
         tables = [entropy.decode_table(c) for c in codes]
         got, bits, end = entropy.unpack_prefix(b"\x00" + packed, 30,
@@ -214,30 +241,67 @@ class TestPackingKernels:
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(0, 70),
-           n_fields=st.integers(0, 12), shortest=st.integers(1, entropy.MAX_CODE_LENGTH))
-    @example(seed=1, rows=0, n_fields=4, shortest=1)
-    @example(seed=2, rows=5, n_fields=0, shortest=1)
-    @example(seed=3, rows=3, n_fields=3, shortest=24)  # rows of 72 bits and more
-    @example(seed=4, rows=66, n_fields=5, shortest=27)  # rows of 135 bits and more
-    def test_prefix_rows_match_the_scalar_packer(self, seed, rows, n_fields, shortest):
-        """Random canonical codes, codewords up to MAX_CODE_LENGTH bits: pack_prefix
-        equals the scalar packer, and both unpack paths give the symbols back."""
+           n_fields=st.integers(0, 12), shortest=st.integers(1, entropy.MAX_CODE_LENGTH),
+           block=st.integers(1, 80))
+    @example(seed=1, rows=0, n_fields=4, shortest=1, block=1)
+    @example(seed=2, rows=5, n_fields=0, shortest=1, block=1)
+    @example(seed=2, rows=0, n_fields=0, shortest=1, block=1)
+    @example(seed=3, rows=3, n_fields=3, shortest=24, block=80)  # rows of 72 bits and more
+    @example(seed=4, rows=66, n_fields=5, shortest=27, block=80)  # rows of 135 bits and more
+    @example(seed=5, rows=70, n_fields=12, shortest=1, block=3)  # 24 blocks, the last short
+    @example(seed=6, rows=9, n_fields=1, shortest=32, block=4)  # one 32-bit codeword a row
+    @example(seed=7, rows=40, n_fields=7, shortest=20, block=1)  # one row a block
+    def test_prefix_rows_match_the_scalar_packer(self, seed, rows, n_fields, shortest, block):
+        """Random canonical codes, codewords up to MAX_CODE_LENGTH bits, packed
+        in blocks of `block` rows: pack_prefix equals the scalar packer, and
+        both unpack paths give the symbols back."""
         rng = np.random.default_rng(seed)
         codes = [_random_code(rng, shortest) for _ in range(n_fields)]
         symbols = np.zeros((rows, n_fields), dtype=np.int64)
         for f, code in enumerate(codes):
             symbols[:, f] = rng.integers(code.size, size=rows)
-        fields = [[(int(c.codes[s]), int(c.lengths[s])) for c, s in zip(codes, row)]
-                  for row in symbols]
-        packed = entropy.pack_prefix(symbols, codes)
-        assert packed.dtype == np.uint8
-        assert packed.tobytes() == _reference_pack(fields)
-        tables = [entropy.decode_table(c) for c in codes]
-        for speculative in (True, False):
-            got, bits, end = _decode(packed.tobytes(), rows, tables, speculative=speculative)
-            assert np.array_equal(got, symbols) and got.shape == symbols.shape
-            assert bits.tolist() == [sum(n for _, n in row) for row in fields]
-            assert end == packed.size
+        _check_prefix(symbols, codes, block)
+
+    def test_codewords_at_every_phase_of_a_word(self):
+        """Every codeword length from 1 to 32 bits at every phase of a 32-bit
+        word: codewords that end on a word boundary and that straddle one."""
+        # symbol i has i + 1 bits, and symbol 32 is 32 ones
+        code = entropy.canonical_code(np.r_[np.arange(1, 33), 32])
+        rows = []
+        for phase in range(32):
+            lead = phase or 32  # a row starts on a word boundary
+            for last in range(33):
+                bits = lead + int(code.lengths[last])
+                # a third codeword pads the row to whole words
+                rows.append([lead - 1, last, ((-bits) % 32 or 32) - 1])
+        symbols = np.array(rows)
+        assert (np.take(code.lengths, symbols).sum(axis=1) % 32 == 0).all()
+        for block in (1, 7, len(rows)):
+            _check_prefix(symbols, [code] * 3, block)
+
+    def test_block_scratch_is_bounded_whatever_the_rows(self):
+        """A 4096-row, 31-field chunk's scratch beyond its output is a few
+        SCORE_BYTES: the int64 temporaries are a block's, not the chunk's."""
+        rng = np.random.default_rng(10)
+        codes = [entropy.build_code(rng.dirichlet(np.full(64, 0.5))) for _ in range(31)]
+        encoder = entropy.prefix_encoder(codes, SCORE_BYTES)
+        assert 1 < encoder.step < ROW_CHUNK // 2
+        scratch = {}
+        for rows in (encoder.step, ROW_CHUNK):
+            symbols = np.stack([rng.integers(64, size=rows) for _ in codes],
+                               axis=1).astype(np.uint8)
+            tracemalloc.start()
+            try:
+                packed, bits = entropy.pack_prefix(symbols, encoder)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the blocks' bytes and their concatenation, and the row bits
+            scratch[rows] = peak - 2 * packed.nbytes - bits.nbytes
+        # three int64 (rows, F) arrays of half SCORE_BYTES each, and smaller
+        # ones; a chunk's would be 8 * 4096 * 31 bytes (almost 2 SCORE_BYTES) each
+        assert scratch[ROW_CHUNK] < 2 * SCORE_BYTES
+        assert scratch[ROW_CHUNK] < scratch[encoder.step] + SCORE_BYTES // 16
 
     def test_codes_longer_than_the_lookup(self):
         lengths = np.r_[np.arange(1, 21), 20]  # Kraft sum exactly 1
@@ -246,7 +310,7 @@ class TestPackingKernels:
         table = entropy.decode_table(code)
         assert table is entropy.decode_table(code)  # built once per code
         stream = np.random.default_rng(6).integers(lengths.size, size=200)
-        payload = entropy.pack_prefix(stream[None, :], [code] * stream.size).tobytes()
+        payload = _packed(stream[None, :], [code] * stream.size)
         decoder = entropy.prefix_decoder([table] * stream.size)
         got, _, end = entropy.unpack_prefix(payload, 1, decoder)
         assert got[0].tolist() == stream.tolist()
@@ -264,8 +328,7 @@ class TestIndexStreams:
 
     @staticmethod
     def _round_trip(symbols, codes):
-        payload = entropy.pack_prefix(np.array([symbols], dtype=np.int64).reshape(1, -1),
-                                      codes).tobytes()
+        payload = _packed(np.array([symbols], dtype=np.int64).reshape(1, -1), codes)
         decoder = entropy.prefix_decoder([entropy.decode_table(c) for c in codes])
         got, _, end = entropy.unpack_prefix(payload, 1, decoder)
         assert end == len(payload)
@@ -343,7 +406,7 @@ def _random_stream(rng, rows, long_code=True):
     if long_code:
         codes.insert(int(rng.integers(len(codes) + 1)), entropy.canonical_code(LONG_CODE))
     symbols = np.stack([rng.integers(c.size, size=rows) for c in codes], axis=1)
-    return codes, symbols, entropy.pack_prefix(symbols, codes).tobytes()
+    return codes, symbols, _packed(symbols, codes)
 
 
 class TestSpeculativeDecode:
@@ -387,7 +450,7 @@ class TestSpeculativeDecode:
             if pos - base >= window:
                 base = pos
         symbols = np.array(fields)
-        data = b"\xa5" * offset + entropy.pack_prefix(symbols, codes).tobytes()
+        data = b"\xa5" * offset + _packed(symbols, codes)
         tables = [entropy.decode_table(c) for c in codes]
         fallbacks = []
         scalar = entropy._decode_rows
@@ -416,7 +479,7 @@ class TestSpeculativeDecode:
                     windows.append(key)
                 return super().__getitem__(key)
 
-        data = Spy(entropy.pack_prefix(symbols, [code]).tobytes())
+        data = Spy(_packed(symbols, [code]))
         got = _decode(data, len(symbols), [entropy.decode_table(code)])
         assert np.array_equal(got[0], symbols) and got[2] == len(data)
         assert len(windows) <= len(data) // window + 1
@@ -433,13 +496,13 @@ class TestSpeculativeDecode:
         tables = [entropy.decode_table(c) for c in codes]
         for table in tables:
             table.advance  # kept with the table once built; not scratch
-        row_bytes = len(entropy.pack_prefix(
+        row_bytes = len(_packed(
             np.stack([rng.integers(16, size=1000) for _ in codes], axis=1), codes)) / 1000
         scratch = {}
         for windows in (4, 16):
             rows = int(windows * window / row_bytes)
             symbols = np.stack([rng.integers(16, size=rows) for _ in codes], axis=1)
-            data = entropy.pack_prefix(symbols, codes).tobytes()
+            data = _packed(symbols, codes)
             tracemalloc.start()
             try:
                 got, bits, _ = entropy.unpack_prefix(data, rows, entropy.prefix_decoder(tables))
@@ -457,7 +520,7 @@ class TestSpeculativeDecode:
     def test_symbols_take_the_narrowest_type(self, size, dtype):
         code = entropy.build_code(np.full(size, 1.0 / size))
         symbols = np.random.default_rng(size).integers(size, size=(100, 2))
-        data = entropy.pack_prefix(symbols, [code, code]).tobytes()
+        data = _packed(symbols, [code, code])
         tables = [entropy.decode_table(code)] * 2
         got = _decode(data, 100, tables)
         _assert_same(got, _decode(data, 100, tables, speculative=False))
@@ -480,7 +543,7 @@ class TestSpeculativeDecode:
         codes = [entropy.build_code(rng.dirichlet(np.full(64, 2.0))) for _ in range(6)]
         assert max(c.max_length for c in codes) <= entropy.LOOKUP_BITS
         symbols = np.stack([rng.integers(64, size=3000) for _ in codes], axis=1)
-        data = entropy.pack_prefix(symbols, codes).tobytes()
+        data = _packed(symbols, codes)
         tables = [entropy.decode_table(c) for c in codes]
         scalar_calls = []
         scalar = entropy._decode_rows
@@ -503,7 +566,7 @@ class TestSpeculativeDecode:
                             lambda *a: calls.append(a[4]) or speculate(*a))
         for n_fields, speculative in ((12, True), (200, False)):
             symbols = rng.integers(64, size=(300, n_fields))
-            data = entropy.pack_prefix(symbols, [code] * n_fields).tobytes()
+            data = _packed(symbols, [code] * n_fields)
             wide = len(data) > 300 * entropy._SPECULATIVE_MAX_ROW_BYTES
             assert wide != speculative
             calls.clear()
@@ -521,7 +584,7 @@ class TestSpeculativeDecode:
         peaks = []
         for rows in (300, 1200):
             symbols = rng.integers(64, size=(rows, 200))
-            data = entropy.pack_prefix(symbols, [code] * 200).tobytes()
+            data = _packed(symbols, [code] * 200)
             assert len(data) > rows * entropy._SPECULATIVE_MAX_ROW_BYTES
             tracemalloc.start()
             try:
@@ -548,7 +611,7 @@ class TestSpeculativeDecode:
         codes = _random_stream(rng, 0)[0] + [entropy.canonical_code(np.array([2, 2, 2]))]
         # in the last field "11" starts no codeword
         symbols = np.stack([rng.integers(c.size, size=40) for c in codes], axis=1)
-        data = entropy.pack_prefix(symbols, codes).tobytes()
+        data = _packed(symbols, codes)
         tables = [entropy.decode_table(c) for c in codes]
         invalid = 0
         for at in range(len(data)):

@@ -12,9 +12,11 @@ checks every worker count, and layout.assemble_layout alone checks bit
 matrices. Plans are derived in two places only: the table's memo
 (MarginalLossTable.plan), which every serving path goes through, and the CLI's
 verify command, whose budget sweep checks the uncached derivation. A plan's
-field order and fixed-width packing are derived only where its serving
-layout is made (quantizer.plan_layout keeps one per model), apart from the
-explicit plan's header, which is packed at its own widths.
+field order, fixed-width packing and prefix encoder are derived only where
+its serving layout is made (quantizer.plan_layout keeps one per model), apart
+from the explicit plan's header, which is packed at its own widths. Code
+tables are kept only by their owners, never in a cache beside them: no
+module memoizes a function or keys anything by id().
 """
 
 import ast
@@ -129,6 +131,7 @@ ONE_OWNER = {
     # explicit plan's header packs one stage count per sub-vector, not a plan
     "field_order": {("quantizer", "_build_layout")},
     "fixed_plan": {("quantizer", "_build_layout"), ("bitstream", "_plan_header")},
+    "prefix_encoder": {("quantizer", "_build_layout")},
 }
 
 
@@ -136,3 +139,17 @@ def test_each_rule_is_applied_only_by_its_owner():
     loads = {(name, (stem, func)) for stem, tree in _trees()
              for func, name, how in _named(tree) if name in ONE_OWNER and how == "load"}
     assert loads == {(name, owner) for name, owners in ONE_OWNER.items() for owner in owners}
+
+
+# A code's decode table is kept on the code (HuffmanCode.decoder), the codes
+# on the model (MsvqModel.huffman_codes), and a plan's encoder and decoder in
+# its layout on the model (MsvqModel.plan_memo). A cache beside them, per call
+# or keyed by id(), hands a collected object's tables to a new object that
+# reuses its id.
+CACHING = {"id", "cache", "lru_cache"}
+
+
+def test_code_tables_are_kept_only_by_their_owners():
+    uses = {(stem, func, name) for stem, tree in _trees()
+            for func, name, _ in _named(tree) if name in CACHING}
+    assert uses == set()

@@ -517,6 +517,25 @@ class TestWorkerCountRule:
         want = self._run(entry, 1, model, corr_data, serve, tmp_path / "one.msvp")
         assert self._run(entry, None, model, corr_data, serve, tmp_path / "all.msvp") == want
 
+    @pytest.mark.parametrize("which, strict", [("plain", False), ("ec", False), ("ec", True)])
+    def test_payloads_match_at_every_worker_count(self, which, strict, model, ec_model,
+                                                  corr_data, serve, tmp_path):
+        """Encoding and packing both run at the caller's worker count: over
+        more than two row chunks, plain and EC payloads, and strict EC
+        payloads whose cap binds, have the same bytes and bits at every count."""
+        data, _ = serve
+        m = model if which == "plain" else ec_model
+        table = rate.build_table(m, corr_data)
+        written = set()
+        for threads in (1, 2, 3, 4, None):
+            path = tmp_path / f"{threads}.msvp"
+            info = bitstream.write_payload(str(path), m, 7, table, data, 30, strict=strict,
+                                           threads=threads)
+            written.add((path.read_bytes(), info.bits_per_vector.tobytes()))
+        assert info.count > 2 * ROW_CHUNK
+        assert info.mode == (bitstream.MODE_EXPLICIT if strict else bitstream.MODE_DERIVED)
+        assert len(written) == 1
+
     @pytest.mark.parametrize("threads", [0, -2])
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_below_one_rejected(self, entry, threads, model, corr_data, serve, tmp_path):
