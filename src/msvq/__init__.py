@@ -18,15 +18,15 @@ from .layout import (
 )
 from .oracle import OracleResult, direct_marginal_loss, exhaustive_select
 from .quantizer import (
-    SelectionPlan,
+    PlanLayout,
     decode_batch,
     encode_batch,
     encode_fields,
     full_plan,
-    plan_from_stages,
+    plan_layout,
     reconstruction_mse,
 )
-from .rate import MarginalLossTable, build_table, select_stages, validate_convexity
+from .rate import MarginalLossTable, build_table, validate_convexity
 from .trainer import TrainConfig, TrainReport, lloyd_step, train
 
 __version__ = "0.1.0"
@@ -41,7 +41,7 @@ __all__ = [
     "MsvqError",
     "MsvqModel",
     "OracleResult",
-    "SelectionPlan",
+    "PlanLayout",
     "StateError",
     "SubVectorLayout",
     "TrainConfig",
@@ -60,9 +60,8 @@ __all__ = [
     "exhaustive_select",
     "full_plan",
     "lloyd_step",
-    "plan_from_stages",
+    "plan_layout",
     "reconstruction_mse",
-    "select_stages",
     "train",
     "validate_convexity",
 ]

@@ -14,21 +14,23 @@ one budget derives it once per process, not once per payload.
 MSVP vector data is the (rows, F) field matrix that encode_fields returns and
 decode_batch reads, its columns in quantizer.field_order's order; it goes
 through the packing kernels of the entropy module a row chunk at a time.
-Writing a payload only encodes: it never rebuilds Z_hat. Whatever a payload
-derives from its plan alone (field widths and the fixed-width packing plan,
-or under EC the fields' prefix encoder and decoder, and the exact bit total)
-comes from the plan's serving layout, which the model keeps for the last plan
-it served (quantizer.plan_layout), so a stream at one budget builds it once.
-The format is unchanged by it. Writing packs the row chunks on the worker
-pool, with the caller's worker count, as encoding does. Each vector's bits
-come from packing it: a fixed-width vector's are the plan's exact bits, and
-under EC the packer gathers each field's code length once per payload (a
-strict write whose undo needs each field's bits gathers them once before).
-Under a plain model every vector's block is ceil(exact_bits / 8) bytes, so the
-reader checks the exact body length before decoding; under an EC model every
-vector with at least one field takes at least one byte, which bounds the
-header's vector count. Either check runs before anything sized by that count
-is allocated. An EC body is decoded by entropy.unpack_prefix, which decodes
+Writing a payload only encodes: it never rebuilds Z_hat. A payload's plan is
+its serving layout (quantizer.plan_layout), which the model keeps for the
+last plan it served, so a stream at one budget builds it once: the field
+widths and fixed-width packing plan, or under EC the fields' prefix encoder
+and decoder, and the exact bit total come from it, and PayloadInfo.plan is
+the layout a payload was written or read under. Writing packs the row chunks
+on the worker pool, with the caller's worker count, as encoding does. Each
+vector's bits come from packing it: a fixed-width vector's are the plan's
+exact bits, and under EC the packer gathers each field's code length once per
+payload (a strict write whose undo needs each field's bits gathers them once
+before). Under a plain model every vector's block is ceil(exact_bits / 8)
+bytes, so the reader checks the exact body length before decoding; under an
+EC model every vector with at least one field takes at least one byte, which
+bounds the header's vector count. Either check runs before anything sized by
+that count is allocated. A zero-field plan sends no vector data under either
+model, so it reads as fixed-width vectors of no bytes: nothing is unpacked,
+and only the reconstruction is sized by its count. An EC body is decoded by entropy.unpack_prefix, which decodes
 a window of candidate vector starts at once and falls back to one symbol per
 step only for the vectors its lookup cannot settle. The canonical codes and
 their decode tables are built once per loaded model and kept with it
@@ -64,12 +66,11 @@ from .errors import ConfigError, CorruptionError, DataError, StateError
 from .layout import assemble_layout, check_features
 # perfbench/spans.py wraps encode_batch on this module; it is not called here.
 from .quantizer import (
-    SelectionPlan,
+    PlanLayout,
     decode_batch,
     encode_batch,
     encode_fields,
     map_row_chunks,
-    plan_from_stages,
     plan_layout,
 )
 
@@ -327,10 +328,10 @@ class PayloadHeader:
 
 @dataclass(frozen=True)
 class PayloadInfo(PayloadHeader):
-    """A payload's header with the plan it was coded under and the realized
-    code bits of each vector, excluding byte padding."""
+    """A payload's header with the PlanLayout it was written or read under and
+    the realized code bits of each vector, excluding byte padding."""
 
-    plan: SelectionPlan
+    plan: PlanLayout
     bits_per_vector: np.ndarray
 
 
@@ -374,14 +375,14 @@ def field_decoder(codes) -> PrefixDecoder:
     return prefix_decoder([decode_table(code) for code in codes])
 
 
-def field_code_bits(model: MsvqModel, stages: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """(rows, F) transmitted bits of each field of a stage vector's field matrix.
+def field_code_bits(model: MsvqModel, plan: PlanLayout, symbols: np.ndarray) -> np.ndarray:
+    """(rows, F) transmitted bits of each field of a plan's field matrix.
 
     Fixed widths under a plain model (a read-only broadcast), the symbols' code
     lengths under an EC one, one gather from the plan's PrefixEncoder; a row
     sums to its vector's bits before padding.
     """
-    pl = plan_layout(model, stages)
+    pl = plan_layout(model, plan.stages)
     if not model.ec_enabled:
         return np.broadcast_to(pl.widths, symbols.shape)
     return np.take(pl.encoder.lengths, symbols + pl.encoder.offset)
@@ -411,20 +412,18 @@ def write_payload(
     b_cap = int(b_cap)
     if not 0 <= b_cap < 2 ** 32:
         raise ConfigError(f"b_cap must fit an unsigned 32-bit field, got {b_cap}")
-    lay = model.layout
 
     # Stage choices are prefix-stable: stage t's index depends only on the
     # sub-vector's earlier stages. The strict undo below only lowers stages,
     # so encoding to the greedy plan's depths serves every plan it can send.
     greedy, _, order = table.plan(float(b_cap))
-    plan = SelectionPlan(stages=greedy)
     pl = plan_layout(model, greedy)
-    symbols = encode_fields(model, data, plan, threads=threads)
+    symbols = encode_fields(model, data, pl, threads=threads)
     rows = symbols.shape[0]
 
     mode = MODE_DERIVED
     if strict:
-        bits = field_code_bits(model, greedy, symbols)
+        bits = field_code_bits(model, pl, symbols)
         bits_rows = bits.sum(axis=1)
         if bits_rows.max(initial=0) > b_cap:
             stages = greedy.copy()  # the memo's stages are shared and read-only
@@ -433,8 +432,7 @@ def write_payload(
                     break
                 stages[i_undo] -= 1
                 bits_rows -= bits[:, pl.start[i_undo] + stages[i_undo]]
-            plan = plan_from_stages(lay, stages)
-            greedy_pl, pl = pl, plan_layout(model, plan.stages)
+            greedy_pl, pl = pl, plan_layout(model, stages)
             symbols = symbols[:, pl.columns_in(greedy_pl)]
             mode = MODE_EXPLICIT
 
@@ -452,11 +450,11 @@ def write_payload(
         fh.write(head)
         fh.write(_PAYLOAD_CRC.pack(zlib.crc32(head)))
         if mode == MODE_EXPLICIT:
-            fh.write(pack_fixed(plan.stages[None, :], _plan_header(lay)).tobytes())
+            fh.write(pack_fixed(pl.stages[None, :], _plan_header(model.layout)).tobytes())
         fh.writelines(chunks)
 
     return PayloadInfo(mode=mode, model_digest=model_digest, b_cap=b_cap, count=rows,
-                       plan=plan, bits_per_vector=bits_rows)
+                       plan=pl, bits_per_vector=bits_rows)
 
 
 def read_payload(
@@ -470,10 +468,10 @@ def read_payload(
     The caller passes the digest of the model file it loaded; a mismatch with
     the payload header is a hard error, never a silent wrong decode. The
     vector data's length is checked against the header's count before
-    anything sized by that count is allocated.
+    anything sized by that count is allocated. A zero-field plan's count sizes
+    only the reconstruction, which is a DataError if it cannot be allocated.
     """
     check_table(model, table)
-    lay = model.layout
     with open(path, "rb") as fh:
         blob = fh.read()
     head = parse_payload_header(blob, path)
@@ -484,31 +482,30 @@ def read_payload(
 
     pos = PAYLOAD_HEADER_SIZE
     if head.mode == MODE_EXPLICIT:
-        header = _plan_header(lay)
+        header = _plan_header(model.layout)
         if len(blob) < pos + header.size:
             raise CorruptionError(f"{path}: truncated inside the explicit plan")
         raw = np.frombuffer(blob, dtype=np.uint8, count=header.size, offset=pos)
         stages = unpack_fixed(raw.reshape(1, header.size), header)[0]
         pos += header.size
         try:
-            plan = plan_from_stages(lay, stages)
+            pl = plan_layout(model, stages)
         except ConfigError as exc:
             raise CorruptionError(f"{path}: explicit plan: {exc}") from exc
     else:
-        plan = rate.select_stages(table, float(head.b_cap))
-    pl = plan_layout(model, plan.stages)
+        pl = plan_layout(model, table.plan(float(head.b_cap))[0])
 
     count, body = head.count, len(blob) - pos
-    if model.ec_enabled:
+    if model.ec_enabled and pl.sub.size:
         # every vector with at least one field takes at least one byte
-        if pl.sub.size and count > body:
+        if count > body:
             raise CorruptionError(f"{path}: header claims {count} vectors, only {body} "
                                   f"bytes of vector data follow")
         symbols, bits_rows, end = unpack_prefix(blob, count, pl.decoder, pos)
         if end != len(blob):
             raise CorruptionError(f"{path}: {len(blob) - end} trailing bytes after the "
                                   f"last vector")
-    else:
+    else:  # fixed-width vectors; a zero-field plan's take no bytes and unpack nothing
         block = (pl.exact_bits + 7) // 8
         if body != count * block:
             raise CorruptionError(f"{path}: {body} bytes of vector data, {count} vectors "
@@ -520,8 +517,9 @@ def read_payload(
         def unpack(rows: slice):
             symbols[rows] = unpack_fixed(blocks[rows], pl.packing)
 
-        map_row_chunks(unpack, count)
-        bits_rows = np.full(count, pl.exact_bits, dtype=np.int64)
+        if pl.sub.size:
+            map_row_chunks(unpack, count)
+        bits_rows = np.broadcast_to(np.int64(pl.exact_bits), (count,))
 
-    z_hat = decode_batch(model, symbols, plan)
-    return z_hat, PayloadInfo(**vars(head), plan=plan, bits_per_vector=bits_rows)
+    z_hat = decode_batch(model, symbols, pl)
+    return z_hat, PayloadInfo(**vars(head), plan=pl, bits_per_vector=bits_rows)

@@ -25,7 +25,6 @@ from .quantizer import (
     decode_batch,
     encode_batch,
     encode_fields,
-    exact_bit_total,
     full_plan,
     plan_layout,
     reconstruction_mse,
@@ -185,9 +184,8 @@ def _cmd_encode(args) -> int:
         strict=args.strict, threads=_resolve_threads(args.threads))
     print(f"encoded {result.count} vectors at b_cap={args.b_cap} "
           f"({bitstream.MODE_NAMES[result.mode]})")
-    stages = result.plan.stages
-    print(f"plan exact bits: {exact_bit_total(model.layout, stages)}"
-          + (f", avg bits: {rate.plan_step_bits(table, stages):.4f}"
+    print(f"plan exact bits: {result.plan.exact_bits}"
+          + (f", avg bits: {rate.plan_step_bits(table, result.plan.stages):.4f}"
              if table.mode == rate.MODE_AVERAGE else ""))
     print(f"mean payload bits/vector: {result.bits_per_vector.mean():.4f} "
           f"(max {int(result.bits_per_vector.max(initial=0))})")
@@ -207,28 +205,26 @@ def _cmd_sweep(args) -> int:
     data = bitstream.read_features(args.data)
     budgets = sorted(_parse_grid(args.b_cap_grid))
     threads = _resolve_threads(args.threads)
-    lay = model.layout
 
     Z = np.asarray(data, dtype=np.float64)
-    full = full_plan(lay)
-    full_fields = plan_layout(model, full.stages)
+    full = full_plan(model)
     symbols = encode_fields(model, Z, full, threads=threads)
 
     rows = []
     for b_cap in budgets:
         start = time.perf_counter()
-        plan = rate.select_stages(table, float(b_cap))
-        planned = symbols[:, plan_layout(model, plan.stages).columns_in(full_fields)]
+        plan = plan_layout(model, table.plan(float(b_cap))[0])
+        planned = symbols[:, plan.columns_in(full)]
         z_hat = decode_batch(model, planned, plan)
         mse = reconstruction_mse(Z, z_hat)
-        bits = bitstream.field_code_bits(model, plan.stages, planned).sum(axis=1)
+        bits = bitstream.field_code_bits(model, plan, planned).sum(axis=1)
         elapsed = time.perf_counter() - start
         rows.append({
             "b_cap": b_cap,
-            "exact_bits": exact_bit_total(lay, plan.stages),
+            "exact_bits": plan.exact_bits,
             "avg_bits": (rate.plan_step_bits(table, plan.stages)
                          if table.mode == rate.MODE_AVERAGE else ""),
-            "stage_hist": _stage_hist(plan.stages, lay.t_max),
+            "stage_hist": _stage_hist(plan.stages, model.t_max),
             "predicted_loss": rate.plan_predicted_loss(table, plan.stages),
             "measured_mse": mse,
             "mean_payload_bits": float(bits.mean()),
@@ -317,7 +313,7 @@ def _cmd_verify(args) -> int:
     exact = True
     for frac in (0.2, 0.4, 0.6, 0.8):
         b = frac * reduced_total
-        greedy_loss = rate.plan_predicted_loss(reduced, rate.select_stages(reduced, b).stages)
+        greedy_loss = rate.plan_predicted_loss(reduced, reduced.plan(b)[0])
         best = oracle.exhaustive_select(reduced, b)
         exact &= greedy_loss <= best.best_loss + 1e-12 * abs(best.best_loss)
         gaps.append((greedy_loss - best.best_loss) / max(abs(best.best_loss), 1e-30))

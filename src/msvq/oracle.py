@@ -13,7 +13,7 @@ import numpy as np
 
 from .codebook import MsvqModel
 from .errors import ConfigError
-from .quantizer import encode_batch, full_plan, plan_from_stages, reconstruction_mse
+from .quantizer import encode_batch, plan_layout, reconstruction_mse
 from .rate import MarginalLossTable
 
 MAX_PLANS = 10_000_000
@@ -73,7 +73,7 @@ def direct_marginal_loss(model: MsvqModel, data: np.ndarray, sub_index: int, t: 
 
     Re-encodes the whole dataset for this single entry; no decomposition.
     """
-    stages = np.asarray(full_plan(model.layout).stages).copy()
+    stages = np.full(model.layout.n_sub, model.t_max)
     stages[sub_index] = t
-    _, z_hat = encode_batch(model, data, plan_from_stages(model.layout, stages))
+    _, z_hat = encode_batch(model, data, plan_layout(model, stages))
     return reconstruction_mse(data, z_hat)

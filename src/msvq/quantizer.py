@@ -1,22 +1,23 @@
 """Encode/decode core: residual quantization under a per-sub-vector stage plan.
 
-A plan is its stage-count vector. encode_fields, encode_batch and
-decode_batch work on row batches; a single vector is a one-row batch. Indices
-travel as the payload's (rows, F) field matrix, one column per active
-(sub-vector, stage) module, in field_order's order. encode_fields returns only
-that matrix, which is all a payload carries, so serving calls it; encode_batch
-adds Z_hat for callers that measure the reconstruction.
+A plan is its serving layout, a PlanLayout: all that serving derives from a
+stage-count vector (.stages), namely the field order and each group's
+columns, the packing plan (fixed widths, or under EC the fields' prefix
+encoder and decoder), the bit total (.exact_bits) and decode_batch's order,
+reach, base and coordinate map. plan_layout, its one constructor, is the one
+check of a stage vector, a caller's or an explicit-plan header's, and keeps
+the last plan's layout on the model, read-only, so a stream at one budget
+builds it once. Only _build_layout fills one in; it is the only caller of
+field_order and entropy.prefix_encoder, and of entropy.fixed_plan but for the
+explicit plan's header (tests/test_imports.py guards these and the check).
 
-Everything serving derives from a plan alone is one PlanLayout: the field
-order and each group's columns, the packing plan (fixed widths, or under EC
-the fields' prefix encoder and decoder), the bit total, and decode_batch's
-order, reach, base and coordinate map. Only _build_layout makes one, and it
-is the only caller of field_order and entropy.prefix_encoder, and of
-entropy.fixed_plan but for the explicit plan's header (tests/test_imports.py
-guards all three); plan_layout keeps the last plan's layout on the model,
-read-only, so a stream at one budget builds it once.
-encode_fields, decode_batch and the bitstream module read it.
-
+encode_fields, encode_batch and decode_batch work on row batches; a single
+vector is a one-row batch. Each resolves the layout it is given through
+plan_layout(model, plan.stages), so another model's layout is rebuilt, never
+trusted. Indices travel as the payload's (rows, F) field matrix, one column
+per active (sub-vector, stage) module, in field_order's order. encode_fields
+returns only that matrix, which is all a payload carries, so serving calls
+it; encode_batch adds Z_hat for callers that measure the reconstruction.
 walk_stages, the codec's one stage walk, only searches: each stage's kernel
 picks the nearest codeword (rate-penalized when the model is
 entropy-constrained) and hands back the residual it leaves, which the walk
@@ -54,32 +55,8 @@ from .codebook import (
     nearest_rate_penalized_batch,
 )
 from .entropy import FixedPlan, PrefixDecoder, PrefixEncoder, fixed_plan, prefix_encoder
-from .errors import ConfigError, CorruptionError
+from .errors import ConfigError, CorruptionError, DataError
 from .layout import check_features, freeze
-
-
-@dataclass(frozen=True)
-class SelectionPlan:
-    """Active stage counts per sub-vector, a read-only int64 vector.
-
-    A plan carries no bit totals: exact_bit_total gives its fixed-length cost
-    under a layout, and rate.plan_step_bits its cost under a table.
-    """
-
-    stages: np.ndarray
-
-
-def cumulative_bits(bits: np.ndarray) -> np.ndarray:
-    """(N, t_max) per-stage bits -> (N, t_max + 1) bits of each row's first t stages."""
-    bits = np.asarray(bits)
-    return np.concatenate([np.zeros((bits.shape[0], 1), dtype=bits.dtype),
-                           np.cumsum(bits, axis=1)], axis=1)
-
-
-def exact_bit_total(layout, stages) -> int:
-    """Fixed-length bit cost of a stage-count vector under a layout."""
-    stages = np.asarray(stages, dtype=np.int64)
-    return int(cumulative_bits(layout.bits)[np.arange(stages.size), stages].sum())
 
 
 def _checked_stages(layout, stages) -> np.ndarray:
@@ -90,15 +67,6 @@ def _checked_stages(layout, stages) -> np.ndarray:
     if stages.min() < 0 or stages.max() > layout.t_max:
         raise ConfigError(f"stage counts must lie in [0, {layout.t_max}]")
     return stages
-
-
-def plan_from_stages(layout, stages) -> SelectionPlan:
-    """Freeze a copy of a stage-count vector into a plan; the caller's array stays writeable."""
-    return SelectionPlan(stages=freeze(_checked_stages(layout, stages).copy()))
-
-
-def full_plan(layout) -> SelectionPlan:
-    return plan_from_stages(layout, np.full(layout.n_sub, layout.t_max, dtype=np.int64))
 
 
 def field_order(stages) -> tuple[np.ndarray, np.ndarray]:
@@ -113,12 +81,12 @@ def field_order(stages) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PlanLayout:
-    """Everything serving derives from one stage plan of one model.
+    """A plan: everything serving derives from one stage vector of one model.
 
-    plan_layout builds it once per (model, plan); it is read-only and sized
+    plan_layout builds it once per (model, stages); it is read-only and sized
     by the plan and the model, never by rows.
 
-    Fields: stages, the plan; sub and stage, each field's sub-vector and
+    Fields: stages, the read-only stage-count vector; sub and stage, each field's sub-vector and
     stage in field order (field_order); start, each sub-vector's first
     column; widths and sizes, each field's codebook bits and codeword count;
     exact_bits, a vector's fixed-length bits. Encoding: groups, per group its
@@ -170,6 +138,11 @@ def plan_layout(model: MsvqModel, stages) -> PlanLayout:
     built = _build_layout(model, _checked_stages(model.layout, stages))
     object.__setattr__(model, "plan_memo", built)
     return built
+
+
+def full_plan(model: MsvqModel) -> PlanLayout:
+    """The layout of the plan that runs every sub-vector to full depth."""
+    return plan_layout(model, np.full(model.layout.n_sub, model.layout.t_max, dtype=np.int64))
 
 
 def _build_layout(model: MsvqModel, stages: np.ndarray) -> PlanLayout:
@@ -296,7 +269,7 @@ def map_row_chunks(fn, rows: int, threads: int | None = 1) -> list:
 def encode_fields(
     model: MsvqModel,
     Z: np.ndarray,
-    plan: SelectionPlan,
+    plan: PlanLayout,
     threads: int | None = 1,
 ) -> np.ndarray:
     """Encode a feature matrix to its uint8 (rows, F) field matrix, the indices a
@@ -327,7 +300,7 @@ def encode_fields(
 def encode_batch(
     model: MsvqModel,
     Z: np.ndarray,
-    plan: SelectionPlan,
+    plan: PlanLayout,
     threads: int | None = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode a feature matrix; returns encode_fields' field matrix and Z_hat,
@@ -336,19 +309,20 @@ def encode_batch(
     return symbols, decode_batch(model, symbols, plan)
 
 
-def decode_batch(model: MsvqModel, symbols: np.ndarray, plan: SelectionPlan) -> np.ndarray:
+def decode_batch(model: MsvqModel, symbols: np.ndarray, plan: PlanLayout) -> np.ndarray:
     """Rebuild Z_hat from a (rows, F) field matrix: the codec's one codeword sum.
 
     The sum is stage-major across groups. Sub-vectors are sorted deepest first
     (a stable sort), so those deeper than stage t are a prefix of the order.
-    Each row chunk is summed in blocks of max(1, SCORE_BYTES // (8 M)) rows,
-    so the accumulator stays in cache: a block starts from the stored mean of
+    The rows are summed in blocks of max(1, SCORE_BYTES // (8 M)) rows, so
+    the accumulator stays in cache: a block starts from the stored mean of
     every sub-vector with no stages and +0.0 for the rest, and each stage
     adds one np.take of its codewords from the model's stage table (every
     group's stage-t codebook) to the prefix it reaches. One np.take puts the
     block into coordinate order. The order, each stage's reach, the starting
     block and the coordinate map come from the plan's PlanLayout, built once
-    per (model, plan); a call only checks the matrix and sums.
+    per (model, plan); a call only checks the matrix and sums. An output too
+    large to allocate is a DataError that names the row count.
     """
     pl = plan_layout(model, plan.stages)
     m_dim = model.layout.m_dim
@@ -365,21 +339,20 @@ def decode_batch(model: MsvqModel, symbols: np.ndarray, plan: SelectionPlan) -> 
         f = int(bad.argmax())
         raise CorruptionError(f"sub-vector {pl.sub[f]} stage {pl.stage[f]}: codeword index "
                               f"out of range [0, {pl.sizes[f]})")
-    zhat = np.empty((symbols.shape[0], m_dim), dtype=np.float64)
-
-    def add(rows: slice):
-        for start in range(rows.start, min(rows.stop, symbols.shape[0]), pl.step):
-            block = slice(start, min(start + pl.step, rows.stop))
-            fields = symbols[block]
-            acc = np.empty((fields.shape[0],) + pl.base.shape, dtype=np.float64)
-            acc[:] = pl.base
-            for cols, offsets, table in pl.reach:
-                acc[:, :cols.size] += np.take(table, np.take(fields, cols, axis=1) + offsets,
-                                              axis=0)
-            np.take(acc.reshape(fields.shape[0], m_dim), pl.to_coords, axis=1,
-                    out=zhat[block], mode="clip")
-
-    map_row_chunks(add, symbols.shape[0])
+    rows = symbols.shape[0]
+    try:
+        zhat = np.empty((rows, m_dim), dtype=np.float64)
+    except MemoryError as exc:
+        raise DataError(f"cannot allocate the reconstruction of {rows} vectors") from exc
+    for start in range(0, rows, pl.step):
+        block = slice(start, start + pl.step)
+        fields = symbols[block]
+        acc = np.empty((fields.shape[0],) + pl.base.shape, dtype=np.float64)
+        acc[:] = pl.base
+        for cols, offsets, table in pl.reach:
+            acc[:, :cols.size] += np.take(table, np.take(fields, cols, axis=1) + offsets, axis=0)
+        np.take(acc.reshape(fields.shape[0], m_dim), pl.to_coords, axis=1, out=zhat[block],
+                mode="clip")
     return zhat
 
 

@@ -14,7 +14,8 @@ waits in a heap keyed by (-ratio, index); a step that does not fit is dropped
 for good, because the bits used only grow. Deriving a plan costs
 O(picks log N). A table memoizes the plan of the last budget it was asked for
 (MarginalLossTable.plan), so a process serving a stream at one budget derives
-it once and repeating the last budget costs nothing.
+it once and repeating the last budget costs nothing. Serving takes the plan
+quantizer.plan_layout makes of table.plan(b)[0], the read-only stage vector.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .codebook import MsvqModel, nearest_batch, nearest_rate_penalized_batch
 from .errors import ConfigError, CorruptionError, DataError
 from .layout import check_features, freeze
-from .quantizer import SelectionPlan, cumulative_bits, map_row_chunks, walk_stages
+from .quantizer import map_row_chunks, walk_stages
 
 MODE_EXACT = "exact"
 MODE_AVERAGE = "average"
@@ -163,15 +164,16 @@ def greedy_order(table: MarginalLossTable, b_cap: float) -> tuple[np.ndarray, fl
     return np.array(stages, dtype=np.int64), used, order
 
 
-def select_stages(table: MarginalLossTable, b_cap: float) -> SelectionPlan:
-    """The stage-count plan for a bit budget, from the table's memo (see
-    MarginalLossTable.plan); its stage array is read-only and shared."""
-    return SelectionPlan(stages=table.plan(b_cap)[0])
-
-
 def plan_predicted_loss(table: MarginalLossTable, stages: np.ndarray) -> float:
     """Table-predicted total loss of a stage-count vector."""
     return float(table.loss[np.arange(table.n_sub), np.asarray(stages, dtype=np.int64)].sum())
+
+
+def cumulative_bits(bits: np.ndarray) -> np.ndarray:
+    """(N, t_max) per-stage bits -> (N, t_max + 1) bits of each row's first t stages."""
+    bits = np.asarray(bits)
+    return np.concatenate([np.zeros((bits.shape[0], 1), dtype=bits.dtype),
+                           np.cumsum(bits, axis=1)], axis=1)
 
 
 def plan_step_bits(table: MarginalLossTable, stages: np.ndarray) -> float:

@@ -91,7 +91,7 @@ def make_toy_model(lay, rng, ec=False):
 
 def encoded_usage(model, data):
     """Per-(group, stage) codeword counts of a full-depth encoding of data."""
-    plan = quantizer.full_plan(model.layout)
+    plan = quantizer.full_plan(model)
     symbols = quantizer.encode_fields(model, data, plan)
     sub, stage = quantizer.field_order(plan.stages)
     group = model.layout.group_of[sub]

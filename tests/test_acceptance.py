@@ -90,7 +90,7 @@ def test_criterion_2_greedy_optimal_under_fox_condition():
         report = rate.validate_convexity(table)
         assert all(r["monotone"] and r["convex"] for r in report)
         b_cap = float(rng.uniform(0.0, table.step_bits.sum()))
-        greedy = rate.plan_predicted_loss(table, rate.select_stages(table, b_cap).stages)
+        greedy = rate.plan_predicted_loss(table, table.plan(b_cap)[0])
         best = oracle.exhaustive_select(table, b_cap).best_loss
         if abs(greedy - best) <= 1e-12 * max(1.0, abs(best)):
             matches += 1
@@ -125,7 +125,7 @@ def test_criterion_3_greedy_gap_reporting():
         if not all(r["convex"] for r in rate.validate_convexity(table)):
             nonconvex += 1
         b_cap = float(rng.uniform(0.0, table.step_bits.sum()))
-        greedy = rate.plan_predicted_loss(table, rate.select_stages(table, b_cap).stages)
+        greedy = rate.plan_predicted_loss(table, table.plan(b_cap)[0])
         best = oracle.exhaustive_select(table, b_cap).best_loss
         gaps.append((greedy - best) / max(abs(best), 1e-30))
     gaps = np.asarray(gaps)
@@ -219,15 +219,13 @@ def test_criterion_6_bit_exact_interop(tmp_path):
     z_hat_rx, pinfo = bitstream.read_payload(str(payload_path), model,
                                              info.file_digest, table)
     # transmitter side, derived independently from (table, b_cap)
-    tx_plan = rate.select_stages(table, float(b_cap))
-    assert np.array_equal(pinfo.plan.stages, tx_plan.stages)
-    _, z_hat_tx = quantizer.encode_batch(model, data,
-                                         quantizer.plan_from_stages(model.layout,
-                                                                    tx_plan.stages))
+    tx_stages = table.plan(float(b_cap))[0]
+    assert np.array_equal(pinfo.plan.stages, tx_stages)
+    _, z_hat_tx = quantizer.encode_batch(model, data, quantizer.plan_layout(model, tx_stages))
     assert z_hat_rx.shape == (10000, M)
     assert np.array_equal(z_hat_rx, z_hat_tx)
 
-    exact_bits = quantizer.exact_bit_total(model.layout, pinfo.plan.stages)
+    exact_bits = pinfo.plan.exact_bits
     assert np.all(pinfo.bits_per_vector == exact_bits)
     expected_size = bitstream.PAYLOAD_HEADER_SIZE + 10000 * ((exact_bits + 7) // 8)
     assert payload_path.stat().st_size == expected_size

@@ -293,7 +293,7 @@ class TestPayloadFiles:
         path = str(tmp_path / "p.msvp")
         data = corr_data[:50]
         info = bitstream.write_payload(path, model, 7, table, data, b_cap=37)
-        exact_bits = quantizer.exact_bit_total(model.layout, info.plan.stages)
+        exact_bits = info.plan.exact_bits
         assert np.all(info.bits_per_vector == exact_bits)
         per_vector = (exact_bits + 7) // 8
         expected = bitstream.PAYLOAD_HEADER_SIZE + 50 * per_vector
@@ -384,10 +384,9 @@ class TestPayloadFiles:
 
         def full_depth(model_, Z, plan, threads=1):
             references.append(plan)
-            full = quantizer.full_plan(model_.layout)
+            full = quantizer.full_plan(model_)
             symbols = quantizer.encode_fields(model_, Z, full, threads)
-            deeper = quantizer.plan_layout(model_, full.stages)
-            return symbols[:, quantizer.plan_layout(model_, plan.stages).columns_in(deeper)]
+            return symbols[:, quantizer.plan_layout(model_, plan.stages).columns_in(full)]
 
         reference = tmp_path / "full.msvp"
         with monkeypatch.context() as mp:
@@ -468,11 +467,11 @@ class TestPlanMemo:
         info = bitstream.write_payload(path, ec_model, 3, tab, data, b_cap)
         _, rx = bitstream.read_payload(path, ec_model, 3, tab)
         assert info.mode == bitstream.MODE_DERIVED
-        for plan in (info.plan, rx.plan, rate.select_stages(tab, float(b_cap))):
-            assert np.array_equal(plan.stages, greedy)
-            assert not plan.stages.flags.writeable
+        for stages in (info.plan.stages, rx.plan.stages, tab.plan(float(b_cap))[0]):
+            assert np.array_equal(stages, greedy)
+            assert not stages.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
-                plan.stages[0] = 0
+                stages[0] = 0
 
     def test_hostile_budgets_cannot_grow_the_memo(self, tmp_path):
         lay = make_layout(64, 2, [4, 3, 2])
@@ -484,19 +483,23 @@ class TestPlanMemo:
         head = bytearray(path.read_bytes())
         payloads = []
         for b_cap in range(1, 1001):  # one vector of all-zero indices under each plan
-            plan = quantizer.plan_from_stages(lay, rate.greedy_order(tab, float(b_cap))[0])
+            plan = quantizer.plan_layout(toy, rate.greedy_order(tab, float(b_cap))[0])
             head[16:20] = b_cap.to_bytes(4, "little")
             head[24:28] = zlib.crc32(bytes(head[:24])).to_bytes(4, "little")
             path = tmp_path / f"b{b_cap}.msvp"
-            block = (quantizer.exact_bit_total(lay, plan.stages) + 7) // 8
+            block = (plan.exact_bits + 7) // 8
             path.write_bytes(bytes(head) + bytes(block))
             zeros = np.zeros((1, int(plan.stages.sum())), dtype=np.uint8)
             payloads.append((str(path), plan.stages, quantizer.decode_batch(toy, zeros, plan)))
         tab = rate.build_table(toy, data)  # a table with an empty memo
 
         def retained():
-            gc.collect()  # a full collection also empties the interpreter's free lists
-            snap = tracemalloc.take_snapshot()
+            # numpy array data that rate allocated and still holds; numpy's cache
+            # of dims and strides keeps freed blocks traced in the default
+            # domain, so only its own data domain gives exact totals
+            gc.collect()
+            snap = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
             return sum(t.size for t in snap.filter_traces(
                 [tracemalloc.Filter(True, rate.__file__)]).traces)
 
@@ -538,7 +541,7 @@ class TestPlanMemo:
         try:
             threaded = quantizer.map_workers(read, jobs, threads=4)
             plans = quantizer.map_workers(
-                lambda b: rate.select_stages(tab, b).stages.tolist(), budgets, threads=4)
+                lambda b: tab.plan(b)[0].tolist(), budgets, threads=4)
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
@@ -618,18 +621,46 @@ class TestPlanLayout:
         m, _ = pair
         data = corr_data[:40]
         stages = np.full(m.layout.n_sub, m.layout.t_max, dtype=np.int64)
-        plan = quantizer.SelectionPlan(stages=stages)  # writeable: the caller may change it
-        deep = quantizer.encode_fields(m, data, plan)
-        z_deep = quantizer.decode_batch(m, deep, plan)
+        assert stages.flags.writeable  # the caller may change it
+
+        def plan(model):
+            return quantizer.plan_layout(model, stages)
+
+        deep = quantizer.encode_fields(m, data, plan(m))
+        z_deep = quantizer.decode_batch(m, deep, plan(m))
         stages[::2] = 1  # the same array object, now a shallower plan
-        shallow = quantizer.encode_fields(m, data, plan)
+        shallow = quantizer.encode_fields(m, data, plan(m))
         fresh = dataclasses.replace(m)
-        assert np.array_equal(shallow, quantizer.encode_fields(fresh, data, plan))
+        assert np.array_equal(shallow, quantizer.encode_fields(fresh, data, plan(fresh)))
         assert shallow.shape[1] == int(stages.sum())
-        z_shallow = quantizer.decode_batch(m, shallow, plan)
-        assert z_shallow.tobytes() == quantizer.decode_batch(fresh, shallow, plan).tobytes()
+        z_shallow = quantizer.decode_batch(m, shallow, plan(m))
+        assert z_shallow.tobytes() == quantizer.decode_batch(fresh, shallow, plan(fresh)).tobytes()
         assert not np.array_equal(z_shallow, z_deep)
         assert quantizer.plan_layout(m, stages).stages is not stages  # the memo keeps a copy
+
+    def test_another_models_layout_is_resolved_again(self, pair, corr_data):
+        m, _ = pair
+        data = corr_data[:40]
+        stages = np.array([3, 2, 0, 1])
+        # one group of other codebooks over the same coordinates, at the same widths
+        other = make_toy_model(make_layout(4, 4, [5, 5, 5]), np.random.default_rng(0),
+                               ec=m.ec_enabled)
+        foreign = quantizer.plan_layout(other, stages)
+        symbols = quantizer.encode_fields(m, data, foreign)
+        assert m.plan_memo is not foreign
+        own = quantizer.plan_layout(m, stages)
+        assert np.array_equal(symbols, quantizer.encode_fields(m, data, own))
+        z_hat = quantizer.decode_batch(m, symbols, foreign)
+        assert z_hat.tobytes() == quantizer.decode_batch(m, symbols, own).tobytes()
+        assert not np.array_equal(z_hat, quantizer.decode_batch(other, symbols, foreign))
+
+    def test_payload_info_holds_the_models_layout(self, tmp_path, pair, corr_data):
+        m, tab = pair
+        path = str(tmp_path / "p.msvp")
+        sent = bitstream.write_payload(path, m, 7, tab, corr_data[:50], 30)
+        _, got = bitstream.read_payload(path, m, 7, tab)
+        want = quantizer.plan_layout(m, tab.plan(30.0)[0])
+        assert sent.plan is want and got.plan is want
 
     def test_every_layout_array_is_read_only(self, pair):
         m, _ = pair
@@ -663,7 +694,7 @@ class TestPlanLayout:
             head[16:20] = b_cap.to_bytes(4, "little")
             head[24:28] = zlib.crc32(bytes(head[:24])).to_bytes(4, "little")
             path = tmp_path / f"b{b_cap}.msvp"
-            block = (quantizer.exact_bit_total(lay, stages) + 7) // 8
+            block = (quantizer.plan_layout(toy, stages).exact_bits + 7) // 8
             path.write_bytes(bytes(head) + bytes(block))
             payloads.append((str(path), stages))
         assert len({stages.tobytes() for _, stages in payloads}) > 500

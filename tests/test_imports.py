@@ -14,7 +14,9 @@ matrices. Plans are derived in two places only: the table's memo
 verify command, whose budget sweep checks the uncached derivation. A plan's
 field order, fixed-width packing and prefix encoder are derived only where
 its serving layout is made (quantizer.plan_layout keeps one per model), apart
-from the explicit plan's header, which is packed at its own widths. Code
+from the explicit plan's header, which is packed at its own widths. Stage
+vectors, from callers and from explicit-plan headers alike, are checked only
+where a plan's layout is made (quantizer.plan_layout). Code
 tables are kept only by their owners, never in a cache beside them: no
 module memoizes a function or keys anything by id().
 """
@@ -132,6 +134,8 @@ ONE_OWNER = {
     "field_order": {("quantizer", "_build_layout")},
     "fixed_plan": {("quantizer", "_build_layout"), ("bitstream", "_plan_header")},
     "prefix_encoder": {("quantizer", "_build_layout")},
+    # a plan is its layout, so a stage vector is checked where a layout is made
+    "_checked_stages": {("quantizer", "plan_layout")},
 }
 
 

@@ -46,7 +46,7 @@ class TestExhaustiveSelect:
         tab = table_from_drops(drops, float(rng.integers(1, 5)),
                                full_loss=float(rng.uniform(0, 1)))
         b_cap = float(rng.uniform(0.0, tab.step_bits.sum()))
-        greedy_loss = rate.plan_predicted_loss(tab, rate.select_stages(tab, b_cap).stages)
+        greedy_loss = rate.plan_predicted_loss(tab, tab.plan(b_cap)[0])
         best = oracle.exhaustive_select(tab, b_cap)
         assert greedy_loss == pytest.approx(best.best_loss, rel=1e-12)
 
@@ -54,7 +54,7 @@ class TestExhaustiveSelect:
 class TestDirectMarginalLoss:
     def test_full_depth_equals_full_model_loss(self, corr_data, model):
         lay = model.layout
-        _, z_hat = quantizer.encode_batch(model, corr_data, quantizer.full_plan(lay))
+        _, z_hat = quantizer.encode_batch(model, corr_data, quantizer.full_plan(model))
         full = quantizer.reconstruction_mse(corr_data, z_hat)
         direct = oracle.direct_marginal_loss(model, corr_data, 2, lay.t_max)
         assert direct == pytest.approx(full, rel=1e-12)

@@ -80,8 +80,8 @@ def decode_batch_reference(model, symbols, plan):
     return to_coordinate_order(lay, zhat)
 
 
-def zero_plan(lay):
-    return quantizer.plan_from_stages(lay, np.zeros(lay.n_sub, dtype=np.int64))
+def zero_plan(model):
+    return quantizer.plan_layout(model, np.zeros(model.layout.n_sub, dtype=np.int64))
 
 
 def grouped_toy_model(ec, seed=0):
@@ -107,20 +107,18 @@ class TestPlans:
         lay = layout.assemble_layout(4, 2, 2, perm=np.arange(4),
                                      group_of=np.array([0, 1]),
                                      bits=np.array([[3, 3], [2, 2]]))
-        plan = quantizer.plan_from_stages(lay, [2, 1])
-        assert quantizer.exact_bit_total(lay, plan.stages) == 3 + 3 + 2
+        toy = make_toy_model(lay, np.random.default_rng(0))
+        assert quantizer.plan_layout(toy, [2, 1]).exact_bits == 3 + 3 + 2
 
     def test_zero_and_full_plans(self, model):
-        lay = model.layout
-        assert quantizer.exact_bit_total(lay, zero_plan(lay).stages) == 0
-        assert quantizer.exact_bit_total(lay, quantizer.full_plan(lay).stages) == \
-            int(lay.bits.sum())
+        assert zero_plan(model).exact_bits == 0
+        assert quantizer.full_plan(model).exact_bits == int(model.layout.bits.sum())
 
     def test_bad_stage_counts_rejected(self, model):
         with pytest.raises(ConfigError):
-            quantizer.plan_from_stages(model.layout, [1, 1, 1])
+            quantizer.plan_layout(model, [1, 1, 1])
         with pytest.raises(ConfigError):
-            quantizer.plan_from_stages(model.layout, [4, 0, 0, 0])
+            quantizer.plan_layout(model, [4, 0, 0, 0])
 
     def test_field_order_and_columns_in_a_deeper_plan(self):
         sub, stage = quantizer.field_order([2, 0, 3])
@@ -134,7 +132,7 @@ class TestPlans:
 
     def test_plan_leaves_callers_stage_array_writeable(self, model):
         stages = np.array([3, 2, 1, 0], dtype=np.int64)
-        plan = quantizer.plan_from_stages(model.layout, stages)
+        plan = quantizer.plan_layout(model, stages)
         assert stages.flags.writeable
         stages[0] = 1
         assert plan.stages.tolist() == [3, 2, 1, 0]
@@ -145,16 +143,16 @@ class TestEncodeDecode:
     def test_zero_plan_reconstructs_stored_means(self, model):
         rng = np.random.default_rng(0)
         z = rng.normal(size=(1, model.layout.m_dim))
-        plan = zero_plan(model.layout)
+        plan = zero_plan(model)
         symbols, z_hat = quantizer.encode_batch(model, z, plan)
         expected = to_coordinate_order(
             model.layout, model.fallback_means.astype(np.float64)[None, :, :])
         assert np.array_equal(z_hat, expected)
         assert symbols.shape == (1, 0)
-        assert quantizer.exact_bit_total(model.layout, plan.stages) == 0
+        assert plan.exact_bits == 0
 
     def test_round_trip_is_bit_exact(self, corr_data, model):
-        plan = quantizer.full_plan(model.layout)
+        plan = quantizer.full_plan(model)
         rng = np.random.default_rng(1)
         for _ in range(20):
             z = rng.normal(size=(1, model.layout.m_dim))
@@ -167,14 +165,14 @@ class TestEncodeDecode:
     def test_single_stage_reconstructs_codeword_exactly(self):
         lay = make_layout(2, 3, [4], groups=1)
         m = make_toy_model(lay, np.random.default_rng(7))
-        plan = quantizer.full_plan(lay)
+        plan = quantizer.full_plan(m)
         z_hat = quantizer.decode_batch(m, np.array([[5, 11]]), plan)
         sub = z_hat[0, lay.perm].reshape(2, 3)
         assert np.array_equal(sub[0], m.codebooks[0][0].vectors[5].astype(np.float64))
         assert np.array_equal(sub[1], m.codebooks[0][0].vectors[11].astype(np.float64))
 
     def test_full_plan_matches_reported_distortion(self, corr_data, model, report):
-        _, z_hat = quantizer.encode_batch(model, corr_data, quantizer.full_plan(model.layout))
+        _, z_hat = quantizer.encode_batch(model, corr_data, quantizer.full_plan(model))
         mse = quantizer.reconstruction_mse(corr_data, z_hat)
         assert mse == pytest.approx(report.per_stage_distortion[-1], rel=1e-9)
 
@@ -182,7 +180,7 @@ class TestEncodeDecode:
         lay = model.layout
         prev = np.inf
         for t in range(lay.t_max + 1):
-            plan = quantizer.plan_from_stages(lay, np.full(lay.n_sub, t))
+            plan = quantizer.plan_layout(model, np.full(lay.n_sub, t))
             _, z_hat = quantizer.encode_batch(model, corr_data, plan)
             mse = quantizer.reconstruction_mse(corr_data, z_hat)
             assert mse <= prev
@@ -194,7 +192,7 @@ class TestEncodeDecode:
         marks = np.arange(8, dtype=np.float32).reshape(4, 2)
         m = type(m)(layout=lay, codebooks=m.codebooks, fallback_means=marks,
                     lambdas=None)
-        z_hat = quantizer.encode_batch(m, np.zeros((1, 8)), zero_plan(lay))[1][0]
+        z_hat = quantizer.encode_batch(m, np.zeros((1, 8)), zero_plan(m))[1][0]
         assert sorted(z_hat.tolist()) == list(range(8))
         for i in range(4):
             assert np.array_equal(z_hat[lay.perm[2 * i:2 * i + 2]], marks[i])
@@ -202,7 +200,7 @@ class TestEncodeDecode:
     def test_threaded_encode_matches_serial(self, model):
         # more rows than two row chunks, so the pool really splits the work
         data = datagen.gauss_corr(2 * ROW_CHUNK + 37, model.layout.m_dim, 0.9, seed=5)
-        plan = quantizer.full_plan(model.layout)
+        plan = quantizer.full_plan(model)
         i1, z1 = quantizer.encode_batch(model, data, plan, threads=1)
         i4, z4 = quantizer.encode_batch(model, data, plan, threads=4)
         assert np.array_equal(z1, z4)
@@ -210,7 +208,7 @@ class TestEncodeDecode:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_zero_rows_give_empty_index_arrays(self, model, threads):
-        plan = quantizer.full_plan(model.layout)
+        plan = quantizer.full_plan(model)
         Z = np.empty((0, model.layout.m_dim))
         symbols, z_hat = quantizer.encode_batch(model, Z, plan, threads=threads)
         assert symbols.shape == (0, model.layout.n_sub * model.t_max)
@@ -260,7 +258,7 @@ class TestEncodeDecode:
         assert np.array_equal(mixed[1], x[1] - books[0].vectors[idx[1, :, 0]].astype(np.float64))
 
     def test_decode_rejects_out_of_range_index(self, model):
-        plan = quantizer.plan_from_stages(model.layout, [1, 0, 0, 0])
+        plan = quantizer.plan_layout(model, [1, 0, 0, 0])
         with pytest.raises(CorruptionError):
             quantizer.decode_batch(model, np.array([[99]]), plan)
 
@@ -268,27 +266,27 @@ class TestEncodeDecode:
     def test_decode_names_second_group_member_and_stage(self, model, stage, value):
         lay = model.layout
         assert lay.group_of[0] == lay.group_of[1]
-        plan = quantizer.plan_from_stages(lay, [2, 2, 0, 0])
+        plan = quantizer.plan_layout(model, [2, 2, 0, 0])
         symbols = np.zeros((3, 4), dtype=np.int64)
         symbols[1, 2 + stage] = value  # sub-vector 1's fields follow sub-vector 0's two
         with pytest.raises(CorruptionError, match=rf"^sub-vector 1 stage {stage}: "):
             quantizer.decode_batch(model, symbols, plan)
 
     def test_decode_rejects_shape_mismatch(self, model):
-        plan = quantizer.plan_from_stages(model.layout, [1, 0, 0, 0])
+        plan = quantizer.plan_layout(model, [1, 0, 0, 0])
         with pytest.raises(CorruptionError):
             quantizer.decode_batch(model, np.array([[0, 0]]), plan)
 
     @pytest.mark.parametrize("shape", [(2, 5), (2, 7), (2, 0), (6,), (1, 2, 6)])
     def test_decode_rejects_field_count_not_plan_total(self, model, shape):
-        plan = quantizer.plan_from_stages(model.layout, [3, 2, 1, 0])
+        plan = quantizer.plan_layout(model, [3, 2, 1, 0])
         with pytest.raises(CorruptionError, match="symbol matrix must be integer"):
             quantizer.decode_batch(model, np.zeros(shape, dtype=np.uint8), plan)
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
     def test_decode_rejects_negative_entries(self, model, dtype):
         # a negative index would otherwise gather a codeword from the end of the book
-        plan = quantizer.full_plan(model.layout)
+        plan = quantizer.full_plan(model)
         symbols = np.zeros((4, int(plan.stages.sum())), dtype=dtype)
         symbols[2, -1] = -1
         with pytest.raises(CorruptionError,
@@ -297,7 +295,7 @@ class TestEncodeDecode:
 
     def test_ec_encode_uses_rate_penalty(self, corr_data, ec_model):
         # with a strongly non-uniform prior the EC rule must sometimes disagree
-        plan = quantizer.full_plan(ec_model.layout)
+        plan = quantizer.full_plan(ec_model)
         idx_ec, _ = quantizer.encode_batch(ec_model, corr_data[:256], plan)
         books = tuple(tuple(Codebook(vectors=cb.vectors) for cb in group)
                       for group in ec_model.codebooks)
@@ -346,13 +344,13 @@ class TestGroupedWalkMatchesReference:
             Z = np.random.default_rng(rows).normal(size=(rows, lay.m_dim)) * 1.5
             if rows == 1500:  # one search per group and stage, even past one ROW_CHUNK
                 searched = record_searches(monkeypatch)
-                quantizer.encode_batch(m, Z, quantizer.full_plan(lay), threads=threads)
+                quantizer.encode_batch(m, Z, quantizer.full_plan(m), threads=threads)
                 members = lay.n_sub // lay.n_groups
                 assert searched == [members * rows] * (lay.n_groups * lay.t_max)
             rng = np.random.default_rng(1)
-            plans = [quantizer.full_plan(lay), zero_plan(lay),
-                     quantizer.plan_from_stages(lay, [3, 0, 1, 2, 0, 0, 3, 1])]
-            plans += [quantizer.plan_from_stages(lay, rng.integers(0, lay.t_max + 1, lay.n_sub))
+            plans = [quantizer.full_plan(m), zero_plan(m),
+                     quantizer.plan_layout(m, [3, 0, 1, 2, 0, 0, 3, 1])]
+            plans += [quantizer.plan_layout(m, rng.integers(0, lay.t_max + 1, lay.n_sub))
                       for _ in range(3)]
             for plan in plans:
                 want_idx, want_z = encode_batch_reference(m, Z, plan)
@@ -380,7 +378,7 @@ class TestOneBlockPerGroupAndChunk:
         stages = np.array([3, 0, 1, 2, 0, 1, 0, 0])
         Z = np.random.default_rng(3).normal(size=(self.ROWS, lay.m_dim))
         searched = record_searches(monkeypatch)
-        quantizer.encode_batch(m, Z, quantizer.plan_from_stages(lay, stages))
+        quantizer.encode_batch(m, Z, quantizer.plan_layout(m, stages))
         depths = [stages[lay.group_members(g)] for g in range(lay.n_groups)]
         want = [rows * int((d > t).sum()) for rows in (ROW_CHUNK, ROW_CHUNK, 37)
                 for d in depths for t in range(d.max())]
@@ -392,7 +390,7 @@ class TestOneBlockPerGroupAndChunk:
         lay = make_layout(32, 4, [3, 3, 3])  # one group of every sub-vector
         m = make_toy_model(lay, np.random.default_rng(0))
         stages = np.arange(lay.n_sub) % (lay.t_max + 1)  # mixed depths, some zero
-        plan = quantizer.plan_from_stages(lay, stages)
+        plan = quantizer.plan_layout(m, stages)
         symbols = np.random.default_rng(1).integers(0, 8, size=(rows, int(stages.sum())),
                                                     dtype=np.uint8)
         out = rows * lay.m_dim * 8  # float64 Z_hat in coordinate order
@@ -413,7 +411,7 @@ class TestOneBlockPerGroupAndChunk:
         lay = make_layout(16, 4, [8, 6, 4], groups=16)  # one sub-vector per group
         m = make_toy_model(lay, np.random.default_rng(0))
         Z = np.random.default_rng(1).normal(size=(self.ROWS, lay.m_dim)).astype(np.float32)
-        plan = quantizer.full_plan(lay)
+        plan = quantizer.full_plan(m)
         copy = self.ROWS * lay.m_dim * 8  # check_features' float64 copy of the input
         block = ROW_CHUNK * lay.sub_dim * 8  # one chunk of one group's members
         tracemalloc.start()
@@ -451,7 +449,7 @@ class TestStageMajorDecode:
     def test_sum_starts_from_positive_zero(self):
         m = mixed_width_model(False)
         lay = m.layout
-        plan = quantizer.plan_from_stages(lay, [3, 3, 1, 1, 2, 2, 0, 0])
+        plan = quantizer.plan_layout(m, [3, 3, 1, 1, 2, 2, 0, 0])
         decoded = quantizer.decode_batch(m, random_fields(lay, plan, 5, 0), plan)
         first = decoded[:, lay.perm.reshape(lay.n_sub, lay.sub_dim)[2:4, 0]]
         assert np.all(first == 0.0) and not np.signbit(first).any()
@@ -459,7 +457,7 @@ class TestStageMajorDecode:
     def test_scratch_does_not_grow_with_rows(self):
         lay = make_layout(128, 4, [8, 8, 8])  # M = 512: a block is 128 rows
         m = make_toy_model(lay, np.random.default_rng(0))
-        plan = quantizer.plan_from_stages(lay, np.arange(lay.n_sub) % (lay.t_max + 1))
+        plan = quantizer.plan_layout(m, np.arange(lay.n_sub) % (lay.t_max + 1))
         quantizer.decode_batch(m, random_fields(lay, plan, 1, 0), plan)  # builds the stage tables
         scratch = {}
         for rows in (64, 128, 4096):
@@ -494,7 +492,7 @@ class TestWorkerCountRule:
     def _run(entry, threads, model, corr_data, serve, path) -> bytes:
         """The entry point's output at `threads`, as bytes."""
         data, table = serve
-        plan = quantizer.full_plan(model.layout)
+        plan = quantizer.full_plan(model)
         if entry == "build_table":
             return json.dumps(rate.table_to_dict(
                 rate.build_table(model, data, threads=threads))).encode()

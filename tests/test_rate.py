@@ -83,7 +83,7 @@ def table(model, corr_data):
 
 class TestBuildTable:
     def test_last_column_is_full_model_loss(self, table, corr_data, model):
-        _, z_hat = quantizer.encode_batch(model, corr_data, quantizer.full_plan(model.layout))
+        _, z_hat = quantizer.encode_batch(model, corr_data, quantizer.full_plan(model))
         full = quantizer.reconstruction_mse(corr_data, z_hat)
         np.testing.assert_allclose(table.loss[:, -1], full, rtol=1e-9)
 
@@ -158,23 +158,22 @@ class TestBuildTable:
 
 class TestSelectStages:
     def test_worked_instance(self):
-        plan = rate.select_stages(WORKED, 6.0)
-        assert plan.stages.tolist() == [1, 2, 0]
-        assert rate.plan_step_bits(WORKED, plan.stages) == 6
+        stages = WORKED.plan(6.0)[0]
+        assert stages.tolist() == [1, 2, 0]
+        assert rate.plan_step_bits(WORKED, stages) == 6
         drop = rate.plan_predicted_loss(WORKED, [0, 0, 0]) - \
-            rate.plan_predicted_loss(WORKED, plan.stages)
+            rate.plan_predicted_loss(WORKED, stages)
         assert drop == pytest.approx(21.0)
         best = oracle.exhaustive_select(WORKED, 6.0)
-        assert rate.plan_predicted_loss(WORKED, plan.stages) == pytest.approx(best.best_loss)
+        assert rate.plan_predicted_loss(WORKED, stages) == pytest.approx(best.best_loss)
 
     def test_zero_budget(self):
-        plan = rate.select_stages(WORKED, 0.0)
-        assert plan.stages.tolist() == [0, 0, 0]
-        assert rate.plan_step_bits(WORKED, plan.stages) == 0
+        stages = WORKED.plan(0.0)[0]
+        assert stages.tolist() == [0, 0, 0]
+        assert rate.plan_step_bits(WORKED, stages) == 0
 
     def test_unconstrained_budget_selects_everything(self):
-        plan = rate.select_stages(WORKED, float(WORKED.step_bits.sum()))
-        assert plan.stages.tolist() == [2, 2, 2]
+        assert WORKED.plan(float(WORKED.step_bits.sum()))[0].tolist() == [2, 2, 2]
 
     def test_tie_breaks_to_lowest_row(self):
         tab = table_from_drops([[4.0, 1.0], [4.0, 1.0]], 2.0)
@@ -201,16 +200,16 @@ class TestSelectStages:
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ConfigError):
-            rate.select_stages(WORKED, -1.0)
+            WORKED.plan(-1.0)
 
     def test_nan_budget_rejected(self):
         with pytest.raises(ConfigError):
             oracle.exhaustive_select(WORKED, math.nan)
         with pytest.raises(ConfigError):
-            rate.select_stages(WORKED, math.nan)
+            WORKED.plan(math.nan)
 
     def test_infinite_budget_selects_everything(self):
-        assert rate.select_stages(WORKED, math.inf).stages.tolist() == [2, 2, 2]
+        assert WORKED.plan(math.inf)[0].tolist() == [2, 2, 2]
 
     @settings(max_examples=150, deadline=None)
     @given(greedy_cases())
@@ -243,13 +242,12 @@ class TestSelectStages:
         tab = rate.MarginalLossTable(
             loss=table_from_drops(drops, 1.0).loss, step_bits=step, mode=rate.MODE_AVERAGE)
         b_cap = float(rng.uniform(0.0, step.sum()))
-        plan = rate.select_stages(tab, b_cap)
-        assert rate.plan_step_bits(tab, plan.stages) <= b_cap
+        assert rate.plan_step_bits(tab, tab.plan(b_cap)[0]) <= b_cap
 
     def test_deterministic(self, table):
-        a = rate.select_stages(table, 77.0)
-        b = rate.select_stages(table, 77.0)
-        assert np.array_equal(a.stages, b.stages)
+        a = table.plan(77.0)[0]
+        b = table.plan(77.0)[0]
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_nested_plans_and_monotone_loss_equal_bits(self, seed):
@@ -261,11 +259,11 @@ class TestSelectStages:
         prev_stages = np.zeros(n, dtype=np.int64)
         prev_loss = np.inf
         for b in np.linspace(0.0, total, 9):
-            plan = rate.select_stages(tab, float(b))
-            assert np.all(plan.stages >= prev_stages)
-            predicted = rate.plan_predicted_loss(tab, plan.stages)
+            stages = tab.plan(float(b))[0]
+            assert np.all(stages >= prev_stages)
+            predicted = rate.plan_predicted_loss(tab, stages)
             assert predicted <= prev_loss + 1e-12
-            prev_stages, prev_loss = plan.stages, predicted
+            prev_stages, prev_loss = stages, predicted
 
 
 class TestValidateConvexity:

@@ -4,10 +4,16 @@ Each file is cut at every length and has single bytes replaced at drawn
 offsets. Every read must end, in bounded time, in an MsvqError with a CLI exit
 code of 2-5, or in a valid read. A byte replaced inside an MSVP header gets a
 fresh header CRC, so the damage reaches the checks behind the CRC. Model files
-and EC payloads are fuzzed in tests/test_bitstream.py.
+and EC payloads are fuzzed in tests/test_bitstream.py. A zero-field payload
+carries no vector data, so its header may claim any vector count: crafted
+counts on the plain and EC golden models must decode, or end in a DataError
+that names the count.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 import zlib
 from pathlib import Path
@@ -18,8 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import msvq
 from msvq import bitstream, quantizer, rate
-from msvq.errors import MsvqError
+from msvq.errors import CorruptionError, MsvqError
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ROWS = 24  # vectors in each small payload
@@ -47,7 +54,7 @@ def _explicit_payload(model, digest, data, stages) -> bytes:
     """A plain explicit-plan payload assembled field by field from the format spec;
     write_payload sends a plain payload only in plan-derived mode."""
     lay = model.layout
-    plan = quantizer.plan_from_stages(lay, stages)
+    plan = quantizer.plan_layout(model, stages)
     symbols = quantizer.encode_fields(model, data, plan)
     sub, stage = quantizer.field_order(plan.stages)
     head = (bitstream.PAYLOAD_MAGIC + (1).to_bytes(2, "little")
@@ -86,7 +93,7 @@ def cases(tmp_path_factory):
     def check_payload(blob, got):
         z_hat, pinfo = got
         assert z_hat.shape == (pinfo.count, model.layout.m_dim) and np.isfinite(z_hat).all()
-        exact = quantizer.exact_bit_total(model.layout, pinfo.plan.stages)
+        exact = pinfo.plan.exact_bits
         assert np.array_equal(pinfo.bits_per_vector, np.full(pinfo.count, exact))
 
     out = {name: Case((GOLDEN / f"{name}.json").read_bytes(),
@@ -167,3 +174,69 @@ def test_byte_replacement(cases, tmp_path_factory, name, data):
         assert np.array_equal(got[0][keep], case.reference[0][keep])
     if code is None:
         case.check(blob, got)
+
+
+def _crafted_count(tmp_path, kind, count):
+    """A plan-derived b_cap=0 (zero-field) payload of a golden model whose header,
+    with a valid CRC, claims `count` vectors; with its model, digest and table."""
+    model, info = bitstream.read_model(str(GOLDEN / f"model_{kind}.msvq"))
+    table = bitstream.read_table(str(GOLDEN / f"table_{kind}.json"))
+    data = bitstream.read_features(str(GOLDEN / "features.fmat"))[:1]
+    path = tmp_path / f"{kind}-{count}.msvp"
+    bitstream.write_payload(str(path), model, info.file_digest, table, data, b_cap=0)
+    head = bytearray(path.read_bytes())
+    assert len(head) == bitstream.PAYLOAD_HEADER_SIZE  # no vector data
+    head[20:24] = count.to_bytes(4, "little")
+    head[CRC_AT:] = zlib.crc32(bytes(head[:CRC_AT])).to_bytes(4, "little")
+    path.write_bytes(bytes(head))
+    return path, model, info.file_digest, table
+
+
+@pytest.mark.parametrize("kind", ["plain", "ec"])
+def test_a_modest_crafted_count_decodes_to_the_fallback_means(tmp_path, kind):
+    count = 200_000
+    path, model, digest, table = _crafted_count(tmp_path, kind, count)
+    z_hat, info = bitstream.read_payload(str(path), model, digest, table)
+    lay = model.layout
+    means = model.fallback_means.astype(np.float64).reshape(lay.m_dim)[np.argsort(lay.perm)]
+    assert info.count == count and info.plan.stages.sum() == 0
+    assert z_hat.shape == (count, lay.m_dim) and (z_hat == means).all()
+    # the bits are a read-only broadcast of 0, not an array sized by the count
+    assert info.bits_per_vector.shape == (count,) and not info.bits_per_vector.any()
+    assert not info.bits_per_vector.flags.writeable
+    path.write_bytes(path.read_bytes() + bytes(1))  # the empty body is still checked
+    with pytest.raises(CorruptionError, match=f"1 bytes of vector data, {count} vectors of 0"):
+        bitstream.read_payload(str(path), model, digest, table)
+
+
+# msvq decode under a 4 GiB address-space cap, so that a count-sized
+# allocation fails even on a host that overcommits memory without limit
+DECODE_CAPPED = """
+import resource, sys
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from msvq import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("kind", ["plain", "ec"])
+def test_the_largest_crafted_count_is_a_data_error(tmp_path, kind):
+    count = 2 ** 32 - 1
+    path, _, _, _ = _crafted_count(tmp_path, kind, count)
+    src = str(Path(msvq.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "out.fmat"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", DECODE_CAPPED, "decode", "--model",
+         str(GOLDEN / f"model_{kind}.msvq"), "--table", str(GOLDEN / f"table_{kind}.json"),
+         "--payload", str(path), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert time.perf_counter() - start < 10.0
+    assert proc.returncode == 3, proc.stderr  # DataError
+    assert f"reconstruction of {count} vectors" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

@@ -153,7 +153,7 @@ class TestTrain:
         # oracle: re-encode with truncated plans and recompute residual energy
         for t in range(1, model.t_max + 1):
             stages = np.full(model.layout.n_sub, t)
-            plan = quantizer.plan_from_stages(model.layout, stages)
+            plan = quantizer.plan_layout(model, stages)
             _, z_hat = quantizer.encode_batch(model, corr_data, plan)
             mse = quantizer.reconstruction_mse(corr_data, z_hat)
             assert mse == pytest.approx(report.per_stage_distortion[t - 1], rel=1e-9)
