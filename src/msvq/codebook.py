@@ -9,16 +9,19 @@ receivers never search. Each kernel returns the chosen indices and the
 residuals x - c they leave, the next stage's input; an exact match leaves a
 residual of exactly 0.
 
-The scan scores a block of rows at a time into one score buffer of at most
-SCORE_BYTES, allocated once per call and reused, so the scores stay in cache
-whatever the row count. The plain kernel folds both of its terms into one
-product, [x, 1] @ [-2c, ||c||^2].T: scaling by a power of two is exact, so -2c
-gives the same products as scaling each score, and the bias column is added as
-the product's last term, where the separate pass added it. That needs BLAS to
-sum the inner dimension in order, which IEEE arithmetic does not promise; the
-golden and determinism tests and the benchmark digests pin it on the kernels
-they run. The rate-penalized kernel scales by -2 lambda, which is not a power
-of two, so it cannot fold: it keeps a scale and a bias pass over each block.
+A kernel searches rows [x, 1] in place, from a codebook's search_constants,
+which a model keeps (MsvqModel.search_tables) and only Lloyd rounds rebuild,
+for their moving centres. The scan scores a block of rows at a time into one
+score buffer of at most SCORE_BYTES, so the scores stay in cache whatever the
+row count. The plain kernel folds both of its terms into one product of the
+rows as they lie, [x, 1] @ [-2c, ||c||^2].T: scaling by a power of two is
+exact, so -2c gives the same products as scaling each score, and the bias
+column is added as the product's last term, where the separate pass added it.
+That needs BLAS to sum the inner dimension in order, which IEEE arithmetic
+does not promise; the golden and determinism tests and the benchmark digests
+pin it on the kernels they run. The rate-penalized kernel scales by -2 lambda,
+which is not a power of two, so it cannot fold: it reads x alone and keeps a
+scale and a bias pass over each block.
 """
 
 from __future__ import annotations
@@ -167,6 +170,14 @@ class MsvqModel:
             tables.append((freeze(np.concatenate(books).astype(np.float64)), freeze(offsets)))
         return tuple(tables)
 
+    @cached_property
+    def search_tables(self) -> tuple[tuple[tuple, ...], ...]:
+        """search_constants of codebook [g][t] (rate-penalized by lambdas[t] under
+        EC); built on first use and kept with the model, so serving never does."""
+        lambdas = [None] * self.t_max if self.lambdas is None else self.lambdas.tolist()
+        return tuple(tuple(search_constants(cb.vectors, cb.prior, lambdas[t])
+                           for t, cb in enumerate(books)) for books in self.codebooks)
+
     @property
     def t_max(self) -> int:
         return self.layout.t_max
@@ -181,71 +192,66 @@ def codeword_param_count(model: MsvqModel) -> int:
     return sum(cb.size * cb.dim for group in model.codebooks for cb in group)
 
 
-def _scan(points, vec: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = None,
-          scale: float | None = None):
+def search_constants(vectors, prior=None, rd_lambda=None) -> tuple:
+    """The read-only constants a kernel searches one codebook with: plain
+    (rd_lambda None), nearest_batch's folded weights [-2c, ||c||^2] and
+    codewords [c, 0]; otherwise nearest_rate_penalized_batch's float64
+    codewords c, penalty -log2(prior) + rd_lambda ||c||^2, scale -2 rd_lambda
+    and [c, 0]."""
+    vec = freeze(np.array(vectors, dtype=np.float64))
+    norms = np.einsum("kd,kd->k", vec, vec)
+    padded = freeze(np.concatenate([vec, np.zeros((vec.shape[0], 1))], axis=1))
+    if rd_lambda is None:
+        return freeze(np.concatenate([-2.0 * vec, norms[:, None]], axis=1)), padded
+    if rd_lambda <= 0.0:
+        raise ConfigError(f"rd_lambda must be positive, got {rd_lambda}")
+    if prior is None or np.any(prior <= 0.0):
+        raise CorruptionError("rate-penalized search requires positive codeword priors")
+    return vec, freeze(-np.log2(prior) + rd_lambda * norms), -2.0 * rd_lambda, padded
+
+
+def _scan(points: np.ndarray, weights: np.ndarray, codewords: np.ndarray,
+          bias: np.ndarray | None = None, scale: float | None = None):
     """Argmin of each row's score, lowest index on ties.
 
-    vec is a C-contiguous float64 (K, D) array. With bias None, weights is
-    (K, D + 1) with the bias as its last column, and the score is
-    [points, 1] @ weights.T: each block of rows is copied into a reused
-    (block, D + 1) buffer whose last column is 1, so the product alone gives
-    the scores. Otherwise weights is (K, D) and the score is
-    (points @ weights.T) * scale + bias, two passes over each score block.
-    Rows are scored max(1, SCORE_BYTES // (8 K)) at a time into one reused
-    buffer, which bounds the scan's scratch memory in bytes whatever the row
-    count. Returns (indices, residuals), a residual being points - vec[index].
+    points is a C-contiguous float64 (rows, D + 1) array [x, 1] and codewords
+    the (K, D + 1) array [c, 0]. The score is lhs @ weights.T, lhs being the
+    first weights.shape[1] columns of points, then, given a bias,
+    * scale + bias: two more passes over each score block. Rows are scored
+    max(1, SCORE_BYTES // (8 K)) at a time into one reused buffer, which
+    bounds the scan's scratch memory in bytes whatever the row count. Returns
+    (indices, residuals), the residuals x - c[index] overwriting x.
     """
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    rows, (k, width) = pts.shape[0], weights.shape
+    rows, (k, width) = points.shape[0], weights.shape
     step = max(1, SCORE_BYTES // (8 * k))
     block = np.empty((min(step, rows), k), dtype=np.float64)
-    if bias is None:
-        lhs = np.empty((block.shape[0], width), dtype=np.float64)
-        lhs[:, -1] = 1.0
     idx = np.empty(rows, dtype=np.int64)
     for start in range(0, rows, step):
-        chunk = pts[start:start + step]
+        chunk = points[start:start + step, :width]
         scores = block[:chunk.shape[0]]
-        if bias is None:
-            lhs[:chunk.shape[0], :-1] = chunk
-            chunk = lhs[:chunk.shape[0]]
         np.matmul(chunk, weights.T, out=scores)
         if bias is not None:
             scores *= scale
             scores += bias
         np.argmin(scores, axis=1, out=idx[start:start + step])
-    res = np.take(vec, idx, axis=0)
-    return idx, np.subtract(pts, res, out=res)
+    np.subtract(points, np.take(codewords, idx, axis=0), out=points)
+    return idx, points[:, :-1]
 
 
-def nearest_batch(points: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exhaustive nearest-codeword scan for a batch of queries.
+def nearest_batch(points: np.ndarray, weights: np.ndarray,
+                  codewords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exhaustive nearest-codeword scan for a batch of queries [x, 1], in place.
 
-    Returns (indices, residuals); ties go to the lowest index.
+    (weights, codewords) are a codebook's plain search_constants. Returns
+    (indices, residuals), as _scan does; ties go to the lowest index.
     """
-    vec = np.ascontiguousarray(vectors, dtype=np.float64)
-    norms = np.einsum("kd,kd->k", vec, vec)
-    return _scan(points, vec, np.concatenate([-2.0 * vec, norms[:, None]], axis=1))
+    return _scan(points, weights, codewords)
 
 
-def nearest_rate_penalized_batch(
-    points: np.ndarray,
-    vectors: np.ndarray,
-    prior: np.ndarray,
-    rd_lambda: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch scan minimizing rd_lambda * ||r - c_k||^2 - log2(prior_k).
-
-    Returns (indices, residuals). The query-norm term is again constant per
-    query and omitted from the score. The scale -2 rd_lambda is not a power of
-    two, so it multiplies the scores rather than the codewords.
-    """
-    if rd_lambda <= 0.0:
-        raise ConfigError(f"rd_lambda must be positive, got {rd_lambda}")
-    if prior is None:
-        raise CorruptionError("rate-penalized search requires codeword priors")
-    if np.any(prior <= 0.0):
-        raise CorruptionError("codeword prior has non-positive entries; model is corrupted")
-    vec = np.ascontiguousarray(vectors, dtype=np.float64)
-    penalty = -np.log2(prior) + rd_lambda * np.einsum("kd,kd->k", vec, vec)
-    return _scan(points, vec, vec, penalty, -2.0 * rd_lambda)
+def nearest_rate_penalized_batch(points: np.ndarray, vectors: np.ndarray, penalty: np.ndarray,
+                                 scale: float, codewords: np.ndarray):
+    """Batch scan of queries [x, 1], in place, minimizing rd_lambda * ||x - c_k||^2
+    - log2(prior_k) from a codebook's rate-penalized search_constants; returns
+    (indices, residuals), as _scan does. The query-norm term is again constant
+    per query and omitted from the score."""
+    return _scan(points, vectors, codewords, penalty, scale)

@@ -20,18 +20,18 @@ returns only that matrix, which is all a payload carries, so serving calls
 it; encode_batch adds Z_hat for callers that measure the reconstruction.
 walk_stages, the codec's one stage walk, only searches: each stage's kernel
 picks the nearest codeword (rate-penalized when the model is
-entropy-constrained) and hands back the residual it leaves, which the walk
-writes back in place; encoding, the table pass and training all use it. It
-walks a block of residuals that share one group's codebooks, so each stage is
-one search over the whole block, and a sub-vector takes part only up to its
+entropy-constrained) and writes the residual it leaves in place; encoding,
+the table pass and training all use it. It walks a stage_block of residuals
+that share one group's codebooks, members deepest first, so each stage is one
+search over a prefix of the block, and a sub-vector takes part only up to its
 own depth. The block is a whole group: one row chunk of its members when
 encoding and building the table, or its pooled training points. Each pass
-gathers a group's block straight from the feature matrix's columns
-(layout.group_columns). map_row_chunks alone chunks rows, map_workers alone
-runs a worker pool (row chunks here, each group's cascade in training) and
-owns the worker-count rule, and a block of rows' scratch is bounded in bytes
-(codebook.SCORE_BYTES): the kernels' scan bounds its score buffer by it, and
-decode_batch its accumulator.
+fills a group's block straight from the feature matrix's columns
+(layout.group_columns), casting as it goes. map_row_chunks alone chunks rows,
+map_workers alone runs a worker pool (row chunks here, each group's cascade in
+training) and owns the worker-count rule, and a block of rows' scratch is
+bounded in bytes (codebook.SCORE_BYTES): the kernels' scan bounds its score
+buffer by it, and decode_batch its accumulator.
 decode_batch is the codec's one codeword sum: it adds the codewords in
 float64 in ascending stage order, stage-major across every group, and
 encode_batch returns its output as Z_hat, so encoder and decoder agree bit
@@ -89,9 +89,10 @@ class PlanLayout:
     Fields: stages, the read-only stage-count vector; sub and stage, each field's sub-vector and
     stage in field order (field_order); start, each sub-vector's first
     column; widths and sizes, each field's codebook bits and codeword count;
-    exact_bits, a vector's fixed-length bits. Encoding: groups, per group its
-    members' depths, its field columns and where they sit in the stage
-    walk's indices. Packing: packing, the fixed-width FixedPlan (plain
+    exact_bits, a vector's fixed-length bits. Encoding: groups, per group with
+    fields, its index, its staged members' depths and feature columns
+    (deepest first), its field columns and where they sit in the stage walk's
+    indices. Packing: packing, the fixed-width FixedPlan (plain
     models); under EC instead encoder, the PrefixEncoder of the fields'
     canonical codes, and decoder, the PrefixDecoder of their decode tables.
     Decoding (decode_batch): the sub-vectors sorted deepest first; reach, per
@@ -159,9 +160,13 @@ def _build_layout(model: MsvqModel, stages: np.ndarray) -> PlanLayout:
     groups = []
     for g in range(lay.n_groups):
         blk = lay.group_members(g)
+        order = np.argsort(-stages[blk], kind="stable")
+        live = order[:np.count_nonzero(stages[blk])]  # deepest first
         cols = slice(*np.searchsorted(sub, [blk.start, blk.stop]).tolist())
-        groups.append((stages[blk].tolist(), cols,
-                       (freeze(sub[cols] - blk.start), slice(None), freeze(stage[cols]))))
+        if live.size:
+            groups.append((g, stages[blk][live].tolist(), freeze(lay.group_columns(g)[live]),
+                           cols, (freeze(np.argsort(order)[sub[cols] - blk.start]),
+                                  slice(None), freeze(stage[cols]))))
     encoder, decoder = None, None
     if ec:
         books = model.huffman_codes
@@ -190,42 +195,37 @@ def _build_layout(model: MsvqModel, stages: np.ndarray) -> PlanLayout:
         to_coords=freeze(to_coords), step=max(1, SCORE_BYTES // (8 * lay.m_dim)))
 
 
-def _active(depth: list[int], t: int):
-    """An index selecting the block members deeper than stage t.
+def stage_block(x: np.ndarray) -> np.ndarray:
+    """An (..., D) array as a stage walk's block: float64 (..., D + 1), last column 1."""
+    block = np.empty(x.shape[:-1] + (x.shape[-1] + 1,), dtype=np.float64)
+    block[..., -1] = 1.0
+    block[..., :-1] = x
+    return block
 
-    The index is a slice, so it selects a view, when every member is deeper.
-    """
-    live = [j for j, d in enumerate(depth) if d > t]
-    return live if len(live) < len(depth) else slice(None)
 
-
-def walk_stages(books, lambdas, r: np.ndarray, start: int, stop) -> np.ndarray:
+def walk_stages(tables, ec: bool, r: np.ndarray, start: int, stop) -> np.ndarray:
     """Walk a block of residuals through their stages, in place.
 
-    r is a float64 (n, rows, D) array of residuals that share one group's
-    codebooks: n sub-vectors over the same rows, or (n = 1) a group's pooled
-    points; books[t] is the stage-t codebook. stop is each of the n end stages,
-    one int for all or a sequence of n. Stage t searches, as one (n' * rows, D)
-    batch, the n' of them whose stop exceeds t, and writes the residuals the
-    search leaves back into r. With lambdas None each stage picks the nearest
-    codeword; otherwise it minimizes lambdas[t] * distortion - log2 prior.
-    Returns the (n, rows, max(stop) - start) chosen indices; the columns at and
-    past a sub-vector's own stop are zero.
+    r is a C-contiguous stage_block (n, rows, D + 1) of residuals that share
+    one group's codebooks: n sub-vectors over the same rows, or (n = 1) a
+    group's pooled points; tables[t] is the stage-t codebook's
+    search_constants, rate-penalized when ec. stop is each of the n end
+    stages, one int for all or a non-increasing sequence of n. Stage t
+    searches the n' of them whose stop exceeds t, a prefix of r, as one
+    (n' * rows, D + 1) view, which the kernel overwrites with the residuals.
+    Returns the (n, rows, max(stop) - start) chosen indices; the columns at
+    and past a sub-vector's own stop are zero.
     """
-    n, rows, dim = r.shape
-    stop = np.broadcast_to(np.asarray(stop, dtype=np.int64), (n,)).tolist()
-    idx = np.zeros((n, rows, max(max(stop) - start, 0)), dtype=np.int64)
+    n, rows, width = r.shape
+    depth = np.empty(n, dtype=np.int64)
+    depth[:] = stop
+    idx = np.zeros((n, rows, max(int(depth.max()) - start, 0)), dtype=np.int64)
     for t in range(start, start + idx.shape[2]):
-        sel = _active(stop, t)
-        x = r[sel]
-        cb = books[t]
-        if lambdas is None:
-            col, res = nearest_batch(x.reshape(-1, dim), cb.vectors)
-        else:
-            col, res = nearest_rate_penalized_batch(x.reshape(-1, dim), cb.vectors,
-                                                    cb.prior, float(lambdas[t]))
-        r[sel] = res.reshape(x.shape)
-        idx[sel, :, t - start] = col.reshape(x.shape[:2])
+        live = int(np.count_nonzero(depth > t))
+        x = r[:live].reshape(-1, width)
+        kernel = nearest_rate_penalized_batch if ec else nearest_batch
+        col, _ = kernel(x, *tables[t])
+        idx[:live, :, t - start] = col.reshape(live, rows)
     return idx
 
 
@@ -277,20 +277,21 @@ def encode_fields(
 
     The rows are processed in fixed chunks, on a worker pool when threads > 1;
     each chunk gathers and writes only its own rows, so the result does not
-    depend on the worker count. Within a chunk, each group's columns are
-    gathered into one (members, rows, D) block and walked to every member's
-    planned depth.
+    depend on the worker count. Within a chunk, each group's staged members
+    fill one stage_block, walked to every member's planned depth. Float32 and
+    float64 cast exactly to float64, so only other dtypes are cast up front.
     """
-    Z = check_features(Z, model.layout.m_dim)
+    Z = np.asarray(Z)
+    Z = check_features(Z, model.layout.m_dim,
+                       Z.dtype if Z.dtype in (np.float32, np.float64) else np.float64)
     pl = plan_layout(model, plan.stages)
-    lay = model.layout
     # layout.MAX_BITS = 8 caps every codebook at 256 codewords
     symbols = np.empty((Z.shape[0], pl.sub.size), dtype=np.uint8)
 
     def walk(rows: slice):
-        for g, (depths, cols, at) in enumerate(pl.groups):
-            r = np.take(Z[rows], lay.group_columns(g), axis=1).transpose(1, 0, 2).copy()
-            idx = walk_stages(model.codebooks[g], model.lambdas, r, 0, depths)
+        for g, depths, coords, cols, at in pl.groups:
+            r = stage_block(np.take(Z[rows], coords, axis=1).transpose(1, 0, 2))
+            idx = walk_stages(model.search_tables[g], model.ec_enabled, r, 0, depths)
             symbols[rows, cols] = idx[at].T
 
     map_row_chunks(walk, Z.shape[0], threads)

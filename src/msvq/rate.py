@@ -29,7 +29,7 @@ import numpy as np
 from .codebook import MsvqModel, nearest_batch, nearest_rate_penalized_batch
 from .errors import ConfigError, CorruptionError, DataError
 from .layout import check_features, freeze
-from .quantizer import map_row_chunks, walk_stages
+from .quantizer import map_row_chunks, stage_block, walk_stages
 
 MODE_EXACT = "exact"
 MODE_AVERAGE = "average"
@@ -85,16 +85,18 @@ def _table_pass(model: MsvqModel, z: np.ndarray):
     for g in range(lay.n_groups):
         books, blk = model.codebooks[g], lay.group_members(g)
         # (members, D, rows): the stage-0 einsums follow this memory order, which
-        # their rounding depends on; the walk gets a contiguous copy per member
+        # their rounding depends on, as the later ones do each member's
+        # contiguous residuals
         x = z.T[lay.group_columns(g)]
         for j in range(x.shape[0]):
             diff = x[j].T - fallback[blk.start + j]
             dist_sums[blk.start + j, 0] = np.einsum("rd,rd->", diff, diff)
-        r = x.transpose(0, 2, 1).copy()
+        r = stage_block(x.transpose(0, 2, 1))
         for t in range(t_max):
-            idx = walk_stages(books, model.lambdas, r, t, t + 1)[:, :, 0]
+            idx = walk_stages(model.search_tables[g], ec, r, t, t + 1)[:, :, 0]
             for j in range(r.shape[0]):
-                dist_sums[blk.start + j, t + 1] = np.einsum("rd,rd->", r[j], r[j])
+                res = np.ascontiguousarray(r[j, :, :-1])
+                dist_sums[blk.start + j, t + 1] = np.einsum("rd,rd->", res, res)
                 if ec:
                     len_sums[blk.start + j, t] = float(books[t].code_lengths[idx[j]].sum())
     return dist_sums, len_sums

@@ -42,10 +42,11 @@ from .codebook import (
     check_lambdas,
     nearest_batch,
     nearest_rate_penalized_batch,
+    search_constants,
 )
 from .errors import ConfigError, DataError
 from .layout import SubVectorLayout, check_features, freeze
-from .quantizer import map_workers, walk_stages
+from .quantizer import map_workers, stage_block, walk_stages
 
 _ACCEPT_SLACK = 1e-12  # relative; rejects rounds that worsen the objective
 
@@ -145,11 +146,13 @@ def _kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
 
 def _assign(points, vectors, prior, rd_lambda):
     """(indices, distortions, objective) of one assignment pass, rate-penalized
-    when rd_lambda is given."""
-    if rd_lambda is None:
-        idx, res = nearest_batch(points, vectors)
-    else:
-        idx, res = nearest_rate_penalized_batch(points, vectors, prior, rd_lambda)
+    when rd_lambda is given; einsum rounds by memory order, so the distortions
+    sum contiguous residuals."""
+    block = stage_block(points)
+    consts = search_constants(vectors, prior, rd_lambda)
+    kernel = nearest_batch if rd_lambda is None else nearest_rate_penalized_batch
+    idx, res = kernel(block, *consts)
+    res = np.ascontiguousarray(res)
     dist = np.einsum("pd,pd->p", res, res)
     objective = float(dist.mean())
     if rd_lambda is not None:
@@ -264,23 +267,28 @@ def train(
         Returns its fallback means, its codebooks, each fitted stage's (trace,
         usage, residual energy), and the (stage, group, member) that failed, or None."""
         # one (members, D, rows) gather: the means sum each coordinate's rows in
-        # that memory order, and are taken first, as the walk overwrites the
-        # pooled points in place and a one-member group's are a view of it
+        # that memory order. The pooled points (a view of it for a one-member
+        # group) keep their own memory order, which the seeding's and the
+        # energy's einsum sums round by: each stage walks a stage block of them
+        # and copies its residuals back
         pts = data.T[layout.group_columns(g)]
         means = pts.mean(axis=2)
         pts = pts.transpose(2, 0, 1).reshape(-1, layout.sub_dim)
-        books, stages = [], []
+        books, tables, stages = [], [], []
         for t in range(layout.t_max):
             k = 1 << int(layout.group_bits(g)[t])
+            lam = None if lambdas is None else float(lambdas[t])
             centers, prior, trace = _fit_codebook(
-                pts, k, np.random.default_rng([seed, t, g]),
-                None if lambdas is None else float(lambdas[t]), config.max_iters,
+                pts, k, np.random.default_rng([seed, t, g]), lam, config.max_iters,
                 config.rel_tol)
             if prior is not None:
                 prior = np.maximum(prior, entropy.PRIOR_FLOOR)
                 prior = freeze(prior / prior.sum())
             books.append(Codebook(vectors=freeze(centers.astype(np.float32)), prior=prior))
-            idx = walk_stages(books, lambdas, pts[None], t, t + 1)
+            tables.append(search_constants(books[t].vectors, prior, lam))
+            block = stage_block(pts)[None]
+            idx = walk_stages(tables, lam is not None, block, t, t + 1)
+            pts[:] = block[0, :, :-1]
             stages.append((trace, np.bincount(idx.ravel(), minlength=k),
                            float(np.einsum("pd,pd->", pts, pts))))
             finite = np.isfinite(pts.reshape(rows, -1, layout.sub_dim)).all(axis=(0, 2))

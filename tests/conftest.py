@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from msvq import bitstream, datagen, entropy, layout, quantizer, trainer
-from msvq.codebook import Codebook, MsvqModel
+from msvq.codebook import (
+    Codebook,
+    MsvqModel,
+    nearest_batch,
+    nearest_rate_penalized_batch,
+    search_constants,
+)
 
 
 # (M, D, N) of model headers whose layout has no coordinates: no sub-vectors,
@@ -98,6 +104,17 @@ def encoded_usage(model, data):
     return {(g, t): np.bincount(symbols[:, (group == g) & (stage == t)].ravel(),
                                 minlength=cb.size)
             for g, books in enumerate(model.codebooks) for t, cb in enumerate(books)}
+
+
+def search(points, vectors, prior=None, rd_lambda=None):
+    """(indices, contiguous residuals) of one kernel search of a (rows, D) batch
+    through a codebook, rate-penalized when rd_lambda is given: the kernel runs
+    on a stage block of the points, built from the codebook's search constants."""
+    block = quantizer.stage_block(np.asarray(points, dtype=np.float64))
+    consts = search_constants(vectors, prior, rd_lambda)
+    kernel = nearest_batch if rd_lambda is None else nearest_rate_penalized_batch
+    idx, res = kernel(block, *consts)
+    return idx, np.ascontiguousarray(res)
 
 
 def pytest_runtest_logreport(report):

@@ -108,6 +108,22 @@ class TestPipeline:
                    "--groups", 2, "--alloc", "type3", "--out", tmp_path / "m.msvq")
         assert code == 3
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_features_are_data_error(self, workdir, tmp_path, capsys, bad):
+        data = bitstream.read_features(str(workdir["data"])).copy()
+        data[3, 2] = bad
+        path, out = tmp_path / "bad.fmat", tmp_path / "p.msvp"
+        # write_features refuses non-finite values, so the file is assembled here
+        path.write_bytes(bitstream._FMAT_HEADER.pack(bitstream.FMAT_MAGIC,
+                                                     bitstream.FMAT_VERSION, *data.shape)
+                         + data.astype("<f4").tobytes())
+        assert bitstream.read_features(str(path)).dtype == np.float32
+        code = run("encode", "--model", workdir["model"], "--table", workdir["table"],
+                   "--data", path, "--b-cap", 20, "--out", out)
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_group_count_is_config_error(self, workdir, tmp_path, capsys):
         code = run("train", "--data", workdir["data"], "--sub-dim", 4, "--t-max", 2,
                    "--groups", 3, "--alloc", "type3", "--out", tmp_path / "m.msvq")

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_layout, make_toy_model
-from msvq import codebook
+from conftest import make_layout, make_toy_model, search
+from msvq import codebook, quantizer
 from msvq.codebook import Codebook, MsvqModel
 from msvq.errors import ConfigError, CorruptionError, MsvqError
 
@@ -24,14 +24,14 @@ def scan_oracle(vectors, r):
 class TestNearest:
     def test_two_point_geometry(self):
         cb = Codebook(vectors=np.array([[0.0, 0.0], [1.0, 1.0]], dtype=np.float32))
-        idx, res = codebook.nearest_batch(np.array([[0.9, 0.9]]), cb.vectors)
+        idx, res = search(np.array([[0.9, 0.9]]), cb.vectors)
         assert idx.tolist() == [1]
         assert res[0] == pytest.approx([-0.1, -0.1], abs=1e-12)
 
     def test_exact_match_is_zero(self):
         rng = np.random.default_rng(1)
         cb = Codebook(vectors=rng.normal(size=(8, 3)).astype(np.float32))
-        idx, res = codebook.nearest_batch(cb.vectors[5:6].astype(np.float64), cb.vectors)
+        idx, res = search(cb.vectors[5:6].astype(np.float64), cb.vectors)
         assert idx.tolist() == [5]
         assert not res.any()
 
@@ -40,14 +40,14 @@ class TestNearest:
         cb = Codebook(vectors=rng.normal(size=(16, 4)).astype(np.float32))
         for _ in range(100):
             r = rng.normal(size=(1, 4))
-            idx, res = codebook.nearest_batch(r, cb.vectors)
+            idx, res = search(r, cb.vectors)
             oidx, odist = scan_oracle(cb.vectors, r[0])
             assert idx[0] == oidx
             assert float(res[0] @ res[0]) == pytest.approx(odist, rel=1e-12)
 
     def test_tie_breaks_to_lowest_index(self):
         cb = Codebook(vectors=np.array([[1.0], [-1.0]], dtype=np.float32))
-        idx, _ = codebook.nearest_batch(np.array([[0.0]]), cb.vectors)
+        idx, _ = search(np.array([[0.0]]), cb.vectors)
         assert idx.tolist() == [0]
 
 
@@ -59,16 +59,14 @@ class TestNearestRatePenalized:
         for lam in (0.1, 1.0, 10.0):
             for _ in range(25):
                 r = rng.normal(size=(1, 4))
-                plain_idx, _ = codebook.nearest_batch(r, cb.vectors)
-                pen_idx, _ = codebook.nearest_rate_penalized_batch(r, cb.vectors,
-                                                                   cb.prior, lam)
+                plain_idx, _ = search(r, cb.vectors)
+                pen_idx, _ = search(r, cb.vectors, cb.prior, lam)
                 assert pen_idx[0] == plain_idx[0]
 
     def test_worked_example(self):
         cb = Codebook(vectors=np.array([[0.0], [1.0]], dtype=np.float32),
                       prior=np.array([0.9, 0.1]))
-        idx, res = codebook.nearest_rate_penalized_batch(np.array([[0.45]]), cb.vectors,
-                                                         cb.prior, 1.0)
+        idx, res = search(np.array([[0.45]]), cb.vectors, cb.prior, 1.0)
         # objective: 1*0.2025 - log2(0.9) = 0.3545 beats 1*0.3025 - log2(0.1) = 3.624
         assert idx.tolist() == [0]
         assert res[0] == pytest.approx([0.45], abs=1e-12)
@@ -80,20 +78,25 @@ class TestNearestRatePenalized:
                       prior=np.array([0.6, 0.2, 0.05, 0.05, 0.04, 0.03, 0.02, 0.01]))
         for _ in range(50):
             r = rng.normal(size=(1, 2))
-            plain_idx, _ = codebook.nearest_batch(r, cb.vectors)
-            pen_idx, _ = codebook.nearest_rate_penalized_batch(r, cb.vectors, cb.prior, 1e9)
+            plain_idx, _ = search(r, cb.vectors)
+            pen_idx, _ = search(r, cb.vectors, cb.prior, 1e9)
             assert pen_idx[0] == plain_idx[0]
 
     def test_corrupted_prior_raises(self):
         cb = Codebook(vectors=np.zeros((2, 1), dtype=np.float32),
                       prior=np.array([1.0, 0.0]))
         with pytest.raises(CorruptionError):
-            codebook.nearest_rate_penalized_batch(np.array([[0.0]]), cb.vectors, cb.prior, 1.0)
+            codebook.search_constants(cb.vectors, cb.prior, 1.0)
 
     def test_missing_prior_raises(self):
         cb = Codebook(vectors=np.zeros((2, 1), dtype=np.float32))
         with pytest.raises(CorruptionError):
-            codebook.nearest_rate_penalized_batch(np.array([[0.0]]), cb.vectors, cb.prior, 1.0)
+            codebook.search_constants(cb.vectors, cb.prior, 1.0)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_non_positive_lambda_raises(self, lam):
+        with pytest.raises(ConfigError, match="rd_lambda"):
+            codebook.search_constants(np.zeros((2, 1)), np.full(2, 0.5), lam)
 
 
 def _block(k):
@@ -114,17 +117,15 @@ class TestResiduals:
         vectors = rng.normal(size=(k, 3)).astype(np.float32)
         points = rng.normal(size=(rows, 3))
         prior = rng.dirichlet(np.ones(k))
-        for idx, res in (codebook.nearest_batch(points, vectors),
-                         codebook.nearest_rate_penalized_batch(points, vectors, prior, 2.0)):
+        for idx, res in (search(points, vectors), search(points, vectors, prior, 2.0)):
             assert idx.shape == (rows,) and res.shape == (rows, 3)
             assert res.dtype == np.float64
             assert np.array_equal(res, points - vectors.astype(np.float64)[idx])
 
 
 KERNELS = {
-    "plain": lambda points, vectors, prior: codebook.nearest_batch(points, vectors),
-    "rate": lambda points, vectors, prior: codebook.nearest_rate_penalized_batch(
-        points, vectors, prior, 0.7),
+    "plain": lambda points, vectors, prior: search(points, vectors),
+    "rate": lambda points, vectors, prior: search(points, vectors, prior, 0.7),
 }
 
 
@@ -158,7 +159,7 @@ class TestBlockedScan:
                                  vectors[rng.integers(k, size=100)].astype(np.float64)])
         vec = vectors.astype(np.float64)
         unfolded = (points @ vec.T) * -2.0 + np.einsum("kd,kd->k", vec, vec)
-        idx, _ = codebook.nearest_batch(points, vectors)
+        idx, _ = search(points, vectors)
         assert np.array_equal(idx, np.argmin(unfolded, axis=1))
 
     @pytest.mark.parametrize("k", [16, 256])
@@ -178,23 +179,26 @@ class TestBlockedScan:
         unfused = points @ (-2.0 * vec).T
         unfused += np.einsum("kd,kd->k", vec, vec)
         want = np.argmin(unfused, axis=1)
-        idx, res = codebook.nearest_batch(points, vectors)
+        idx, res = search(points, vectors)
         assert np.array_equal(idx, want)
         assert np.array_equal(res, points - vec[want])
 
     def test_scratch_memory_is_one_score_block(self):
         rng = np.random.default_rng(0)
-        points = rng.normal(size=(8192, 4))
-        vectors = rng.normal(size=(256, 4))
-        codebook.nearest_batch(points[:1], vectors)  # first-call set-up is not the scan's
+        points = quantizer.stage_block(rng.normal(size=(8192, 4)))
+        weights, codewords = codebook.search_constants(rng.normal(size=(256, 4)))
+        codebook.nearest_batch(points[:1].copy(), weights, codewords)  # first-call set-up
         tracemalloc.start()
         try:
-            idx, res = codebook.nearest_batch(points, vectors)
+            idx, res = codebook.nearest_batch(points, weights, codewords)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        bound = points.nbytes + vectors.nbytes + idx.nbytes + res.nbytes + codebook.SCORE_BYTES
-        assert peak < bound
+        # the scan works in place: beyond its indices it holds one score block
+        # and the codewords its residuals subtract, gathered in the points'
+        # shape; never a copy of the points or a separate residual array
+        assert np.shares_memory(res, points)
+        assert peak < idx.nbytes + points.nbytes + codebook.SCORE_BYTES + weights.nbytes
 
 
 class TestSearchRounding:
@@ -218,7 +222,7 @@ class TestSearchRounding:
     @pytest.mark.parametrize("seed", range(5))
     def test_plain_choice_within_rounding_of_direct_minimum(self, seed):
         _, vectors, points, direct, tol = self._case(seed)
-        idx, _ = codebook.nearest_batch(points, vectors)
+        idx, _ = search(points, vectors)
         chosen = direct[np.arange(len(points)), idx]
         assert np.all(chosen - direct.min(axis=1) <= tol)
 
@@ -228,7 +232,7 @@ class TestSearchRounding:
         prior = rng.dirichlet(np.ones(len(vectors)))
         lam = 1e6  # rate and distortion terms of similar size
         objective = lam * direct - np.log2(prior)
-        idx, _ = codebook.nearest_rate_penalized_batch(points, vectors, prior, lam)
+        idx, _ = search(points, vectors, prior, lam)
         chosen = objective[np.arange(len(points)), idx]
         rate_tol = lam * tol + 4 * self.D * np.finfo(np.float64).eps * -np.log2(prior).max()
         assert np.all(chosen - objective.min(axis=1) <= rate_tol)

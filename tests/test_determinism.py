@@ -12,11 +12,12 @@ model, table and payload bytes under every variant below. Should one differ,
 the search kernel needs the fix, not the recipe's seeds. The golden recipe's
 sub-vectors have dimension 4; a second recipe with dimension 8 is built in
 this process under the default kernel and must come out the same in every
-variant.
+variant, and its files must keep the digests pinned below.
 
 The variables are set only in the child process's environment.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -93,6 +94,39 @@ if __name__ == "__main__":
 """
 WIDE_SUB_FILES = [f"{what}_{kind}.{ext}" for kind in ("plain", "ec")
                   for what, ext in (("model", "msvq"), ("table", "json"), ("payload", "msvp"))]
+# SHA-256 of each file of the D = 8 recipe, recorded when the search still
+# copied each block of rows into a separate contiguous buffer before its
+# product; a change that moves these bytes under every kernel fails here
+WIDE_SUB_SHA256 = {
+    "model_plain.msvq": "65b7472d06ecef32121adeac3241a2b1121d483d4cce47c1f35e303f93c3f1df",
+    "table_plain.json": "d0be139545b4498c4026423e562de92033248155870eec0e30af8e3c0fcbaf44",
+    "payload_plain.msvp": "3c9cd4e646b2ce82a7155557b4eb9570f9f2b432904d8dc4f4529ce148c2f1f2",
+    "model_ec.msvq": "8554d3f47c560aa74eb4e9eed6544596625614ca3d692e0d9bff7e1c5e888940",
+    "table_ec.json": "3f3e7e7aa0edbf3cf612f8a758ce8a054cd7b3d17cb92301e9f6453fec0f9097",
+    "payload_ec.msvp": "900991d35dfc76834d99a455318a5c84a1c0e5607256a809dcdf42a0859d3382",
+}
+
+# The rate-penalized product reads the rows of a stage block without their
+# ones column, a strided operand; it must equal the product of a contiguous
+# copy, one row (gemv) or many, at D = 4 and D = 8.
+STRIDED_PRODUCT = """
+import sys
+import numpy as np
+from msvq import codebook, quantizer
+
+rng = np.random.default_rng(5)
+for d in (4, 8):
+    for k in (2, 64, 256):
+        vectors = rng.normal(size=(k, d)).astype(np.float32)
+        vec = codebook.search_constants(vectors, rng.dirichlet(np.ones(k)), 0.7)[0]
+        for rows in (1, 7, 600):
+            block = quantizer.stage_block(rng.normal(size=(rows, d)))
+            strided, contiguous = np.empty((rows, k)), np.empty((rows, k))
+            np.matmul(block[:, :-1], vec.T, out=strided)
+            np.matmul(np.ascontiguousarray(block[:, :-1]), vec.T, out=contiguous)
+            if strided.tobytes() != contiguous.tobytes():
+                sys.exit(f"D={d}, K={k}, {rows} rows: the strided product differs")
+"""
 
 RETRAINED = ["model_plain.msvq", "table_plain.json", "model_ec.msvq", "table_ec.json",
              "payload_plain.msvp", "payload_ec.msvp", "payload_ec_strict.msvp"]
@@ -141,4 +175,7 @@ def test_eight_dim_recipe_is_bit_exact_under_blas_variants(tmp_path, wide_sub_in
                                                            threads, coretype):
     _run_child(WIDE_SUB, tmp_path, coretype, threads)
     for name in WIDE_SUB_FILES:
-        assert (tmp_path / name).read_bytes() == (wide_sub_in_process / name).read_bytes(), name
+        built = (wide_sub_in_process / name).read_bytes()
+        assert hashlib.sha256(built).hexdigest() == WIDE_SUB_SHA256[name], name
+        assert (tmp_path / name).read_bytes() == built, name
+    _run_child(STRIDED_PRODUCT, tmp_path, coretype, threads)

@@ -16,7 +16,8 @@ field order, fixed-width packing and prefix encoder are derived only where
 its serving layout is made (quantizer.plan_layout keeps one per model), apart
 from the explicit plan's header, which is packed at its own widths. Stage
 vectors, from callers and from explicit-plan headers alike, are checked only
-where a plan's layout is made (quantizer.plan_layout). Code
+where a plan's layout is made (quantizer.plan_layout). A codebook's search
+constants are built where a model keeps them and where training fits. Code
 tables are kept only by their owners, never in a cache beside them: no
 module memoizes a function or keys anything by id().
 """
@@ -136,6 +137,13 @@ ONE_OWNER = {
     "prefix_encoder": {("quantizer", "_build_layout")},
     # a plan is its layout, so a stage vector is checked where a layout is made
     "_checked_stages": {("quantizer", "plan_layout")},
+    # a codebook's search constants are built once per model and kept on it
+    # (MsvqModel.search_tables); only training builds them per codebook it
+    # fits: for each Lloyd round's moving centres, and once for the finalized
+    # codebook its stage walk quantizes with. A serving path that rebuilt them
+    # per call would load search_constants elsewhere.
+    "search_constants": {("codebook", "search_tables"), ("trainer", "_assign"),
+                         ("trainer", "fit_group")},
 }
 
 

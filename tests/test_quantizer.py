@@ -6,17 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_layout, make_toy_model, record_searches
+from conftest import make_layout, make_toy_model, record_searches, search
 from msvq import bitstream, datagen, entropy, layout, quantizer, rate, trainer
-from msvq.codebook import (
-    ROW_CHUNK,
-    SCORE_BYTES,
-    Codebook,
-    MsvqModel,
-    nearest_batch,
-    nearest_rate_penalized_batch,
-)
-from msvq.errors import ConfigError, CorruptionError
+from msvq.codebook import ROW_CHUNK, SCORE_BYTES, Codebook, MsvqModel
+from msvq.errors import ConfigError, CorruptionError, DataError
 
 
 def to_coordinate_order(lay, sub):
@@ -47,10 +40,9 @@ def encode_batch_reference(model, Z, plan):
             for t in range(int(stages[i])):
                 cb = books[t]
                 if lambdas is None:
-                    col, _ = nearest_batch(r, cb.vectors)
+                    col, _ = search(r, cb.vectors)
                 else:
-                    col, _ = nearest_rate_penalized_batch(r, cb.vectors, cb.prior,
-                                                          float(lambdas[t]))
+                    col, _ = search(r, cb.vectors, cb.prior, float(lambdas[t]))
                 cw = cb.vectors.astype(np.float64)[col]
                 r -= cw
                 acc += cw
@@ -217,45 +209,47 @@ class TestEncodeDecode:
     @pytest.mark.parametrize("ec", [False, True])
     def test_walk_in_steps_equals_walk_at_once(self, corr_data, model, ec_model, ec):
         m = ec_model if ec else model
-        books, lambdas = m.codebooks[0], m.lambdas if ec else None
+        books, tables = m.codebooks[0], m.search_tables[0]
         lay = m.layout
         members = lay.group_members(0)
         n = members.stop - members.start
         assert n > 1
         x = corr_data.astype(np.float64)[:, lay.perm].reshape(-1, lay.n_sub, lay.sub_dim)
-        x = x[:, members, :].transpose(1, 0, 2).copy()
+        x = quantizer.stage_block(x[:, members, :].transpose(1, 0, 2))
         whole = x.copy()
-        idx = quantizer.walk_stages(books, lambdas, whole, 0, m.t_max)
+        idx = quantizer.walk_stages(tables, ec, whole, 0, m.t_max)
         assert idx.shape == (n, x.shape[1], m.t_max)
         steps = x.copy()
-        cols = [quantizer.walk_stages(books, lambdas, steps, t, t + 1) for t in range(m.t_max)]
+        cols = [quantizer.walk_stages(tables, ec, steps, t, t + 1) for t in range(m.t_max)]
         assert np.array_equal(np.concatenate(cols, axis=2), idx)
         assert np.array_equal(steps, whole)
         for j in range(n):  # a member walked alone matches its block row
             alone = x[j:j + 1].copy()
-            assert np.array_equal(quantizer.walk_stages(books, lambdas, alone, 0, m.t_max),
+            assert np.array_equal(quantizer.walk_stages(tables, ec, alone, 0, m.t_max),
                                   idx[j:j + 1])
             assert np.array_equal(alone, whole[j:j + 1])
+        assert np.all(whole[..., -1] == 1.0)  # the ones column is never overwritten
         recon = sum(books[t].vectors[idx[:, :, t]].astype(np.float64) for t in range(m.t_max))
-        np.testing.assert_allclose(x - whole, recon, rtol=0, atol=1e-12)
+        np.testing.assert_allclose((x - whole)[..., :-1], recon, rtol=0, atol=1e-12)
 
     def test_walk_stops_each_member_at_its_depth(self, corr_data, model):
-        books = model.codebooks[0]
+        books, tables = model.codebooks[0], model.search_tables[0]
         lay = model.layout
         x = corr_data.astype(np.float64)[:, lay.perm].reshape(-1, lay.n_sub, lay.sub_dim)[:, :2]
-        x = x.transpose(1, 0, 2).copy()
+        x = quantizer.stage_block(x.transpose(1, 0, 2))
         full = x.copy()
-        idx_full = quantizer.walk_stages(books, None, full, 0, model.t_max)
+        idx_full = quantizer.walk_stages(tables, False, full, 0, model.t_max)
         once = x[1:].copy()
-        quantizer.walk_stages(books, None, once, 0, 1)
+        quantizer.walk_stages(tables, False, once, 0, 1)
         mixed = x.copy()
-        idx = quantizer.walk_stages(books, None, mixed, 0, np.array([model.t_max, 1]))
+        idx = quantizer.walk_stages(tables, False, mixed, 0, np.array([model.t_max, 1]))
         assert np.array_equal(idx[0], idx_full[0])
         assert np.array_equal(idx[1, :, :1], idx_full[1, :, :1])
         assert not idx[1, :, 1:].any()
         assert np.array_equal(mixed[0], full[0])
         assert np.array_equal(mixed[1], once[0])
-        assert np.array_equal(mixed[1], x[1] - books[0].vectors[idx[1, :, 0]].astype(np.float64))
+        assert np.array_equal(mixed[1, :, :-1],
+                              x[1, :, :-1] - books[0].vectors[idx[1, :, 0]].astype(np.float64))
 
     def test_decode_rejects_out_of_range_index(self, model):
         plan = quantizer.plan_layout(model, [1, 0, 0, 0])
@@ -385,7 +379,7 @@ class TestOneBlockPerGroupAndChunk:
         assert len(want) == 3 * (3 + 1)
         assert searched == want
 
-    def test_decode_peak_memory_is_one_chunk_per_group(self):
+    def test_decode_peak_memory_is_a_few_row_blocks(self):
         rows = 6 * ROW_CHUNK + 37
         lay = make_layout(32, 4, [3, 3, 3])  # one group of every sub-vector
         m = make_toy_model(lay, np.random.default_rng(0))
@@ -393,8 +387,10 @@ class TestOneBlockPerGroupAndChunk:
         plan = quantizer.plan_layout(m, stages)
         symbols = np.random.default_rng(1).integers(0, 8, size=(rows, int(stages.sum())),
                                                     dtype=np.uint8)
+        quantizer.decode_batch(m, symbols[:1], plan)  # builds the stage tables
         out = rows * lay.m_dim * 8  # float64 Z_hat in coordinate order
-        block = ROW_CHUNK * lay.m_dim * 8  # one chunk of the whole group
+        block = plan.step * lay.m_dim * 8  # one row block's float64 sums
+        assert plan.step == SCORE_BYTES // (8 * lay.m_dim) < ROW_CHUNK
         tracemalloc.start()
         try:
             z_hat = quantizer.decode_batch(m, symbols, plan)
@@ -403,34 +399,75 @@ class TestOneBlockPerGroupAndChunk:
             tracemalloc.stop()
         assert z_hat.nbytes == out
         # decode's scratch is one row block's accumulator, gather and indices;
-        # scratch kept across chunks, or a whole variance-ordered Z_hat beside
-        # the output, would add six more blocks
-        assert peak < out + 4 * block
+        # a whole ROW_CHUNK of rows at once, or a variance-ordered Z_hat beside
+        # the output, would add eight blocks or more
+        assert peak < out + 3 * block
 
     def test_encode_peak_memory_is_one_group_block(self):
         lay = make_layout(16, 4, [8, 6, 4], groups=16)  # one sub-vector per group
         m = make_toy_model(lay, np.random.default_rng(0))
         Z = np.random.default_rng(1).normal(size=(self.ROWS, lay.m_dim)).astype(np.float32)
         plan = quantizer.full_plan(m)
-        copy = self.ROWS * lay.m_dim * 8  # check_features' float64 copy of the input
-        block = ROW_CHUNK * lay.sub_dim * 8  # one chunk of one group's members
+        assert m.search_tables  # built once per model, before any encoding
+        block = ROW_CHUNK * (lay.sub_dim + 1) * 8  # one chunk of one group's stage block
         tracemalloc.start()
         try:
             symbols = quantizer.encode_fields(m, Z, plan)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the group walk holds a few block-sized arrays (the gather and its
-        # transposed copy, the residuals its search leaves, the indices and their
-        # copy) and one score buffer; permuting a whole chunk first would hold
-        # another 16 blocks
-        assert peak < copy + symbols.nbytes + 8 * block + SCORE_BYTES
+        # no float64 copy of the input (4.2 MB here): the group walk holds a few
+        # block-sized arrays (the stage block, the codewords its search
+        # subtracts, the indices and their field-order copy, the last group's
+        # block and indices) and one score buffer; permuting a whole chunk first
+        # would hold another 16 blocks
+        assert peak < symbols.nbytes + 4 * block + SCORE_BYTES
 
 
 def random_fields(lay, plan, rows, seed):
     sub, stage = quantizer.field_order(plan.stages)
     sizes = 1 << lay.bits[sub, stage]
     return np.random.default_rng(seed).integers(0, sizes, size=(rows, sub.size), dtype=np.uint8)
+
+
+class TestInputDtypes:
+    """encode_fields checks a float32 or float64 matrix as it is, and each
+    group's columns are cast to float64 as they fill its block; any other
+    dtype is cast to float64 first."""
+
+    @pytest.mark.parametrize("ec", [False, True])
+    def test_equal_values_give_equal_fields_and_payloads(self, ec, model, ec_model,
+                                                         corr_data, tmp_path):
+        m = ec_model if ec else model
+        table = rate.build_table(m, corr_data)
+        values = np.rint(corr_data * 4.0)  # integers, exact in every dtype below
+        plan = quantizer.full_plan(m)
+        fields, payloads = set(), set()
+        for dtype in (np.float32, np.float64, np.int32):
+            Z = values.astype(dtype)
+            fields.add(quantizer.encode_fields(m, Z, plan).tobytes())
+            path = tmp_path / f"{Z.dtype.name}.msvp"
+            bitstream.write_payload(str(path), m, 7, table, Z, 40)
+            payloads.add(path.read_bytes())
+        assert len(fields) == 1 and len(payloads) == 1
+        assert len(np.unique(np.frombuffer(fields.pop(), dtype=np.uint8))) > 8
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_float32_raises(self, model, bad):
+        Z = np.zeros((3, model.layout.m_dim), dtype=np.float32)
+        Z[1, 5] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            quantizer.encode_fields(model, Z, quantizer.full_plan(model))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    def test_longdouble_beyond_float64_raises(self, model):
+        if np.finfo(np.longdouble).max <= np.finfo(np.float64).max:
+            pytest.skip("long double is no wider than float64 on this platform")
+        Z = np.zeros((2, model.layout.m_dim), dtype=np.longdouble)
+        Z[1, 3] = np.longdouble(np.finfo(np.float64).max) * 4
+        assert np.isfinite(Z).all()  # finite as given, infinite once cast to float64
+        with pytest.raises(DataError, match="non-finite"):
+            quantizer.encode_fields(model, Z, quantizer.full_plan(model))
 
 
 class TestStageMajorDecode:

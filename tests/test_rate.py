@@ -109,7 +109,7 @@ class TestBuildTable:
         finally:
             tracemalloc.stop()
         # check_features' finiteness mask, then per chunk the group's gather, its
-        # contiguous copy, the residuals its search leaves and one score buffer;
+        # stage block, the codewords its search subtracts and one score buffer;
         # a variance-ordered copy of all the data would add six more chunks
         assert peak < data.nbytes // 8 + 4 * chunk
 

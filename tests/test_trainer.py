@@ -4,15 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import encoded_usage, make_layout, record_searches
+from conftest import encoded_usage, make_layout, record_searches, search
 from msvq import bitstream, datagen, entropy, layout, quantizer, trainer
-from msvq.codebook import (
-    ROW_CHUNK,
-    SCORE_BYTES,
-    Codebook,
-    nearest_batch,
-    nearest_rate_penalized_batch,
-)
+from msvq.codebook import ROW_CHUNK, SCORE_BYTES, Codebook
 from msvq.errors import ConfigError, DataError
 
 
@@ -30,7 +24,7 @@ class TestLloydStep:
         updated, _ = trainer.lloyd_step(np.array([[0.0], [1.0]]), cb)
         assert np.array_equal(updated.vectors[:, 0], [0.0, 1.0])
         assert direct_distortion([[0.0], [1.0]], updated.vectors) == 0.0
-        idx, _ = nearest_batch(np.array([[0.0], [1.0]]), cb.vectors)
+        idx, _ = search(np.array([[0.0], [1.0]]), cb.vectors)
         assert np.bincount(idx, minlength=2).tolist() == [1, 1]
 
     def test_identical_points_reseed_to_same_point(self):
@@ -55,7 +49,7 @@ class TestLloydStep:
         cb = Codebook(vectors=rng.normal(size=(4, 2)).astype(np.float32),
                       prior=np.full(4, 0.25))
         updated, _ = trainer.lloyd_step(points, cb, rd_lambda=2.0)
-        idx, _ = nearest_rate_penalized_batch(points, cb.vectors, cb.prior, 2.0)
+        idx, _ = search(points, cb.vectors, cb.prior, 2.0)
         expected = (np.bincount(idx, minlength=4) + 1.0) / (50.0 + 4.0)
         np.testing.assert_allclose(updated.prior, expected / expected.sum(), rtol=1e-12)
 
@@ -93,7 +87,7 @@ class TestCenterUpdate:
         points = rng.normal(size=(3000, 3)) * 10.0 ** rng.integers(-8, 9, size=(3000, 1))
         vectors = rng.normal(size=(k, 3)).astype(np.float32)
         vectors[k // 2:] += 1e12  # cells no point reaches: empty, so reseeded
-        idx, res = nearest_batch(points, vectors)
+        idx, res = search(points, vectors)
         return points, idx, np.einsum("pd,pd->p", res, res), vectors
 
     @pytest.mark.parametrize("k", [2, 16, 256])
@@ -321,7 +315,7 @@ class TestTrain:
         sub = np.asarray(corr_data, dtype=np.float64)[:, lay.perm].reshape(
             corr_data.shape[0], lay.n_sub, lay.sub_dim)
         cb1 = model.codebooks[0][0]
-        idx, _ = nearest_batch(sub[:, 0, :], cb1.vectors)
+        idx, _ = search(sub[:, 0, :], cb1.vectors)
         resid = sub[:, 0, :] - cb1.vectors[idx].astype(np.float64)
         cb2 = model.codebooks[0][1]
         assert np.abs(cb2.vectors).max() <= 3 * np.abs(resid).max()
